@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .archive import atomic_write_text
 from .errors import BackendFailure, InsufficientQueriesError
 from .evaluator.answers import consistency
 from .evaluator.backend import EvaluationBackend, GenerationRequest
@@ -267,7 +268,7 @@ def save_difficulty_records(records: Sequence[DifficultyRecord], path: str | Pat
         {"query_id": r.query_id, "c_sft": r.c_sft, "c_rlvr": r.c_rlvr, "difficulty": r.difficulty}
         for r in records
     ]
-    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    atomic_write_text(path, json.dumps(payload, indent=2))
 
 
 def load_difficulty_records(path: str | Path) -> list[DifficultyRecord]:

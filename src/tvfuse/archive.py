@@ -238,9 +238,15 @@ def read_tensor_bytes(archive: TensorArchive, name: str) -> bytes:
         return fh.read(meta.num_bytes)
 
 
+def byte_sorted(names: Iterable[str]) -> list[str]:
+    """Names in ascending byte-wise UTF-8 order, the one order every
+    cross-tensor reduction and every write uses."""
+    return sorted(names, key=lambda s: s.encode("utf-8"))
+
+
 def iter_tensors(archive: TensorArchive) -> Iterator[tuple[str, TensorData]]:
     """Yield tensors in ascending byte-wise name order, one at a time."""
-    for name in sorted(archive.entries, key=lambda s: s.encode("utf-8")):
+    for name in byte_sorted(archive.entries):
         yield name, read_tensor(archive, name)
 
 
@@ -303,3 +309,11 @@ def write_archive(
     except Exception:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write `text` verbatim as UTF-8 to a temp sibling, then rename it over `path`."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8", newline="")
+    os.replace(tmp, path)

@@ -14,8 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .adaptation import build_adaptation_set, load_query_pool, score_difficulty
-from .archive import open_archive
+from .archive import atomic_write_text, open_archive
 from .diagnostics import (
     DEFAULT_LAYER_PATTERN,
     DEFAULT_MODULE_RULES,
@@ -29,17 +28,9 @@ from .diagnostics import (
     write_norms_csv,
 )
 from .errors import TvfuseError
-from .pipeline import (
-    PipelineConfig,
-    apply_overrides,
-    atomic_write_text,
-    load_config,
-    load_report,
-    run_pipeline,
-)
+from .pipeline import PipelineConfig, load_config, load_report, run_pipeline
 from .task_vector import (
     extract_task_vector,
-    global_l2_norm,
     load_task_vector,
     merge,
     rescale,
@@ -59,20 +50,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config_with_overrides(args) -> PipelineConfig:
-    from .errors import ConfigError
-
-    try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load config {args.config}: {exc}") from exc
+def _load_config(args) -> PipelineConfig:
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
             raise UsageError(f"--set expects DOTTED.PATH=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key] = value
-    return PipelineConfig.from_dict(apply_overrides(raw, overrides))
+    return load_config(args.config, overrides)
 
 
 # --- subcommand handlers -----------------------------------------------------------
@@ -93,10 +78,9 @@ def cmd_extract(args) -> int:
 
 def cmd_sparsify(args) -> int:
     tv = load_task_vector(args.vector)
-    original_norm = global_l2_norm(tv)
-    sparse = sparsify(tv, args.retention, mode=args.mode, scope=args.scope)
+    sparse = sparsify(tv, args.retention, scope=args.scope)
     if not args.no_rescale:
-        sparse = rescale(sparse, original_norm, args.epsilon)
+        sparse = rescale(sparse, sparse.sparsity.original_norm, args.epsilon)
     save_task_vector(sparse, args.out)
     info = sparse.sparsity
     print(
@@ -181,7 +165,7 @@ def cmd_analyze_modules(args) -> int:
 
 
 def cmd_select_data(args) -> int:
-    config = _load_config_with_overrides(args)
+    config = _load_config(args)
     config.validate()
     from .pipeline import WorkspacePaths, build_backend, _stage_select_data
 
@@ -196,7 +180,7 @@ def cmd_select_data(args) -> int:
 
 
 def cmd_search(args) -> int:
-    config = _load_config_with_overrides(args)
+    config = _load_config(args)
     report = run_pipeline(config, resume=args.resume, final_merge=False)
     print(
         f"coefficients {tuple(report.coefficients)} via {report.selection_rule}; "
@@ -206,7 +190,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _load_config_with_overrides(args)
+    config = _load_config(args)
     report = run_pipeline(config, resume=args.resume, final_merge=True)
     print(
         f"merged model at {report.final_model} with coefficients "
@@ -244,7 +228,6 @@ def build_parser() -> _Parser:
     p.add_argument("--vector", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--retention", type=float, default=0.30)
-    p.add_argument("--mode", default="exact", choices=["exact", "streaming"])
     p.add_argument("--scope", default="global", choices=["global", "per_tensor"])
     p.add_argument("--epsilon", type=float, default=1e-8)
     p.add_argument("--no-rescale", action="store_true")

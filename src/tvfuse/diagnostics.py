@@ -12,6 +12,7 @@ All functions are pure; identical inputs produce bitwise identical outputs.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -22,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .archive import atomic_write_text
 from .errors import EmptyVectorError, InvalidPatternError, ShapeMismatchError
 from .task_vector import TaskVector, sparsify
 
@@ -120,26 +122,9 @@ def layerwise_norms(tv: TaskVector, layer_pattern: str = DEFAULT_LAYER_PATTERN) 
     )
 
 
-def sign_interference(
-    tv_a: TaskVector,
-    tv_b: TaskVector,
-    retention_a: float,
-    retention_b: float,
+def _count_conflicts(
+    sparse_a: TaskVector, sparse_b: TaskVector, retention_a: float, retention_b: float
 ) -> InterferenceReport:
-    """Fraction of sparsified-b support positions where a and b disagree in sign.
-
-    Both vectors are sparsified at their own retention first; an entry of
-    `tv_a` zeroed by its own pruning has sign 0 and cannot conflict. The
-    denominator is the support size of sparsified `tv_b`, which makes the
-    measure deliberately asymmetric in its arguments.
-    """
-    if set(tv_a.tensors) != set(tv_b.tensors):
-        raise ShapeMismatchError("task vectors disagree on tensor names")
-    for name in tv_a.tensors:
-        if tv_a.shapes[name] != tv_b.shapes[name]:
-            raise ShapeMismatchError(f"tensor {name!r} shapes differ")
-    sparse_a = sparsify(tv_a, retention_a)
-    sparse_b = sparsify(tv_b, retention_b)
     conflicts = 0
     denominator = 0
     for name in sparse_b.sorted_names():
@@ -157,16 +142,44 @@ def sign_interference(
     )
 
 
+def sign_interference(
+    tv_a: TaskVector,
+    tv_b: TaskVector,
+    retention_a: float,
+    retention_b: float,
+) -> InterferenceReport:
+    """Fraction of sparsified-b support positions where a and b disagree in sign.
+
+    Both vectors are sparsified at their own retention first; an entry of
+    `tv_a` zeroed by its own pruning has sign 0 and cannot conflict. The
+    denominator is the support size of sparsified `tv_b`, which makes the
+    measure deliberately asymmetric in its arguments.
+    """
+    return interference_sweep(tv_a, tv_b, [retention_a], retention_b)[0]
+
+
 def interference_sweep(
     tv_a: TaskVector,
     tv_b: TaskVector,
     retentions_a: Sequence[float],
     retention_b: float,
 ) -> list[InterferenceReport]:
-    """One interference report per retention of the first vector."""
+    """One interference report per retention of the first vector.
+
+    `tv_b` is sparsified once and each retention of `tv_a` once.
+    """
     if not retentions_a:
         raise ValueError("retention list must be non-empty")
-    return [sign_interference(tv_a, tv_b, r, retention_b) for r in retentions_a]
+    if set(tv_a.tensors) != set(tv_b.tensors):
+        raise ShapeMismatchError("task vectors disagree on tensor names")
+    for name in tv_a.tensors:
+        if tv_a.shapes[name] != tv_b.shapes[name]:
+            raise ShapeMismatchError(f"tensor {name!r} shapes differ")
+    sparse_b = sparsify(tv_b, retention_b)
+    # Each sparsified `tv_a` is a call argument, released before the next is built.
+    return [
+        _count_conflicts(sparsify(tv_a, r), sparse_b, r, retention_b) for r in retentions_a
+    ]
 
 
 def classify_module(
@@ -222,28 +235,31 @@ def load_module_rules(path: str | Path) -> list[ModuleRule]:
 
 
 def write_norms_csv(profile: LayerNormProfile, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer_index", "l2_norm"])
-        for idx, norm in profile.per_layer.items():
-            writer.writerow([idx, repr(norm)])
-        writer.writerow(["non_layer", repr(profile.non_layer)])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["layer_index", "l2_norm"])
+    for idx, norm in profile.per_layer.items():
+        writer.writerow([idx, repr(norm)])
+    writer.writerow(["non_layer", repr(profile.non_layer)])
+    atomic_write_text(path, buffer.getvalue())
 
 
 def write_interference_csv(reports: Sequence[InterferenceReport], path: str | Path) -> None:
     # Columns carry explicit "fraction" names: retention, not sparsity percent.
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["retention_a_fraction", "retention_b_fraction", "conflict_ratio", "denominator_count"]
-        )
-        for r in reports:
-            writer.writerow([repr(r.retention_a), repr(r.retention_b), repr(r.conflict_ratio), r.denominator_count])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(
+        ["retention_a_fraction", "retention_b_fraction", "conflict_ratio", "denominator_count"]
+    )
+    for r in reports:
+        writer.writerow([repr(r.retention_a), repr(r.retention_b), repr(r.conflict_ratio), r.denominator_count])
+    atomic_write_text(path, buffer.getvalue())
 
 
 def write_modulewise_csv(ratios: dict[ModuleClass, float], retention: float, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["module_class", "retention_fraction", "activated_fraction"])
-        for cls in sorted(ratios, key=lambda c: c.value):
-            writer.writerow([cls.value, repr(retention), repr(ratios[cls])])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["module_class", "retention_fraction", "activated_fraction"])
+    for cls in sorted(ratios, key=lambda c: c.value):
+        writer.writerow([cls.value, repr(retention), repr(ratios[cls])])
+    atomic_write_text(path, buffer.getvalue())

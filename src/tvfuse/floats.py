@@ -71,9 +71,3 @@ def f64_to_bf16_bits(values: np.ndarray) -> np.ndarray:
         sign = (v.view(np.uint64)[nan_mask] >> np.uint64(48)).astype(np.uint16)
         out[nan_mask] = (sign & np.uint16(0x8000)) | np.uint16(0x7FC0)
     return out
-
-
-def bf16_bits_to_f64(bits: np.ndarray) -> np.ndarray:
-    """Inverse of `f64_to_bf16_bits` up to rounding: exact widening."""
-    wide = np.ascontiguousarray(bits, dtype=np.uint16).astype(np.uint32) << np.uint32(16)
-    return wide.view(np.float32).astype(np.float64)

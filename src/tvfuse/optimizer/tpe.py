@@ -15,7 +15,7 @@ makes interrupted searches resume identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

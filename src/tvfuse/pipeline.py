@@ -36,17 +36,16 @@ from .adaptation import (
     GenerationParams,
     build_adaptation_set,
     default_threshold,
-    load_difficulty_records,
     load_query_pool,
     save_difficulty_records,
     score_difficulty,
 )
-from .archive import open_archive
+from .archive import atomic_write_text, open_archive
 from .diagnostics import sign_interference
 from .errors import ConfigError, PipelineLockedError, StageError, TvfuseError
 from .evaluator import HttpBackend, MockBackend, encode_model_ref, quadratic_landscape
 from .evaluator.backend import EvaluationBackend
-from .optimizer import SearchResult, SearchSpace, TpeConfig, TrialRecord, run_search
+from .optimizer import SearchResult, SearchSpace, TpeConfig, run_search
 from .optimizer.pareto import SELECTION_RULES
 from .task_vector import (
     MergeSpec,
@@ -127,12 +126,12 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "PipelineConfig":
         raw = dict(raw)
-        search = SearchSettings(**raw.pop("search", {}))
-        backend = BackendSettings(**raw.pop("backend", {}))
         try:
+            search = SearchSettings(**raw.pop("search", {}))
+            backend = BackendSettings(**raw.pop("backend", {}))
             return cls(search=search, backend=backend, **raw)
         except TypeError as exc:
-            raise ConfigError(f"unknown configuration field: {exc}") from exc
+            raise ConfigError(f"invalid configuration: {exc}") from exc
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -194,14 +193,15 @@ class PipelineConfig:
         return SearchSpace(bounds=tuple((float(lo), float(hi)) for lo, hi in self.search.space))
 
 
-def load_config(path: str | Path) -> PipelineConfig:
+def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> PipelineConfig:
+    """Read a JSON config file and apply dotted-path `overrides` (see `apply_overrides`)."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    return PipelineConfig.from_dict(raw)
+    return PipelineConfig.from_dict(apply_overrides(raw, overrides or {}))
 
 
 def apply_overrides(raw: dict[str, Any], overrides: dict[str, str]) -> dict[str, Any]:
@@ -247,12 +247,6 @@ def build_backend(config: PipelineConfig) -> EvaluationBackend:
 
 
 # --- workspace helpers -------------------------------------------------------------
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def _sha256_file(path: str | Path) -> str:

@@ -3,8 +3,10 @@
 A task vector is the elementwise difference between a post-trained
 checkpoint and its base model. Pruning keeps only the top fraction of
 entries by absolute magnitude, selected against a single global quantile
-over all parameters (a per-tensor mode exists for ablations); the pruned
-vector is then rescaled so its global L2 norm matches the original.
+over all parameters (a per-tensor scope exists for ablations); the pruned
+vector is then rescaled so its global L2 norm matches the original. There
+is one threshold algorithm: the exact k-th largest magnitude, found by a
+partial sort over all entries.
 
 All arithmetic runs in float64 and all cross-tensor reductions combine
 per-tensor partials in byte-wise lexicographic tensor-name order, so
@@ -22,7 +24,14 @@ from typing import Literal
 
 import numpy as np
 
-from .archive import TensorArchive, iter_tensors, open_archive, read_tensor, write_archive
+from .archive import (
+    TensorArchive,
+    byte_sorted,
+    iter_tensors,
+    open_archive,
+    read_tensor,
+    write_archive,
+)
 from .errors import (
     DegenerateRescaleWarning,
     EmptyVectorError,
@@ -33,17 +42,11 @@ from .errors import (
 DEFAULT_RETENTION = 0.30
 DEFAULT_EPSILON = 1e-8
 
-QuantileMode = Literal["exact", "streaming"]
 QuantileScope = Literal["global", "per_tensor"]
 
 # Slack absorbing the binary representation error of decimal retention
 # fractions, so e.g. ceil(0.1 * 70) is 7 rather than 8.
 _CEIL_SLACK = 1e-9
-
-_HIST_BINS = 1 << 16
-_HIST_LOG2_LO = -1080.0
-_HIST_LOG2_HI = 1030.0
-_HIST_WIDTH = (_HIST_LOG2_HI - _HIST_LOG2_LO) / _HIST_BINS
 
 
 @dataclass
@@ -69,7 +72,7 @@ class TaskVector:
     sparsity: SparsityInfo | None = None
 
     def sorted_names(self) -> list[str]:
-        return sorted(self.tensors, key=lambda s: s.encode("utf-8"))
+        return byte_sorted(self.tensors)
 
     @property
     def num_parameters(self) -> int:
@@ -111,7 +114,7 @@ def extract_task_vector(
         raise NameSetMismatchError(f"archives disagree on tensors: {sorted(missing)[:5]}")
     tensors: dict[str, np.ndarray] = {}
     shapes: dict[str, tuple[int, ...]] = {}
-    for name in sorted(base.entries, key=lambda s: s.encode("utf-8")):
+    for name in byte_sorted(base.entries):
         bm, fm = base.entries[name], finetuned.entries[name]
         if bm.shape != fm.shape:
             raise ShapeMismatchError(f"tensor {name!r}: {bm.shape} vs {fm.shape}")
@@ -139,56 +142,7 @@ def global_l2_norm(tv: TaskVector) -> float:
     return math.sqrt(total)
 
 
-def _exact_threshold(tv: TaskVector, k: int) -> float:
-    magnitudes = np.concatenate(
-        [np.abs(tv.tensors[name]) for name in tv.sorted_names()]
-    )
-    # k-th largest magnitude.
-    return float(np.partition(magnitudes, magnitudes.size - k)[magnitudes.size - k])
-
-
-def _streaming_threshold(tv: TaskVector, k: int) -> float:
-    """Two-pass histogram over log2|value| plus a refinement sort of one bin."""
-    names = tv.sorted_names()
-    counts = np.zeros(_HIST_BINS, dtype=np.int64)
-    nonzero_total = 0
-    for name in names:
-        v = tv.tensors[name]
-        nz = np.abs(v[v != 0.0])
-        if nz.size == 0:
-            continue
-        nonzero_total += nz.size
-        bins = ((np.log2(nz) - _HIST_LOG2_LO) / _HIST_WIDTH).astype(np.int64)
-        np.clip(bins, 0, _HIST_BINS - 1, out=bins)
-        counts += np.bincount(bins, minlength=_HIST_BINS)
-    if k > nonzero_total:
-        return 0.0
-
-    above = 0
-    bin_idx = _HIST_BINS - 1
-    while True:
-        if above + counts[bin_idx] >= k:
-            break
-        above += counts[bin_idx]
-        bin_idx -= 1
-
-    lo_edge = _HIST_LOG2_LO + bin_idx * _HIST_WIDTH
-    hi_edge = lo_edge + _HIST_WIDTH
-    in_bin: list[np.ndarray] = []
-    for name in names:
-        v = tv.tensors[name]
-        nz = np.abs(v[v != 0.0])
-        if nz.size == 0:
-            continue
-        logs = np.log2(nz)
-        bins = np.clip(((logs - _HIST_LOG2_LO) / _HIST_WIDTH).astype(np.int64), 0, _HIST_BINS - 1)
-        in_bin.append(nz[bins == bin_idx])
-    pool = np.sort(np.concatenate(in_bin))[::-1]
-    need = k - above
-    return float(pool[need - 1])
-
-
-def quantile_threshold(tv: TaskVector, p: float, mode: QuantileMode = "exact") -> float:
+def quantile_threshold(tv: TaskVector, p: float) -> float:
     """Magnitude t such that the top ceil(p*N) entries satisfy |value| >= t."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"retention fraction must be in (0, 1], got {p}")
@@ -196,16 +150,12 @@ def quantile_threshold(tv: TaskVector, p: float, mode: QuantileMode = "exact") -
     if total == 0:
         raise EmptyVectorError("task vector has no parameters")
     k = retained_target(p, total)
-    if mode == "exact":
-        return _exact_threshold(tv, k)
-    if mode == "streaming":
-        return _streaming_threshold(tv, k)
-    raise ValueError(f"unknown quantile mode {mode!r}")
+    magnitudes = np.concatenate([np.abs(tv.tensors[name]) for name in tv.sorted_names()])
+    # k-th largest magnitude.
+    return float(np.partition(magnitudes, total - k)[total - k])
 
 
-def _apply_mask(
-    tv: TaskVector, threshold: float, k: int
-) -> tuple[dict[str, np.ndarray], int]:
+def _apply_mask(tv: TaskVector, threshold: float, k: int) -> dict[str, np.ndarray]:
     """Keep |v| > threshold everywhere; admit ties in (name, flat index) order
     until exactly k entries are selected, dropping the latest ties first."""
     names = tv.sorted_names()
@@ -221,15 +171,10 @@ def _apply_mask(
             mask[take] = True
             remaining_ties -= take.size
         out[name] = np.where(mask, v, 0.0)
-    return out, count_gt
+    return out
 
 
-def sparsify(
-    tv: TaskVector,
-    p: float,
-    mode: QuantileMode = "exact",
-    scope: QuantileScope = "global",
-) -> TaskVector:
+def sparsify(tv: TaskVector, p: float, scope: QuantileScope = "global") -> TaskVector:
     """Zero all but the top-p fraction of entries by absolute magnitude."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"retention fraction must be in (0, 1], got {p}")
@@ -249,15 +194,14 @@ def sparsify(
                 tensors={name: tv.tensors[name]}, shapes={name: tv.shapes[name]}
             )
             k_t = retained_target(p, single.num_parameters)
-            t = quantile_threshold(single, p, mode)
-            masked, _ = _apply_mask(single, t, k_t)
-            out[name] = masked[name]
+            t = quantile_threshold(single, p)
+            out[name] = _apply_mask(single, t, k_t)[name]
             thresholds.append(t)
         threshold = max(thresholds)
     elif scope == "global":
         k = retained_target(p, total)
-        threshold = quantile_threshold(tv, p, mode)
-        out, _ = _apply_mask(tv, threshold, k)
+        threshold = quantile_threshold(tv, p)
+        out = _apply_mask(tv, threshold, k)
     else:
         raise ValueError(f"unknown quantile scope {scope!r}")
 
@@ -312,12 +256,11 @@ def sparsify_and_rescale(
     tv: TaskVector,
     p: float,
     epsilon: float = DEFAULT_EPSILON,
-    mode: QuantileMode = "exact",
     scope: QuantileScope = "global",
 ) -> TaskVector:
     """Pruning followed by norm restoration, as applied before merging."""
-    original_norm = global_l2_norm(tv)
-    return rescale(sparsify(tv, p, mode, scope), original_norm, epsilon)
+    sparse = sparsify(tv, p, scope)
+    return rescale(sparse, sparse.sparsity.original_norm, epsilon)
 
 
 def merge(
@@ -355,7 +298,7 @@ def merge(
             list(base.entries[name].shape),
             functools.partial(combine, name),
         )
-        for name in sorted(base.entries, key=lambda s: s.encode("utf-8"))
+        for name in byte_sorted(base.entries)
     ]
     write_archive(entries, out_path)
     return open_archive(out_path)

@@ -54,6 +54,15 @@ def round_to_format(x: float, fmt: str) -> float:
     return sign * float(rounded)
 
 
+# --- BF16 bit patterns back to float64 ------------------------------------------
+
+
+def bf16_bits_to_f64(bits: np.ndarray) -> np.ndarray:
+    """Exact widening of BF16 bit patterns (as `f64_to_bf16_bits` returns them) to float64."""
+    wide = np.ascontiguousarray(bits, dtype=np.uint16).astype(np.uint32) << np.uint32(16)
+    return wide.view(np.float32).astype(np.float64)
+
+
 # --- sort-based top-k selection ----------------------------------------------
 
 

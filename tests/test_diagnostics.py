@@ -149,6 +149,22 @@ def test_sweep_monotone_on_adversarial_vector():
         assert r.conflict_ratio == want_ratio and r.denominator_count == want_den
 
 
+def test_sweep_sparsifies_each_vector_and_retention_once(monkeypatch):
+    calls = []
+
+    def counting_sparsify(tv, p):
+        calls.append((id(tv), p))
+        return sparsify(tv, p)
+
+    monkeypatch.setattr(diag, "sparsify", counting_sparsify)
+    rng = np.random.default_rng(29)
+    a, b = vec(rng.standard_normal(50)), vec(rng.standard_normal(50))
+    retentions = [1.0, 0.7, 0.4, 0.1]
+    diag.interference_sweep(a, b, retentions, 0.1)
+    assert len(calls) == len(retentions) + 1
+    assert sorted(calls) == sorted([(id(b), 0.1)] + [(id(a), r) for r in retentions])
+
+
 def test_sweep_points_equal_independent_calls():
     rng = np.random.default_rng(23)
     a, b = vec(rng.standard_normal(80)), vec(rng.standard_normal(80))
@@ -281,3 +297,15 @@ def test_csv_writers(tmp_path):
     assert "retention_a_fraction" in (tmp_path / "sweep.csv").read_text().splitlines()[0]
     assert (tmp_path / "norms.csv").read_text().startswith("layer_index")
     assert "module_class" in (tmp_path / "mods.csv").read_text()
+
+
+def test_csv_writer_failure_leaves_previous_file(tmp_path):
+    a = vec([1.0, -2.0, 3.0])
+    path = tmp_path / "sweep.csv"
+    diag.write_interference_csv(diag.interference_sweep(a, a, [1.0], 1.0), path)
+    before = path.read_bytes()
+    report = diag.sign_interference(a, a, 0.5, 1.0)
+    with pytest.raises(AttributeError):
+        diag.write_interference_csv([report, object()], path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]

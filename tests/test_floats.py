@@ -6,8 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from reference import round_to_format
-from tvfuse.floats import bf16_bits_to_f64, f64_to_bf16_bits, narrow_from_f64, widen_to_f64
+from reference import bf16_bits_to_f64, round_to_format
+from tvfuse.floats import f64_to_bf16_bits, narrow_from_f64, widen_to_f64
 
 
 def bf16_narrow_widen(x: float) -> float:

@@ -53,8 +53,15 @@ def test_missing_checkpoint_fails_validation_before_work(setup):
 
 
 def test_unknown_config_field_rejected():
-    with pytest.raises(ConfigError):
-        PipelineConfig.from_dict({"no_such_field": 1})
+    for raw in (
+        {"no_such_field": 1},
+        {"search": {"n_trial": 5}},
+        {"backend": {"no_such_field": 1}},
+        {"search": 5},
+        {"backend": [1, 2]},
+    ):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict(raw)
 
 
 def test_full_pipeline_completes_and_finds_peak(setup):

@@ -119,14 +119,6 @@ def test_threshold_empty_vector():
         tvec.quantile_threshold(vec([]), 0.5)
 
 
-def test_streaming_threshold_close_to_exact():
-    rng = np.random.default_rng(123)
-    tv = vec(rng.standard_normal(1_000_000))
-    exact = tvec.quantile_threshold(tv, 0.3, "exact")
-    streaming = tvec.quantile_threshold(tv, 0.3, "streaming")
-    assert abs(streaming - exact) <= 0.005 * exact
-
-
 def test_retained_target_decimal_fractions():
     # 10% of 70 is 7; naive ceil(0.1 * 70) would give 8 from float error.
     assert tvec.retained_target(0.1, 70) == 7
@@ -184,15 +176,6 @@ def test_sparsify_support_monotone_in_retention():
         supports.append(set(np.flatnonzero(got.tensors["w"])))
     for smaller, larger in zip(supports, supports[1:]):
         assert smaller <= larger
-
-
-def test_sparsify_streaming_mode_matches_exact_on_large_vector():
-    rng = np.random.default_rng(55)
-    values = rng.standard_normal(200_000)
-    exact = tvec.sparsify(vec(values), 0.3, "exact")
-    streaming = tvec.sparsify(vec(values), 0.3, "streaming")
-    rel = abs(streaming.sparsity.retained_count - exact.sparsity.retained_count) / exact.sparsity.retained_count
-    assert rel <= 0.001
 
 
 def test_sparsify_per_tensor_scope():
