@@ -134,6 +134,10 @@ class TooManyFailedTrialsError(TvfuseError):
     """More than the tolerated fraction of trials failed."""
 
 
+class TrialLogError(TvfuseError):
+    """Trial log holds a corrupt line before its last, or a misnumbered record."""
+
+
 # --- pipeline / CLI -----------------------------------------------------------
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ..errors import BackendFailure, TooManyFailedTrialsError
+from ..archive import atomic_write_text
+from ..errors import BackendFailure, TooManyFailedTrialsError, TrialLogError
 from ..evaluator.answers import consistency
 from ..evaluator.backend import EvaluationBackend, GenerationRequest
 from ..evaluator.prompts import render_prompt
@@ -97,20 +98,34 @@ class SearchResult:
 
 
 def load_trial_log(path: str | Path) -> list[TrialRecord]:
-    """Read completed trials; a truncated trailing line (crash) is dropped."""
+    """Read completed trials; a truncated trailing line (crash) is dropped.
+
+    Raises TrialLogError for an unparseable line before the last one, or a
+    record whose index is not its position: replaying past either would
+    renumber every later trial.
+    """
     records: list[TrialRecord] = []
     path = Path(path)
     if not path.exists():
         return records
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(TrialRecord.from_json(line))
-            except (json.JSONDecodeError, KeyError):
-                logger.warning("dropping unparseable trial log line in %s", path)
+    numbered = [
+        (lineno, line.strip())
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1)
+        if line.strip()
+    ]
+    for position, (lineno, line) in enumerate(numbered):
+        try:
+            record = TrialRecord.from_json(line)
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            if position == len(numbered) - 1:
+                logger.warning("dropping truncated last line %d of trial log %s", lineno, path)
+                break
+            raise TrialLogError(f"{path} line {lineno}: unparseable trial record ({exc})") from exc
+        if record.index != position:
+            raise TrialLogError(
+                f"{path} line {lineno}: trial index {record.index}, expected {position}"
+            )
+        records.append(record)
     return records
 
 
@@ -194,13 +209,14 @@ def run_search(
     log_fh = None
     if trial_log_path is not None:
         trial_log_path = Path(trial_log_path)
+        trial_log_path.parent.mkdir(parents=True, exist_ok=True)
         if resume:
-            history = load_trial_log(trial_log_path)
-            if len(history) > config.n_trials:
-                history = history[: config.n_trials]
+            history = load_trial_log(trial_log_path)[: config.n_trials]
+            # Rewrite the log to the replayed records, so that the next
+            # record is not appended onto a dropped truncated line.
+            atomic_write_text(trial_log_path, "".join(t.to_json() + "\n" for t in history))
         elif trial_log_path.exists():
             trial_log_path.unlink()
-        trial_log_path.parent.mkdir(parents=True, exist_ok=True)
         log_fh = open(trial_log_path, "a", encoding="utf-8")
     if history:
         logger.info("resuming search from %d completed trials", len(history))

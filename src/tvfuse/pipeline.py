@@ -26,7 +26,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -605,9 +605,25 @@ def run_pipeline(
 
 
 def load_report(workspace: str | Path) -> RunReport:
+    """Read `report.json`; any unreadable or malformed report raises ConfigError."""
     path = WorkspacePaths(Path(workspace)).report
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot load report {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"report {path} must hold a JSON object")
+    expected = {f.name for f in fields(RunReport)}
+    missing = sorted(expected - payload.keys())
+    unexpected = sorted(payload.keys() - expected)
+    if missing or unexpected:
+        raise ConfigError(f"report {path}: missing keys {missing}, unexpected keys {unexpected}")
     report = RunReport(**payload)
+    if not isinstance(report.config, dict):
+        raise ConfigError(f"report {path}: config must be a JSON object")
     # The embedded config snapshot must still satisfy the current schema.
-    PipelineConfig.from_dict(report.config)
+    try:
+        PipelineConfig.from_dict(report.config)
+    except ConfigError as exc:
+        raise ConfigError(f"report {path}: {exc}") from exc
     return report

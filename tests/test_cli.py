@@ -170,6 +170,20 @@ def test_non_object_config_exits_two_without_traceback(tmp_path, capsys, caplog,
     assert not [r for r in caplog.records if r.exc_info]
 
 
+@pytest.mark.parametrize(
+    "content", [None, '{"tool_version": "x", "bogus": 1}'], ids=["missing", "bogus-key"]
+)
+def test_bad_report_exits_two_without_traceback(tmp_path, capsys, caplog, content):
+    if content is not None:
+        WorkspacePaths(tmp_path).report.write_text(content)
+    assert main(["report", "--workspace", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "report.json" in lines[0]
+    assert "Traceback" not in err
+    assert not [r for r in caplog.records if r.exc_info]
+
+
 def test_invalid_config_value_exits_two(setup, capsys):
     _, _, _, config_path = setup
     assert main(["run", "--config", str(config_path), "--set", "retention_p=7"]) == 2

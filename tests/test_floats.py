@@ -5,7 +5,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import tvfuse.floats
 from reference import bf16_bits_to_f64, round_to_format
 from tvfuse.floats import f64_to_bf16_bits, narrow_from_f64, widen_to_f64
 
@@ -80,3 +84,92 @@ def test_f32_round_trip_is_exact():
 
 def test_negative_zero_keeps_sign():
     assert struct.unpack("<H", narrow_from_f64(np.array([-0.0]), "BF16"))[0] == 0x8000
+
+
+# --- the BF16 fast path against the f64_to_bf16_bits oracle ------------------------
+
+
+def assert_bf16_matches_oracle(values: np.ndarray) -> None:
+    got = np.frombuffer(narrow_from_f64(values, "BF16"), dtype="<u2")
+    with np.errstate(invalid="ignore"):  # the oracle casts NaN to float32
+        want = f64_to_bf16_bits(values).astype("<u2")
+    bad = np.flatnonzero(got != want)
+    assert bad.size == 0, [
+        (float(values[i]).hex(), hex(got[i]), hex(want[i])) for i in bad[:5]
+    ]
+
+
+def bf16_boundary_values() -> np.ndarray:
+    """Every non-NaN BF16 value, every midpoint between neighbours, and the
+    float64 neighbours of both, plus the edges of the float32 range."""
+    bits = np.arange(1 << 16, dtype=np.uint32) << np.uint32(16)
+    bits = bits[~np.isnan(bits.view(np.float32))]
+    grid = bits.view(np.float32).astype(np.float64)
+    # Setting the bit below BF16's last kept bit gives the exact midpoint to
+    # the next pattern up in magnitude (past the largest finite, towards inf).
+    finite = bits[np.isfinite(grid)]
+    mids = (finite | np.uint32(0x8000)).view(np.float32).astype(np.float64)
+    tiny = 2.0**-149
+    flt_max = float(np.finfo(np.float32).max)
+    bf16_max = float(np.ldexp(255.0, 120))
+    specials = np.array(
+        [
+            2.0**-150, tiny * 0.5000001, tiny * 0.25, tiny * 0.75, tiny * 1.5, 2.0**-151,
+            np.nextafter(2.0**-150, 0.0), np.nextafter(2.0**-150, 1.0),
+            np.nextafter(bf16_max, np.inf), (bf16_max + flt_max) / 2, flt_max,
+            np.nextafter(flt_max, np.inf), 2.0**128, 2.0**128 * 1.5, 1e300, 1e-300,
+            5e-324, 2.0**-1060, 2.2250738585072009e-308, np.nextafter(0.0, 1.0) * 12345,
+            0.0, np.inf,
+        ]
+    )
+    specials = np.concatenate([specials, -specials])
+    nan_bits = np.array(
+        [
+            0x7FF8000000000000, 0x7FF0000000000001, 0x7FF4000000000000,
+            0x7FFFFFFFFFFFFFFF, 0x7FF000000000FFFF, 0x7FF8000000010000,
+        ],
+        dtype=np.uint64,
+    )
+    nans = np.concatenate([nan_bits, nan_bits | np.uint64(1 << 63)]).view(np.float64)
+    return np.concatenate(
+        [
+            grid,
+            np.nextafter(grid, -np.inf),
+            np.nextafter(grid, np.inf),
+            mids,
+            np.nextafter(mids, -np.inf),
+            np.nextafter(mids, np.inf),
+            specials,
+            nans,
+        ]
+    )
+
+
+def test_bf16_fast_path_matches_oracle_at_rounding_boundaries():
+    values = bf16_boundary_values()
+    assert values.size > 390_000
+    assert_bf16_matches_oracle(values)
+
+
+def test_bf16_fast_path_matches_oracle_on_merge_sums():
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal(50_000).astype(np.float32).astype(np.float64) * 0.02
+    tau = rng.standard_normal((2, 50_000)).astype(np.float32).astype(np.float64) * 1e-3
+    for c_sft, c_rlvr in rng.uniform(0, 2, (8, 2)):
+        assert_bf16_matches_oracle(base + c_sft * tau[0] + c_rlvr * tau[1])
+
+
+@given(arrays(np.float64, st.integers(0, 64), elements=st.floats(allow_nan=True, allow_infinity=True)))
+def test_bf16_fast_path_matches_oracle_property(values):
+    assert_bf16_matches_oracle(values)
+
+
+def test_bf16_narrowing_does_not_call_the_oracle(monkeypatch):
+    values = bf16_boundary_values()
+    before = narrow_from_f64(values, "BF16")
+
+    def oracle_called(_values):
+        raise AssertionError("narrow_from_f64 must not route through f64_to_bf16_bits")
+
+    monkeypatch.setattr(tvfuse.floats, "f64_to_bf16_bits", oracle_called)
+    assert narrow_from_f64(values, "BF16") == before

@@ -11,12 +11,14 @@ from tvfuse.errors import (
     EmptySpaceError,
     NoSuccessfulTrialsError,
     TooManyFailedTrialsError,
+    TrialLogError,
 )
 from tvfuse.evaluator import MockBackend, encode_model_ref, quadratic_landscape
 from tvfuse.optimizer import (
     SearchSpace,
     TpeConfig,
     TrialRecord,
+    load_trial_log,
     pareto_frontier,
     run_search,
     select_knee,
@@ -385,6 +387,48 @@ def test_resume_tolerates_truncated_last_line(tmp_path):
     log.write_text("\n".join(lines[:10]) + "\n" + lines[10][: len(lines[10]) // 2])
     resumed = run_search(resume=True, **kwargs)
     assert resumed.trials == reference.trials
+
+
+def test_resume_twice_after_truncated_last_line(tmp_path):
+    # The first resume must not append trial 10 onto the truncated line, or
+    # the second resume would replay a log missing that trial.
+    log = tmp_path / "trunc.jsonl"
+    kwargs = dict(
+        merge_builder=lambda coeffs: encode_model_ref(*coeffs),
+        backend=MockBackend(quadratic_landscape(peak=PEAK), seed=9),
+        queries=QUERIES,
+        config=small_config(seed=8),
+        samples_per_query=5,
+        trial_log_path=log,
+    )
+    reference = run_search(**kwargs)
+    full_log = log.read_text()
+    lines = full_log.splitlines()
+    log.write_text("\n".join(lines[:10]) + "\n" + lines[10][: len(lines[10]) // 2])
+    run_search(resume=True, **kwargs)
+    assert log.read_text() == full_log
+    assert run_search(resume=True, **kwargs).trials == reference.trials
+
+
+def write_trial_log(path, indices):
+    path.write_text("".join(trial(i, 0.5, 2.0).to_json() + "\n" for i in indices))
+
+
+def test_corrupt_middle_trial_log_line_raises(tmp_path):
+    log = tmp_path / "trials.jsonl"
+    write_trial_log(log, [0, 1, 2])
+    lines = log.read_text().splitlines()
+    lines[1] = lines[1][:-5]
+    log.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrialLogError, match=rf"{log.name} line 2: unparseable"):
+        load_trial_log(log)
+
+
+def test_misnumbered_trial_record_raises(tmp_path):
+    log = tmp_path / "trials.jsonl"
+    write_trial_log(log, [0, 2, 3])
+    with pytest.raises(TrialLogError, match=rf"{log.name} line 2: trial index 2, expected 1"):
+        load_trial_log(log)
 
 
 def test_failed_queries_dropped_from_trial_mean():

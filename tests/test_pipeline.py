@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from tvfuse.evaluator import MockBackend
 from tvfuse.floats import narrow_from_f64
 from tvfuse.pipeline import (
     PipelineConfig,
+    RunReport,
     WorkspaceLock,
     WorkspacePaths,
     apply_overrides,
@@ -215,6 +217,42 @@ def test_report_round_trip_and_revalidation(setup):
     assert report.tool_version
     assert report.coefficients is not None
     assert PipelineConfig.from_dict(report.config).seed == config.seed
+
+
+def report_bytes(drop: str | None = None, **changes) -> bytes:
+    payload = {f.name: None for f in fields(RunReport)}
+    payload["config"] = {}
+    payload.pop(drop, None)
+    payload.update(changes)
+    return json.dumps(payload).encode()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        b"\xff\xfe",
+        b"{not json",
+        b"[1, 2]",
+        report_bytes(drop="coefficients"),
+        report_bytes(bogus=1),
+        report_bytes(config="abc"),
+        report_bytes(config={"bogus": 1}),
+    ],
+    ids=[
+        "missing-file", "not-utf8", "invalid-json", "non-object", "missing-key",
+        "unexpected-key", "non-object-config", "invalid-config",
+    ],
+)
+def test_malformed_report_raises_config_error_naming_file(tmp_path, content):
+    WorkspacePaths(tmp_path).report.write_bytes(report_bytes())
+    assert load_report(tmp_path).config == {}
+    if content is None:
+        WorkspacePaths(tmp_path).report.unlink()
+    else:
+        WorkspacePaths(tmp_path).report.write_bytes(content)
+    with pytest.raises(ConfigError, match="report.json"):
+        load_report(tmp_path)
 
 
 def test_search_without_final_merge(setup):
