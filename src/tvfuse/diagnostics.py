@@ -122,9 +122,13 @@ def layerwise_norms(tv: TaskVector, layer_pattern: str = DEFAULT_LAYER_PATTERN) 
     )
 
 
-def _count_conflicts(
+def count_conflicts(
     sparse_a: TaskVector, sparse_b: TaskVector, retention_a: float, retention_b: float
 ) -> InterferenceReport:
+    """Sign interference of two already sparsified vectors (no further pruning).
+
+    The retentions only label the report; the vectors must share names and shapes.
+    """
     conflicts = 0
     denominator = 0
     for name in sparse_b.sorted_names():
@@ -178,7 +182,7 @@ def interference_sweep(
     sparse_b = sparsify(tv_b, retention_b)
     # Each sparsified `tv_a` is a call argument, released before the next is built.
     return [
-        _count_conflicts(sparsify(tv_a, r), sparse_b, r, retention_b) for r in retentions_a
+        count_conflicts(sparsify(tv_a, r), sparse_b, r, retention_b) for r in retentions_a
     ]
 
 

@@ -8,6 +8,16 @@ Wire protocol (JSON over HTTP, UTF-8):
     POST /score     {"model": str, "text": str}
                     -> {"token_logprobs": [num, ...]}
 
+Transport: standard-library `http.client` over HTTP/1.1 keep-alive. Each
+backend keeps one pool of idle connections shared by all its threads. A
+request takes an idle connection or opens a new one, sends the JSON body
+with its length, reads the whole response and returns the connection to the
+pool unless the response says the server will close it. A pooled connection
+that the server closed while it sat idle fails before any response byte
+arrives; it is reopened once, and that does not count as an attempt. The
+client connects straight to the configured host: `HTTP_PROXY`/`HTTPS_PROXY`
+are not read.
+
 Transient failures (5xx, connection errors, timeouts) are retried with
 exponential backoff up to the configured attempt count; 4xx responses fail
 immediately. Requests are idempotent, so retries never duplicate effects.
@@ -16,10 +26,12 @@ Perplexity is always recomputed client-side from the returned logprobs.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
+import threading
 import time
-
-import requests
+from urllib.parse import urlsplit
 
 from ..errors import (
     BackendTimeoutError,
@@ -31,6 +43,10 @@ from .answers import extract_answer
 from .backend import GenerationRequest, GenerationSample, ScoreResult
 
 TOKEN_ENV_VAR = "TVFUSE_BACKEND_TOKEN"
+
+# How a kept-alive connection that the server has since closed fails before
+# any byte of the response arrives.
+_STALE_CONNECTION_ERRORS = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
 
 class HttpBackend:
@@ -46,13 +62,67 @@ class HttpBackend:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.base_url = base_url.rstrip("/")
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"backend URL must start with http:// or https://, got {base_url!r}")
+        self._connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        )
+        self._host = url.hostname
+        self._port = url.port
+        self._path_prefix = url.path
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor
         self.timeout = timeout
         self.auth_token = auth_token if auth_token is not None else os.environ.get(TOKEN_ENV_VAR)
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the idle pooled connections; a later request opens a new one."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _open(self) -> http.client.HTTPConnection:
+        return self._connection_class(self._host, self._port, timeout=self.timeout)
+
+    def _round_trip(self, path: str, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """Send one request on a pooled connection and read the whole response."""
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        reused = conn is not None
+        if conn is None:
+            conn = self._open()
+        try:
+            try:
+                conn.request("POST", path, body, headers)
+                response = conn.getresponse()
+            except _STALE_CONNECTION_ERRORS:
+                if not reused:
+                    raise
+                conn.close()
+                conn = self._open()
+                conn.request("POST", path, body, headers)
+                response = conn.getresponse()
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
+        return response.status, data
 
     def _post(self, route: str, payload: dict) -> dict:
+        try:
+            body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        except ValueError as exc:
+            raise HttpStatusError(0, f"{route}: cannot encode request: {exc}") from exc
         headers = {"Content-Type": "application/json"}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"
@@ -61,29 +131,28 @@ class HttpBackend:
             if attempt > 0:
                 time.sleep(self.backoff_base * self.backoff_factor ** (attempt - 1))
             try:
-                response = requests.post(
-                    f"{self.base_url}{route}", json=payload, headers=headers, timeout=self.timeout
-                )
-            except requests.Timeout as exc:
+                status, data = self._round_trip(self._path_prefix + route, body, headers)
+            except TimeoutError as exc:
                 last_error = BackendTimeoutError(f"{route}: timed out after {self.timeout}s")
                 last_error.__cause__ = exc
                 continue
-            except requests.RequestException as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = HttpStatusError(0, f"{route}: connection failed: {exc}")
                 last_error.__cause__ = exc
                 continue
-            if 200 <= response.status_code < 300:
+            if 200 <= status < 300:
                 try:
-                    body = response.json()
+                    result = json.loads(data)
                 except ValueError as exc:
                     raise MalformedResponseError(f"{route}: response is not JSON") from exc
-                if not isinstance(body, dict):
+                if not isinstance(result, dict):
                     raise MalformedResponseError(f"{route}: response is not a JSON object")
-                return body
-            if 500 <= response.status_code < 600:
-                last_error = HttpStatusError(response.status_code, f"{route}: server error")
+                return result
+            if 500 <= status < 600:
+                last_error = HttpStatusError(status, f"{route}: server error")
                 continue
-            raise HttpStatusError(response.status_code, f"{route}: {response.text[:200]}")
+            text = data.decode("utf-8", errors="replace")
+            raise HttpStatusError(status, f"{route}: {text[:200]}")
         assert last_error is not None
         raise last_error
 

@@ -4,16 +4,58 @@ Used by the protocol-conformance tests and handy for trying the CLI with a
 mock service: the HTTP client against this server must behave exactly like
 the wrapped backend used in-process. `fail_next(n)` forces the next n
 requests to answer 500, which exercises client retry logic.
+
+The server speaks HTTP/1.1 and keeps connections alive, as the client
+expects. It reads every request body before it answers, so a 500 leaves no
+unread bytes on a kept-alive connection, and it sets TCP_NODELAY: a reply is
+two writes (headers, then body), and with Nagle's algorithm the second would
+wait for the client's delayed ACK of the first (about 40 ms on Linux).
+`stop()` also closes the connections clients still hold open.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..errors import BackendFailure
 from .backend import EvaluationBackend, GenerationRequest
+
+
+class _KeepAliveServer(ThreadingHTTPServer):
+    """Tracks open client connections so that closing the server ends them.
+
+    A handler thread of a kept-alive connection waits for the client's next
+    request, and `server_close` joins those threads; shutting their sockets
+    down first wakes them.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self._live: set[socket.socket] = set()
+        self._live_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address):
+        with self._live_lock:
+            self._live.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._live_lock:
+            self._live.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        with self._live_lock:
+            live = list(self._live)
+        for request in live:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        super().server_close()
 
 
 class MockInferenceServer:
@@ -24,6 +66,9 @@ class MockInferenceServer:
         server_ref = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+
             def log_message(self, *args):  # keep test output clean
                 pass
 
@@ -36,12 +81,21 @@ class MockInferenceServer:
                 self.wfile.write(blob)
 
             def do_POST(self):
+                try:
+                    length = int(self.headers.get("Content-Length", "0"))
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    # The body's end is unknown, so the connection cannot be reused.
+                    self.close_connection = True
+                    self._reply(400, {"error": "bad Content-Length"})
+                    return
+                raw = self.rfile.read(length)
                 if server_ref._consume_failure():
                     self._reply(500, {"error": "injected failure"})
                     return
                 try:
-                    length = int(self.headers.get("Content-Length", "0"))
-                    payload = json.loads(self.rfile.read(length).decode("utf-8"))
+                    payload = json.loads(raw.decode("utf-8"))
                 except (ValueError, UnicodeDecodeError):
                     self._reply(400, {"error": "bad json"})
                     return
@@ -69,7 +123,7 @@ class MockInferenceServer:
                 except BackendFailure as exc:
                     self._reply(400, {"error": str(exc)})
 
-        self._server = ThreadingHTTPServer((host, port), Handler)
+        self._server = _KeepAliveServer((host, port), Handler)
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
     def _consume_failure(self) -> bool:

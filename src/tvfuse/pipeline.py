@@ -41,7 +41,9 @@ from .adaptation import (
     score_difficulty,
 )
 from .archive import atomic_write_text, open_archive
-from .diagnostics import sign_interference
+# `sign_interference` is no longer called here; perfbench/worker.py's tracer
+# still wraps it at this import site.
+from .diagnostics import count_conflicts, sign_interference  # noqa: F401
 from .errors import ConfigError, PipelineLockedError, StageError, TvfuseError
 from .evaluator import HttpBackend, MockBackend, encode_model_ref, quadratic_landscape
 from .evaluator.backend import EvaluationBackend
@@ -197,7 +199,7 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Pi
     """Read a JSON config file and apply dotted-path `overrides` (see `apply_overrides`)."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -223,11 +225,14 @@ def apply_overrides(raw: dict[str, Any], overrides: dict[str, str]) -> dict[str,
 
 def build_backend(config: PipelineConfig) -> EvaluationBackend:
     if config.backend.kind == "http":
-        return HttpBackend(
-            config.backend.url,
-            max_attempts=config.backend.max_attempts,
-            timeout=config.backend.timeout,
-        )
+        try:
+            return HttpBackend(
+                config.backend.url,
+                max_attempts=config.backend.max_attempts,
+                timeout=config.backend.timeout,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"invalid backend: {exc}") from exc
     mock = dict(config.backend.mock)
     landscape = quadratic_landscape(
         peak=tuple(mock.get("peak", (0.8, 1.5))),
@@ -424,15 +429,14 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
     paths.stage2.mkdir(parents=True, exist_ok=True)
     base = open_archive(config.base_path)
     summary: dict[str, Any] = {"retention_p": config.retention_p, "epsilon": config.epsilon}
-    raw_vectors: dict[str, TaskVector] = {}
+    processed_vectors: dict[str, TaskVector] = {}
     for label, source, out_path in (
         ("sft", config.sft_path, paths.tau_sft),
         ("rlvr", config.rlvr_path, paths.tau_rlvr),
     ):
         finetuned = open_archive(source)
         tv = extract_task_vector(base, finetuned)
-        raw_vectors[label] = tv
-        processed = _process_vector(config, tv)
+        processed = processed_vectors[label] = _process_vector(config, tv)
         save_task_vector(processed, out_path)
         entry = {
             "original_norm": global_l2_norm(tv),
@@ -445,8 +449,13 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
                 gamma=processed.sparsity.rescale_gamma,
             )
         summary[label] = entry
-    interference = sign_interference(
-        raw_vectors["sft"], raw_vectors["rlvr"], config.retention_p, config.retention_p
+    del tv  # the raw rlvr vector; stage 2 no longer needs it
+    # Sign interference at retention_p, counted on the processed vectors
+    # instead of sparsifying the raw ones again: a processed vector is the
+    # sparsified one times gamma >= 0 (0 only for an all-zero vector), or the
+    # raw vector itself at full retention, so signs and support are the same.
+    interference = count_conflicts(
+        processed_vectors["sft"], processed_vectors["rlvr"], config.retention_p, config.retention_p
     )
     summary["sign_interference"] = {
         "retention_a": interference.retention_a,
@@ -561,9 +570,13 @@ def run_pipeline(
         return value
 
     with WorkspaceLock(workspace):
-        selection = timed("select-data", _stage_select_data, config, paths, backend, resume)
-        vector_summary = timed("task-vectors", _stage_task_vectors, config, paths, resume)
-        result = timed("search", _stage_search, config, paths, backend, selection, resume)
+        try:
+            selection = timed("select-data", _stage_select_data, config, paths, backend, resume)
+            vector_summary = timed("task-vectors", _stage_task_vectors, config, paths, resume)
+            result = timed("search", _stage_search, config, paths, backend, selection, resume)
+        finally:
+            if isinstance(backend, HttpBackend):
+                backend.close()
 
         if result is not None:
             coefficients = result.coefficients

@@ -170,6 +170,15 @@ def test_non_object_config_exits_two_without_traceback(tmp_path, capsys, caplog,
     assert not [r for r in caplog.records if r.exc_info]
 
 
+def test_non_utf8_config_exits_two_without_traceback(tmp_path, capsys, caplog):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(b"\xff\xfe")
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not [r for r in caplog.records if r.exc_info]
+
+
 @pytest.mark.parametrize(
     "content", [None, '{"tool_version": "x", "bogus": 1}'], ids=["missing", "bogus-key"]
 )

@@ -3,11 +3,25 @@ must satisfy the same contract as the in-process mock backend."""
 
 from __future__ import annotations
 
+import contextlib
+import http.server
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from tvfuse.errors import BackendFailure, HttpStatusError, MalformedResponseError
+from tvfuse.errors import (
+    BackendFailure,
+    BackendTimeoutError,
+    HttpStatusError,
+    MalformedResponseError,
+)
 from tvfuse.evaluator import (
     GenerationRequest,
     HttpBackend,
@@ -22,6 +36,46 @@ from tvfuse.evaluator import (
 LANDSCAPE = quadratic_landscape(peak=(0.8, 1.5), falloff=0.5, ppl_base=2.0, ppl_slope=3.0)
 
 
+class CountingServer(MockInferenceServer):
+    """Mock server that counts the TCP connections it accepts."""
+
+    def __init__(self, backend):
+        super().__init__(backend)
+        self.accepted = 0
+        accept = self._server.get_request
+
+        def get_request():
+            connection = accept()
+            self.accepted += 1  # only the serving thread accepts
+            return connection
+
+        self._server.get_request = get_request
+
+
+@contextlib.contextmanager
+def serve(handler_class):
+    """Run a bare stdlib HTTP server with `handler_class`; yield its URL."""
+    srv = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler_class)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{srv.server_address[1]}"
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+class QuietHandler(http.server.BaseHTTPRequestHandler):
+    def log_message(self, *args):
+        pass
+
+    def reply(self, body: bytes) -> None:
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
 @pytest.fixture(scope="module")
 def server():
     with MockInferenceServer(MockBackend(LANDSCAPE, seed=5)) as srv:
@@ -30,7 +84,8 @@ def server():
 
 @pytest.fixture(scope="module")
 def http_backend(server):
-    return HttpBackend(server.url, max_attempts=3, backoff_base=0.01)
+    with contextlib.closing(HttpBackend(server.url, max_attempts=3, backoff_base=0.01)) as client:
+        yield client
 
 
 @pytest.fixture(scope="module")
@@ -102,42 +157,25 @@ def test_client_side_perplexity_recomputation(server, http_backend):
     assert abs(ppl - 2.0) <= 1e-9
 
 
-def test_http_4xx_fails_without_retry(server):
-    client = HttpBackend(server.url, max_attempts=3, backoff_base=0.01)
+def test_http_4xx_fails_without_retry(server, http_backend):
     with pytest.raises(HttpStatusError) as info:
-        client._post("/generate", {"model": "sft"})  # missing required fields -> 400
+        http_backend._post("/generate", {"model": "sft"})  # missing required fields -> 400
     assert info.value.status == 400
     with pytest.raises(HttpStatusError) as info:
-        client._post("/nope", {})
+        http_backend._post("/nope", {})
     assert info.value.status == 404
 
 
-def test_malformed_server_response(tmp_path):
+def test_malformed_server_response():
     # A server answering non-JSON must raise MalformedResponseError.
-    import http.server
-    import threading
-
-    class BadHandler(http.server.BaseHTTPRequestHandler):
-        def log_message(self, *args):
-            pass
-
+    class BadHandler(QuietHandler):
         def do_POST(self):
-            body = b"definitely not json"
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self.reply(b"definitely not json")
 
-    srv = http.server.ThreadingHTTPServer(("127.0.0.1", 0), BadHandler)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    try:
-        client = HttpBackend(f"http://127.0.0.1:{srv.server_address[1]}", max_attempts=1)
+    with serve(BadHandler) as url:
+        client = HttpBackend(url, max_attempts=1)
         with pytest.raises(MalformedResponseError):
             client.generate(GenerationRequest("m", "p", num_samples=1))
-    finally:
-        srv.shutdown()
-        srv.server_close()
 
 
 def test_connection_refused_is_backend_failure():
@@ -153,3 +191,105 @@ def test_auth_token_comes_from_environment(monkeypatch):
     monkeypatch.delenv("TVFUSE_BACKEND_TOKEN")
     assert HttpBackend("http://example.invalid").auth_token is None
     assert HttpBackend("http://example.invalid", auth_token="inline").auth_token == "inline"
+
+
+def test_unencodable_payload_fails_without_retry():
+    # NaN is not JSON; nothing is sent and no backoff is slept.
+    client = HttpBackend("http://127.0.0.1:9", max_attempts=3, backoff_base=60.0)
+    with pytest.raises(HttpStatusError) as info:
+        client._post("/generate", {"temperature": float("nan")})
+    assert info.value.status == 0
+
+
+# --- keep-alive transport ---------------------------------------------------------
+
+
+def test_requests_reuse_kept_alive_connections():
+    with CountingServer(MockBackend(LANDSCAPE, seed=5)) as srv:
+        client = HttpBackend(srv.url)
+        for i in range(200):
+            client.score("sft", f"sequential {i}")
+        assert srv.accepted == 1
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(lambda i: client.score("sft", f"concurrent {i}"), range(200)))
+        assert len(results) == 200
+        accepted = srv.accepted
+        assert accepted <= 2
+        client.close()
+        client.score("sft", "after close")
+        assert srv.accepted == accepted + 1
+        client.close()
+
+
+def test_injected_500_keeps_the_connection_in_sync():
+    # The server must read the body of the request it fails; otherwise the
+    # retry on the same connection is parsed after the unread JSON bytes.
+    request = GenerationRequest(encode_model_ref(0.6, 1.1), "in sync", num_samples=3)
+    expected = [s.text for s in MockBackend(LANDSCAPE, seed=5).generate(request)]
+    with CountingServer(MockBackend(LANDSCAPE, seed=5)) as srv, contextlib.closing(
+        HttpBackend(srv.url, max_attempts=2, backoff_base=0.0)
+    ) as client:
+        client.score("sft", "open the connection")
+        srv.fail_next(1)
+        assert [s.text for s in client.generate(request)] == expected
+        assert srv.accepted == 1
+
+
+def test_connection_closed_by_server_is_reopened_without_an_attempt():
+    class CloseAfterReply(QuietHandler):
+        # HTTP/1.1 without "Connection: close": the client cannot tell that
+        # the server hangs up after every reply.
+        protocol_version = "HTTP/1.1"
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.reply(b'{"token_logprobs": [-0.5, -1.5]}')
+            self.close_connection = True
+
+    with serve(CloseAfterReply) as url, contextlib.closing(HttpBackend(url, max_attempts=1)) as client:
+        for _ in range(3):
+            assert client.score("m", "text").perplexity == pytest.approx(math.exp(1.0))
+
+
+def test_slow_server_raises_timeout():
+    class SlowHandler(QuietHandler):
+        def do_POST(self):
+            time.sleep(0.5)
+
+    with serve(SlowHandler) as url:
+        client = HttpBackend(url, max_attempts=1, timeout=0.1)
+        with pytest.raises(BackendTimeoutError):
+            client.score("m", "text")
+
+
+def test_kept_alive_round_trips_do_not_wait_for_delayed_acks(http_backend):
+    # Each reply is two writes. Without TCP_NODELAY on the server, the second
+    # waits for the client's delayed ACK (about 40 ms on Linux) every time:
+    # 20 round trips then take about 0.9 s instead of tens of milliseconds.
+    http_backend.score("sft", "open the connection")
+    start = time.perf_counter()
+    for i in range(20):
+        http_backend.score("sft", f"round trip {i}")
+    assert time.perf_counter() - start < 0.4
+
+
+def test_stop_closes_kept_alive_connections():
+    srv = MockInferenceServer(MockBackend(LANDSCAPE, seed=5)).start()
+    client = HttpBackend(srv.url, max_attempts=1)
+    client.score("sft", "leave the connection open")
+    start = time.perf_counter()
+    srv.stop()
+    assert time.perf_counter() - start < 5.0
+    with pytest.raises(BackendFailure):
+        client.score("sft", "after stop")
+    client.close()
+
+
+def test_cli_import_does_not_load_requests():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-c", "import tvfuse.cli, sys; assert 'requests' not in sys.modules"],
+        env=env,
+        check=True,
+    )

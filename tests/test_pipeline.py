@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from synth import make_checkpoint_trio, make_config, make_query_pool
-from tvfuse import archive
+from tvfuse import archive, diagnostics, pipeline, task_vector
 from tvfuse.errors import ConfigError, PipelineLockedError
 from tvfuse.evaluator import MockBackend
 from tvfuse.floats import narrow_from_f64
@@ -20,6 +20,7 @@ from tvfuse.pipeline import (
     WorkspaceLock,
     WorkspacePaths,
     apply_overrides,
+    build_backend,
     load_config,
     load_report,
     run_pipeline,
@@ -294,3 +295,41 @@ def test_difficulty_spread_produces_two_pools(setup):
     difficulties = {r["difficulty"] for r in records}
     assert len(difficulties) > 1  # query jitter spreads difficulty
     assert all(0.0 <= d <= 1.0 for d in difficulties)
+
+
+@pytest.mark.parametrize("retention", [0.3, 1.0])
+def test_stage_two_sparsifies_each_vector_once(setup, monkeypatch, retention):
+    _, _, _, config_path = setup
+    config = load_config(config_path, {"retention_p": str(retention)})
+    calls = []
+    original = task_vector.sparsify
+
+    def counting_sparsify(tv, p, *args, **kwargs):
+        calls.append(p)
+        return original(tv, p, *args, **kwargs)
+
+    monkeypatch.setattr(task_vector, "sparsify", counting_sparsify)
+    monkeypatch.setattr(diagnostics, "sparsify", counting_sparsify)
+    summary = pipeline._stage_task_vectors(config, WorkspacePaths(Path(config.workspace)), resume=False)
+    assert calls == ([retention, retention] if retention < 1.0 else [])
+    # The count on the processed vectors equals the interference of the raw ones.
+    base = archive.open_archive(config.base_path)
+    raw = [
+        task_vector.extract_task_vector(base, archive.open_archive(path))
+        for path in (config.sft_path, config.rlvr_path)
+    ]
+    expected = diagnostics.sign_interference(raw[0], raw[1], retention, retention)
+    assert summary["sign_interference"] == {
+        "retention_a": retention,
+        "retention_b": retention,
+        "conflict_ratio": expected.conflict_ratio,
+        "denominator_count": expected.denominator_count,
+    }
+
+
+@pytest.mark.parametrize("url", ["localhost:8000", "ftp://host/x", "http://"])
+def test_http_backend_url_without_http_scheme_is_a_config_error(setup, url):
+    _, _, _, config_path = setup
+    config = load_config(config_path, {"backend.kind": "http", "backend.url": url})
+    with pytest.raises(ConfigError):
+        build_backend(config)
