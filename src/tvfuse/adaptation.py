@@ -6,14 +6,14 @@ majority-vote consistency of each model yields a difficulty score
 the survivors are split at the median into low- and medium-difficulty
 pools, and the set is drawn from both pools with a seeded generator.
 Everything downstream of the backend calls is a pure function of
-(records, m, n, seed), so selections are reproducible.
+(records, m, n, seed), so selections are reproducible. The backend calls go
+through the query evaluator in `evaluator.backend`, as trial scoring does.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -22,13 +22,12 @@ import numpy as np
 
 from .archive import atomic_write_text
 from .errors import BackendFailure, InsufficientQueriesError
-from .evaluator.answers import consistency
-from .evaluator.backend import EvaluationBackend, GenerationRequest
+from .evaluator.backend import EvaluationBackend, GenerationParams, map_queries, sample_consistency
+from .evaluator.prompts import render_prompt
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_M = 5
-DEFAULT_N = 64
 DEFAULT_FAILURE_CAP = 0.10
 
 
@@ -53,16 +52,6 @@ class DifficultyRecord:
     c_sft: float
     c_rlvr: float
     difficulty: float
-
-
-@dataclass
-class GenerationParams:
-    """Sampling settings shared by difficulty scoring and trial evaluation."""
-
-    temperature: float = 0.6
-    max_tokens: int = 8192
-    prompt_preset: str = "qwen-structured"
-    seed: int = 0
 
 
 @dataclass
@@ -113,34 +102,14 @@ def load_query_pool(path: str | Path) -> QueryPool:
     return QueryPool(queries=tuple(queries))
 
 
-def _model_consistency(
-    backend: EvaluationBackend,
-    model_ref: str,
-    prompt: str,
-    m: int,
-    params: GenerationParams,
-    request_seed: int,
-) -> float:
-    request = GenerationRequest(
-        model_ref=model_ref,
-        prompt=prompt,
-        num_samples=m,
-        temperature=params.temperature,
-        max_tokens=params.max_tokens,
-        seed=request_seed,
-    )
-    samples = backend.generate(request)
-    return consistency([s.extracted_answer for s in samples], m)
-
-
 def score_difficulty(
     pool: QueryPool,
     backend: EvaluationBackend,
     sft_ref: str,
     rlvr_ref: str,
     m: int = DEFAULT_M,
-    gen_params: GenerationParams | None = None,
-    failure_cap: float = DEFAULT_FAILURE_CAP,
+    gen_params: GenerationParams = GenerationParams(),
+    seed: int = 0,
     concurrency: int = 8,
     on_failure: Callable[[str, Exception], None] | None = None,
 ) -> list[DifficultyRecord]:
@@ -148,21 +117,16 @@ def score_difficulty(
 
     Queries whose backend calls fail are excluded (and reported through
     `on_failure` / the log), never silently scored; if more than
-    `failure_cap` of the pool fails the whole scoring pass raises.
+    DEFAULT_FAILURE_CAP of the pool fails the whole scoring pass raises.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    params = gen_params or GenerationParams()
-    from .evaluator.prompts import render_prompt
 
     def score_one(index: int, qid: str, text: str) -> DifficultyRecord:
-        prompt = render_prompt(text, params.prompt_preset)
-        c_sft = _model_consistency(
-            backend, sft_ref, prompt, m, params, request_seed=params.seed * 1_000_003 + 2 * index
-        )
-        c_rlvr = _model_consistency(
-            backend, rlvr_ref, prompt, m, params, request_seed=params.seed * 1_000_003 + 2 * index + 1
-        )
+        prompt = render_prompt(text, gen_params.prompt_preset)
+        request_seed = seed * 1_000_003 + 2 * index
+        c_sft = sample_consistency(backend, sft_ref, prompt, m, gen_params, request_seed)
+        c_rlvr = sample_consistency(backend, rlvr_ref, prompt, m, gen_params, request_seed + 1)
         return DifficultyRecord(
             query_id=qid,
             c_sft=c_sft,
@@ -170,27 +134,17 @@ def score_difficulty(
             difficulty=1.0 - (c_sft + c_rlvr) / 2.0,
         )
 
-    records: list[DifficultyRecord | None] = [None] * len(pool)
-    failures = 0
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as executor:
-        futures = {
-            executor.submit(score_one, i, qid, text): (i, qid)
-            for i, (qid, text) in enumerate(pool.queries)
-        }
-        for future, (i, qid) in futures.items():
-            try:
-                records[i] = future.result()
-            except BackendFailure as exc:
-                failures += 1
-                logger.warning("difficulty scoring failed for query %s: %s", qid, exc)
-                if on_failure is not None:
-                    on_failure(qid, exc)
-    if len(pool) and failures / len(pool) > failure_cap:
+    records, failures = map_queries(score_one, pool.queries, concurrency)
+    for qid, exc in failures:
+        logger.warning("difficulty scoring failed for query %s: %s", qid, exc)
+        if on_failure is not None:
+            on_failure(qid, exc)
+    if len(pool) and len(failures) / len(pool) > DEFAULT_FAILURE_CAP:
         raise BackendFailure(
-            f"difficulty scoring failed for {failures}/{len(pool)} queries "
-            f"(cap {failure_cap:.0%})"
+            f"difficulty scoring failed for {len(failures)}/{len(pool)} queries "
+            f"(cap {DEFAULT_FAILURE_CAP:.0%})"
         )
-    return [r for r in records if r is not None]
+    return records
 
 
 def build_adaptation_set(
@@ -269,16 +223,3 @@ def save_difficulty_records(records: Sequence[DifficultyRecord], path: str | Pat
         for r in records
     ]
     atomic_write_text(path, json.dumps(payload, indent=2))
-
-
-def load_difficulty_records(path: str | Path) -> list[DifficultyRecord]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [
-        DifficultyRecord(
-            query_id=item["query_id"],
-            c_sft=item["c_sft"],
-            c_rlvr=item["c_rlvr"],
-            difficulty=item["difficulty"],
-        )
-        for item in payload
-    ]

@@ -81,13 +81,6 @@ class TensorArchive:
     metadata: dict[str, str] = field(default_factory=dict)
     data_start: int = 0
 
-    @property
-    def names(self) -> list[str]:
-        return list(self.entries)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
 
 def _require_str_map(obj: object, what: str) -> dict[str, str]:
     if not isinstance(obj, dict) or not all(
@@ -225,17 +218,6 @@ def read_tensor(archive: TensorArchive, name: str) -> TensorData:
     if len(raw) != meta.num_bytes:
         raise TruncatedFileError(f"{archive.path}: tensor {name!r} data is truncated")
     return TensorData(meta=meta, values=widen_to_f64(raw, meta.dtype))
-
-
-def read_tensor_bytes(archive: TensorArchive, name: str) -> bytes:
-    """Raw stored bytes of one tensor, for bit-exact comparisons."""
-    try:
-        meta = archive.entries[name]
-    except KeyError:
-        raise NameNotFoundError(f"tensor {name!r} not in {archive.path}") from None
-    with open(archive.path, "rb") as fh:
-        fh.seek(archive.data_start + meta.data_offsets[0])
-        return fh.read(meta.num_bytes)
 
 
 def byte_sorted(names: Iterable[str]) -> list[str]:

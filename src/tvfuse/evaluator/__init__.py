@@ -2,10 +2,12 @@
 
 Data selection and coefficient search never talk to an inference engine
 directly; they go through the `EvaluationBackend` contract defined here.
-Two implementations ship with the package: an HTTP client for a remote
-generation/scoring service, and a fully deterministic in-process mock
-driven by a synthetic coefficient landscape (plus an HTTP server wrapper
-around it for wire-protocol tests).
+Both measure queries with the one query evaluator in `backend`:
+`sample_consistency` under shared `GenerationParams`, fanned out over the
+queries by `map_queries`. Two implementations ship with the package: an
+HTTP client for a remote generation/scoring service, and a fully
+deterministic in-process mock driven by a synthetic coefficient landscape
+(plus an HTTP server wrapper around it for wire-protocol tests).
 """
 
 from .answers import consistency, extract_answer, normalize_answer
@@ -14,7 +16,6 @@ from .backend import (
     GenerationRequest,
     GenerationSample,
     ScoreResult,
-    perplexity_of,
 )
 from .http_backend import HttpBackend
 from .mock import MockBackend, encode_model_ref, quadratic_landscape
@@ -34,7 +35,6 @@ __all__ = [
     "encode_model_ref",
     "extract_answer",
     "normalize_answer",
-    "perplexity_of",
     "quadratic_landscape",
     "render_prompt",
 ]

@@ -1,4 +1,5 @@
-"""Final-answer extraction and majority-vote consistency."""
+"""Final-answer extraction and majority-vote consistency, which the query
+evaluator (`backend.sample_consistency`) applies to every set of samples."""
 
 from __future__ import annotations
 
@@ -45,21 +46,16 @@ def _boxed_groups(text: str) -> list[str]:
     return groups
 
 
-def extract_answer(text: str, policy: str = "boxed-then-number") -> str | None:
+def extract_answer(text: str) -> str | None:
     """Pull a normalized final answer out of generated text.
 
-    The default policy returns the content of the last balanced
-    ``\\boxed{...}`` group, falling back to the last standalone number
-    token. Absence is a value (None), never an error.
+    Returns the content of the last balanced ``\\boxed{...}`` group,
+    falling back to the last standalone number token. Absence is a value
+    (None), never an error.
     """
-    if policy not in ("boxed-then-number", "boxed-only", "number-only"):
-        raise ValueError(f"unknown extraction policy {policy!r}")
-    if policy != "number-only":
-        groups = _boxed_groups(text)
-        if groups:
-            return normalize_answer(groups[-1])
-        if policy == "boxed-only":
-            return None
+    groups = _boxed_groups(text)
+    if groups:
+        return normalize_answer(groups[-1])
     numbers = _NUMBER_RE.findall(text)
     if numbers:
         return normalize_answer(numbers[-1])

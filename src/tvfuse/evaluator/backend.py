@@ -3,15 +3,30 @@
 Any object with `generate` and `score` methods satisfying these signatures
 can drive data selection and coefficient search. Backends must be safe for
 concurrent requests; callers bound in-flight requests themselves.
+Difficulty scoring and trial evaluation both measure queries with
+`sample_consistency`, fanned out over the queries by `map_queries`.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
 
-from ..errors import EmptyTextError, MalformedResponseError
+from ..errors import BackendFailure, MalformedResponseError
+from .answers import consistency
+
+T = TypeVar("T")
+
+
+@dataclass(frozen=True)
+class GenerationParams:
+    """Sampling settings shared by difficulty scoring and trial evaluation."""
+
+    temperature: float = 0.6
+    max_tokens: int = 8192
+    prompt_preset: str = "qwen-structured"
 
 
 @dataclass(frozen=True)
@@ -28,7 +43,7 @@ class GenerationRequest:
     def __post_init__(self):
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
-        if self.temperature < 0:
+        if not self.temperature >= 0:  # also rejects NaN
             raise ValueError("temperature must be non-negative")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
@@ -66,8 +81,45 @@ class EvaluationBackend(Protocol):
     def score(self, model_ref: str, text: str) -> ScoreResult: ...
 
 
-def perplexity_of(backend: EvaluationBackend, model_ref: str, text: str) -> float:
-    """exp(-mean token logprob) of `text` under the given model."""
-    if not text:
-        raise EmptyTextError("cannot score empty text")
-    return backend.score(model_ref, text).perplexity
+def sample_consistency(
+    backend: EvaluationBackend,
+    model_ref: str,
+    prompt: str,
+    k: int,
+    params: GenerationParams,
+    seed: int,
+) -> float:
+    """Majority-vote consistency of k answers sampled for one rendered prompt."""
+    request = GenerationRequest(
+        model_ref=model_ref,
+        prompt=prompt,
+        num_samples=k,
+        temperature=params.temperature,
+        max_tokens=params.max_tokens,
+        seed=seed,
+    )
+    samples = backend.generate(request)
+    return consistency([s.extracted_answer for s in samples], k)
+
+
+def map_queries(
+    fn: Callable[[int, str, str], T],
+    queries: Sequence[tuple[str, str]],
+    concurrency: int,
+) -> tuple[list[T], list[tuple[str, BackendFailure]]]:
+    """Call fn(index, query_id, text) for every query on one thread pool.
+
+    Returns the results of the queries that succeeded, in query order, and
+    the (query id, failure) of each query whose call raised BackendFailure,
+    also in query order. Any other exception propagates.
+    """
+    results: list[T] = []
+    failures: list[tuple[str, BackendFailure]] = []
+    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as executor:
+        futures = [executor.submit(fn, i, qid, text) for i, (qid, text) in enumerate(queries)]
+        for (qid, _), future in zip(queries, futures):
+            try:
+                results.append(future.result())
+            except BackendFailure as exc:
+                failures.append((qid, exc))
+    return results, failures

@@ -1,10 +1,12 @@
 """Deterministic in-process backend driven by a synthetic landscape.
 
-A landscape maps a coefficient pair to (consistency, perplexity); either
-value may instead be a callable taking the prompt, for per-query variation.
-The mock fabricates answer multisets whose majority fraction equals the
-landscape's consistency quantized to multiples of 1/num_samples, so search
-code can be tested against a known optimum without any model inference.
+A landscape maps a coefficient pair to (consistency, perplexity), two
+numbers; per-query variation comes from `query_jitter`, a deterministic
+offset to the consistency keyed on the prompt. The mock fabricates answer
+multisets whose majority fraction equals that consistency quantized to
+multiples of 1/num_samples, so the query evaluator in `backend`
+(`sample_consistency`) and the search above it can be tested against a
+known optimum without any model inference.
 
 Everything is derived from SHA-256 of (seed, model_ref, prompt); outputs
 are reproducible across runs, platforms and thread schedules.
@@ -21,7 +23,7 @@ from ..errors import UnknownModelRefError
 from .answers import extract_answer
 from .backend import GenerationRequest, GenerationSample, ScoreResult
 
-Landscape = Callable[[float, float], tuple[object, object]]
+Landscape = Callable[[float, float], tuple[float, float]]
 
 _MERGED_REF_RE = re.compile(r"^merged:([^:]+):([^:]+)$")
 
@@ -95,17 +97,12 @@ class MockBackend:
         return coeffs
 
     def _consistency_at(self, model_ref: str, prompt: str) -> float:
-        raw, _ = self.landscape(*self._resolve(model_ref))
-        value = raw(prompt) if callable(raw) else float(raw)
+        value, _ = self.landscape(*self._resolve(model_ref))
         if self.query_jitter > 0.0:
             # Deterministic per-query offset in [-jitter, +jitter].
             unit = int.from_bytes(_digest("jitter", self.seed, prompt)[:8], "big") / 2**64
             value += self.query_jitter * (2.0 * unit - 1.0)
         return max(0.0, min(1.0, value))
-
-    def _perplexity_at(self, model_ref: str, text: str) -> float:
-        _, raw = self.landscape(*self._resolve(model_ref))
-        return float(raw(text) if callable(raw) else raw)
 
     def generate(self, request: GenerationRequest) -> list[GenerationSample]:
         k = request.num_samples
@@ -125,6 +122,6 @@ class MockBackend:
         return samples
 
     def score(self, model_ref: str, text: str) -> ScoreResult:
-        ppl = self._perplexity_at(model_ref, text)
+        _, ppl = self.landscape(*self._resolve(model_ref))
         logprob = -math.log(ppl)
         return ScoreResult.from_logprobs([logprob] * 8)

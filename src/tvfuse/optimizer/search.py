@@ -17,17 +17,14 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 from ..archive import atomic_write_text
 from ..errors import BackendFailure, TooManyFailedTrialsError, TrialLogError
-from ..evaluator.answers import consistency
-from ..evaluator.backend import EvaluationBackend, GenerationRequest
+from ..evaluator.backend import EvaluationBackend, GenerationParams, map_queries, sample_consistency
 from ..evaluator.prompts import render_prompt
-from ..task_vector import MergeSpec
 from .pareto import SELECTION_RULES, pareto_frontier
 from .tpe import SearchSpace, TpeConfig, tpe_suggest
 
@@ -81,7 +78,6 @@ class SearchResult:
     selection_rule: str
     coefficients: tuple[float, float]
     failed_trial_count: int = 0
-    recipe: MergeSpec | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -93,7 +89,6 @@ class SearchResult:
             "failed_trial_count": self.failed_trial_count,
             "num_trials": len(self.trials),
             "frontier": [json.loads(t.to_json()) for t in self.frontier],
-            "recipe": self.recipe.to_dict() if self.recipe else None,
         }
 
 
@@ -134,9 +129,7 @@ def _evaluate_trial(
     model_ref: str,
     queries: Sequence[tuple[str, str]],
     samples_per_query: int,
-    temperature: float,
-    max_tokens: int,
-    prompt_preset: str,
+    gen_params: GenerationParams,
     trial_seed: int,
     concurrency: int,
 ) -> tuple[float, float, int]:
@@ -146,40 +139,23 @@ def _evaluate_trial(
     raises BackendFailure only if every query fails.
     """
 
-    def eval_query(query_index: int, text: str) -> tuple[float, float]:
-        prompt = render_prompt(text, prompt_preset)
-        request = GenerationRequest(
-            model_ref=model_ref,
-            prompt=prompt,
-            num_samples=samples_per_query,
-            temperature=temperature,
-            max_tokens=max_tokens,
-            seed=trial_seed * 1_000_003 + query_index,
+    def eval_query(query_index: int, qid: str, text: str) -> tuple[float, float]:
+        prompt = render_prompt(text, gen_params.prompt_preset)
+        seed = trial_seed * 1_000_003 + query_index
+        answer_share = sample_consistency(
+            backend, model_ref, prompt, samples_per_query, gen_params, seed
         )
-        samples = backend.generate(request)
-        answer_share = consistency([s.extracted_answer for s in samples], samples_per_query)
         perplexity = backend.score(model_ref, prompt).perplexity
         return answer_share, perplexity
 
-    per_query: list[tuple[float, float] | None] = [None] * len(queries)
-    failed = 0
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as executor:
-        futures = {
-            executor.submit(eval_query, i, text): i
-            for i, (_, text) in enumerate(queries)
-        }
-        for future, i in futures.items():
-            try:
-                per_query[i] = future.result()
-            except BackendFailure as exc:
-                failed += 1
-                logger.warning("query %s failed during trial evaluation: %s", queries[i][0], exc)
-    scored = [entry for entry in per_query if entry is not None]
+    scored, failures = map_queries(eval_query, queries, concurrency)
+    for qid, exc in failures:
+        logger.warning("query %s failed during trial evaluation: %s", qid, exc)
     if not scored:
         raise BackendFailure("every adaptation query failed for this trial")
     mean_consistency = sum(c for c, _ in scored) / len(scored)
     mean_perplexity = sum(p for _, p in scored) / len(scored)
-    return mean_consistency, mean_perplexity, failed
+    return mean_consistency, mean_perplexity, len(failures)
 
 
 def run_search(
@@ -189,14 +165,11 @@ def run_search(
     config: TpeConfig,
     space: SearchSpace | None = None,
     samples_per_query: int = 5,
-    temperature: float = 0.6,
-    max_tokens: int = 8192,
-    prompt_preset: str = "qwen-structured",
+    gen_params: GenerationParams = GenerationParams(),
     selection_rule: str = "max-consistency",
     concurrency: int = 8,
     trial_log_path: str | Path | None = None,
     resume: bool = False,
-    recipe_builder: Callable[[tuple[float, float]], MergeSpec] | None = None,
 ) -> SearchResult:
     """Run the trial budget sequentially and select from the Pareto frontier."""
     if not queries:
@@ -234,9 +207,7 @@ def run_search(
                     model_ref,
                     queries,
                     samples_per_query,
-                    temperature,
-                    max_tokens,
-                    prompt_preset,
+                    gen_params,
                     trial_seed=config.seed * 100_000 + index,
                     concurrency=concurrency,
                 )
@@ -276,5 +247,4 @@ def run_search(
         selection_rule=selection_rule,
         coefficients=selected.coeffs,
         failed_trial_count=failed_count,
-        recipe=recipe_builder(selected.coeffs) if recipe_builder else None,
     )

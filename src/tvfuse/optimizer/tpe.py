@@ -40,10 +40,6 @@ class SearchSpace:
             if not lo < hi:
                 raise ValueError(f"bound ({lo}, {hi}) is not a proper interval")
 
-    @property
-    def dims(self) -> int:
-        return len(self.bounds)
-
 
 @dataclass
 class TpeConfig:

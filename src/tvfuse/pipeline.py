@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -33,7 +34,6 @@ from typing import Any, Callable
 from . import __version__
 from .adaptation import (
     AdaptationSet,
-    GenerationParams,
     build_adaptation_set,
     default_threshold,
     load_query_pool,
@@ -46,7 +46,7 @@ from .archive import atomic_write_text, open_archive
 from .diagnostics import count_conflicts, sign_interference  # noqa: F401
 from .errors import ConfigError, PipelineLockedError, StageError, TvfuseError
 from .evaluator import HttpBackend, MockBackend, encode_model_ref, quadratic_landscape
-from .evaluator.backend import EvaluationBackend
+from .evaluator.backend import EvaluationBackend, GenerationParams
 from .optimizer import SearchResult, SearchSpace, TpeConfig, run_search
 from .optimizer.pareto import SELECTION_RULES
 from .task_vector import (
@@ -63,7 +63,6 @@ from .task_vector import (
 logger = logging.getLogger(__name__)
 
 LOCK_NAME = ".lock"
-STAGES = ("select-data", "task-vectors", "search", "final-merge")
 
 
 # --- configuration ---------------------------------------------------------------
@@ -168,6 +167,22 @@ class PipelineConfig:
             problems.append("backend.url is required for the http backend")
         if len(self.search.space) != 2 or any(len(b) != 2 for b in self.search.space):
             problems.append("search.space must be two [low, high] pairs")
+        else:
+            try:
+                self.search_space()
+            except ValueError as exc:
+                problems.append(f"search.space: {exc}")
+        try:
+            self.tpe_config()
+        except ValueError as exc:
+            problems.append(f"search: {exc}")
+        if self.search.k < 1:
+            problems.append("search.k must be >= 1")
+        temperature = self.search.temperature
+        if not (math.isfinite(temperature) and temperature >= 0):
+            problems.append(f"search.temperature must be finite and >= 0, got {temperature}")
+        if self.search.max_tokens < 1:
+            problems.append("search.max_tokens must be >= 1")
         if problems:
             raise ConfigError("; ".join(problems))
         if (
@@ -193,6 +208,10 @@ class PipelineConfig:
 
     def search_space(self) -> SearchSpace:
         return SearchSpace(bounds=tuple((float(lo), float(hi)) for lo, hi in self.search.space))
+
+    def gen_params(self) -> GenerationParams:
+        s = self.search
+        return GenerationParams(s.temperature, s.max_tokens, s.prompt_preset)
 
 
 def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> PipelineConfig:
@@ -383,12 +402,8 @@ def _stage_select_data(
         config.backend.sft_ref,
         config.backend.rlvr_ref,
         m=config.m,
-        gen_params=GenerationParams(
-            temperature=config.search.temperature,
-            max_tokens=config.search.max_tokens,
-            prompt_preset=config.search.prompt_preset,
-            seed=config.seed,
-        ),
+        gen_params=config.gen_params(),
+        seed=config.seed,
         concurrency=config.search.concurrency,
         on_failure=lambda qid, exc: failures.append(qid),
     )
@@ -438,12 +453,13 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
         tv = extract_task_vector(base, finetuned)
         processed = processed_vectors[label] = _process_vector(config, tv)
         save_task_vector(processed, out_path)
-        entry = {
-            "original_norm": global_l2_norm(tv),
-            "processed_norm": global_l2_norm(processed),
-        }
+        # At full retention the processed vector is the raw one; otherwise
+        # sparsify stored the raw vector's norm.
+        processed_norm = global_l2_norm(processed)
+        entry = {"original_norm": processed_norm, "processed_norm": processed_norm}
         if processed.sparsity is not None:
             entry.update(
+                original_norm=processed.sparsity.original_norm,
                 threshold=processed.sparsity.threshold,
                 retained_count=processed.sparsity.retained_count,
                 gamma=processed.sparsity.rescale_gamma,
@@ -515,19 +531,19 @@ def _stage_search(
         config=config.tpe_config(),
         space=config.search_space(),
         samples_per_query=config.search.k,
-        temperature=config.search.temperature,
-        max_tokens=config.search.max_tokens,
-        prompt_preset=config.search.prompt_preset,
+        gen_params=config.gen_params(),
         selection_rule=config.search.selection_rule,
         concurrency=config.search.concurrency,
         trial_log_path=paths.trial_log,
         resume=resume,
-        recipe_builder=lambda coeffs: MergeSpec(
-            base_id=config.base_path,
-            terms=[(str(paths.tau_sft), coeffs[0]), (str(paths.tau_rlvr), coeffs[1])],
-        ),
     )
-    atomic_write_text(paths.search_result, json.dumps(result.to_dict(), indent=2))
+    coeffs = result.coefficients
+    payload = result.to_dict()
+    payload["recipe"] = MergeSpec(
+        base_id=config.base_path,
+        terms=[(str(paths.tau_sft), coeffs[0]), (str(paths.tau_rlvr), coeffs[1])],
+    ).to_dict()
+    atomic_write_text(paths.search_result, json.dumps(payload, indent=2))
     # The shared candidate file is transient scratch; drop it after scoring.
     paths.candidate.unlink(missing_ok=True)
     return result

@@ -39,7 +39,6 @@ from .errors import (
     ShapeMismatchError,
 )
 
-DEFAULT_RETENTION = 0.30
 DEFAULT_EPSILON = 1e-8
 
 QuantileScope = Literal["global", "per_tensor"]
@@ -305,8 +304,6 @@ def merge(
 
 
 # --- persistence --------------------------------------------------------------
-
-_META_FLOAT_KEYS = ("retention_p", "threshold", "gamma", "epsilon", "original_norm")
 
 
 def save_task_vector(tv: TaskVector, path: str | Path, dtype: str = "F32") -> None:

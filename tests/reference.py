@@ -63,6 +63,17 @@ def bf16_bits_to_f64(bits: np.ndarray) -> np.ndarray:
     return wide.view(np.float32).astype(np.float64)
 
 
+# --- raw stored bytes of one tensor -------------------------------------------
+
+
+def read_tensor_bytes(archive, name: str) -> bytes:
+    """Raw stored bytes of one tensor of an open archive, for bit-exact comparisons."""
+    meta = archive.entries[name]
+    with open(archive.path, "rb") as fh:
+        fh.seek(archive.data_start + meta.data_offsets[0])
+        return fh.read(meta.num_bytes)
+
+
 # --- sort-based top-k selection ----------------------------------------------
 
 

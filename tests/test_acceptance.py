@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference import brute_force_frontier, topk_indices
+from reference import brute_force_frontier, read_tensor_bytes, topk_indices
 from synth import make_checkpoint_trio, make_config, make_query_pool
 from test_diagnostics import MODULE_FIXTURE
 from tvfuse import archive
@@ -94,7 +94,7 @@ def test_criterion_01_archive_round_trip(tmp_path):
             assert meta.dtype == dtype and list(meta.shape) == shape
             got = archive.read_tensor(arc, name).values
             assert np.array_equal(got, values, equal_nan=True)
-            assert archive.read_tensor_bytes(arc, name) == narrow_from_f64(values, dtype)
+            assert read_tensor_bytes(arc, name) == narrow_from_f64(values, dtype)
         path.unlink()
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"round-trip took {elapsed:.1f}s"
@@ -121,7 +121,7 @@ def test_criterion_02_reconstruction(tmp_path):
         # Elementwise identity in float64, before any narrowing.
         assert np.array_equal(base_values + tv.tensors["w"], ft_values)
         merged = tvec.merge(base, [(tv, 1.0)], tmp_path / "merged.safetensors")
-        assert archive.read_tensor_bytes(merged, "w") == archive.read_tensor_bytes(ft, "w")
+        assert read_tensor_bytes(merged, "w") == read_tensor_bytes(ft, "w")
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"reconstruction took {elapsed:.1f}s"
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,4 +245,5 @@ def test_records_json_round_trip(tmp_path):
     records = records_from_difficulties([0.1, 0.3])
     path = tmp_path / "records.json"
     ad.save_difficulty_records(records, path)
-    assert ad.load_difficulty_records(path) == records
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert [ad.DifficultyRecord(**item) for item in payload] == records

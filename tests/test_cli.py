@@ -193,6 +193,17 @@ def test_bad_report_exits_two_without_traceback(tmp_path, capsys, caplog, conten
     assert not [r for r in caplog.records if r.exc_info]
 
 
+def test_bad_search_setting_exits_two_before_work(setup, capsys, caplog):
+    tmp_path, _, _, config_path = setup
+    assert main(["run", "--config", str(config_path), "--set", "search.n_startup=40"]) == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "n_startup" in lines[0]
+    assert "Traceback" not in err
+    assert not [r for r in caplog.records if r.exc_info]
+    assert not (tmp_path / "ws" / "stage1").exists()
+
+
 def test_invalid_config_value_exits_two(setup, capsys):
     _, _, _, config_path = setup
     assert main(["run", "--config", str(config_path), "--set", "retention_p=7"]) == 2

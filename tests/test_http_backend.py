@@ -29,7 +29,6 @@ from tvfuse.evaluator import (
     MockInferenceServer,
     consistency,
     encode_model_ref,
-    perplexity_of,
     quadratic_landscape,
 )
 
@@ -153,7 +152,7 @@ def test_persistent_500s_exhaust_retries(server, http_backend):
 
 
 def test_client_side_perplexity_recomputation(server, http_backend):
-    ppl = perplexity_of(http_backend, encode_model_ref(0.8, 1.5), "query text")
+    ppl = http_backend.score(encode_model_ref(0.8, 1.5), "query text").perplexity
     assert abs(ppl - 2.0) <= 1e-9
 
 

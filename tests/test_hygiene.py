@@ -1,0 +1,84 @@
+"""Every top-level name in the package has a user in the program.
+
+A function, class or module-level name in `src/tvfuse` must be used in its
+own module beyond its definition, or be referenced from another module of
+the package or of the benchmark (`perfbench/`). Package `__init__.py` files
+only re-export, so neither side counts them, and tests do not count as
+users: a helper that only tests reach belongs with the tests.
+
+The benchmark patches some names by their string (``tracer.patch(pipeline,
+"merge", ...)``), so a string constant equal to a name counts as a
+reference too.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tvfuse"
+BENCHMARK = ROOT / "perfbench"
+EXEMPT = {"__all__", "__version__", "logger"}
+
+
+def _modules(directory: Path) -> list[Path]:
+    return sorted(p for p in directory.rglob("*.py") if p.name != "__init__.py")
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    names: list[str] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(
+                n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)
+            )
+    return [name for name in names if name not in EXEMPT]
+
+
+def _local_uses(tree: ast.Module) -> Counter:
+    """Names a module loads or reads as attributes."""
+    uses: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+    return uses
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names another module can reach a definition by: uses, imports and strings."""
+    refs = set(_local_uses(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            refs.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def unused_names() -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in _modules(PACKAGE)}
+    others = {path: ast.parse(path.read_text(encoding="utf-8")) for path in _modules(BENCHMARK)}
+    others.update(trees)
+    references = {path: _references(tree) for path, tree in others.items()}
+    unused = []
+    for path, tree in trees.items():
+        local = _local_uses(tree)
+        for name in _definitions(tree):
+            if local[name]:
+                continue
+            if any(name in refs for other, refs in references.items() if other != path):
+                continue
+            unused.append(f"{path.relative_to(PACKAGE)}:{name}")
+    return unused
+
+
+def test_every_top_level_name_has_a_user_outside_the_tests():
+    unused = unused_names()
+    assert not unused, f"names no program code uses: {unused}"

@@ -25,7 +25,7 @@ from tvfuse.optimizer import (
     select_max_consistency,
     tpe_suggest,
 )
-from tvfuse.optimizer.tpe import trial_rng
+from tvfuse.optimizer.tpe import _objective, trial_rng
 
 
 def trial(index, c, p, coeffs=(0.0, 0.0), status="ok"):
@@ -128,6 +128,26 @@ def test_failed_trials_excluded_from_fit_but_advance_stream():
     a = tpe_suggest(ok_history, SearchSpace(), config)
     b = tpe_suggest(with_failures, SearchSpace(), config)
     assert a != b  # stream key advanced by the failed trial
+
+
+def test_perplexity_weight_ranks_tied_trials_by_perplexity():
+    # Every trial ties on consistency: the earliest sit around `early` with
+    # high perplexity, the later ones around `late` with low perplexity.
+    early, late = (0.3, 0.3), (1.7, 1.7)
+    history = [trial(i, 0.5, 8.0, coeffs=(early[0] + 0.02 * i, early[1])) for i in range(10)]
+    history += [trial(10 + i, 0.5, 2.0, coeffs=(late[0] - 0.02 * i, late[1])) for i in range(10)]
+
+    def good_set(weight):
+        # tpe_suggest's split: rank by objective, then index; gamma 0.25 of 20.
+        ranked = sorted(history, key=lambda t: (-_objective(t, weight), t.index))
+        return {t.index for t in ranked[:5]}
+
+    assert good_set(0.0) == set(range(5))
+    assert good_set(0.5) == set(range(10, 15))
+    for weight, near, far in ((0.0, early, late), (0.5, late, early)):
+        config = TpeConfig(n_trials=100, n_startup=5, seed=11, scalarize_ppl_weight=weight)
+        point = tpe_suggest(history, SearchSpace(), config)
+        assert distance(point, near) < distance(point, far)
 
 
 def test_empty_space_rejected():

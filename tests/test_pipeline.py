@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import read_tensor_bytes
 from synth import make_checkpoint_trio, make_config, make_query_pool
 from tvfuse import archive, diagnostics, pipeline, task_vector
 from tvfuse.errors import ConfigError, PipelineLockedError
@@ -51,6 +52,27 @@ def test_missing_checkpoint_fails_validation_before_work(setup):
     config = load_config(config_path)
     config.base_path = str(tmp_path / "nope.safetensors")
     with pytest.raises(ConfigError):
+        run_pipeline(config)
+    assert not (tmp_path / "ws" / "stage1").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("search.n_startup", "40"),
+        ("search.space", "[[1, 0], [0, 2]]"),
+        ("search.gamma_split", "0"),
+        ("search.n_candidates", "0"),
+        ("search.k", "0"),
+        ("search.temperature", "-1"),
+        ("search.temperature", "NaN"),
+        ("search.max_tokens", "0"),
+    ],
+)
+def test_bad_search_setting_fails_validation_before_work(setup, key, value):
+    tmp_path, _, _, config_path = setup
+    config = load_config(config_path, {key: value})
+    with pytest.raises(ConfigError, match=key.split(".")[1]):
         run_pipeline(config)
     assert not (tmp_path / "ws" / "stage1").exists()
 
@@ -187,7 +209,7 @@ def test_fixed_coefficients_with_full_retention_is_linear(setup):
         tau_sft = archive.read_tensor(sft, name).values - b
         tau_rlvr = archive.read_tensor(rlvr, name).values - b
         expected = narrow_from_f64(b + tau_sft + tau_rlvr, "F32")
-        assert archive.read_tensor_bytes(merged, name) == expected
+        assert read_tensor_bytes(merged, name) == expected
 
 
 def test_lock_blocks_concurrent_runs(setup):
@@ -308,16 +330,27 @@ def test_stage_two_sparsifies_each_vector_once(setup, monkeypatch, retention):
         calls.append(p)
         return original(tv, p, *args, **kwargs)
 
+    norms = []
+    original_norm = pipeline.global_l2_norm
+
+    def counting_norm(tv):
+        norms.append(tv)
+        return original_norm(tv)
+
     monkeypatch.setattr(task_vector, "sparsify", counting_sparsify)
     monkeypatch.setattr(diagnostics, "sparsify", counting_sparsify)
+    monkeypatch.setattr(pipeline, "global_l2_norm", counting_norm)
     summary = pipeline._stage_task_vectors(config, WorkspacePaths(Path(config.workspace)), resume=False)
     assert calls == ([retention, retention] if retention < 1.0 else [])
+    assert len(norms) == 2  # one per vector
     # The count on the processed vectors equals the interference of the raw ones.
     base = archive.open_archive(config.base_path)
     raw = [
         task_vector.extract_task_vector(base, archive.open_archive(path))
         for path in (config.sft_path, config.rlvr_path)
     ]
+    for label, tv in zip(("sft", "rlvr"), raw):
+        assert summary[label]["original_norm"] == task_vector.global_l2_norm(tv)
     expected = diagnostics.sign_interference(raw[0], raw[1], retention, retention)
     assert summary["sign_interference"] == {
         "retention_a": retention,

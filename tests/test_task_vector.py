@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import topk_indices
+from reference import read_tensor_bytes, topk_indices
 from tvfuse import archive
 from tvfuse import task_vector as tvec
 from tvfuse.errors import (
@@ -238,7 +238,7 @@ def test_merge_zero_coefficients_is_base(tmp_path):
     values = rng.standard_normal(64)
     base = write_checkpoint(tmp_path / "b.safetensors", {"w": values})
     merged = tvec.merge(base, [(vec(rng.standard_normal(64)), 0.0)], tmp_path / "m.safetensors")
-    assert archive.read_tensor_bytes(merged, "w") == archive.read_tensor_bytes(base, "w")
+    assert read_tensor_bytes(merged, "w") == read_tensor_bytes(base, "w")
 
 
 def test_merge_reconstructs_finetuned(tmp_path):
@@ -249,7 +249,7 @@ def test_merge_reconstructs_finetuned(tmp_path):
     ft = write_checkpoint(tmp_path / "f.safetensors", {"w": f})
     tv = tvec.extract_task_vector(base, ft)
     merged = tvec.merge(base, [(tv, 1.0)], tmp_path / "m.safetensors")
-    assert archive.read_tensor_bytes(merged, "w") == archive.read_tensor_bytes(ft, "w")
+    assert read_tensor_bytes(merged, "w") == read_tensor_bytes(ft, "w")
 
 
 def test_merge_linearity(tmp_path):
