@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .archive import atomic_write_text
-from .errors import BackendFailure, InsufficientQueriesError
+from .errors import BackendFailure, ConfigError, InsufficientQueriesError
 from .evaluator.backend import EvaluationBackend, GenerationParams, map_queries, sample_consistency
 from .evaluator.prompts import render_prompt
 
@@ -88,18 +88,31 @@ def default_threshold(m: int) -> float:
 
 
 def load_query_pool(path: str | Path) -> QueryPool:
-    """Read a JSON-lines file of {"id": str, "text": str} objects."""
+    """Read a JSON-lines file of {"id": str, "text": str} objects.
+
+    An unreadable file raises ConfigError naming it; a bad line raises
+    ConfigError naming `file:line`.
+    """
+    try:
+        lines = Path(path).read_bytes().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read query pool {path}: {exc}") from exc
     queries: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
             if not line:
                 continue
             obj = json.loads(line)
-            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise ValueError(f"{path}:{line_no}: expected an object with 'id' and 'text'")
-            queries.append((str(obj["id"]), str(obj["text"])))
-    return QueryPool(queries=tuple(queries))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{path}:{line_no}: {exc}") from exc
+        if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
+            raise ConfigError(f"{path}:{line_no}: expected an object with 'id' and 'text'")
+        queries.append((str(obj["id"]), str(obj["text"])))
+    try:
+        return QueryPool(queries=tuple(queries))
+    except ValueError as exc:
+        raise ConfigError(f"query pool {path}: {exc}") from exc
 
 
 def score_difficulty(

@@ -24,9 +24,10 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -271,31 +272,38 @@ def write_archive(
         cursor += num_bytes
 
     header_bytes = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(struct.pack("<Q", len(header_bytes)))
-            fh.write(header_bytes)
-            for name, dtype, shape, values in specs:
-                resolved = values() if callable(values) else values
-                flat = np.ascontiguousarray(resolved, dtype=np.float64).reshape(-1)
-                if flat.size != math.prod(shape):
-                    raise ShapeMismatchError(
-                        f"tensor {name!r}: {flat.size} values do not fill shape {shape}"
-                    )
-                fh.write(narrow_from_f64(flat, dtype))
-        os.replace(tmp, path)
-    except OSError as exc:
-        tmp.unlink(missing_ok=True)
-        raise IoFailureError(f"cannot write {path}: {exc}") from exc
-    except Exception:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _replacing(path) as fh:
+        fh.write(struct.pack("<Q", len(header_bytes)))
+        fh.write(header_bytes)
+        for name, dtype, shape, values in specs:
+            resolved = values() if callable(values) else values
+            flat = np.ascontiguousarray(resolved, dtype=np.float64).reshape(-1)
+            if flat.size != math.prod(shape):
+                raise ShapeMismatchError(
+                    f"tensor {name!r}: {flat.size} values do not fill shape {shape}"
+                )
+            fh.write(narrow_from_f64(flat, dtype))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write `text` verbatim as UTF-8 to a temp sibling, then rename it over `path`."""
-    path = Path(path)
+    with _replacing(Path(path)) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[BinaryIO]:
+    """Yield a binary file for a temp sibling of `path`, renamed over `path` on
+    success. On any failure the temp file is removed, and an OSError becomes
+    IoFailureError naming `path`."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise IoFailureError(f"cannot write {path}: {exc}") from exc
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .errors import TvfuseError
 from .pipeline import PipelineConfig, load_config, load_report, run_pipeline
 from .task_vector import (
     extract_task_vector,
+    global_l2_norm,
     load_task_vector,
     merge,
     rescale,
@@ -48,6 +50,25 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         raise UsageError(message)
+
+
+def _fraction(text: str) -> float:
+    """argparse type: a retention fraction in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a fraction in (0, 1], got {text!r}")
+    return value
+
+
+def _fractions(text: str) -> list[float]:
+    """argparse type: a non-empty comma-separated list of fractions in (0, 1]."""
+    values = [_fraction(item) for item in text.split(",") if item]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one fraction, got {text!r}")
+    return values
 
 
 def _load_config(args) -> PipelineConfig:
@@ -78,9 +99,9 @@ def cmd_extract(args) -> int:
 
 def cmd_sparsify(args) -> int:
     tv = load_task_vector(args.vector)
-    sparse = sparsify(tv, args.retention, scope=args.scope)
+    sparse = sparsify(tv, args.retention)
     if not args.no_rescale:
-        sparse = rescale(sparse, sparse.sparsity.original_norm, args.epsilon)
+        sparse = rescale(sparse, args.epsilon)
     save_task_vector(sparse, args.out)
     info = sparse.sparsity
     print(
@@ -115,7 +136,7 @@ def cmd_analyze_norms(args) -> int:
     payload = {
         "per_layer": {str(k): v for k, v in profile.per_layer.items()},
         "non_layer": profile.non_layer,
-        "global_norm": profile.global_norm(),
+        "global_norm": global_l2_norm(tv),
     }
     if args.out_json:
         atomic_write_text(Path(args.out_json), json.dumps(payload, indent=2))
@@ -145,8 +166,7 @@ def cmd_analyze_interference(args) -> int:
 def cmd_analyze_sweep(args) -> int:
     tv_a = load_task_vector(args.a)
     tv_b = load_task_vector(args.b)
-    retentions = [float(x) for x in args.retentions.split(",") if x]
-    reports = interference_sweep(tv_a, tv_b, retentions, args.retain_b)
+    reports = interference_sweep(tv_a, tv_b, args.retentions, args.retain_b)
     if args.out_csv:
         write_interference_csv(reports, args.out_csv)
     for report in reports:
@@ -227,8 +247,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sparsify", help="prune a task vector and restore its norm")
     p.add_argument("--vector", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--retention", type=float, default=0.30)
-    p.add_argument("--scope", default="global", choices=["global", "per_tensor"])
+    p.add_argument("--retention", type=_fraction, default=0.30)
     p.add_argument("--epsilon", type=float, default=1e-8)
     p.add_argument("--no-rescale", action="store_true")
     p.set_defaults(handler=cmd_sparsify)
@@ -253,22 +272,24 @@ def build_parser() -> _Parser:
     p = asub.add_parser("sign-interference", help="opposite-sign fraction of two vectors")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--retain-a", type=float, default=1.0)
-    p.add_argument("--retain-b", type=float, default=0.1)
+    p.add_argument("--retain-a", type=_fraction, default=1.0)
+    p.add_argument("--retain-b", type=_fraction, default=0.1)
     p.add_argument("--out-csv")
     p.set_defaults(handler=cmd_analyze_interference)
 
     p = asub.add_parser("sweep", help="interference across retentions of the first vector")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--retentions", default="1.0,0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1")
-    p.add_argument("--retain-b", type=float, default=0.1)
+    p.add_argument(
+        "--retentions", type=_fractions, default="1.0,0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1"
+    )
+    p.add_argument("--retain-b", type=_fraction, default=0.1)
     p.add_argument("--out-csv")
     p.set_defaults(handler=cmd_analyze_sweep)
 
     p = asub.add_parser("modules", help="module-wise activated-parameter fractions")
     p.add_argument("--vector", required=True)
-    p.add_argument("--retention", type=float, default=0.1)
+    p.add_argument("--retention", type=_fraction, default=0.1)
     p.add_argument("--rules", help="JSON rule file overriding the default table")
     p.add_argument("--out-csv")
     p.set_defaults(handler=cmd_analyze_modules)

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .archive import atomic_write_text
-from .errors import EmptyVectorError, InvalidPatternError, ShapeMismatchError
+from .errors import ConfigError, EmptyVectorError, InvalidPatternError, ShapeMismatchError
 from .task_vector import TaskVector, sparsify
 
 DEFAULT_LAYER_PATTERN = r"layers\.(\d+)"
@@ -78,11 +78,6 @@ class LayerNormProfile:
 
     per_layer: dict[int, float]
     non_layer: float
-
-    def global_norm(self) -> float:
-        return math.sqrt(
-            sum(n * n for n in self.per_layer.values()) + self.non_layer * self.non_layer
-        )
 
 
 @dataclass(frozen=True)
@@ -222,19 +217,29 @@ def modulewise_activation(
 
 
 def load_module_rules(path: str | Path) -> list[ModuleRule]:
-    """Read an ordered rule list from a JSON array of {"pattern","class"}."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read an ordered rule list from a JSON array of {"pattern","class"}.
+
+    Any unreadable or malformed file raises ConfigError naming it.
+    """
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot load rule file {path}: {exc}") from exc
     if not isinstance(raw, list):
-        raise ValueError("rule file must contain a JSON array")
+        raise ConfigError(f"rule file {path} must hold a JSON array")
     rules = []
-    for item in raw:
-        rules.append(
-            ModuleRule(
-                pattern=item["pattern"],
-                module_class=ModuleClass(item["class"]),
-                exact=bool(item.get("exact", False)),
+    for index, item in enumerate(raw):
+        if not (isinstance(item, dict) and isinstance(item.get("pattern"), str) and "class" in item):
+            raise ConfigError(
+                f"rule file {path}: item {index} needs a string 'pattern' and a 'class'"
             )
-        )
+        try:
+            module_class = ModuleClass(item["class"])
+        except ValueError:
+            raise ConfigError(
+                f"rule file {path}: item {index} has unknown class {item['class']!r}"
+            ) from None
+        rules.append(ModuleRule(item["pattern"], module_class, bool(item.get("exact", False))))
     return rules
 
 

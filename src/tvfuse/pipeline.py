@@ -21,6 +21,7 @@ seed and inputs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -50,7 +51,6 @@ from .evaluator.backend import EvaluationBackend, GenerationParams
 from .optimizer import SearchResult, SearchSpace, TpeConfig, run_search
 from .optimizer.pareto import SELECTION_RULES
 from .task_vector import (
-    MergeSpec,
     TaskVector,
     extract_task_vector,
     global_l2_norm,
@@ -63,6 +63,20 @@ from .task_vector import (
 logger = logging.getLogger(__name__)
 
 LOCK_NAME = ".lock"
+
+# Config fields that `validate` compares or later arithmetic uses: each must
+# hold an int or a float, not a bool.
+_NUMBER_FIELDS = (
+    "seed", "retention_p", "epsilon", "m", "n", "easy_medium_ratio",
+    "search.n_trials", "search.n_startup", "search.gamma_split", "search.n_candidates",
+    "search.bandwidth_floor", "search.scalarize_ppl_weight", "search.k",
+    "search.temperature", "search.max_tokens", "search.concurrency",
+    "backend.max_attempts", "backend.timeout",
+)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # --- configuration ---------------------------------------------------------------
@@ -147,26 +161,42 @@ class PipelineConfig:
                 problems.append(f"{label} does not exist: {value}")
         if not self.workspace:
             problems.append("workspace is required")
+        numbers = {name: functools.reduce(getattr, name.split("."), self) for name in _NUMBER_FIELDS}
+        if self.difficulty_threshold is not None:
+            numbers["difficulty_threshold"] = self.difficulty_threshold
+        wrong_type = [
+            f"{name} must be a number, got {value!r}"
+            for name, value in numbers.items()
+            if not _is_number(value)
+        ]
+        if wrong_type:
+            raise ConfigError("; ".join(problems + wrong_type))
         if not 0.0 < self.retention_p <= 1.0:
             problems.append(f"retention_p must be in (0, 1], got {self.retention_p}")
-        if self.epsilon <= 0:
-            problems.append("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            problems.append(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.m < 2:
             problems.append("m must be >= 2")
         if self.n < 1:
             problems.append("n must be >= 1")
         if not 0.0 <= self.easy_medium_ratio <= 1.0:
             problems.append("easy_medium_ratio must be in [0, 1]")
-        if self.fixed_coefficients is not None and len(self.fixed_coefficients) != 2:
-            problems.append("fixed_coefficients must hold exactly two values")
+        fixed = self.fixed_coefficients
+        if fixed is not None and not (
+            isinstance(fixed, (list, tuple)) and len(fixed) == 2 and all(map(_is_number, fixed))
+        ):
+            problems.append("fixed_coefficients must hold exactly two numbers")
         if self.search.selection_rule not in SELECTION_RULES:
             problems.append(f"unknown selection_rule {self.search.selection_rule!r}")
         if self.backend.kind not in ("mock", "http"):
             problems.append(f"backend.kind must be mock or http, got {self.backend.kind!r}")
         if self.backend.kind == "http" and not self.backend.url:
             problems.append("backend.url is required for the http backend")
-        if len(self.search.space) != 2 or any(len(b) != 2 for b in self.search.space):
-            problems.append("search.space must be two [low, high] pairs")
+        space = self.search.space
+        if not (isinstance(space, (list, tuple)) and len(space) == 2 and all(
+            isinstance(b, (list, tuple)) and len(b) == 2 and all(map(_is_number, b)) for b in space
+        )):
+            problems.append("search.space must be two [low, high] pairs of numbers")
         else:
             try:
                 self.search_space()
@@ -537,12 +567,14 @@ def _stage_search(
         trial_log_path=paths.trial_log,
         resume=resume,
     )
-    coeffs = result.coefficients
     payload = result.to_dict()
-    payload["recipe"] = MergeSpec(
-        base_id=config.base_path,
-        terms=[(str(paths.tau_sft), coeffs[0]), (str(paths.tau_rlvr), coeffs[1])],
-    ).to_dict()
+    payload["recipe"] = {
+        "base_id": config.base_path,
+        "terms": [
+            {"task_vector_id": str(path), "coefficient": coeff}
+            for path, coeff in zip((paths.tau_sft, paths.tau_rlvr), result.coefficients)
+        ],
+    }
     atomic_write_text(paths.search_result, json.dumps(payload, indent=2))
     # The shared candidate file is transient scratch; drop it after scoring.
     paths.candidate.unlink(missing_ok=True)

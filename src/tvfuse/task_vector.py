@@ -3,10 +3,9 @@
 A task vector is the elementwise difference between a post-trained
 checkpoint and its base model. Pruning keeps only the top fraction of
 entries by absolute magnitude, selected against a single global quantile
-over all parameters (a per-tensor scope exists for ablations); the pruned
-vector is then rescaled so its global L2 norm matches the original. There
-is one threshold algorithm: the exact k-th largest magnitude, found by a
-partial sort over all entries.
+over all parameters; the pruned vector is then rescaled so its global L2
+norm matches the original. There is one threshold algorithm: the exact k-th
+largest magnitude, found by a partial sort over all entries.
 
 All arithmetic runs in float64 and all cross-tensor reductions combine
 per-tensor partials in byte-wise lexicographic tensor-name order, so
@@ -18,9 +17,8 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Literal
 
 import numpy as np
 
@@ -40,8 +38,6 @@ from .errors import (
 )
 
 DEFAULT_EPSILON = 1e-8
-
-QuantileScope = Literal["global", "per_tensor"]
 
 # Slack absorbing the binary representation error of decimal retention
 # fractions, so e.g. ceil(0.1 * 70) is 7 rather than 8.
@@ -79,20 +75,6 @@ class TaskVector:
 
     def support_size(self) -> int:
         return int(sum(np.count_nonzero(v) for v in self.tensors.values()))
-
-
-@dataclass
-class MergeSpec:
-    """Recipe for rebuilding a merged model: base plus weighted task vectors."""
-
-    base_id: str
-    terms: list[tuple[str, float]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "base_id": self.base_id,
-            "terms": [{"task_vector_id": t, "coefficient": c} for t, c in self.terms],
-        }
 
 
 def retained_target(retention_p: float, total: int) -> int:
@@ -173,39 +155,12 @@ def _apply_mask(tv: TaskVector, threshold: float, k: int) -> dict[str, np.ndarra
     return out
 
 
-def sparsify(tv: TaskVector, p: float, scope: QuantileScope = "global") -> TaskVector:
+def sparsify(tv: TaskVector, p: float) -> TaskVector:
     """Zero all but the top-p fraction of entries by absolute magnitude."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"retention fraction must be in (0, 1], got {p}")
-    total = tv.num_parameters
-    if total == 0:
-        raise EmptyVectorError("task vector has no parameters")
     original_norm = global_l2_norm(tv)
-
-    if scope == "per_tensor":
-        out: dict[str, np.ndarray] = {}
-        thresholds = [0.0]
-        for name in tv.sorted_names():
-            if tv.tensors[name].size == 0:
-                out[name] = tv.tensors[name].copy()
-                continue
-            single = TaskVector(
-                tensors={name: tv.tensors[name]}, shapes={name: tv.shapes[name]}
-            )
-            k_t = retained_target(p, single.num_parameters)
-            t = quantile_threshold(single, p)
-            out[name] = _apply_mask(single, t, k_t)[name]
-            thresholds.append(t)
-        threshold = max(thresholds)
-    elif scope == "global":
-        k = retained_target(p, total)
-        threshold = quantile_threshold(tv, p)
-        out = _apply_mask(tv, threshold, k)
-    else:
-        raise ValueError(f"unknown quantile scope {scope!r}")
-
+    threshold = quantile_threshold(tv, p)
     result = TaskVector(
-        tensors=out,
+        tensors=_apply_mask(tv, threshold, retained_target(p, tv.num_parameters)),
         shapes=dict(tv.shapes),
         source_base_id=tv.source_base_id,
         source_ft_id=tv.source_ft_id,
@@ -219,12 +174,14 @@ def sparsify(tv: TaskVector, p: float, scope: QuantileScope = "global") -> TaskV
     return result
 
 
-def rescale(tv_sparse: TaskVector, original_norm: float, epsilon: float = DEFAULT_EPSILON) -> TaskVector:
-    """Multiply every entry by gamma = original_norm / (sparse_norm + epsilon)."""
-    if original_norm < 0:
-        raise ValueError("original_norm must be non-negative")
+def rescale(tv_sparse: TaskVector, epsilon: float = DEFAULT_EPSILON) -> TaskVector:
+    """Multiply every entry of a `sparsify` result by gamma = original_norm /
+    (sparse_norm + epsilon), where original_norm is the unpruned vector's norm."""
+    if tv_sparse.sparsity is None:
+        raise ValueError("rescale needs the output of sparsify")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    original_norm = tv_sparse.sparsity.original_norm
     sparse_norm = global_l2_norm(tv_sparse)
     if sparse_norm == 0.0:
         warnings.warn(
@@ -233,33 +190,18 @@ def rescale(tv_sparse: TaskVector, original_norm: float, epsilon: float = DEFAUL
             stacklevel=2,
         )
     gamma = original_norm / (sparse_norm + epsilon)
-    tensors = {name: v * gamma for name, v in tv_sparse.tensors.items()}
-    sparsity = tv_sparse.sparsity
-    if sparsity is None:
-        sparsity = SparsityInfo(
-            retention_p=1.0,
-            threshold=0.0,
-            retained_count=tv_sparse.support_size(),
-            original_norm=original_norm,
-        )
     return TaskVector(
-        tensors=tensors,
+        tensors={name: v * gamma for name, v in tv_sparse.tensors.items()},
         shapes=dict(tv_sparse.shapes),
         source_base_id=tv_sparse.source_base_id,
         source_ft_id=tv_sparse.source_ft_id,
-        sparsity=replace(sparsity, rescale_gamma=gamma, epsilon=epsilon),
+        sparsity=replace(tv_sparse.sparsity, rescale_gamma=gamma, epsilon=epsilon),
     )
 
 
-def sparsify_and_rescale(
-    tv: TaskVector,
-    p: float,
-    epsilon: float = DEFAULT_EPSILON,
-    scope: QuantileScope = "global",
-) -> TaskVector:
+def sparsify_and_rescale(tv: TaskVector, p: float, epsilon: float = DEFAULT_EPSILON) -> TaskVector:
     """Pruning followed by norm restoration, as applied before merging."""
-    sparse = sparsify(tv, p, scope)
-    return rescale(sparse, sparse.sparsity.original_norm, epsilon)
+    return rescale(sparsify(tv, p), epsilon)
 
 
 def merge(
@@ -307,7 +249,10 @@ def merge(
 
 
 def save_task_vector(tv: TaskVector, path: str | Path, dtype: str = "F32") -> None:
-    """Persist a task vector as a tensor archive with provenance metadata."""
+    """Persist a task vector as a tensor archive with provenance metadata.
+
+    The sparsity keys are written for provenance; `load_task_vector` does not
+    read them back."""
     metadata = {
         "source_base_id": tv.source_base_id,
         "source_ft_id": tv.source_ft_id,
@@ -329,28 +274,16 @@ def save_task_vector(tv: TaskVector, path: str | Path, dtype: str = "F32") -> No
 
 
 def load_task_vector(path: str | Path) -> TaskVector:
-    """Load a task vector previously written by `save_task_vector`."""
+    """Load the tensors and source ids of an archive written by `save_task_vector`."""
     arc = open_archive(path)
     tensors: dict[str, np.ndarray] = {}
     shapes: dict[str, tuple[int, ...]] = {}
     for name, data in iter_tensors(arc):
         tensors[name] = data.values
         shapes[name] = data.meta.shape
-    meta = arc.metadata
-    sparsity = None
-    if "retention_p" in meta:
-        sparsity = SparsityInfo(
-            retention_p=float(meta["retention_p"]),
-            threshold=float(meta["threshold"]),
-            retained_count=int(meta.get("retained_count", "0")),
-            original_norm=float(meta["original_norm"]),
-            rescale_gamma=float(meta["gamma"]) if "gamma" in meta else None,
-            epsilon=float(meta["epsilon"]) if "epsilon" in meta else None,
-        )
     return TaskVector(
         tensors=tensors,
         shapes=shapes,
-        source_base_id=meta.get("source_base_id", ""),
-        source_ft_id=meta.get("source_ft_id", ""),
-        sparsity=sparsity,
+        source_base_id=arc.metadata.get("source_base_id", ""),
+        source_ft_id=arc.metadata.get("source_ft_id", ""),
     )

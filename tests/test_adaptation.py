@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvfuse import adaptation as ad
-from tvfuse.errors import BackendFailure, InsufficientQueriesError, UnknownModelRefError
+from tvfuse.errors import (
+    BackendFailure,
+    ConfigError,
+    InsufficientQueriesError,
+    UnknownModelRefError,
+)
 from tvfuse.evaluator import GenerationRequest, MockBackend
 
 
@@ -104,7 +109,7 @@ def test_load_query_pool(tmp_path):
     assert pool.queries == (("a", "one"), ("b", "two"))
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "a"}\n')
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="bad.jsonl:1"):
         ad.load_query_pool(bad)
 
 

@@ -46,8 +46,7 @@ def test_sparsify_and_merge_subcommands(setup, capsys):
     main(["extract", "--base", str(checkpoints["base"]), "--finetuned", str(checkpoints["sft"]), "--out", str(tau)])
     sparse = tmp_path / "tau_sparse.safetensors"
     assert main(["sparsify", "--vector", str(tau), "--out", str(sparse), "--retention", "0.3"]) == 0
-    tv = load_task_vector(sparse)
-    assert tv.sparsity is not None and tv.sparsity.rescale_gamma is not None
+    assert "gamma" in archive.open_archive(sparse).metadata
 
     merged = tmp_path / "merged.safetensors"
     code = main(
@@ -208,3 +207,79 @@ def test_invalid_config_value_exits_two(setup, capsys):
     _, _, _, config_path = setup
     assert main(["run", "--config", str(config_path), "--set", "retention_p=7"]) == 2
     assert "retention_p" in capsys.readouterr().err
+
+
+# Each case: (bytes written to the `{file}` argument, or None for no file, or
+# DIRECTORY for a directory; argv; exit code; text the error line must hold).
+DIRECTORY = object()
+_RUN = ["run", "--config", "{config}"]
+_POOL = [*_RUN, "--set", "pool_path={file}"]
+_RULES = ["analyze", "modules", "--vector", "{vector}", "--rules", "{file}"]
+_SPARSIFY = ["sparsify", "--vector", "{vector}", "--out", "{file}"]
+_PAIR = ["--a", "{vector}", "--b", "{vector}"]
+BAD_INPUTS = {
+    "pool-array-line": (b"[1, 2]\n", _POOL, 2, "file:1"),
+    "pool-not-json": (b'{"id": "a", "text": "x"}\nnope\n', _POOL, 2, "file:2"),
+    "pool-not-utf8": (b'{"id": "a", "text": "\xff"}\n', _POOL, 2, "file:1"),
+    "pool-missing-text": (b'{"id": "a"}\n', _POOL, 2, "file:1"),
+    "pool-duplicate-id": (b'{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n', _POOL, 2, "file"),
+    "pool-unreadable": (DIRECTORY, _POOL, 2, "file"),
+    "rules-missing": (None, _RULES, 2, "file"),
+    "rules-not-json": (b"[", _RULES, 2, "file"),
+    "rules-not-array": (b"{}", _RULES, 2, "file"),
+    "rules-no-pattern": (b'[{"class": "MLP"}]', _RULES, 2, "file"),
+    "rules-unknown-class": (b'[{"pattern": "mlp", "class": "Router"}]', _RULES, 2, "Router"),
+    "config-k-string": (None, [*_RUN, "--set", "search.k=abc"], 2, "search.k"),
+    "config-retention-string": (None, [*_RUN, "--set", "retention_p=abc"], 2, "retention_p"),
+    "config-retention-bool": (None, [*_RUN, "--set", "retention_p=true"], 2, "retention_p"),
+    "config-epsilon-nan": (None, [*_RUN, "--set", "epsilon=NaN"], 2, "epsilon"),
+    "config-coefficient-string": (
+        None, [*_RUN, "--set", 'fixed_coefficients=[1, "a"]'], 2, "fixed_coefficients"
+    ),
+    "config-bound-null": (None, [*_RUN, "--set", "search.space=[[0, null], [0, 2]]"], 2, "search.space"),
+    "sparsify-retention-zero": (None, [*_SPARSIFY, "--retention", "0"], 1, "--retention"),
+    "sparsify-retention-nan": (None, [*_SPARSIFY, "--retention", "nan"], 1, "--retention"),
+    "modules-retention-above-one": (
+        None, ["analyze", "modules", "--vector", "{vector}", "--retention", "1.5"], 1, "--retention"
+    ),
+    "interference-retain-a-zero": (
+        None, ["analyze", "sign-interference", *_PAIR, "--retain-a", "0"], 1, "--retain-a"
+    ),
+    "interference-retain-b-above-one": (
+        None, ["analyze", "sign-interference", *_PAIR, "--retain-b", "2"], 1, "--retain-b"
+    ),
+    "sweep-retentions-empty": (None, ["analyze", "sweep", *_PAIR, "--retentions", ","], 1, "--retentions"),
+    "sweep-retentions-above-one": (
+        None, ["analyze", "sweep", *_PAIR, "--retentions", "0.5,2"], 1, "--retentions"
+    ),
+    "norms-csv-onto-directory": (
+        DIRECTORY, ["analyze", "norms", "--vector", "{vector}", "--out-csv", "{file}"], 2, "cannot write"
+    ),
+    "norms-json-onto-directory": (
+        DIRECTORY, ["analyze", "norms", "--vector", "{vector}", "--out-json", "{file}"], 2, "cannot write"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_ends_in_one_error_line(setup, capsys, caplog, case):
+    tmp_path, checkpoints, _, config_path = setup
+    content, argv, code, needle = BAD_INPUTS[case]
+    vector = tmp_path / "tau.safetensors"
+    extract = ["extract", "--base", str(checkpoints["base"]), "--finetuned", str(checkpoints["sft"])]
+    assert main([*extract, "--out", str(vector)]) == 0
+    capsys.readouterr()
+    target = tmp_path / "file"
+    if content is DIRECTORY:
+        target.mkdir()
+    elif content is not None:
+        target.write_bytes(content)
+    args = [a.format(config=config_path, vector=vector, file=target) for a in argv]
+    assert main(args) == code
+    lines = capsys.readouterr().err.strip().splitlines()
+    prefix = "usage error:" if code == 1 else "error:"
+    assert len(lines) == 1 and lines[0].startswith(prefix) and needle in lines[0], lines
+    assert not [r for r in caplog.records if r.exc_info]
+    assert not list(tmp_path.rglob("*.tmp"))
+    if case.startswith("config-"):  # rejected before any stage runs
+        assert not (tmp_path / "ws" / "stage1").exists()

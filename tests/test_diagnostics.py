@@ -48,7 +48,8 @@ def test_layer_norms_consistent_with_global_norm():
     from tvfuse.task_vector import global_l2_norm
 
     total = global_l2_norm(tv)
-    assert abs(profile.global_norm() - total) / total <= 1e-9
+    summed = math.sqrt(sum(n * n for n in profile.per_layer.values()) + profile.non_layer**2)
+    assert abs(summed - total) / total <= 1e-9
     assert total == 5.0
 
 

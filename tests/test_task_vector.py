@@ -178,21 +178,14 @@ def test_sparsify_support_monotone_in_retention():
         assert smaller <= larger
 
 
-def test_sparsify_per_tensor_scope():
-    tv = multi(a=[10.0, 0.1], b=[0.2, 0.3])
-    got = tvec.sparsify(tv, 0.5, scope="per_tensor")
-    assert got.tensors["a"].tolist() == [10.0, 0.0]
-    assert got.tensors["b"].tolist() == [0.0, 0.3]
-
-
 # --- rescale ----------------------------------------------------------------------
 
 
 def test_rescale_worked_example():
     # Frozen from a 60-digit Decimal recomputation.
     sparse = tvec.sparsify(vec([3.0, -1.0, 0.5, 2.0]), 0.5)
-    original = math.sqrt(14.25)
-    got = tvec.rescale(sparse, original, 1e-8)
+    assert sparse.sparsity.original_norm == math.sqrt(14.25)
+    got = tvec.rescale(sparse, 1e-8)
     assert got.sparsity.rescale_gamma == pytest.approx(1.04697365777438672, rel=1e-12)
     assert got.tensors["w"][0] == pytest.approx(3.14092097332316016, rel=1e-12)
     assert got.tensors["w"][3] == pytest.approx(2.09394731554877344, rel=1e-12)
@@ -200,16 +193,17 @@ def test_rescale_worked_example():
 
 
 def test_rescale_identity_when_norm_matches():
-    tv = vec([3.0, 4.0])
-    got = tvec.rescale(tv, 5.0, 1e-12)
+    sparse = tvec.sparsify(vec([3.0, 4.0]), 1.0)
+    got = tvec.rescale(sparse, 1e-12)
     assert got.sparsity.rescale_gamma == pytest.approx(1.0, abs=1e-6)
 
 
 def test_rescale_degenerate_warns():
-    tv = vec([0.0, 0.0])
-    with pytest.warns(DegenerateRescaleWarning):
-        got = tvec.rescale(tv, 1.0, 1e-8)
-    assert got.sparsity.rescale_gamma == pytest.approx(1e8)
+    sparse = tvec.sparsify(vec([0.0, 0.0]), 1.0)
+    with pytest.warns(DegenerateRescaleWarning, match="gamma = 0"):
+        got = tvec.rescale(sparse, 1e-8)
+    assert got.sparsity.rescale_gamma == 0.0
+    assert got.tensors["w"].tolist() == [0.0, 0.0]
 
 
 def test_norm_preservation_property():
@@ -283,9 +277,9 @@ def test_save_load_round_trip(tmp_path):
     loaded = tvec.load_task_vector(path)
     assert loaded.source_base_id == "base-x"
     assert loaded.source_ft_id == "ft-y"
-    assert loaded.sparsity.retention_p == 0.25
-    assert loaded.sparsity.epsilon == 1e-8
-    assert loaded.sparsity.rescale_gamma == processed.sparsity.rescale_gamma
-    arc = archive.open_archive(path)
-    for key in ("retention_p", "threshold", "gamma", "epsilon", "original_norm"):
-        assert key in arc.metadata
+    metadata = archive.open_archive(path).metadata
+    assert metadata["retention_p"] == "0.25"
+    assert metadata["epsilon"] == "1e-08"
+    assert float(metadata["gamma"]) == processed.sparsity.rescale_gamma
+    for key in ("threshold", "original_norm", "retained_count"):
+        assert key in metadata
