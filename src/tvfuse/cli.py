@@ -63,6 +63,17 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _fractions(text: str) -> list[float]:
     """argparse type: a non-empty comma-separated list of fractions in (0, 1]."""
     values = [_fraction(item) for item in text.split(",") if item]
@@ -248,7 +259,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vector", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--retention", type=_fraction, default=0.30)
-    p.add_argument("--epsilon", type=float, default=1e-8)
+    p.add_argument("--epsilon", type=_positive, default=1e-8)
     p.add_argument("--no-rescale", action="store_true")
     p.set_defaults(handler=cmd_sparsify)
 

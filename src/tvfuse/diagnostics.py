@@ -25,7 +25,7 @@ import numpy as np
 
 from .archive import atomic_write_text
 from .errors import ConfigError, EmptyVectorError, InvalidPatternError, ShapeMismatchError
-from .task_vector import TaskVector, sparsify
+from .task_vector import TaskVector, _keep_masks, quantile_threshold, sparsify
 
 DEFAULT_LAYER_PATTERN = r"layers\.(\d+)"
 
@@ -165,7 +165,9 @@ def interference_sweep(
 ) -> list[InterferenceReport]:
     """One interference report per retention of the first vector.
 
-    `tv_b` is sparsified once and each retention of `tv_a` once.
+    `tv_b` is sparsified once; `tv_a` is never sparsified: one select finds
+    its cut at every retention, and one pass counts, per cut, the kept
+    entries of `tv_a` that oppose the sign of sparsified `tv_b`.
     """
     if not retentions_a:
         raise ValueError("retention list must be non-empty")
@@ -175,9 +177,26 @@ def interference_sweep(
         if tv_a.shapes[name] != tv_b.shapes[name]:
             raise ShapeMismatchError(f"tensor {name!r} shapes differ")
     sparse_b = sparsify(tv_b, retention_b)
-    # Each sparsified `tv_a` is a call argument, released before the next is built.
+    cuts = quantile_threshold(tv_a, retentions_a)
+    conflicts = [0] * len(cuts)
+    denominator = 0
+    for name, masks in _keep_masks(tv_a, cuts):
+        a = tv_a.tensors[name]
+        b = sparse_b.tensors[name]
+        support = np.flatnonzero(b)
+        denominator += support.size
+        # Kept entries of `tv_a` at these positions conflict; dropped ones have sign 0.
+        opposite = support[np.sign(a[support]) * np.sign(b[support]) < 0]
+        for i, mask in enumerate(masks):
+            conflicts[i] += int(np.count_nonzero(mask[opposite]))
     return [
-        count_conflicts(sparsify(tv_a, r), sparse_b, r, retention_b) for r in retentions_a
+        InterferenceReport(
+            retention_a=r,
+            retention_b=retention_b,
+            conflict_ratio=c / denominator if denominator else 0.0,
+            denominator_count=denominator,
+        )
+        for r, c in zip(retentions_a, conflicts)
     ]
 
 
@@ -203,13 +222,14 @@ def modulewise_activation(
     """
     if tv.num_parameters == 0:
         raise EmptyVectorError("task vector has no parameters")
-    sparse = sparsify(tv, retention)
+    cuts = quantile_threshold(tv, [retention])
     totals: dict[ModuleClass, int] = {}
     retained: dict[ModuleClass, int] = {}
-    for name in tv.sorted_names():
+    for name, (mask,) in _keep_masks(tv, cuts):
+        v = tv.tensors[name]
         cls = classify_module(name, rules)
-        totals[cls] = totals.get(cls, 0) + tv.tensors[name].size
-        retained[cls] = retained.get(cls, 0) + int(np.count_nonzero(sparse.tensors[name]))
+        totals[cls] = totals.get(cls, 0) + v.size
+        retained[cls] = retained.get(cls, 0) + int(np.count_nonzero(v[mask]))
     return {cls: retained[cls] / totals[cls] for cls in totals if totals[cls] > 0}
 
 

@@ -62,6 +62,10 @@ class EmptyVectorError(TvfuseError):
     """Operation requires at least one parameter."""
 
 
+class NonFiniteVectorError(TvfuseError):
+    """A task vector holds inf or NaN, so its magnitudes have no order."""
+
+
 class DegenerateRescaleWarning(UserWarning):
     """Rescaling an all-zero sparse vector: gamma collapses to norm/epsilon."""
 

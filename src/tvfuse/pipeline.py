@@ -56,6 +56,7 @@ from .task_vector import (
     global_l2_norm,
     load_task_vector,
     merge,
+    require_finite,
     save_task_vector,
     sparsify_and_rescale,
 )
@@ -456,8 +457,10 @@ def _stage_select_data(
 
 def _process_vector(config: PipelineConfig, tv: TaskVector) -> TaskVector:
     # At full retention the mask is the identity and no norm is lost, so the
-    # rescale step (whose epsilon would perturb gamma away from 1) is skipped.
+    # rescale step (whose epsilon would perturb gamma away from 1) is skipped;
+    # the select that would have rejected inf and NaN is skipped with it.
     if config.retention_p >= 1.0:
+        require_finite(tv)
         return tv
     return sparsify_and_rescale(tv, config.retention_p, epsilon=config.epsilon)
 
@@ -475,13 +478,14 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
     base = open_archive(config.base_path)
     summary: dict[str, Any] = {"retention_p": config.retention_p, "epsilon": config.epsilon}
     processed_vectors: dict[str, TaskVector] = {}
-    for label, source, out_path in (
-        ("sft", config.sft_path, paths.tau_sft),
-        ("rlvr", config.rlvr_path, paths.tau_rlvr),
-    ):
-        finetuned = open_archive(source)
-        tv = extract_task_vector(base, finetuned)
-        processed = processed_vectors[label] = _process_vector(config, tv)
+    for label, source in (("sft", config.sft_path), ("rlvr", config.rlvr_path)):
+        tv = extract_task_vector(base, open_archive(source))
+        processed_vectors[label] = _process_vector(config, tv)
+    del tv  # the raw rlvr vector; stage 2 no longer needs it
+    # Both vectors are processed, and so known to be finite, before either
+    # archive is written.
+    for label, out_path in (("sft", paths.tau_sft), ("rlvr", paths.tau_rlvr)):
+        processed = processed_vectors[label]
         save_task_vector(processed, out_path)
         # At full retention the processed vector is the raw one; otherwise
         # sparsify stored the raw vector's norm.
@@ -495,7 +499,6 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
                 gamma=processed.sparsity.rescale_gamma,
             )
         summary[label] = entry
-    del tv  # the raw rlvr vector; stage 2 no longer needs it
     # Sign interference at retention_p, counted on the processed vectors
     # instead of sparsifying the raw ones again: a processed vector is the
     # sparsified one times gamma >= 0 (0 only for an all-zero vector), or the

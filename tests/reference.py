@@ -83,6 +83,29 @@ def topk_indices(flat_abs: np.ndarray, k: int) -> set[int]:
     return set(order[:k])
 
 
+def retained_count(retention: float, total: int) -> int:
+    """ceil(retention * total), forgiving decimal-fraction error, in [1, total]."""
+    return min(max(math.ceil(retention * total - 1e-9), 1), total)
+
+
+def keep_top(flat: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k largest magnitudes of a flat vector, ties by earliest
+    position (a full stable sort)."""
+    keep = np.zeros(flat.size, dtype=bool)
+    keep[np.argsort(-np.abs(flat), kind="stable")[:k]] = True
+    return keep
+
+
+def interference(a: np.ndarray, b: np.ndarray, retention_a: float, retention_b: float):
+    """(conflict ratio, support size of pruned b) for flat name-ordered vectors."""
+    sparse_a = np.where(keep_top(a, retained_count(retention_a, a.size)), a, 0.0)
+    sparse_b = np.where(keep_top(b, retained_count(retention_b, b.size)), b, 0.0)
+    support = sparse_b != 0.0
+    conflicts = int(np.count_nonzero((np.sign(sparse_a) * np.sign(sparse_b))[support] < 0))
+    denominator = int(np.count_nonzero(support))
+    return (conflicts / denominator if denominator else 0.0), denominator
+
+
 # --- O(n^2) Pareto dominance ---------------------------------------------------
 
 

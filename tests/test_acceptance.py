@@ -182,7 +182,7 @@ def test_criterion_05_streaming_quantile():
             # Full-sort oracle: the k-th largest magnitude, k = ceil(3/10 * N) exactly.
             k = exact_ceil_fraction(3, 10, size)
             expected = np.sort(np.abs(values))[size - k]
-            got = tvec.quantile_threshold(make_vector(values), retention)
+            got = tvec.quantile_threshold(make_vector(values), [retention])[0].threshold
             assert got == expected, (distribution, seed, got, expected)
 
 

@@ -239,6 +239,11 @@ BAD_INPUTS = {
     "config-bound-null": (None, [*_RUN, "--set", "search.space=[[0, null], [0, 2]]"], 2, "search.space"),
     "sparsify-retention-zero": (None, [*_SPARSIFY, "--retention", "0"], 1, "--retention"),
     "sparsify-retention-nan": (None, [*_SPARSIFY, "--retention", "nan"], 1, "--retention"),
+    "sparsify-epsilon-zero": (None, [*_SPARSIFY, "--epsilon", "0"], 1, "--epsilon"),
+    "sparsify-epsilon-negative": (None, [*_SPARSIFY, "--epsilon", "-1"], 1, "--epsilon"),
+    "sparsify-epsilon-nan": (None, [*_SPARSIFY, "--epsilon", "nan"], 1, "--epsilon"),
+    "sparsify-epsilon-inf": (None, [*_SPARSIFY, "--epsilon", "inf"], 1, "--epsilon"),
+    "sparsify-epsilon-text": (None, [*_SPARSIFY, "--epsilon", "abc"], 1, "--epsilon"),
     "modules-retention-above-one": (
         None, ["analyze", "modules", "--vector", "{vector}", "--retention", "1.5"], 1, "--retention"
     ),
@@ -283,3 +288,53 @@ def test_bad_input_ends_in_one_error_line(setup, capsys, caplog, case):
     assert not list(tmp_path.rglob("*.tmp"))
     if case.startswith("config-"):  # rejected before any stage runs
         assert not (tmp_path / "ws" / "stage1").exists()
+
+
+def _poison(source: Path, target: Path, value: float) -> None:
+    """Copy an archive with `value` written into the last entry of its last tensor in name order."""
+    arc = archive.open_archive(source)
+    names = archive.byte_sorted(arc.entries)
+    entries = []
+    for name in names:
+        values = archive.read_tensor(arc, name).values.copy()
+        if name == names[-1]:
+            values[-1] = value
+        entries.append((name, arc.entries[name].dtype, list(arc.entries[name].shape), values))
+    archive.write_archive(entries, target)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_vector_ends_in_one_error_line(setup, capsys, caplog, value):
+    tmp_path, checkpoints, _, config_path = setup
+    _poison(checkpoints["rlvr"], tmp_path / "rlvr_bad.safetensors", value)
+    good, bad = tmp_path / "good.safetensors", tmp_path / "bad.safetensors"
+    base = ["extract", "--base", str(checkpoints["base"])]
+    assert main([*base, "--finetuned", str(checkpoints["sft"]), "--out", str(good)]) == 0
+    assert main([*base, "--finetuned", str(tmp_path / "rlvr_bad.safetensors"), "--out", str(bad)]) == 0
+    capsys.readouterr()
+    tensor = archive.byte_sorted(archive.open_archive(bad).entries)[-1]
+    for argv in (
+        ["sparsify", "--vector", str(bad), "--out", str(tmp_path / "out.safetensors")],
+        ["analyze", "sign-interference", "--a", str(good), "--b", str(bad)],
+        ["analyze", "sweep", "--a", str(bad), "--b", str(good)],
+        ["analyze", "modules", "--vector", str(bad)],
+    ):
+        assert main(argv) == 2, argv
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and tensor in lines[0], lines
+    assert not (tmp_path / "out.safetensors").exists()
+    assert not [r for r in caplog.records if r.exc_info]
+
+
+@pytest.mark.parametrize("retention", ["0.3", "1.0"])
+def test_non_finite_checkpoint_stops_run_before_stage_two_writes(setup, capsys, caplog, retention):
+    tmp_path, checkpoints, _, config_path = setup
+    _poison(checkpoints["rlvr"], tmp_path / "rlvr_bad.safetensors", float("nan"))
+    argv = ["run", "--config", str(config_path), "--set", f"rlvr_path={tmp_path / 'rlvr_bad.safetensors'}"]
+    assert main([*argv, "--set", f"retention_p={retention}"]) == 2
+    tensor = archive.byte_sorted(archive.open_archive(checkpoints["rlvr"]).entries)[-1]
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "task-vectors" in lines[0] and tensor in lines[0], lines
+    assert not [r for r in caplog.records if r.exc_info]
+    assert not list(WorkspacePaths(tmp_path / "ws").stage2.glob("*"))

@@ -150,7 +150,7 @@ def test_sweep_monotone_on_adversarial_vector():
         assert r.conflict_ratio == want_ratio and r.denominator_count == want_den
 
 
-def test_sweep_sparsifies_each_vector_and_retention_once(monkeypatch):
+def test_sweep_sparsifies_only_the_second_vector(monkeypatch):
     calls = []
 
     def counting_sparsify(tv, p):
@@ -162,8 +162,10 @@ def test_sweep_sparsifies_each_vector_and_retention_once(monkeypatch):
     a, b = vec(rng.standard_normal(50)), vec(rng.standard_normal(50))
     retentions = [1.0, 0.7, 0.4, 0.1]
     diag.interference_sweep(a, b, retentions, 0.1)
-    assert len(calls) == len(retentions) + 1
-    assert sorted(calls) == sorted([(id(b), 0.1)] + [(id(a), r) for r in retentions])
+    assert calls == [(id(b), 0.1)]
+    calls.clear()
+    diag.modulewise_activation(a, 0.1)
+    assert calls == []
 
 
 def test_sweep_points_equal_independent_calls():

@@ -106,17 +106,17 @@ def test_norm_across_tensors_matches_flat_pass():
 
 
 def test_threshold_sorted_oracle():
-    assert tvec.quantile_threshold(vec([3.0, -1.0, 0.5, 2.0]), 0.5) == 2.0
+    assert tvec.quantile_threshold(vec([3.0, -1.0, 0.5, 2.0]), [0.5])[0].threshold == 2.0
 
 
 def test_threshold_full_retention_with_zeros():
-    assert tvec.quantile_threshold(vec([3.0, 0.0, 2.0]), 1.0) == 0.0
-    assert tvec.quantile_threshold(vec([3.0, -1.0, 2.0]), 1.0) == 1.0
+    assert tvec.quantile_threshold(vec([3.0, 0.0, 2.0]), [1.0])[0].threshold == 0.0
+    assert tvec.quantile_threshold(vec([3.0, -1.0, 2.0]), [1.0])[0].threshold == 1.0
 
 
 def test_threshold_empty_vector():
     with pytest.raises(EmptyVectorError):
-        tvec.quantile_threshold(vec([]), 0.5)
+        tvec.quantile_threshold(vec([]), [0.5])
 
 
 def test_retained_target_decimal_fractions():
@@ -190,6 +190,12 @@ def test_rescale_worked_example():
     assert got.tensors["w"][0] == pytest.approx(3.14092097332316016, rel=1e-12)
     assert got.tensors["w"][3] == pytest.approx(2.09394731554877344, rel=1e-12)
     assert got.tensors["w"][1] == 0.0 and got.tensors["w"][2] == 0.0
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+def test_rescale_rejects_epsilon_that_is_not_finite_and_positive(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        tvec.rescale(tvec.sparsify(vec([3.0, 4.0]), 0.5), epsilon)
 
 
 def test_rescale_identity_when_norm_matches():
