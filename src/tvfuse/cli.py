@@ -29,12 +29,13 @@ from .diagnostics import (
     write_norms_csv,
 )
 from .errors import TvfuseError
-from .pipeline import PipelineConfig, load_config, load_report, run_pipeline
+from .pipeline import PipelineConfig, WorkspacePaths, load_config, load_report, run_pipeline, select_data
 from .task_vector import (
     extract_task_vector,
     global_l2_norm,
     load_task_vector,
     merge,
+    require_finite,
     rescale,
     save_task_vector,
     sparsify,
@@ -134,6 +135,8 @@ def cmd_merge(args) -> int:
             raise UsageError(f"--term coefficient is not a number in {spec!r}") from None
     base = open_archive(args.base)
     terms = [(load_task_vector(path), coeff) for path, coeff in parsed]
+    for tv, _ in terms:
+        require_finite(tv)
     merge(base, terms, args.out, out_dtype=args.dtype)
     print(f"wrote merged model to {args.out}")
     return 0
@@ -197,11 +200,8 @@ def cmd_analyze_modules(args) -> int:
 
 def cmd_select_data(args) -> int:
     config = _load_config(args)
-    config.validate()
-    from .pipeline import WorkspacePaths, build_backend, _stage_select_data
-
     paths = WorkspacePaths(Path(config.workspace))
-    selection = _stage_select_data(config, paths, build_backend(config), resume=args.resume)
+    selection = select_data(config, resume=args.resume)
     print(
         f"selected {len(selection.selected)} queries "
         f"({selection.drawn_from_low} low / {selection.drawn_from_medium} medium, "

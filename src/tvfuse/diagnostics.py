@@ -25,7 +25,7 @@ import numpy as np
 
 from .archive import atomic_write_text
 from .errors import ConfigError, EmptyVectorError, InvalidPatternError, ShapeMismatchError
-from .task_vector import TaskVector, _keep_masks, quantile_threshold, sparsify
+from .task_vector import TaskVector, keep_masks, quantile_threshold, require_finite, sparsify
 
 DEFAULT_LAYER_PATTERN = r"layers\.(\d+)"
 
@@ -105,6 +105,8 @@ def layerwise_norms(tv: TaskVector, layer_pattern: str = DEFAULT_LAYER_PATTERN) 
     for name in tv.sorted_names():
         v = tv.tensors[name]
         sq = float(np.sum(np.square(v)))
+        if not math.isfinite(sq):  # inf or NaN in `v`, or finite squares that overflow
+            require_finite(tv)
         match = compiled.search(name)
         if match is None:
             non_layer_sq += sq
@@ -180,7 +182,7 @@ def interference_sweep(
     cuts = quantile_threshold(tv_a, retentions_a)
     conflicts = [0] * len(cuts)
     denominator = 0
-    for name, masks in _keep_masks(tv_a, cuts):
+    for name, masks in keep_masks(tv_a, cuts):
         a = tv_a.tensors[name]
         b = sparse_b.tensors[name]
         support = np.flatnonzero(b)
@@ -225,7 +227,7 @@ def modulewise_activation(
     cuts = quantile_threshold(tv, [retention])
     totals: dict[ModuleClass, int] = {}
     retained: dict[ModuleClass, int] = {}
-    for name, (mask,) in _keep_masks(tv, cuts):
+    for name, (mask,) in keep_masks(tv, cuts):
         v = tv.tensors[name]
         cls = classify_module(name, rules)
         totals[cls] = totals.get(cls, 0) + v.size

@@ -185,11 +185,9 @@ def run_search(
         trial_log_path.parent.mkdir(parents=True, exist_ok=True)
         if resume:
             history = load_trial_log(trial_log_path)[: config.n_trials]
-            # Rewrite the log to the replayed records, so that the next
-            # record is not appended onto a dropped truncated line.
-            atomic_write_text(trial_log_path, "".join(t.to_json() + "\n" for t in history))
-        elif trial_log_path.exists():
-            trial_log_path.unlink()
+        # Rewrite the log to the replayed records, none on a fresh run, so no
+        # record is appended to a dropped truncated line or an earlier run's log.
+        atomic_write_text(trial_log_path, "".join(t.to_json() + "\n" for t in history))
         log_fh = open(trial_log_path, "a", encoding="utf-8")
     if history:
         logger.info("resuming search from %d completed trials", len(history))

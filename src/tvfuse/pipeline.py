@@ -21,6 +21,8 @@ seed and inputs.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import functools
 import hashlib
 import json
@@ -30,7 +32,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import __version__
 from .adaptation import (
@@ -48,7 +50,9 @@ from .diagnostics import count_conflicts, sign_interference  # noqa: F401
 from .errors import ConfigError, PipelineLockedError, StageError, TvfuseError
 from .evaluator import HttpBackend, MockBackend, encode_model_ref, quadratic_landscape
 from .evaluator.backend import EvaluationBackend, GenerationParams
-from .optimizer import SearchResult, SearchSpace, TpeConfig, run_search
+from .evaluator.prompts import PROMPT_PRESETS
+from .floats import DTYPES
+from .optimizer import SearchSpace, TpeConfig, run_search
 from .optimizer.pareto import SELECTION_RULES
 from .task_vector import (
     TaskVector,
@@ -72,12 +76,24 @@ _NUMBER_FIELDS = (
     "search.n_trials", "search.n_startup", "search.gamma_split", "search.n_candidates",
     "search.bandwidth_floor", "search.scalarize_ppl_weight", "search.k",
     "search.temperature", "search.max_tokens", "search.concurrency",
-    "backend.max_attempts", "backend.timeout",
+    "backend.max_attempts", "backend.timeout", "backend.mock.falloff", "backend.mock.ppl_base",
+    "backend.mock.ppl_slope", "backend.mock.seed", "backend.mock.query_jitter",
 )
+# Config fields that name a file, a model, a preset or a choice: each must
+# hold a string; the optional ones may also be null.
+_STRING_FIELDS = (
+    "base_path", "sft_path", "rlvr_path", "pool_path", "workspace", "search.prompt_preset",
+    "search.selection_rule", "backend.kind", "backend.sft_ref", "backend.rlvr_ref",
+)
+_OPTIONAL_STRING_FIELDS = ("output_dtype", "backend.url")
 
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_pair(value: Any) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
 
 
 # --- configuration ---------------------------------------------------------------
@@ -101,6 +117,19 @@ class SearchSettings:
 
 
 @dataclass
+class MockSettings:
+    """The mock backend's quadratic landscape, seed and model-ref aliases."""
+
+    peak: list[float] = field(default_factory=lambda: [0.8, 1.5])
+    falloff: float = 8.0
+    ppl_base: float = 2.0
+    ppl_slope: float = 1.0
+    seed: int = 0
+    query_jitter: float = 0.0
+    aliases: dict[str, list[float]] | None = None
+
+
+@dataclass
 class BackendSettings:
     kind: str = "mock"  # mock | http
     url: str | None = None
@@ -108,16 +137,7 @@ class BackendSettings:
     timeout: float = 60.0
     sft_ref: str = "sft"
     rlvr_ref: str = "rlvr"
-    mock: dict[str, Any] = field(
-        default_factory=lambda: {
-            "peak": [0.8, 1.5],
-            "falloff": 8.0,
-            "ppl_base": 2.0,
-            "ppl_slope": 1.0,
-            "seed": 0,
-            "query_jitter": 0.0,
-        }
-    )
+    mock: MockSettings = field(default_factory=MockSettings)
 
 
 @dataclass
@@ -145,6 +165,8 @@ class PipelineConfig:
         try:
             search = SearchSettings(**raw.pop("search", {}))
             backend = BackendSettings(**raw.pop("backend", {}))
+            if not isinstance(backend.mock, MockSettings):
+                backend.mock = MockSettings(**backend.mock)
             return cls(search=search, backend=backend, **raw)
         except TypeError as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
@@ -153,6 +175,23 @@ class PipelineConfig:
         return asdict(self)
 
     def validate(self) -> None:
+        def value_of(name: str) -> Any:
+            return functools.reduce(getattr, name.split("."), self)
+
+        numbers = {name: value_of(name) for name in _NUMBER_FIELDS}
+        if self.difficulty_threshold is not None:
+            numbers["difficulty_threshold"] = self.difficulty_threshold
+        wrong_type = [
+            f"{name} must be a number, got {value!r}"
+            for name, value in numbers.items()
+            if not _is_number(value)
+        ]
+        for name in _STRING_FIELDS + _OPTIONAL_STRING_FIELDS:
+            value = value_of(name)
+            if not (isinstance(value, str) or (value is None and name in _OPTIONAL_STRING_FIELDS)):
+                wrong_type.append(f"{name} must be a string, got {value!r}")
+        if wrong_type:
+            raise ConfigError("; ".join(wrong_type))
         problems: list[str] = []
         for label in ("base_path", "sft_path", "rlvr_path", "pool_path"):
             value = getattr(self, label)
@@ -162,16 +201,6 @@ class PipelineConfig:
                 problems.append(f"{label} does not exist: {value}")
         if not self.workspace:
             problems.append("workspace is required")
-        numbers = {name: functools.reduce(getattr, name.split("."), self) for name in _NUMBER_FIELDS}
-        if self.difficulty_threshold is not None:
-            numbers["difficulty_threshold"] = self.difficulty_threshold
-        wrong_type = [
-            f"{name} must be a number, got {value!r}"
-            for name, value in numbers.items()
-            if not _is_number(value)
-        ]
-        if wrong_type:
-            raise ConfigError("; ".join(problems + wrong_type))
         if not 0.0 < self.retention_p <= 1.0:
             problems.append(f"retention_p must be in (0, 1], got {self.retention_p}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -182,21 +211,31 @@ class PipelineConfig:
             problems.append("n must be >= 1")
         if not 0.0 <= self.easy_medium_ratio <= 1.0:
             problems.append("easy_medium_ratio must be in [0, 1]")
-        fixed = self.fixed_coefficients
-        if fixed is not None and not (
-            isinstance(fixed, (list, tuple)) and len(fixed) == 2 and all(map(_is_number, fixed))
-        ):
+        if self.fixed_coefficients is not None and not _is_pair(self.fixed_coefficients):
             problems.append("fixed_coefficients must hold exactly two numbers")
+        if self.output_dtype is not None and self.output_dtype not in DTYPES:
+            problems.append(f"output_dtype must be F32, F16 or BF16, got {self.output_dtype!r}")
+        preset = self.search.prompt_preset
+        if preset not in PROMPT_PRESETS and "{QUESTION}" not in preset:
+            problems.append(
+                f"search.prompt_preset must name a preset ({', '.join(PROMPT_PRESETS)}) "
+                f"or be a template holding {{QUESTION}}, got {preset!r}"
+            )
         if self.search.selection_rule not in SELECTION_RULES:
             problems.append(f"unknown selection_rule {self.search.selection_rule!r}")
         if self.backend.kind not in ("mock", "http"):
             problems.append(f"backend.kind must be mock or http, got {self.backend.kind!r}")
         if self.backend.kind == "http" and not self.backend.url:
             problems.append("backend.url is required for the http backend")
+        if not _is_pair(self.backend.mock.peak):
+            problems.append("backend.mock.peak must hold exactly two numbers")
+        aliases = self.backend.mock.aliases
+        if aliases is not None and not (
+            isinstance(aliases, dict) and all(map(_is_pair, aliases.values()))
+        ):
+            problems.append("backend.mock.aliases must map each name to exactly two numbers")
         space = self.search.space
-        if not (isinstance(space, (list, tuple)) and len(space) == 2 and all(
-            isinstance(b, (list, tuple)) and len(b) == 2 and all(map(_is_number, b)) for b in space
-        )):
+        if not (isinstance(space, (list, tuple)) and len(space) == 2 and all(map(_is_pair, space))):
             problems.append("search.space must be two [low, high] pairs of numbers")
         else:
             try:
@@ -283,21 +322,18 @@ def build_backend(config: PipelineConfig) -> EvaluationBackend:
             )
         except ValueError as exc:
             raise ConfigError(f"invalid backend: {exc}") from exc
-    mock = dict(config.backend.mock)
+    mock = config.backend.mock
     landscape = quadratic_landscape(
-        peak=tuple(mock.get("peak", (0.8, 1.5))),
-        falloff=float(mock.get("falloff", 8.0)),
-        ppl_base=float(mock.get("ppl_base", 2.0)),
-        ppl_slope=float(mock.get("ppl_slope", 1.0)),
+        peak=tuple(mock.peak),
+        falloff=float(mock.falloff),
+        ppl_base=float(mock.ppl_base),
+        ppl_slope=float(mock.ppl_slope),
     )
     aliases = None
-    if "aliases" in mock:
-        aliases = {name: tuple(coeffs) for name, coeffs in mock["aliases"].items()}
+    if mock.aliases is not None:
+        aliases = {name: tuple(coeffs) for name, coeffs in mock.aliases.items()}
     return MockBackend(
-        landscape,
-        seed=int(mock.get("seed", 0)),
-        aliases=aliases,
-        query_jitter=float(mock.get("query_jitter", 0.0)),
+        landscape, seed=int(mock.seed), aliases=aliases, query_jitter=float(mock.query_jitter)
     )
 
 
@@ -313,31 +349,35 @@ def _sha256_file(path: str | Path) -> str:
 
 
 class WorkspaceLock:
-    """One pipeline per workspace; a stale lock from a dead process is reclaimed."""
+    """One pipeline per workspace: an exclusive `flock` on `.lock` held until exit,
+    which the kernel drops if the holder dies. The pid in the file is for people."""
 
     def __init__(self, workspace: Path):
         self.path = workspace / LOCK_NAME
 
     def __enter__(self) -> "WorkspaceLock":
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self.path.exists():
+        while True:
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
             try:
-                owner = int(self.path.read_text().strip())
-                os.kill(owner, 0)
-            except (ValueError, ProcessLookupError):
-                logger.warning("reclaiming stale lock %s", self.path)
-                self.path.unlink(missing_ok=True)
-            except PermissionError:
-                raise PipelineLockedError(f"workspace locked by pid in {self.path}")
-            else:
-                raise PipelineLockedError(f"workspace locked by running pid {owner}")
-        fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                raise PipelineLockedError(f"workspace locked by another run: {self.path}") from None
+            # Only a holder unlinks the file, just before it unlocks; a lock on
+            # an unlinked file guards nothing, so open the path anew.
+            if os.fstat(fd).st_nlink:
+                break
+            os.close(fd)
+        os.ftruncate(fd, 0)
+        os.write(fd, str(os.getpid()).encode("ascii"))
+        self._fd = fd
         return self
 
     def __exit__(self, *exc_info) -> None:
+        # Unlink before closing, which unlocks: see `__enter__`.
         self.path.unlink(missing_ok=True)
+        os.close(self._fd)
 
 
 @dataclass
@@ -359,6 +399,10 @@ class WorkspacePaths:
     @property
     def difficulty_records(self) -> Path:
         return self.stage1 / "difficulty_records.json"
+
+    @property
+    def scoring_failures(self) -> Path:
+        return self.stage1 / "scoring_failures.json"
 
     @property
     def adaptation_set(self) -> Path:
@@ -440,9 +484,9 @@ def _stage_select_data(
     )
     save_difficulty_records(records, paths.difficulty_records)
     if failures:
-        atomic_write_text(
-            paths.stage1 / "scoring_failures.json", json.dumps(failures, indent=2)
-        )
+        atomic_write_text(paths.scoring_failures, json.dumps(failures, indent=2))
+    else:
+        paths.scoring_failures.unlink(missing_ok=True)
     selection = build_adaptation_set(
         records,
         m=config.m,
@@ -549,39 +593,38 @@ def _stage_search(
     backend: EvaluationBackend,
     selection: AdaptationSet,
     resume: bool,
-) -> SearchResult | None:
+) -> tuple[tuple[float, float], str]:
+    paths.stage3.mkdir(parents=True, exist_ok=True)
     if config.fixed_coefficients is not None:
         logger.info("fixed coefficients %s: skipping search", config.fixed_coefficients)
-        return None
-    pool = load_query_pool(config.pool_path)
-    texts = dict(pool.queries)
-    queries = [(qid, texts[qid]) for qid in selection.selected]
-    paths.stage3.mkdir(parents=True, exist_ok=True)
-    result = run_search(
-        merge_builder=make_merge_builder(config, paths),
-        backend=backend,
-        queries=queries,
-        config=config.tpe_config(),
-        space=config.search_space(),
-        samples_per_query=config.search.k,
-        gen_params=config.gen_params(),
-        selection_rule=config.search.selection_rule,
-        concurrency=config.search.concurrency,
-        trial_log_path=paths.trial_log,
-        resume=resume,
-    )
-    payload = result.to_dict()
-    payload["recipe"] = {
-        "base_id": config.base_path,
-        "terms": [
-            {"task_vector_id": str(path), "coefficient": coeff}
-            for path, coeff in zip((paths.tau_sft, paths.tau_rlvr), result.coefficients)
-        ],
-    }
+        payload = {"selection_rule": "fixed", "coefficients": list(config.fixed_coefficients)}
+    else:
+        texts = dict(load_query_pool(config.pool_path).queries)
+        result = run_search(
+            merge_builder=make_merge_builder(config, paths),
+            backend=backend,
+            queries=[(qid, texts[qid]) for qid in selection.selected],
+            config=config.tpe_config(),
+            space=config.search_space(),
+            samples_per_query=config.search.k,
+            gen_params=config.gen_params(),
+            selection_rule=config.search.selection_rule,
+            concurrency=config.search.concurrency,
+            trial_log_path=paths.trial_log,
+            resume=resume,
+        )
+        # The shared candidate file is transient scratch; drop it after scoring.
+        paths.candidate.unlink(missing_ok=True)
+        payload = result.to_dict()
+        payload["recipe"] = {
+            "base_id": config.base_path,
+            "terms": [
+                {"task_vector_id": str(path), "coefficient": coeff}
+                for path, coeff in zip((paths.tau_sft, paths.tau_rlvr), result.coefficients)
+            ],
+        }
     atomic_write_text(paths.search_result, json.dumps(payload, indent=2))
-    # The shared candidate file is transient scratch; drop it after scoring.
-    paths.candidate.unlink(missing_ok=True)
-    return result
+    return tuple(payload["coefficients"]), payload["selection_rule"]
 
 
 def _stage_final_merge(
@@ -602,13 +645,29 @@ def _stage_final_merge(
 # --- driver ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _open_workspace(config: PipelineConfig) -> Iterator[tuple[WorkspacePaths, EvaluationBackend]]:
+    """Validate `config`, build its backend and lock its workspace; close the backend on exit."""
+    config.validate()
+    paths = WorkspacePaths(Path(config.workspace))
+    backend = build_backend(config)
+    try:
+        with WorkspaceLock(paths.root):
+            yield paths, backend
+    finally:
+        if isinstance(backend, HttpBackend):
+            backend.close()
+
+
+def select_data(config: PipelineConfig, resume: bool = False) -> AdaptationSet:
+    """Run stage 1 alone: score query difficulty and write the adaptation set."""
+    with _open_workspace(config) as (paths, backend):
+        return _stage_select_data(config, paths, backend, resume)
+
+
 def run_pipeline(
     config: PipelineConfig, resume: bool = False, final_merge: bool = True
 ) -> RunReport:
-    config.validate()
-    workspace = Path(config.workspace)
-    paths = WorkspacePaths(workspace)
-    backend = build_backend(config)
     stage_seconds: dict[str, float] = {}
 
     def timed(stage: str, fn, *args):
@@ -620,29 +679,12 @@ def run_pipeline(
         stage_seconds[stage] = time.perf_counter() - started
         return value
 
-    with WorkspaceLock(workspace):
-        try:
-            selection = timed("select-data", _stage_select_data, config, paths, backend, resume)
-            vector_summary = timed("task-vectors", _stage_task_vectors, config, paths, resume)
-            result = timed("search", _stage_search, config, paths, backend, selection, resume)
-        finally:
-            if isinstance(backend, HttpBackend):
-                backend.close()
-
-        if result is not None:
-            coefficients = result.coefficients
-            selection_rule = result.selection_rule
-        else:
-            coefficients = tuple(config.fixed_coefficients)  # type: ignore[arg-type]
-            selection_rule = "fixed"
-            paths.stage3.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(
-                paths.search_result,
-                json.dumps(
-                    {"selection_rule": "fixed", "coefficients": list(coefficients)}, indent=2
-                ),
-            )
-
+    with _open_workspace(config) as (paths, backend):
+        selection = timed("select-data", _stage_select_data, config, paths, backend, resume)
+        vector_summary = timed("task-vectors", _stage_task_vectors, config, paths, resume)
+        coefficients, selection_rule = timed(
+            "search", _stage_search, config, paths, backend, selection, resume
+        )
         final_path: Path | None = None
         if final_merge:
             final_path = timed("final-merge", _stage_final_merge, config, paths, coefficients)

@@ -274,7 +274,7 @@ def quantile_threshold(tv: TaskVector, retentions: Sequence[float]) -> list[Cut]
     return cuts
 
 
-def _keep_masks(tv: TaskVector, cuts: Sequence[Cut]):
+def keep_masks(tv: TaskVector, cuts: Sequence[Cut]):
     """Per tensor in name order: (name, one keep mask per cut).
 
     A cut keeps |v| > threshold, then the first k - count_above ties
@@ -299,7 +299,7 @@ def sparsify(tv: TaskVector, p: float) -> TaskVector:
     original_norm = global_l2_norm(tv)
     (cut,) = quantile_threshold(tv, [p])
     result = TaskVector(
-        tensors={name: np.where(mask, tv.tensors[name], 0.0) for name, (mask,) in _keep_masks(tv, [cut])},
+        tensors={name: np.where(mask, tv.tensors[name], 0.0) for name, (mask,) in keep_masks(tv, [cut])},
         shapes=dict(tv.shapes),
         source_base_id=tv.source_base_id,
         source_ft_id=tv.source_ft_id,

@@ -9,7 +9,7 @@ import pytest
 from synth import make_checkpoint_trio, make_config, make_query_pool
 from tvfuse import archive
 from tvfuse.cli import main
-from tvfuse.pipeline import WorkspacePaths
+from tvfuse.pipeline import WorkspaceLock, WorkspacePaths
 from tvfuse.task_vector import load_task_vector
 
 
@@ -133,6 +133,16 @@ def test_select_data_subcommand(setup, capsys):
     assert "selected 8 queries" in out
 
 
+def test_select_data_while_locked_exits_two_before_work(setup, capsys, caplog):
+    tmp_path, _, _, config_path = setup
+    with WorkspaceLock(tmp_path / "ws"):
+        assert main(["select-data", "--config", str(config_path)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "locked" in lines[0], lines
+    assert not [r for r in caplog.records if r.exc_info]
+    assert not (tmp_path / "ws" / "stage1").exists()
+
+
 def test_run_and_report_subcommands(setup, capsys):
     tmp_path, _, _, config_path = setup
     code = main(["run", "--config", str(config_path), "--set", "search.n_trials=20", "--set", "search.n_startup=6"])
@@ -237,6 +247,24 @@ BAD_INPUTS = {
         None, [*_RUN, "--set", 'fixed_coefficients=[1, "a"]'], 2, "fixed_coefficients"
     ),
     "config-bound-null": (None, [*_RUN, "--set", "search.space=[[0, null], [0, 2]]"], 2, "search.space"),
+    "config-mock-falloff-string": (
+        None, [*_RUN, "--set", "backend.mock.falloff=abc"], 2, "backend.mock.falloff"
+    ),
+    "config-mock-peak-number": (None, [*_RUN, "--set", "backend.mock.peak=3"], 2, "backend.mock.peak"),
+    "config-mock-alias-one-number": (
+        None, [*_RUN, "--set", 'backend.mock.aliases={{"sft": [1]}}'], 2, "backend.mock.aliases"
+    ),
+    "config-mock-number": (None, [*_RUN, "--set", "backend.mock=5"], 2, "MockSettings"),
+    "config-mock-unknown-key": (None, [*_RUN, "--set", "backend.mock.peek=[1, 1]"], 2, "peek"),
+    "config-base-path-number": (None, [*_RUN, "--set", "base_path=3"], 2, "base_path"),
+    "config-workspace-number": (None, [*_RUN, "--set", "workspace=3"], 2, "workspace"),
+    "config-url-number": (None, [*_RUN, "--set", "backend.url=3"], 2, "backend.url"),
+    "config-sft-ref-number": (None, [*_RUN, "--set", "backend.sft_ref=3"], 2, "backend.sft_ref"),
+    "config-preset-number": (None, [*_RUN, "--set", "search.prompt_preset=3"], 2, "prompt_preset"),
+    "config-preset-typo": (
+        None, [*_RUN, "--set", "search.prompt_preset=qwen-structred"], 2, "prompt_preset"
+    ),
+    "config-output-dtype-f64": (None, [*_RUN, "--set", "output_dtype=F64"], 2, "output_dtype"),
     "sparsify-retention-zero": (None, [*_SPARSIFY, "--retention", "0"], 1, "--retention"),
     "sparsify-retention-nan": (None, [*_SPARSIFY, "--retention", "nan"], 1, "--retention"),
     "sparsify-epsilon-zero": (None, [*_SPARSIFY, "--epsilon", "0"], 1, "--epsilon"),
@@ -318,6 +346,8 @@ def test_non_finite_vector_ends_in_one_error_line(setup, capsys, caplog, value):
         ["analyze", "sign-interference", "--a", str(good), "--b", str(bad)],
         ["analyze", "sweep", "--a", str(bad), "--b", str(good)],
         ["analyze", "modules", "--vector", str(bad)],
+        ["analyze", "norms", "--vector", str(bad)],
+        ["merge", "--base", str(checkpoints["base"]), "--term", f"{bad}=0.5", "--out", str(tmp_path / "out.safetensors")],
     ):
         assert main(argv) == 2, argv
         lines = capsys.readouterr().err.strip().splitlines()

@@ -9,6 +9,9 @@ users: a helper that only tests reach belongs with the tests.
 The benchmark patches some names by their string (``tracer.patch(pipeline,
 "merge", ...)``), so a string constant equal to a name counts as a
 reference too.
+
+A `_`-prefixed name is private to its module: no other module of the
+package imports it.
 """
 
 from __future__ import annotations
@@ -82,3 +85,21 @@ def unused_names() -> list[str]:
 def test_every_top_level_name_has_a_user_outside_the_tests():
     unused = unused_names()
     assert not unused, f"names no program code uses: {unused}"
+
+
+def private_imports() -> list[str]:
+    found = []
+    for path in _modules(PACKAGE):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                found.extend(
+                    f"{path.relative_to(PACKAGE)}: {node.module or '.'}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                )
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = private_imports()
+    assert not found, f"imports of private names: {found}"

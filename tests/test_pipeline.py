@@ -3,6 +3,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,7 +16,7 @@ import pytest
 from reference import read_tensor_bytes
 from synth import make_checkpoint_trio, make_config, make_query_pool
 from tvfuse import archive, diagnostics, pipeline, task_vector
-from tvfuse.errors import ConfigError, PipelineLockedError
+from tvfuse.errors import BackendFailure, ConfigError, PipelineLockedError
 from tvfuse.evaluator import MockBackend
 from tvfuse.floats import narrow_from_f64
 from tvfuse.pipeline import (
@@ -25,6 +29,7 @@ from tvfuse.pipeline import (
     load_config,
     load_report,
     run_pipeline,
+    select_data,
 )
 
 
@@ -216,11 +221,128 @@ def test_lock_blocks_concurrent_runs(setup):
     tmp_path, _, _, config_path = setup
     config = load_config(config_path)
     workspace = Path(config.workspace)
-    workspace.mkdir(parents=True, exist_ok=True)
-    (workspace / ".lock").write_text(str(os.getpid()))
-    with pytest.raises(PipelineLockedError):
-        run_pipeline(config)
-    (workspace / ".lock").unlink()
+    with WorkspaceLock(workspace):
+        with pytest.raises(PipelineLockedError):
+            with WorkspaceLock(workspace):
+                pass
+        with pytest.raises(PipelineLockedError):
+            run_pipeline(config)
+        assert (workspace / ".lock").read_text() == str(os.getpid())
+    assert not (workspace / "stage1").exists()
+    assert not (workspace / ".lock").exists()
+
+
+_HOLD_LOCK = """
+import sys, time
+from pathlib import Path
+from tvfuse.pipeline import WorkspaceLock
+with WorkspaceLock(Path(sys.argv[1])):
+    print("locked", flush=True)
+    time.sleep(120)
+"""
+
+
+def test_lock_of_a_killed_holder_does_not_block_the_next_run(tmp_path):
+    workspace = tmp_path / "ws"
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    holder = subprocess.Popen(
+        [sys.executable, "-c", _HOLD_LOCK, str(workspace)],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    try:
+        assert holder.stdout.readline().strip() == "locked"
+        with pytest.raises(PipelineLockedError):
+            with WorkspaceLock(workspace):
+                pass
+        holder.kill()  # SIGKILL: no cleanup runs, so `.lock` stays behind
+        holder.wait(timeout=30)
+    finally:
+        if holder.poll() is None:
+            holder.kill()
+            holder.wait(timeout=30)
+        holder.stdout.close()
+    assert (workspace / ".lock").read_text() == str(holder.pid)
+    with WorkspaceLock(workspace):
+        assert (workspace / ".lock").read_text() == str(os.getpid())
+    assert not (workspace / ".lock").exists()
+
+
+def test_lock_admits_one_holder_at_a_time(tmp_path):
+    # Each thread opens `.lock` on its own, and flock locks conflict between
+    # open files even within one process, so threads race like processes.
+    workspace = tmp_path / "ws"
+    guard = threading.Lock()
+    state = {"holding": 0, "most": 0, "entries": 0}
+    errors: list[BaseException] = []
+    deadline = time.monotonic() + 2.0
+
+    def contend():
+        try:
+            while time.monotonic() < deadline:
+                try:
+                    with WorkspaceLock(workspace):
+                        with guard:
+                            state["holding"] += 1
+                            state["entries"] += 1
+                            state["most"] = max(state["most"], state["holding"])
+                        time.sleep(0)
+                        with guard:
+                            state["holding"] -= 1
+                except PipelineLockedError:
+                    pass
+        except BaseException as exc:  # reported by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=contend) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert state["most"] == 1 and state["entries"] > 1, state
+    assert not (workspace / ".lock").exists()
+
+
+def test_fixed_coefficients_write_the_same_search_result_bytes(setup):
+    tmp_path, checkpoints, pool, _ = setup
+    config_path = make_config(
+        tmp_path / "fixed", checkpoints, pool, tmp_path / "ws_fixed", fixed_coefficients=[0.5, 1.25]
+    )
+    config = load_config(config_path)
+    report = run_pipeline(config, final_merge=False)
+    assert (report.coefficients, report.selection_rule) == ([0.5, 1.25], "fixed")
+    expected = '{\n  "selection_rule": "fixed",\n  "coefficients": [\n    0.5,\n    1.25\n  ]\n}'
+    assert WorkspacePaths(Path(config.workspace)).search_result.read_text() == expected
+
+
+def test_fresh_stage_one_leaves_no_stale_scoring_failures(setup, monkeypatch):
+    _, _, _, config_path = setup
+    config = load_config(config_path)
+    paths = WorkspacePaths(Path(config.workspace))
+    original_generate = MockBackend.generate
+    failing_prompt: list[str] = []
+
+    def flaky_generate(self, request):
+        # Fail every request for the first prompt seen, so one query fails.
+        failing_prompt[:] = failing_prompt or [request.prompt]
+        if request.prompt == failing_prompt[0]:
+            raise BackendFailure("simulated outage")
+        return original_generate(self, request)
+
+    monkeypatch.setattr(MockBackend, "generate", flaky_generate)
+    select_data(config)
+    assert len(json.loads(paths.scoring_failures.read_text())) == 1
+    monkeypatch.setattr(MockBackend, "generate", original_generate)
+    select_data(config)
+    assert not paths.scoring_failures.exists()
 
 
 def test_stale_lock_is_reclaimed(tmp_path):
