@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -66,20 +66,6 @@ class AdaptationSet:
     backfill_count: int = 0
     drawn_from_low: int = 0
     drawn_from_medium: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "low_pool_ids": self.low_pool_ids,
-            "medium_pool_ids": self.medium_pool_ids,
-            "selected": self.selected,
-            "seed": self.seed,
-            "m": self.m,
-            "n": self.n,
-            "threshold": self.threshold,
-            "backfill_count": self.backfill_count,
-            "drawn_from_low": self.drawn_from_low,
-            "drawn_from_medium": self.drawn_from_medium,
-        }
 
 
 def default_threshold(m: int) -> float:
@@ -231,8 +217,4 @@ def build_adaptation_set(
 
 
 def save_difficulty_records(records: Sequence[DifficultyRecord], path: str | Path) -> None:
-    payload = [
-        {"query_id": r.query_id, "c_sft": r.c_sft, "c_rlvr": r.c_rlvr, "difficulty": r.difficulty}
-        for r in records
-    ]
-    atomic_write_text(path, json.dumps(payload, indent=2))
+    atomic_write_text(path, json.dumps([asdict(r) for r in records], indent=2))

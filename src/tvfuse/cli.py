@@ -12,6 +12,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -36,9 +37,9 @@ from .task_vector import (
     load_task_vector,
     merge,
     require_finite,
-    rescale,
     save_task_vector,
     sparsify,
+    sparsify_and_rescale,
 )
 
 logger = logging.getLogger(__name__)
@@ -111,9 +112,10 @@ def cmd_extract(args) -> int:
 
 def cmd_sparsify(args) -> int:
     tv = load_task_vector(args.vector)
-    sparse = sparsify(tv, args.retention)
-    if not args.no_rescale:
-        sparse = rescale(sparse, args.epsilon)
+    if args.no_rescale:
+        sparse = sparsify(tv, args.retention)
+    else:
+        sparse = sparsify_and_rescale(tv, args.retention, args.epsilon)
     save_task_vector(sparse, args.out)
     info = sparse.sparsity
     print(
@@ -232,7 +234,7 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     report = load_report(args.workspace)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(asdict(report), indent=2))
     return 0
 
 

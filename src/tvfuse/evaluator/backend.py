@@ -115,7 +115,7 @@ def map_queries(
     """
     results: list[T] = []
     failures: list[tuple[str, BackendFailure]] = []
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as executor:
+    with ThreadPoolExecutor(max_workers=concurrency) as executor:
         futures = [executor.submit(fn, i, qid, text) for i, (qid, text) in enumerate(queries)]
         for (qid, _), future in zip(queries, futures):
             try:

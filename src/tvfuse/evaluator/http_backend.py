@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import threading
 import time
@@ -61,6 +62,8 @@ class HttpBackend:
     ):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"timeout must be finite and > 0, got {timeout}")
         self.base_url = base_url.rstrip("/")
         url = urlsplit(self.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:

@@ -69,15 +69,20 @@ logger = logging.getLogger(__name__)
 
 LOCK_NAME = ".lock"
 
-# Config fields that `validate` compares or later arithmetic uses: each must
-# hold an int or a float, not a bool.
+# Config fields that count, size or seed something: each must hold an int,
+# not a bool.
+_INTEGER_FIELDS = (
+    "seed", "m", "n", "search.n_trials", "search.n_startup", "search.n_candidates",
+    "search.k", "search.max_tokens", "search.concurrency", "backend.max_attempts",
+    "backend.mock.seed",
+)
+# The other config fields that `validate` compares or later arithmetic uses:
+# each must hold an int or a float, not a bool.
 _NUMBER_FIELDS = (
-    "seed", "retention_p", "epsilon", "m", "n", "easy_medium_ratio",
-    "search.n_trials", "search.n_startup", "search.gamma_split", "search.n_candidates",
-    "search.bandwidth_floor", "search.scalarize_ppl_weight", "search.k",
-    "search.temperature", "search.max_tokens", "search.concurrency",
-    "backend.max_attempts", "backend.timeout", "backend.mock.falloff", "backend.mock.ppl_base",
-    "backend.mock.ppl_slope", "backend.mock.seed", "backend.mock.query_jitter",
+    "retention_p", "epsilon", "easy_medium_ratio", "search.gamma_split",
+    "search.bandwidth_floor", "search.scalarize_ppl_weight", "search.temperature",
+    "backend.timeout", "backend.mock.falloff", "backend.mock.ppl_base",
+    "backend.mock.ppl_slope", "backend.mock.query_jitter",
 )
 # Config fields that name a file, a model, a preset or a choice: each must
 # hold a string; the optional ones may also be null.
@@ -86,6 +91,10 @@ _STRING_FIELDS = (
     "search.selection_rule", "backend.kind", "backend.sft_ref", "backend.rlvr_ref",
 )
 _OPTIONAL_STRING_FIELDS = ("output_dtype", "backend.url")
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value: Any) -> bool:
@@ -171,17 +180,20 @@ class PipelineConfig:
         except TypeError as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
     def validate(self) -> None:
         def value_of(name: str) -> Any:
             return functools.reduce(getattr, name.split("."), self)
 
+        integers = {name: value_of(name) for name in _INTEGER_FIELDS}
         numbers = {name: value_of(name) for name in _NUMBER_FIELDS}
         if self.difficulty_threshold is not None:
             numbers["difficulty_threshold"] = self.difficulty_threshold
         wrong_type = [
+            f"{name} must be an integer, got {value!r}"
+            for name, value in integers.items()
+            if not _is_integer(value)
+        ]
+        wrong_type += [
             f"{name} must be a number, got {value!r}"
             for name, value in numbers.items()
             if not _is_number(value)
@@ -253,6 +265,8 @@ class PipelineConfig:
             problems.append(f"search.temperature must be finite and >= 0, got {temperature}")
         if self.search.max_tokens < 1:
             problems.append("search.max_tokens must be >= 1")
+        if self.search.concurrency < 1:
+            problems.append("search.concurrency must be >= 1")
         if problems:
             raise ConfigError("; ".join(problems))
         if (
@@ -333,7 +347,7 @@ def build_backend(config: PipelineConfig) -> EvaluationBackend:
     if mock.aliases is not None:
         aliases = {name: tuple(coeffs) for name, coeffs in mock.aliases.items()}
     return MockBackend(
-        landscape, seed=int(mock.seed), aliases=aliases, query_jitter=float(mock.query_jitter)
+        landscape, seed=mock.seed, aliases=aliases, query_jitter=float(mock.query_jitter)
     )
 
 
@@ -454,9 +468,6 @@ class RunReport:
     selection_rule: str
     final_model: str | None
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 # --- stages --------------------------------------------------------------------------
 
@@ -495,7 +506,7 @@ def _stage_select_data(
         threshold=config.difficulty_threshold,
         easy_ratio=config.easy_medium_ratio,
     )
-    atomic_write_text(paths.adaptation_set, json.dumps(selection.to_dict(), indent=2))
+    atomic_write_text(paths.adaptation_set, json.dumps(asdict(selection), indent=2))
     return selection
 
 
@@ -521,11 +532,10 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
     paths.stage2.mkdir(parents=True, exist_ok=True)
     base = open_archive(config.base_path)
     summary: dict[str, Any] = {"retention_p": config.retention_p, "epsilon": config.epsilon}
-    processed_vectors: dict[str, TaskVector] = {}
-    for label, source in (("sft", config.sft_path), ("rlvr", config.rlvr_path)):
-        tv = extract_task_vector(base, open_archive(source))
-        processed_vectors[label] = _process_vector(config, tv)
-    del tv  # the raw rlvr vector; stage 2 no longer needs it
+    processed_vectors = {
+        label: _process_vector(config, extract_task_vector(base, open_archive(source)))
+        for label, source in (("sft", config.sft_path), ("rlvr", config.rlvr_path))
+    }
     # Both vectors are processed, and so known to be finite, before either
     # archive is written.
     for label, out_path in (("sft", paths.tau_sft), ("rlvr", paths.tau_rlvr)):
@@ -550,38 +560,46 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
     interference = count_conflicts(
         processed_vectors["sft"], processed_vectors["rlvr"], config.retention_p, config.retention_p
     )
-    summary["sign_interference"] = {
-        "retention_a": interference.retention_a,
-        "retention_b": interference.retention_b,
-        "conflict_ratio": interference.conflict_ratio,
-        "denominator_count": interference.denominator_count,
-    }
+    summary["sign_interference"] = asdict(interference)
     atomic_write_text(paths.vector_summary, json.dumps(summary, indent=2))
     return summary
+
+
+def _stage2_merger(
+    config: PipelineConfig, paths: WorkspacePaths
+) -> Callable[[tuple[float, float], Path], None]:
+    """Open the base archive and load both stage-2 vectors; return a function
+    that writes base + c_sft * tau_sft + c_rlvr * tau_rlvr to a path.
+
+    The vectors come from the stage-2 archives (the canonical post-narrowing
+    values), so search-time candidates and the final model are built from
+    exactly the same data as any resumed run.
+    """
+    base = open_archive(config.base_path)
+    tau_sft = load_task_vector(paths.tau_sft)
+    tau_rlvr = load_task_vector(paths.tau_rlvr)
+
+    def merge_to(coeffs: tuple[float, float], out_path: Path) -> None:
+        merge(
+            base,
+            [(tau_sft, coeffs[0]), (tau_rlvr, coeffs[1])],
+            out_path,
+            out_dtype=config.output_dtype,
+        )
+
+    return merge_to
 
 
 def make_merge_builder(
     config: PipelineConfig, paths: WorkspacePaths
 ) -> Callable[[tuple[float, float]], str]:
-    """Candidate factory for the search: merge to one reusable path on disk.
-
-    Loads the processed vectors from the stage-2 archives (the canonical
-    post-narrowing values), so search-time candidates and the final model
-    are built from exactly the same data as any resumed run.
-    """
-    base = open_archive(config.base_path)
-    tau_sft = load_task_vector(paths.tau_sft)
-    tau_rlvr = load_task_vector(paths.tau_rlvr)
+    """Candidate factory for the search: merge to one reusable path on disk."""
+    merge_to = _stage2_merger(config, paths)
     paths.candidate.parent.mkdir(parents=True, exist_ok=True)
     as_path = config.backend.kind == "http"
 
     def builder(coeffs: tuple[float, float]) -> str:
-        merge(
-            base,
-            [(tau_sft, coeffs[0]), (tau_rlvr, coeffs[1])],
-            paths.candidate,
-            out_dtype=config.output_dtype,
-        )
+        merge_to(coeffs, paths.candidate)
         return str(paths.candidate) if as_path else encode_model_ref(*coeffs)
 
     return builder
@@ -630,15 +648,7 @@ def _stage_search(
 def _stage_final_merge(
     config: PipelineConfig, paths: WorkspacePaths, coefficients: tuple[float, float]
 ) -> Path:
-    base = open_archive(config.base_path)
-    tau_sft = load_task_vector(paths.tau_sft)
-    tau_rlvr = load_task_vector(paths.tau_rlvr)
-    merge(
-        base,
-        [(tau_sft, coefficients[0]), (tau_rlvr, coefficients[1])],
-        paths.merged_model,
-        out_dtype=config.output_dtype,
-    )
+    _stage2_merger(config, paths)(coefficients, paths.merged_model)
     return paths.merged_model
 
 
@@ -691,7 +701,7 @@ def run_pipeline(
 
         report = RunReport(
             tool_version=__version__,
-            config=config.to_dict(),
+            config=asdict(config),
             input_digests={
                 "base": _sha256_file(config.base_path),
                 "sft": _sha256_file(config.sft_path),
@@ -700,13 +710,13 @@ def run_pipeline(
             },
             stage_seconds=stage_seconds,
             vector_summary=vector_summary,
-            adaptation_manifest=selection.to_dict(),
+            adaptation_manifest=asdict(selection),
             trial_log=str(paths.trial_log),
             coefficients=[float(c) for c in coefficients],
             selection_rule=selection_rule,
             final_model=str(final_path) if final_path else None,
         )
-        atomic_write_text(paths.report, json.dumps(report.to_dict(), indent=2))
+        atomic_write_text(paths.report, json.dumps(asdict(report), indent=2))
         return report
 
 

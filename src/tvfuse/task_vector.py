@@ -1,10 +1,11 @@
 """Task-vector extraction, sparsification, rescaling and linear merging.
 
 A task vector is the elementwise difference between a post-trained
-checkpoint and its base model. Pruning keeps only the top fraction of
-entries by absolute magnitude, selected against a single global quantile
-over all parameters; the pruned vector is then rescaled so its global L2
-norm matches the original. There is one threshold algorithm: the exact k-th
+checkpoint and its base model. Pruning (`sparsify`) keeps only the top
+fraction of entries by absolute magnitude, selected against a single global
+quantile over all parameters. `sparsify_and_rescale` is the one function
+that prunes and then rescales the pruned vector so its global L2 norm
+matches the original. There is one threshold algorithm: the exact k-th
 largest magnitude, found for several ranks at once by a radix select over
 the bits of |v| that streams the tensors in name order, and one tie rule.
 A vector holding inf or NaN has no magnitude order and is rejected.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -313,15 +314,17 @@ def sparsify(tv: TaskVector, p: float) -> TaskVector:
     return result
 
 
-def rescale(tv_sparse: TaskVector, epsilon: float = DEFAULT_EPSILON) -> TaskVector:
-    """Multiply every entry of a `sparsify` result by gamma = original_norm /
-    (sparse_norm + epsilon), where original_norm is the unpruned vector's norm."""
-    if tv_sparse.sparsity is None:
-        raise ValueError("rescale needs the output of sparsify")
+def sparsify_and_rescale(tv: TaskVector, p: float, epsilon: float = DEFAULT_EPSILON) -> TaskVector:
+    """`sparsify`, then multiply every entry by gamma = original_norm /
+    (sparse_norm + epsilon), so the pruned vector keeps the unpruned norm.
+
+    The multiply runs in place on the arrays `sparsify` allocated, never on
+    `tv`'s own."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be finite and positive")
-    original_norm = tv_sparse.sparsity.original_norm
-    sparse_norm = global_l2_norm(tv_sparse)
+    result = sparsify(tv, p)
+    original_norm = result.sparsity.original_norm
+    sparse_norm = global_l2_norm(result)
     if sparse_norm == 0.0:
         warnings.warn(
             f"rescaling an all-zero sparse vector: gamma = {original_norm / epsilon:g}",
@@ -329,18 +332,11 @@ def rescale(tv_sparse: TaskVector, epsilon: float = DEFAULT_EPSILON) -> TaskVect
             stacklevel=2,
         )
     gamma = original_norm / (sparse_norm + epsilon)
-    return TaskVector(
-        tensors={name: v * gamma for name, v in tv_sparse.tensors.items()},
-        shapes=dict(tv_sparse.shapes),
-        source_base_id=tv_sparse.source_base_id,
-        source_ft_id=tv_sparse.source_ft_id,
-        sparsity=replace(tv_sparse.sparsity, rescale_gamma=gamma, epsilon=epsilon),
-    )
-
-
-def sparsify_and_rescale(tv: TaskVector, p: float, epsilon: float = DEFAULT_EPSILON) -> TaskVector:
-    """Pruning followed by norm restoration, as applied before merging."""
-    return rescale(sparsify(tv, p), epsilon)
+    for values in result.tensors.values():
+        values *= gamma
+    result.sparsity.rescale_gamma = gamma
+    result.sparsity.epsilon = epsilon
+    return result
 
 
 def merge(
@@ -348,7 +344,7 @@ def merge(
     terms: list[tuple[TaskVector, float]],
     out_path: str | Path,
     out_dtype: str | None = None,
-) -> TensorArchive:
+) -> None:
     """Write base + sum(coefficient * vector) narrowed to the output dtype.
 
     Streams one tensor at a time; the output dtype defaults to each base
@@ -381,7 +377,6 @@ def merge(
         for name in byte_sorted(base.entries)
     ]
     write_archive(entries, out_path)
-    return open_archive(out_path)
 
 
 # --- persistence --------------------------------------------------------------

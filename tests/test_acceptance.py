@@ -120,7 +120,8 @@ def test_criterion_02_reconstruction(tmp_path):
         tv = tvec.extract_task_vector(base, ft)
         # Elementwise identity in float64, before any narrowing.
         assert np.array_equal(base_values + tv.tensors["w"], ft_values)
-        merged = tvec.merge(base, [(tv, 1.0)], tmp_path / "merged.safetensors")
+        tvec.merge(base, [(tv, 1.0)], tmp_path / "merged.safetensors")
+        merged = archive.open_archive(tmp_path / "merged.safetensors")
         assert read_tensor_bytes(merged, "w") == read_tensor_bytes(ft, "w")
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"reconstruction took {elapsed:.1f}s"

@@ -224,6 +224,8 @@ def test_invalid_config_value_exits_two(setup, capsys):
 DIRECTORY = object()
 _RUN = ["run", "--config", "{config}"]
 _POOL = [*_RUN, "--set", "pool_path={file}"]
+# An http backend at a local port; these cases fail before any request is sent.
+_HTTP = [*_RUN, "--set", "backend.kind=http", "--set", "backend.url=http://127.0.0.1:9"]
 _RULES = ["analyze", "modules", "--vector", "{vector}", "--rules", "{file}"]
 _SPARSIFY = ["sparsify", "--vector", "{vector}", "--out", "{file}"]
 _PAIR = ["--a", "{vector}", "--b", "{vector}"]
@@ -265,6 +267,20 @@ BAD_INPUTS = {
         None, [*_RUN, "--set", "search.prompt_preset=qwen-structred"], 2, "prompt_preset"
     ),
     "config-output-dtype-f64": (None, [*_RUN, "--set", "output_dtype=F64"], 2, "output_dtype"),
+    "config-n-trials-fraction": (
+        None, [*_RUN, "--set", "search.n_trials=10.5"], 2, "search.n_trials must be an integer, got 10.5"
+    ),
+    "config-k-fraction": (None, [*_RUN, "--set", "search.k=2.5"], 2, "search.k must be an integer"),
+    "config-n-candidates-fraction": (
+        None, [*_RUN, "--set", "search.n_candidates=2.5"], 2, "search.n_candidates must be an integer"
+    ),
+    "config-n-fraction": (None, [*_RUN, "--set", "n=2.5"], 2, "n must be an integer, got 2.5"),
+    "config-seed-fraction": (None, [*_RUN, "--set", "seed=1.5"], 2, "seed must be an integer"),
+    "config-m-fraction": (None, [*_RUN, "--set", "m=5.5"], 2, "m must be an integer"),
+    "config-timeout-negative": (None, [*_HTTP, "--set", "backend.timeout=-1"], 2, "timeout"),
+    "config-timeout-nan": (None, [*_HTTP, "--set", "backend.timeout=NaN"], 2, "timeout"),
+    "config-timeout-zero": (None, [*_HTTP, "--set", "backend.timeout=0"], 2, "timeout"),
+    "config-concurrency-zero": (None, [*_RUN, "--set", "search.concurrency=0"], 2, "search.concurrency"),
     "sparsify-retention-zero": (None, [*_SPARSIFY, "--retention", "0"], 1, "--retention"),
     "sparsify-retention-nan": (None, [*_SPARSIFY, "--retention", "nan"], 1, "--retention"),
     "sparsify-epsilon-zero": (None, [*_SPARSIFY, "--epsilon", "0"], 1, "--epsilon"),

@@ -12,6 +12,10 @@ reference too.
 
 A `_`-prefixed name is private to its module: no other module of the
 package imports it.
+
+A top-level function whose own body returns a value has a caller in the
+program that uses that value: at least one reference to it is not a call
+whose result is dropped as a bare statement.
 """
 
 from __future__ import annotations
@@ -103,3 +107,52 @@ def private_imports() -> list[str]:
 def test_no_module_imports_another_modules_private_name():
     found = private_imports()
     assert not found, f"imports of private names: {found}"
+
+
+def _returns_value(function: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """Whether the function's own body, not a nested def's, returns a value."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Return) and node.value is not None:
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def _value_uses(tree: ast.Module) -> Counter:
+    """Names a module reads, except as the callee of a call whose result it drops."""
+    dropped = {
+        id(node.value.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+    }
+    uses: Counter = Counter()
+    for node in ast.walk(tree):
+        if id(node) in dropped:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+    return uses
+
+
+def discarded_returns() -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in _modules(PACKAGE)}
+    others = [ast.parse(path.read_text(encoding="utf-8")) for path in _modules(BENCHMARK)]
+    uses = sum(map(_value_uses, [*trees.values(), *others]), Counter())
+    return [
+        f"{path.relative_to(PACKAGE)}:{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and _returns_value(node)
+        and not uses[node.name]
+    ]
+
+
+def test_every_returned_value_has_a_reader():
+    found = discarded_returns()
+    assert not found, f"functions whose every caller drops the return value: {found}"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,9 +184,8 @@ def test_sparsify_support_monotone_in_retention():
 
 def test_rescale_worked_example():
     # Frozen from a 60-digit Decimal recomputation.
-    sparse = tvec.sparsify(vec([3.0, -1.0, 0.5, 2.0]), 0.5)
-    assert sparse.sparsity.original_norm == math.sqrt(14.25)
-    got = tvec.rescale(sparse, 1e-8)
+    got = tvec.sparsify_and_rescale(vec([3.0, -1.0, 0.5, 2.0]), 0.5, 1e-8)
+    assert got.sparsity.original_norm == math.sqrt(14.25)
     assert got.sparsity.rescale_gamma == pytest.approx(1.04697365777438672, rel=1e-12)
     assert got.tensors["w"][0] == pytest.approx(3.14092097332316016, rel=1e-12)
     assert got.tensors["w"][3] == pytest.approx(2.09394731554877344, rel=1e-12)
@@ -195,19 +195,17 @@ def test_rescale_worked_example():
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
 def test_rescale_rejects_epsilon_that_is_not_finite_and_positive(epsilon):
     with pytest.raises(ValueError, match="epsilon"):
-        tvec.rescale(tvec.sparsify(vec([3.0, 4.0]), 0.5), epsilon)
+        tvec.sparsify_and_rescale(vec([3.0, 4.0]), 0.5, epsilon)
 
 
 def test_rescale_identity_when_norm_matches():
-    sparse = tvec.sparsify(vec([3.0, 4.0]), 1.0)
-    got = tvec.rescale(sparse, 1e-12)
+    got = tvec.sparsify_and_rescale(vec([3.0, 4.0]), 1.0, 1e-12)
     assert got.sparsity.rescale_gamma == pytest.approx(1.0, abs=1e-6)
 
 
 def test_rescale_degenerate_warns():
-    sparse = tvec.sparsify(vec([0.0, 0.0]), 1.0)
     with pytest.warns(DegenerateRescaleWarning, match="gamma = 0"):
-        got = tvec.rescale(sparse, 1e-8)
+        got = tvec.sparsify_and_rescale(vec([0.0, 0.0]), 1.0, 1e-8)
     assert got.sparsity.rescale_gamma == 0.0
     assert got.tensors["w"].tolist() == [0.0, 0.0]
 
@@ -222,6 +220,25 @@ def test_norm_preservation_property():
         assert abs(tvec.global_l2_norm(out) - original) / original <= 1e-6
 
 
+def test_sparsify_and_rescale_allocates_one_array_per_tensor():
+    # 64 tensors of 16k values: the result's arrays are the only vector-sized
+    # allocation; the rescale multiplies them in place, not into a copy.
+    rng = np.random.default_rng(21)
+    tv = multi(**{f"t{i:02d}": rng.standard_normal(1 << 14) for i in range(64)})
+    before = {name: values.tobytes() for name, values in tv.tensors.items()}
+    tensor_bytes = (1 << 14) * 8
+    tracemalloc.start()
+    try:
+        out = tvec.sparsify_and_rescale(tv, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * tensor_bytes + 4 * tensor_bytes + (1 << 20), peak
+    assert {name: values.tobytes() for name, values in tv.tensors.items()} == before
+    assert out.sparsity.rescale_gamma > 1.0
+    assert out.support_size() == tvec.retained_target(0.3, 64 << 14)
+
+
 # --- merge ------------------------------------------------------------------------
 
 
@@ -229,7 +246,8 @@ def test_merge_direct_arithmetic(tmp_path):
     base = write_checkpoint(tmp_path / "b.safetensors", {"w": [1.0, 1.0]})
     t1 = vec([1.0, 0.0])
     t2 = vec([0.0, 2.0])
-    merged = tvec.merge(base, [(t1, 0.5), (t2, 0.25)], tmp_path / "m.safetensors")
+    tvec.merge(base, [(t1, 0.5), (t2, 0.25)], tmp_path / "m.safetensors")
+    merged = archive.open_archive(tmp_path / "m.safetensors")
     assert archive.read_tensor(merged, "w").values.tolist() == [1.5, 1.5]
 
 
@@ -237,7 +255,8 @@ def test_merge_zero_coefficients_is_base(tmp_path):
     rng = np.random.default_rng(4)
     values = rng.standard_normal(64)
     base = write_checkpoint(tmp_path / "b.safetensors", {"w": values})
-    merged = tvec.merge(base, [(vec(rng.standard_normal(64)), 0.0)], tmp_path / "m.safetensors")
+    tvec.merge(base, [(vec(rng.standard_normal(64)), 0.0)], tmp_path / "m.safetensors")
+    merged = archive.open_archive(tmp_path / "m.safetensors")
     assert read_tensor_bytes(merged, "w") == read_tensor_bytes(base, "w")
 
 
@@ -248,7 +267,8 @@ def test_merge_reconstructs_finetuned(tmp_path):
     base = write_checkpoint(tmp_path / "b.safetensors", {"w": b})
     ft = write_checkpoint(tmp_path / "f.safetensors", {"w": f})
     tv = tvec.extract_task_vector(base, ft)
-    merged = tvec.merge(base, [(tv, 1.0)], tmp_path / "m.safetensors")
+    tvec.merge(base, [(tv, 1.0)], tmp_path / "m.safetensors")
+    merged = archive.open_archive(tmp_path / "m.safetensors")
     assert read_tensor_bytes(merged, "w") == read_tensor_bytes(ft, "w")
 
 
@@ -256,8 +276,10 @@ def test_merge_linearity(tmp_path):
     rng = np.random.default_rng(8)
     base = write_checkpoint(tmp_path / "b.safetensors", {"w": rng.standard_normal(50)})
     tv = vec(rng.standard_normal(50))
-    once = tvec.merge(base, [(tv, 0.75)], tmp_path / "m1.safetensors")
-    twice = tvec.merge(base, [(tv, 0.5), (tv, 0.25)], tmp_path / "m2.safetensors")
+    tvec.merge(base, [(tv, 0.75)], tmp_path / "m1.safetensors")
+    tvec.merge(base, [(tv, 0.5), (tv, 0.25)], tmp_path / "m2.safetensors")
+    once = archive.open_archive(tmp_path / "m1.safetensors")
+    twice = archive.open_archive(tmp_path / "m2.safetensors")
     a = archive.read_tensor(once, "w").values
     b = archive.read_tensor(twice, "w").values
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
