@@ -257,6 +257,8 @@ def write_archive(
     for name, dtype, shape, values in entries:
         if not name:
             raise ValueError("empty tensor name")
+        if name == _METADATA_KEY:
+            raise ValueError(f"tensor name {name!r} is reserved for archive metadata")
         if name in header:
             raise DuplicateNameError(f"duplicate tensor name {name!r}")
         if dtype not in DTYPES:

@@ -1,8 +1,9 @@
 """Backend contract: sampling generations and scoring text.
 
-Any object with `generate` and `score` methods satisfying these signatures
-can drive data selection and coefficient search. Backends must be safe for
-concurrent requests; callers bound in-flight requests themselves.
+Any object with `generate` and `score` methods satisfying these signatures,
+and a `loads_weights` flag, can drive data selection and coefficient search.
+Backends must be safe for concurrent requests; callers bound in-flight
+requests themselves.
 Difficulty scoring and trial evaluation both measure queries with
 `sample_consistency`, fanned out over the queries by `map_queries`.
 """
@@ -75,6 +76,10 @@ class ScoreResult:
 @runtime_checkable
 class EvaluationBackend(Protocol):
     """Contract shared by the HTTP client and the in-process mock."""
+
+    # True when a model ref must name a checkpoint file the backend loads;
+    # False when the backend resolves `encode_model_ref` coefficient refs.
+    loads_weights: bool
 
     def generate(self, request: GenerationRequest) -> list[GenerationSample]: ...
 

@@ -51,6 +51,9 @@ _STALE_CONNECTION_ERRORS = (http.client.RemoteDisconnected, ConnectionResetError
 
 
 class HttpBackend:
+    # The serving side loads the model named by a request's `model` path.
+    loads_weights = True
+
     def __init__(
         self,
         base_url: str,

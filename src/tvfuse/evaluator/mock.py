@@ -76,6 +76,9 @@ def _digest(*parts: object) -> bytes:
 class MockBackend:
     """EvaluationBackend over a synthetic coefficient landscape."""
 
+    # Model refs are aliases or `merged:c_sft:c_rlvr` refs; no weights are read.
+    loads_weights = False
+
     def __init__(
         self,
         landscape: Landscape,

@@ -9,7 +9,9 @@ frontier is built and a point is selected.
 
 Completed trials append to a JSON-lines log; restarting with the same log
 replays history instead of re-evaluating, and the per-trial seeded random
-streams make the resumed run identical to an uninterrupted one.
+streams make the resumed run identical to an uninterrupted one. At INFO
+level each evaluated trial (not a replayed one) logs one progress line: its
+consistency, the best so far and an ETA from this run's mean trial time.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -194,6 +197,8 @@ def run_search(
 
     max_failed = math.floor(FAILED_TRIAL_CAP * config.n_trials)
     failed_count = sum(1 for t in history if t.status == "failed")
+    replayed = len(history)
+    started = time.perf_counter()
     try:
         while len(history) < config.n_trials:
             index = len(history)
@@ -227,6 +232,19 @@ def run_search(
             if log_fh is not None:
                 log_fh.write(record.to_json() + "\n")
                 log_fh.flush()
+            if logger.isEnabledFor(logging.INFO):
+                ok = [t for t in history if t.consistency is not None]
+                best = max(ok, key=lambda t: t.consistency) if ok else None
+                mean_s = (time.perf_counter() - started) / (len(history) - replayed)
+                logger.info(
+                    "trial %d (%d/%d): consistency %s; best %s; eta %.1f s",
+                    index,
+                    len(history),
+                    config.n_trials,
+                    "failed" if record.consistency is None else f"{record.consistency:.4f}",
+                    "none" if best is None else f"{best.consistency:.4f} at trial {best.index}",
+                    mean_s * (config.n_trials - len(history)),
+                )
             if failed_count > max_failed:
                 raise TooManyFailedTrialsError(
                     f"{failed_count} of {len(history)} trials failed "

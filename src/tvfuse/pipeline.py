@@ -9,14 +9,19 @@ The pipeline is a sequential four-stage machine over a workspace directory:
 
 Every stage persists its artifacts, so a run can be resumed (``resume=True``
 reuses whatever is already on disk, including a partial trial log) or
-individual stages re-used by the CLI subcommands. Candidate models built
-during search all share one path in ``candidates/``, keeping at most one on
-disk at a time.
+individual stages re-used by the CLI subcommands.
 
-Reproducibility: stage 3 always merges candidates from the stage-2 archives
-on disk (never from in-memory vectors), so a fresh run, a resumed run and a
-stage-skipped run produce byte-identical models given the same config,
-seed and inputs.
+Only a backend that loads weights from a path (``loads_weights``, the HTTP
+backend) gets a candidate file per trial: the candidates share one path in
+``candidates/``, keeping at most one on disk, and the directory is removed
+when the search ends. The mock backend resolves ``merged:c_sft:c_rlvr``
+coefficient refs, so with it the stage-2 archives are read only by the
+final merge.
+
+Reproducibility: every merge, per-trial candidate or final model, is built
+from the stage-2 archives on disk (never from in-memory vectors), so a
+fresh run, a resumed run and a stage-skipped run produce byte-identical
+models given the same config, seed and inputs.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import json
 import logging
 import math
 import os
+import shutil
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -354,6 +360,22 @@ def build_backend(config: PipelineConfig) -> EvaluationBackend:
 # --- workspace helpers -------------------------------------------------------------
 
 
+def _read_json_object(path: Path, keys: set[str]) -> dict[str, Any]:
+    """Read a JSON object holding exactly `keys` from a workspace file; a file
+    that is missing, unreadable or shaped otherwise raises ConfigError naming it."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot load {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    missing = sorted(keys - payload.keys())
+    unexpected = sorted(payload.keys() - keys)
+    if missing or unexpected:
+        raise ConfigError(f"{path}: missing keys {missing}, unexpected keys {unexpected}")
+    return payload
+
+
 def _sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -477,8 +499,8 @@ def _stage_select_data(
 ) -> AdaptationSet:
     if resume and paths.adaptation_set.exists() and paths.difficulty_records.exists():
         logger.info("reusing stage1 artifacts")
-        payload = json.loads(paths.adaptation_set.read_text(encoding="utf-8"))
-        return AdaptationSet(**payload)
+        keys = {f.name for f in fields(AdaptationSet)}
+        return AdaptationSet(**_read_json_object(paths.adaptation_set, keys))
     pool = load_query_pool(config.pool_path)
     paths.stage1.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []
@@ -520,6 +542,9 @@ def _process_vector(config: PipelineConfig, tv: TaskVector) -> TaskVector:
     return sparsify_and_rescale(tv, config.retention_p, epsilon=config.epsilon)
 
 
+_SUMMARY_KEYS = {"retention_p", "epsilon", "sft", "rlvr", "sign_interference"}
+
+
 def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: bool) -> dict:
     if (
         resume
@@ -528,7 +553,7 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
         and paths.vector_summary.exists()
     ):
         logger.info("reusing stage2 artifacts")
-        return json.loads(paths.vector_summary.read_text(encoding="utf-8"))
+        return _read_json_object(paths.vector_summary, _SUMMARY_KEYS)
     paths.stage2.mkdir(parents=True, exist_ok=True)
     base = open_archive(config.base_path)
     summary: dict[str, Any] = {"retention_p": config.retention_p, "epsilon": config.epsilon}
@@ -591,16 +616,22 @@ def _stage2_merger(
 
 
 def make_merge_builder(
-    config: PipelineConfig, paths: WorkspacePaths
+    config: PipelineConfig, paths: WorkspacePaths, backend: EvaluationBackend
 ) -> Callable[[tuple[float, float]], str]:
-    """Candidate factory for the search: merge to one reusable path on disk."""
+    """Candidate factory for the search: map a coefficient pair to a model ref.
+
+    A backend that loads weights gets each candidate merged to one reusable
+    path on disk, and that path as the ref. Any other backend gets an
+    `encode_model_ref` coefficient ref, and nothing is merged or loaded.
+    """
+    if not backend.loads_weights:
+        return lambda coeffs: encode_model_ref(*coeffs)
     merge_to = _stage2_merger(config, paths)
     paths.candidate.parent.mkdir(parents=True, exist_ok=True)
-    as_path = config.backend.kind == "http"
 
     def builder(coeffs: tuple[float, float]) -> str:
         merge_to(coeffs, paths.candidate)
-        return str(paths.candidate) if as_path else encode_model_ref(*coeffs)
+        return str(paths.candidate)
 
     return builder
 
@@ -619,7 +650,7 @@ def _stage_search(
     else:
         texts = dict(load_query_pool(config.pool_path).queries)
         result = run_search(
-            merge_builder=make_merge_builder(config, paths),
+            merge_builder=make_merge_builder(config, paths, backend),
             backend=backend,
             queries=[(qid, texts[qid]) for qid in selection.selected],
             config=config.tpe_config(),
@@ -631,8 +662,8 @@ def _stage_search(
             trial_log_path=paths.trial_log,
             resume=resume,
         )
-        # The shared candidate file is transient scratch; drop it after scoring.
-        paths.candidate.unlink(missing_ok=True)
+        # The shared candidate file is transient scratch; drop it and its directory.
+        shutil.rmtree(paths.candidate.parent, ignore_errors=True)
         payload = result.to_dict()
         payload["recipe"] = {
             "base_id": config.base_path,
@@ -723,18 +754,7 @@ def run_pipeline(
 def load_report(workspace: str | Path) -> RunReport:
     """Read `report.json`; any unreadable or malformed report raises ConfigError."""
     path = WorkspacePaths(Path(workspace)).report
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load report {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"report {path} must hold a JSON object")
-    expected = {f.name for f in fields(RunReport)}
-    missing = sorted(expected - payload.keys())
-    unexpected = sorted(payload.keys() - expected)
-    if missing or unexpected:
-        raise ConfigError(f"report {path}: missing keys {missing}, unexpected keys {unexpected}")
-    report = RunReport(**payload)
+    report = RunReport(**_read_json_object(path, {f.name for f in fields(RunReport)}))
     if not isinstance(report.config, dict):
         raise ConfigError(f"report {path}: config must be a JSON object")
     # The embedded config snapshot must still satisfy the current schema.

@@ -129,6 +129,14 @@ def test_write_rejects_duplicate_names(tmp_path):
         )
 
 
+@pytest.mark.parametrize("metadata", [None, {"k": "v"}])
+def test_write_rejects_reserved_metadata_name_before_writing(tmp_path, metadata):
+    path = tmp_path / "reserved.safetensors"
+    with pytest.raises(ValueError, match="__metadata__"):
+        archive.write_archive([("__metadata__", "F32", [2], np.zeros(2))], path, metadata)
+    assert not list(tmp_path.iterdir())  # neither the archive nor its .tmp sibling
+
+
 def test_missing_tensor_name(tmp_path):
     path = tmp_path / "one.safetensors"
     archive.write_archive([("w", "F32", [1], np.array([1.0]))], path)

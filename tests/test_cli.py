@@ -169,6 +169,33 @@ def test_search_then_resume_run(setup, capsys):
     assert WorkspacePaths(workspace).merged_model.exists()
 
 
+# Each case: (the stage file `--resume` would reuse, and the bytes it is
+# replaced with; None keeps the first half of what the first run wrote).
+BAD_RESUME_FILES = {
+    "adaptation-set-truncated": ("stage1/adaptation_set.json", None),
+    "adaptation-set-unknown-key": ("stage1/adaptation_set.json", b'{"bogus": 1}'),
+    "summary-truncated": ("stage2/summary.json", None),
+    "summary-unknown-key": ("stage2/summary.json", b'{"bogus": 1}'),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RESUME_FILES))
+def test_resume_over_a_malformed_stage_file_ends_in_one_error_line(setup, capsys, caplog, case):
+    tmp_path, _, _, config_path = setup
+    run = ["run", "--config", str(config_path), "--set", "fixed_coefficients=[1.0, 1.0]"]
+    assert main(run) == 0
+    name, content = BAD_RESUME_FILES[case]
+    target = tmp_path / "ws" / name
+    if content is None:
+        content = target.read_bytes()[: target.stat().st_size // 2]
+    target.write_bytes(content)
+    capsys.readouterr()
+    assert main([*run, "--resume"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(target) in lines[0], lines
+    assert not [r for r in caplog.records if r.exc_info]
+
+
 @pytest.mark.parametrize("content", ['"abc"', "[1, 2]"], ids=["string", "array"])
 def test_non_object_config_exits_two_without_traceback(tmp_path, capsys, caplog, content):
     config_path = tmp_path / "config.json"

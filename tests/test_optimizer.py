@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -428,6 +429,44 @@ def test_resume_twice_after_truncated_last_line(tmp_path):
     run_search(resume=True, **kwargs)
     assert log.read_text() == full_log
     assert run_search(resume=True, **kwargs).trials == reference.trials
+
+
+def test_each_evaluated_trial_logs_one_progress_line_at_info(tmp_path, caplog):
+    def search(log, resume=False):
+        return run_search(
+            merge_builder=lambda coeffs: encode_model_ref(*coeffs),
+            backend=MockBackend(quadratic_landscape(peak=PEAK), seed=9),
+            queries=QUERIES,
+            config=small_config(seed=8, trials=20),
+            samples_per_query=5,
+            trial_log_path=log,
+            resume=resume,
+        )
+
+    quiet_log = tmp_path / "quiet.jsonl"
+    with caplog.at_level(logging.WARNING):
+        reference = search(quiet_log)
+    assert not [r for r in caplog.records if r.name == "tvfuse.optimizer.search"]
+
+    log = tmp_path / "trials.jsonl"
+    log.write_text("".join(line + "\n" for line in quiet_log.read_text().splitlines()[:12]))
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="tvfuse.optimizer.search"):
+        resumed = search(log, resume=True)
+    assert log.read_bytes() == quiet_log.read_bytes()
+    progress = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trial ")]
+    assert len(progress) == 20 - 12  # replayed trials log nothing
+    for trial_record, message in zip(resumed.trials[12:], progress):
+        index = trial_record.index
+        done = resumed.trials[: index + 1]
+        best = max(done, key=lambda t: t.consistency)
+        assert message.startswith(
+            f"trial {index} ({index + 1}/20): consistency {trial_record.consistency:.4f}; "
+            f"best {best.consistency:.4f} at trial {best.index}; eta "
+        )
+        assert message.endswith(" s")
+    assert progress[-1].endswith("eta 0.0 s")
+    assert resumed.trials == reference.trials
 
 
 def write_trial_log(path, indices):

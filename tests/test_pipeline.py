@@ -17,7 +17,7 @@ from reference import read_tensor_bytes
 from synth import make_checkpoint_trio, make_config, make_query_pool
 from tvfuse import archive, diagnostics, pipeline, task_vector
 from tvfuse.errors import BackendFailure, ConfigError, PipelineLockedError
-from tvfuse.evaluator import MockBackend
+from tvfuse.evaluator import MockBackend, MockInferenceServer
 from tvfuse.floats import narrow_from_f64
 from tvfuse.pipeline import (
     PipelineConfig,
@@ -110,6 +110,70 @@ def test_full_pipeline_completes_and_finds_peak(setup):
     assert set(report.stage_seconds) == {"select-data", "task-vectors", "search", "final-merge"}
     assert report.vector_summary["sft"]["original_norm"] > 0
     assert len(report.input_digests) == 4
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_mock_backend_search_merges_and_loads_nothing(setup, monkeypatch):
+    _, _, _, config_path = setup
+    config = load_config(config_path)
+    paths = WorkspacePaths(Path(config.workspace))
+    merges = count_calls(monkeypatch, pipeline, "merge")
+    loads = count_calls(monkeypatch, pipeline, "load_task_vector")
+    candidate_dir_seen = []
+    original_generate = MockBackend.generate
+
+    def generate(self, request):
+        candidate_dir_seen.append(paths.candidate.parent.exists())
+        return original_generate(self, request)
+
+    monkeypatch.setattr(MockBackend, "generate", generate)
+    run_pipeline(config)
+    assert len(merges) == 1 and merges[0][2] == paths.merged_model  # the final merge alone
+    assert len(loads) == 2  # tau_sft and tau_rlvr, for the final merge
+    assert candidate_dir_seen and not any(candidate_dir_seen)
+    assert not paths.candidate.parent.exists()
+
+
+def test_http_backend_search_requests_a_written_candidate(setup, monkeypatch):
+    _, _, _, config_path = setup
+    config = load_config(config_path, {"search.n_trials": "6", "search.n_startup": "3"})
+    paths = WorkspacePaths(Path(config.workspace))
+    candidate = str(paths.candidate)
+    served = build_backend(config)  # the config's mock landscape and aliases
+    served.aliases = {**served.aliases, candidate: (0.8, 1.45)}
+    requests = []  # (model ref, whether a file of that name exists) per served request
+    generate, score = served.generate, served.score
+
+    def recorded_generate(request):
+        requests.append((request.model_ref, Path(request.model_ref).is_file()))
+        return generate(request)
+
+    def recorded_score(model_ref, text):
+        requests.append((model_ref, Path(model_ref).is_file()))
+        return score(model_ref, text)
+
+    served.generate, served.score = recorded_generate, recorded_score
+    merges = count_calls(monkeypatch, pipeline, "merge")
+    with MockInferenceServer(served) as server:
+        config.backend.kind = "http"
+        config.backend.url = server.url
+        run_pipeline(config)
+    assert len(merges) == config.search.n_trials + 1
+    search_requests = [r for r in requests if r[0] not in ("sft", "rlvr")]
+    assert len(search_requests) == 2 * config.n * config.search.n_trials
+    assert set(search_requests) == {(candidate, True)}
+    assert not paths.candidate.parent.exists()
 
 
 def test_pipeline_bitwise_reproducible(setup):
