@@ -37,8 +37,8 @@ class SearchSpace:
         if len(self.bounds) == 0:
             raise EmptySpaceError("search space has no dimensions")
         for lo, hi in self.bounds:
-            if not lo < hi:
-                raise ValueError(f"bound ({lo}, {hi}) is not a proper interval")
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise ValueError(f"bound ({lo}, {hi}) is not a proper interval of finite width")
 
 
 @dataclass
@@ -60,6 +60,10 @@ class TpeConfig:
             raise ValueError("gamma_split must be in (0, 1)")
         if self.n_candidates < 1:
             raise ValueError("n_candidates must be >= 1")
+        if not self.bandwidth_floor > 0:
+            raise ValueError("bandwidth_floor must be > 0")
+        if not self.scalarize_ppl_weight >= 0:
+            raise ValueError("scalarize_ppl_weight must be >= 0")
 
 
 def _norm_cdf(z: float) -> float:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import contextlib
 import fcntl
-import functools
 import hashlib
 import json
 import logging
@@ -36,9 +35,10 @@ import math
 import os
 import shutil
 import time
-from dataclasses import asdict, dataclass, field, fields
+import types
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Union, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .adaptation import (
@@ -75,40 +75,70 @@ logger = logging.getLogger(__name__)
 
 LOCK_NAME = ".lock"
 
-# Config fields that count, size or seed something: each must hold an int,
-# not a bool.
-_INTEGER_FIELDS = (
-    "seed", "m", "n", "search.n_trials", "search.n_startup", "search.n_candidates",
-    "search.k", "search.max_tokens", "search.concurrency", "backend.max_attempts",
-    "backend.mock.seed",
-)
-# The other config fields that `validate` compares or later arithmetic uses:
-# each must hold an int or a float, not a bool.
-_NUMBER_FIELDS = (
-    "retention_p", "epsilon", "easy_medium_ratio", "search.gamma_split",
-    "search.bandwidth_floor", "search.scalarize_ppl_weight", "search.temperature",
-    "backend.timeout", "backend.mock.falloff", "backend.mock.ppl_base",
-    "backend.mock.ppl_slope", "backend.mock.query_jitter",
-)
-# Config fields that name a file, a model, a preset or a choice: each must
-# hold a string; the optional ones may also be null.
-_STRING_FIELDS = (
-    "base_path", "sft_path", "rlvr_path", "pool_path", "workspace", "search.prompt_preset",
-    "search.selection_rule", "backend.kind", "backend.sft_ref", "backend.rlvr_ref",
-)
-_OPTIONAL_STRING_FIELDS = ("output_dtype", "backend.url")
+def _is_finite_number(value: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
-def _is_integer(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# Leaf annotations: the test a value must pass, and what a message says it must be.
+_LEAF_CHECKS: dict[type, tuple[Callable[[Any], bool], str]] = {
+    int: (lambda value: isinstance(value, int) and not isinstance(value, bool), "an integer"),
+    float: (_is_finite_number, "a finite number"),
+    str: (lambda value: isinstance(value, str), "a string"),
+}
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _type_problems(value: Any, hint: Any, path: str) -> list[str]:
+    """Every way `value` fails its annotation `hint`, each message naming the
+    dotted `path` of the part that fails. An annotation of a kind this walker
+    does not handle raises TypeError, so no field goes unchecked."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint in _LEAF_CHECKS:
+        check, expected = _LEAF_CHECKS[hint]
+        return [] if check(value) else [f"{path} must be {expected}, got {value!r}"]
+    if origin in (types.UnionType, Union) and args[1:] == (type(None),):  # X | None
+        return [] if value is None else _type_problems(value, args[0], path)
+    if is_dataclass(hint):
+        if not isinstance(value, hint):
+            return [f"{path} must be a {hint.__name__}, got {value!r}"]
+        hints = get_type_hints(hint)
+        children = [
+            (getattr(value, f.name), hints[f.name], f"{path}.{f.name}".lstrip("."))
+            for f in fields(hint)
+        ]
+    elif origin is tuple and ... not in args:
+        if not (isinstance(value, (list, tuple)) and len(value) == len(args)):
+            return [f"{path} must be a list of {len(args)} items, got {value!r}"]
+        children = [(item, args[i], f"{path}[{i}]") for i, item in enumerate(value)]
+    elif origin is dict and args[0] is str:
+        if not isinstance(value, dict):
+            return [f"{path} must be an object, got {value!r}"]
+        children = [(item, args[1], f"{path}[{key!r}]") for key, item in value.items()]
+    else:
+        raise TypeError(f"{path}: no type check for annotation {hint!r}")
+    return [problem for child in children for problem in _type_problems(*child)]
 
 
-def _is_pair(value: Any) -> bool:
-    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+def _build(cls: type, raw: Any, path: str) -> Any:
+    """Construct the dataclass `cls` from the JSON object `raw`, each field
+    annotated with a dataclass built from its own object."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config'} must be an object for {cls.__name__}, got {raw!r}")
+    hints = get_type_hints(cls)
+    kwargs = {
+        name: _build(hints[name], value, f"{path}.{name}".lstrip("."))
+        if is_dataclass(hints.get(name))
+        else value
+        for name, value in raw.items()
+    }
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
 # --- configuration ---------------------------------------------------------------
@@ -122,7 +152,7 @@ class SearchSettings:
     n_candidates: int = 24
     bandwidth_floor: float = 0.05
     scalarize_ppl_weight: float = 0.0
-    space: list[list[float]] = field(default_factory=lambda: [[0.0, 2.0], [0.0, 2.0]])
+    space: tuple[tuple[float, float], tuple[float, float]] = ((0.0, 2.0), (0.0, 2.0))
     k: int = 5
     temperature: float = 0.6
     max_tokens: int = 8192
@@ -135,13 +165,13 @@ class SearchSettings:
 class MockSettings:
     """The mock backend's quadratic landscape, seed and model-ref aliases."""
 
-    peak: list[float] = field(default_factory=lambda: [0.8, 1.5])
+    peak: tuple[float, float] = (0.8, 1.5)
     falloff: float = 8.0
     ppl_base: float = 2.0
     ppl_slope: float = 1.0
     seed: int = 0
     query_jitter: float = 0.0
-    aliases: dict[str, list[float]] | None = None
+    aliases: dict[str, tuple[float, float]] | None = None
 
 
 @dataclass
@@ -157,6 +187,9 @@ class BackendSettings:
 
 @dataclass
 class PipelineConfig:
+    """The whole run's settings. Each field's annotation is its type check
+    (`check_types`): numbers must be finite, and a pair is two numbers."""
+
     base_path: str = ""
     sft_path: str = ""
     rlvr_path: str = ""
@@ -169,47 +202,23 @@ class PipelineConfig:
     n: int = 64
     difficulty_threshold: float | None = None
     easy_medium_ratio: float = 0.5
-    fixed_coefficients: list[float] | None = None
+    fixed_coefficients: tuple[float, float] | None = None
     output_dtype: str | None = None
     search: SearchSettings = field(default_factory=SearchSettings)
     backend: BackendSettings = field(default_factory=BackendSettings)
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "PipelineConfig":
-        raw = dict(raw)
-        try:
-            search = SearchSettings(**raw.pop("search", {}))
-            backend = BackendSettings(**raw.pop("backend", {}))
-            if not isinstance(backend.mock, MockSettings):
-                backend.mock = MockSettings(**backend.mock)
-            return cls(search=search, backend=backend, **raw)
-        except TypeError as exc:
-            raise ConfigError(f"invalid configuration: {exc}") from exc
+        return _build(cls, raw, "")
+
+    def check_types(self) -> None:
+        """Raise ConfigError naming every value that does not fit its field's annotation."""
+        problems = _type_problems(self, PipelineConfig, "")
+        if problems:
+            raise ConfigError("; ".join(problems))
 
     def validate(self) -> None:
-        def value_of(name: str) -> Any:
-            return functools.reduce(getattr, name.split("."), self)
-
-        integers = {name: value_of(name) for name in _INTEGER_FIELDS}
-        numbers = {name: value_of(name) for name in _NUMBER_FIELDS}
-        if self.difficulty_threshold is not None:
-            numbers["difficulty_threshold"] = self.difficulty_threshold
-        wrong_type = [
-            f"{name} must be an integer, got {value!r}"
-            for name, value in integers.items()
-            if not _is_integer(value)
-        ]
-        wrong_type += [
-            f"{name} must be a number, got {value!r}"
-            for name, value in numbers.items()
-            if not _is_number(value)
-        ]
-        for name in _STRING_FIELDS + _OPTIONAL_STRING_FIELDS:
-            value = value_of(name)
-            if not (isinstance(value, str) or (value is None and name in _OPTIONAL_STRING_FIELDS)):
-                wrong_type.append(f"{name} must be a string, got {value!r}")
-        if wrong_type:
-            raise ConfigError("; ".join(wrong_type))
+        self.check_types()
         problems: list[str] = []
         for label in ("base_path", "sft_path", "rlvr_path", "pool_path"):
             value = getattr(self, label)
@@ -221,16 +230,14 @@ class PipelineConfig:
             problems.append("workspace is required")
         if not 0.0 < self.retention_p <= 1.0:
             problems.append(f"retention_p must be in (0, 1], got {self.retention_p}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            problems.append(f"epsilon must be finite and positive, got {self.epsilon}")
+        if self.epsilon <= 0:
+            problems.append(f"epsilon must be positive, got {self.epsilon}")
         if self.m < 2:
             problems.append("m must be >= 2")
         if self.n < 1:
             problems.append("n must be >= 1")
         if not 0.0 <= self.easy_medium_ratio <= 1.0:
             problems.append("easy_medium_ratio must be in [0, 1]")
-        if self.fixed_coefficients is not None and not _is_pair(self.fixed_coefficients):
-            problems.append("fixed_coefficients must hold exactly two numbers")
         if self.output_dtype is not None and self.output_dtype not in DTYPES:
             problems.append(f"output_dtype must be F32, F16 or BF16, got {self.output_dtype!r}")
         preset = self.search.prompt_preset
@@ -245,30 +252,18 @@ class PipelineConfig:
             problems.append(f"backend.kind must be mock or http, got {self.backend.kind!r}")
         if self.backend.kind == "http" and not self.backend.url:
             problems.append("backend.url is required for the http backend")
-        if not _is_pair(self.backend.mock.peak):
-            problems.append("backend.mock.peak must hold exactly two numbers")
-        aliases = self.backend.mock.aliases
-        if aliases is not None and not (
-            isinstance(aliases, dict) and all(map(_is_pair, aliases.values()))
-        ):
-            problems.append("backend.mock.aliases must map each name to exactly two numbers")
-        space = self.search.space
-        if not (isinstance(space, (list, tuple)) and len(space) == 2 and all(map(_is_pair, space))):
-            problems.append("search.space must be two [low, high] pairs of numbers")
-        else:
-            try:
-                self.search_space()
-            except ValueError as exc:
-                problems.append(f"search.space: {exc}")
+        try:
+            self.search_space()
+        except ValueError as exc:
+            problems.append(f"search.space: {exc}")
         try:
             self.tpe_config()
         except ValueError as exc:
             problems.append(f"search: {exc}")
         if self.search.k < 1:
             problems.append("search.k must be >= 1")
-        temperature = self.search.temperature
-        if not (math.isfinite(temperature) and temperature >= 0):
-            problems.append(f"search.temperature must be finite and >= 0, got {temperature}")
+        if self.search.temperature < 0:
+            problems.append(f"search.temperature must be >= 0, got {self.search.temperature}")
         if self.search.max_tokens < 1:
             problems.append("search.max_tokens must be >= 1")
         if self.search.concurrency < 1:
@@ -755,11 +750,10 @@ def load_report(workspace: str | Path) -> RunReport:
     """Read `report.json`; any unreadable or malformed report raises ConfigError."""
     path = WorkspacePaths(Path(workspace)).report
     report = RunReport(**_read_json_object(path, {f.name for f in fields(RunReport)}))
-    if not isinstance(report.config, dict):
-        raise ConfigError(f"report {path}: config must be a JSON object")
-    # The embedded config snapshot must still satisfy the current schema.
+    # The embedded config snapshot must still fit the current schema and its
+    # types; its paths need not exist any more.
     try:
-        PipelineConfig.from_dict(report.config)
+        PipelineConfig.from_dict(report.config).check_types()
     except ConfigError as exc:
         raise ConfigError(f"report {path}: {exc}") from exc
     return report

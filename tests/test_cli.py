@@ -308,6 +308,33 @@ BAD_INPUTS = {
     "config-timeout-nan": (None, [*_HTTP, "--set", "backend.timeout=NaN"], 2, "timeout"),
     "config-timeout-zero": (None, [*_HTTP, "--set", "backend.timeout=0"], 2, "timeout"),
     "config-concurrency-zero": (None, [*_RUN, "--set", "search.concurrency=0"], 2, "search.concurrency"),
+    "config-bandwidth-floor-nan": (
+        None, [*_RUN, "--set", "search.bandwidth_floor=NaN"], 2, "search.bandwidth_floor"
+    ),
+    "config-bandwidth-floor-zero": (
+        None,
+        [*_RUN, "--set", "search.bandwidth_floor=0", "--set", "search.n_startup=1"],
+        2,
+        "bandwidth_floor must be > 0",
+    ),
+    "config-ppl-weight-negative": (
+        None, [*_RUN, "--set", "search.scalarize_ppl_weight=-1"], 2, "scalarize_ppl_weight must be >= 0"
+    ),
+    "config-bound-infinite": (
+        None, [*_RUN, "--set", "search.space=[[0, Infinity], [0, 2]]"], 2, "search.space[0][1]"
+    ),
+    "config-bound-width-infinite": (
+        None, [*_RUN, "--set", "search.space=[[-1e308, 1e308], [0, 2]]"], 2, "search.space"
+    ),
+    "config-coefficient-nan": (
+        None, [*_RUN, "--set", "fixed_coefficients=[NaN, 1]"], 2, "fixed_coefficients[0]"
+    ),
+    "config-epsilon-huge-int": (
+        None, [*_RUN, "--set", "epsilon=1" + "0" * 400], 2, "epsilon must be a finite number"
+    ),
+    "config-mock-falloff-nan": (
+        None, [*_RUN, "--set", "backend.mock.falloff=NaN"], 2, "backend.mock.falloff"
+    ),
     "sparsify-retention-zero": (None, [*_SPARSIFY, "--retention", "0"], 1, "--retention"),
     "sparsify-retention-nan": (None, [*_SPARSIFY, "--retention", "nan"], 1, "--retention"),
     "sparsify-epsilon-zero": (None, [*_SPARSIFY, "--epsilon", "0"], 1, "--epsilon"),

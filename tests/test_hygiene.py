@@ -16,13 +16,24 @@ package imports it.
 A top-level function whose own body returns a value has a caller in the
 program that uses that value: at least one reference to it is not a call
 whose result is dropped as a bare statement.
+
+Every leaf field of the pipeline config is type-checked by its annotation.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 from collections import Counter
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import get_type_hints
+
+import pytest
+
+from tvfuse import pipeline
+from tvfuse.errors import ConfigError
+from tvfuse.pipeline import PipelineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tvfuse"
@@ -156,3 +167,32 @@ def discarded_returns() -> list[str]:
 def test_every_returned_value_has_a_reader():
     found = discarded_returns()
     assert not found, f"functions whose every caller drops the return value: {found}"
+
+
+def _leaf_fields(cls: type, prefix: str = "") -> list[str]:
+    """Dotted paths of every field of the dataclass `cls` that is not itself a dataclass."""
+    leaves = []
+    for name, hint in get_type_hints(cls).items():
+        if is_dataclass(hint):
+            leaves += _leaf_fields(hint, f"{prefix}{name}.")
+        else:
+            leaves.append(f"{prefix}{name}")
+    return leaves
+
+
+@pytest.mark.parametrize("path", _leaf_fields(PipelineConfig))
+def test_every_config_field_rejects_a_wrongly_typed_value(path):
+    config = PipelineConfig()
+    *parents, name = path.split(".")
+    # No leaf annotation admits an empty list: not a number, a string, None,
+    # a pair or an object.
+    setattr(functools.reduce(getattr, parents, config), name, [])
+    with pytest.raises(ConfigError) as info:
+        config.validate()
+    message = str(info.value)
+    assert message.startswith(f"{path} must be ") and ";" not in message, message
+
+
+def test_type_walker_rejects_an_annotation_it_does_not_handle():
+    with pytest.raises(TypeError, match="list"):
+        pipeline._type_problems([1], list[int], "field")

@@ -464,6 +464,16 @@ def test_malformed_report_raises_config_error_naming_file(tmp_path, content):
         load_report(tmp_path)
 
 
+def test_report_with_mistyped_config_raises_config_error(tmp_path):
+    # The report's config is type-checked, but its paths need not exist.
+    config = {"base_path": str(tmp_path / "gone.safetensors"), "seed": 3}
+    WorkspacePaths(tmp_path).report.write_bytes(report_bytes(config=config))
+    assert load_report(tmp_path).config == config
+    WorkspacePaths(tmp_path).report.write_bytes(report_bytes(config={**config, "retention_p": "abc"}))
+    with pytest.raises(ConfigError, match="report.json: retention_p must be a finite number"):
+        load_report(tmp_path)
+
+
 def test_search_without_final_merge(setup):
     _, _, _, config_path = setup
     config = load_config(config_path)
