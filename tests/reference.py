@@ -7,10 +7,15 @@ sides cannot share a bug.
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
+
+from tvfuse.archive import open_archive
+from tvfuse.floats import f64_to_bf16_bits
 
 # --- exact round-to-nearest-even into a small binary format -----------------
 
@@ -104,6 +109,131 @@ def interference(a: np.ndarray, b: np.ndarray, retention_a: float, retention_b: 
     conflicts = int(np.count_nonzero((np.sign(sparse_a) * np.sign(sparse_b))[support] < 0))
     denominator = int(np.count_nonzero(support))
     return (conflicts / denominator if denominator else 0.0), denominator
+
+
+# --- stage 2 and the merge, dense and from scratch ------------------------------
+
+_STORAGE = {"F16": "<f2", "F32": "<f4"}
+
+
+def widen(raw: bytes, dtype: str) -> np.ndarray:
+    """Exact float64 values of stored little-endian bytes."""
+    if dtype == "BF16":
+        return bf16_bits_to_f64(np.frombuffer(raw, dtype="<u2"))
+    return np.frombuffer(raw, dtype=_STORAGE[dtype]).astype(np.float64)
+
+
+def encode(values: np.ndarray, dtype: str) -> bytes:
+    """Stored bytes of float64 values rounded once, ties to even, by the
+    rational `round_to_format` (F16, F32) or `f64_to_bf16_bits` (BF16)."""
+    if dtype == "BF16":
+        return f64_to_bf16_bits(values).astype("<u2").tobytes()
+    rounded = [round_to_format(float(x), dtype) for x in values]
+    return np.asarray(rounded, dtype=_STORAGE[dtype]).tobytes()
+
+
+def archive_bytes(tensors: list[tuple[str, str, tuple, bytes]], metadata: dict | None = None) -> bytes:
+    """The whole file of an archive holding (name, dtype, shape, stored bytes)
+    tensors in the order given: length prefix, compact JSON header, data."""
+    header: dict = {} if metadata is None else {"__metadata__": metadata}
+    offset = 0
+    for name, dtype, shape, raw in tensors:
+        header[name] = {"dtype": dtype, "shape": list(shape), "data_offsets": [offset, offset + len(raw)]}
+        offset += len(raw)
+    text = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return struct.pack("<Q", len(text)) + text + b"".join(raw for *_, raw in tensors)
+
+
+def _square_sum(parts: list[np.ndarray]) -> float:
+    """Sum of squares in the documented order: one `np.sum` per tensor,
+    the partials added in byte-wise name order."""
+    total = 0.0
+    for part in parts:
+        total += float(np.sum(np.square(part)))
+    return total
+
+
+def stage2_and_merge(
+    paths: dict[str, str],
+    retention: float,
+    epsilon: float,
+    coefficients: tuple[float, float],
+    output_dtype: str | None,
+) -> tuple[dict[str, bytes], str, bytes]:
+    """(stage-2 archive bytes per label, summary.json text, merged model bytes)
+    for the base/sft/rlvr checkpoints at `paths`.
+
+    Each task vector is float64 ft - base, pruned as one name-ordered flat
+    vector by a full stable sort (`keep_top`) and rescaled by gamma, stored
+    F32; the merge is dense float64 over the stored vectors, narrowed to the
+    output dtype (default: each base tensor's own).
+    """
+    arcs = {label: open_archive(path) for label, path in paths.items()}
+    names = sorted(arcs["base"].entries, key=lambda s: s.encode("utf-8"))
+    sizes = [arcs["base"].entries[name].num_elements for name in names]
+
+    def values(label: str) -> list[np.ndarray]:
+        arc = arcs[label]
+        return [widen(read_tensor_bytes(arc, name), arc.entries[name].dtype) for name in names]
+
+    def split(flat: np.ndarray) -> list[np.ndarray]:
+        return np.split(flat, np.cumsum(sizes)[:-1])
+
+    base = values("base")
+    summary: dict = {"retention_p": retention, "epsilon": epsilon}
+    raw: dict[str, np.ndarray] = {}
+    stored: dict[str, list[np.ndarray]] = {}
+    files: dict[str, bytes] = {}
+    for label in ("sft", "rlvr"):
+        flat = np.concatenate([ft - b for ft, b in zip(values(label), base)])
+        raw[label] = flat
+        metadata = {"source_base_id": str(arcs["base"].path), "source_ft_id": str(arcs[label].path)}
+        original = math.sqrt(_square_sum(split(flat)))
+        if retention < 1.0:
+            k = retained_count(retention, flat.size)
+            sparse = np.where(keep_top(flat, k), flat, 0.0)
+            gamma = original / (math.sqrt(_square_sum(split(sparse))) + epsilon)
+            processed = sparse * gamma
+            threshold = float(np.sort(np.abs(flat))[flat.size - k])
+            count = int(np.count_nonzero(sparse))
+            metadata.update(
+                retention_p=repr(retention),
+                threshold=repr(threshold),
+                original_norm=repr(original),
+                retained_count=str(count),
+                gamma=repr(gamma),
+                epsilon=repr(epsilon),
+            )
+            summary[label] = {
+                "original_norm": original,
+                "processed_norm": math.sqrt(_square_sum(split(processed))),
+                "threshold": threshold,
+                "retained_count": count,
+                "gamma": gamma,
+            }
+        else:
+            processed = flat
+            summary[label] = {"original_norm": original, "processed_norm": original}
+        parts = [encode(part, "F32") for part in split(processed)]
+        stored[label] = [widen(part, "F32") for part in parts]
+        tensors = [
+            (name, "F32", arcs["base"].entries[name].shape, part) for name, part in zip(names, parts)
+        ]
+        files[label] = archive_bytes(tensors, metadata)
+    ratio, denominator = interference(raw["sft"], raw["rlvr"], retention, retention)
+    summary["sign_interference"] = {
+        "retention_a": retention,
+        "retention_b": retention,
+        "conflict_ratio": ratio,
+        "denominator_count": denominator,
+    }
+    merged = []
+    for i, name in enumerate(names):
+        dense = base[i] + coefficients[0] * stored["sft"][i] + coefficients[1] * stored["rlvr"][i]
+        meta = arcs["base"].entries[name]
+        dtype = output_dtype or meta.dtype
+        merged.append((name, dtype, meta.shape, encode(dense, dtype)))
+    return files, json.dumps(summary, indent=2), archive_bytes(merged)
 
 
 # --- O(n^2) Pareto dominance ---------------------------------------------------
