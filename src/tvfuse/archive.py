@@ -238,23 +238,39 @@ def write_archive(
     path: str | Path,
     metadata: dict[str, str] | None = None,
 ) -> None:
-    """Write (name, dtype, shape, float64 values) entries to a new archive.
+    """Write (name, dtype, shape, float64 values) entries to a new archive
+    through `archive_writer`. Values may be zero-argument callables, which are
+    materialized one tensor at a time while writing."""
+    entries = list(entries)
+    with archive_writer([entry[:3] for entry in entries], path, metadata) as write:
+        for *_, values in entries:
+            write(values() if callable(values) else values)
 
-    The data block is laid out in entry order with no padding; values are
+
+@contextmanager
+def archive_writer(
+    specs: Iterable[tuple[str, str, Sequence[int]]],
+    path: str | Path,
+    metadata: dict[str, str] | None = None,
+) -> Iterator[Callable[[np.ndarray], None]]:
+    """Open a new archive of (name, dtype, shape) tensors and yield a function
+    that writes the next tensor's float64 values, in spec order.
+
+    The data block is laid out in spec order with no padding; values are
     narrowed to the storage dtype with round-to-nearest-even. Offsets come
-    from shape and dtype alone, so values may be zero-argument callables
-    that are materialized one tensor at a time while writing. The file is
-    written to a temp sibling and renamed, so readers never see a partial
-    archive.
+    from shape and dtype alone, so the header is written first and each
+    tensor can be dropped once written. The file is written to a temp
+    sibling and renamed when the block ends with every tensor written, so
+    readers never see a partial archive; on any exception it is removed.
     """
     path = Path(path)
     header: dict[str, object] = {}
     if metadata is not None:
         header[_METADATA_KEY] = _require_str_map(metadata, _METADATA_KEY)
 
-    specs: list[tuple[str, str, tuple[int, ...], object]] = []
+    layout: list[tuple[str, str, tuple[int, ...]]] = []
     cursor = 0
-    for name, dtype, shape, values in entries:
+    for name, dtype, shape in specs:
         if not name:
             raise ValueError("empty tensor name")
         if name == _METADATA_KEY:
@@ -270,21 +286,31 @@ def write_archive(
             "shape": list(shape),
             "data_offsets": [cursor, cursor + num_bytes],
         }
-        specs.append((name, dtype, shape, values))
+        layout.append((name, dtype, shape))
         cursor += num_bytes
 
     header_bytes = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    pending = iter(layout)
     with _replacing(path) as fh:
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for name, dtype, shape, values in specs:
-            resolved = values() if callable(values) else values
-            flat = np.ascontiguousarray(resolved, dtype=np.float64).reshape(-1)
+
+        def write(values: np.ndarray) -> None:
+            spec = next(pending, None)
+            if spec is None:
+                raise ValueError(f"{path}: every tensor is already written")
+            name, dtype, shape = spec
+            flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
             if flat.size != math.prod(shape):
                 raise ShapeMismatchError(
                     f"tensor {name!r}: {flat.size} values do not fill shape {shape}"
                 )
             fh.write(narrow_from_f64(flat, dtype))
+
+        yield write
+        unwritten = [name for name, _, _ in pending]
+        if unwritten:
+            raise ValueError(f"{path}: tensors {unwritten[:5]} were not written")
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

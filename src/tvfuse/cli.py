@@ -32,6 +32,7 @@ from .diagnostics import (
 from .errors import TvfuseError
 from .pipeline import PipelineConfig, WorkspacePaths, load_config, load_report, run_pipeline, select_data
 from .task_vector import (
+    StoredVector,
     extract_task_vector,
     global_l2_norm,
     load_task_vector,
@@ -136,9 +137,10 @@ def cmd_merge(args) -> int:
         except ValueError:
             raise UsageError(f"--term coefficient is not a number in {spec!r}") from None
     base = open_archive(args.base)
-    terms = [(load_task_vector(path), coeff) for path, coeff in parsed]
-    for tv, _ in terms:
-        require_finite(tv)
+    # Stored vectors are read one tensor at a time: once to check, once to merge.
+    terms = [(StoredVector(path), coeff) for path, coeff in parsed]
+    for vector, _ in terms:
+        require_finite(vector)
     merge(base, terms, args.out, out_dtype=args.dtype)
     print(f"wrote merged model to {args.out}")
     return 0

@@ -25,7 +25,14 @@ import numpy as np
 
 from .archive import atomic_write_text
 from .errors import ConfigError, EmptyVectorError, InvalidPatternError, ShapeMismatchError
-from .task_vector import TaskVector, keep_masks, quantile_threshold, require_finite, sparsify
+from .task_vector import (
+    TaskVector,
+    keep_masks,
+    quantile_threshold,
+    require_finite,
+    sparsify,
+    square_sum,
+)
 
 DEFAULT_LAYER_PATTERN = r"layers\.(\d+)"
 
@@ -89,6 +96,21 @@ class InterferenceReport:
     conflict_ratio: float
     denominator_count: int
 
+    @classmethod
+    def of(
+        cls, retention_a: float, retention_b: float, conflicts: int, denominator: int
+    ) -> "InterferenceReport":
+        """The report of `conflicts` opposite signs over a support of `denominator` entries."""
+        ratio = conflicts / denominator if denominator else 0.0
+        return cls(retention_a, retention_b, ratio, denominator)
+
+
+def opposite_signs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """For one tensor of each vector: the positions of `b`'s support where
+    `a` has the opposite sign, and the size of that support."""
+    support = np.flatnonzero(b)
+    return support[np.sign(a[support]) * np.sign(b[support]) < 0], support.size
+
 
 def layerwise_norms(tv: TaskVector, layer_pattern: str = DEFAULT_LAYER_PATTERN) -> LayerNormProfile:
     """Group tensors by the layer index captured by `layer_pattern`."""
@@ -102,9 +124,8 @@ def layerwise_norms(tv: TaskVector, layer_pattern: str = DEFAULT_LAYER_PATTERN) 
         )
     per_layer_sq: dict[int, float] = {}
     non_layer_sq = 0.0
-    for name in tv.sorted_names():
-        v = tv.tensors[name]
-        sq = float(np.sum(np.square(v)))
+    for name, v in tv.arrays():
+        sq = square_sum(v)
         if not math.isfinite(sq):  # inf or NaN in `v`, or finite squares that overflow
             require_finite(tv)
         match = compiled.search(name)
@@ -116,30 +137,6 @@ def layerwise_norms(tv: TaskVector, layer_pattern: str = DEFAULT_LAYER_PATTERN) 
     return LayerNormProfile(
         per_layer={k: math.sqrt(s) for k, s in sorted(per_layer_sq.items())},
         non_layer=math.sqrt(non_layer_sq),
-    )
-
-
-def count_conflicts(
-    sparse_a: TaskVector, sparse_b: TaskVector, retention_a: float, retention_b: float
-) -> InterferenceReport:
-    """Sign interference of two already sparsified vectors (no further pruning).
-
-    The retentions only label the report; the vectors must share names and shapes.
-    """
-    conflicts = 0
-    denominator = 0
-    for name in sparse_b.sorted_names():
-        a = sparse_a.tensors[name]
-        b = sparse_b.tensors[name]
-        support = b != 0.0
-        denominator += int(np.count_nonzero(support))
-        conflicts += int(np.count_nonzero(np.sign(a[support]) * np.sign(b[support]) < 0))
-    ratio = conflicts / denominator if denominator else 0.0
-    return InterferenceReport(
-        retention_a=retention_a,
-        retention_b=retention_b,
-        conflict_ratio=ratio,
-        denominator_count=denominator,
     )
 
 
@@ -182,22 +179,14 @@ def interference_sweep(
     cuts = quantile_threshold(tv_a, retentions_a)
     conflicts = [0] * len(cuts)
     denominator = 0
-    for name, masks in keep_masks(tv_a, cuts):
-        a = tv_a.tensors[name]
-        b = sparse_b.tensors[name]
-        support = np.flatnonzero(b)
-        denominator += support.size
+    for name, a, masks in keep_masks(tv_a, cuts):
+        opposite, support = opposite_signs(a, sparse_b.tensors[name])
+        denominator += support
         # Kept entries of `tv_a` at these positions conflict; dropped ones have sign 0.
-        opposite = support[np.sign(a[support]) * np.sign(b[support]) < 0]
         for i, mask in enumerate(masks):
             conflicts[i] += int(np.count_nonzero(mask[opposite]))
     return [
-        InterferenceReport(
-            retention_a=r,
-            retention_b=retention_b,
-            conflict_ratio=c / denominator if denominator else 0.0,
-            denominator_count=denominator,
-        )
+        InterferenceReport.of(r, retention_b, c, denominator)
         for r, c in zip(retentions_a, conflicts)
     ]
 
@@ -227,8 +216,7 @@ def modulewise_activation(
     cuts = quantile_threshold(tv, [retention])
     totals: dict[ModuleClass, int] = {}
     retained: dict[ModuleClass, int] = {}
-    for name, (mask,) in keep_masks(tv, cuts):
-        v = tv.tensors[name]
+    for name, v, (mask,) in keep_masks(tv, cuts):
         cls = classify_module(name, rules)
         totals[cls] = totals.get(cls, 0) + v.size
         retained[cls] = retained.get(cls, 0) + int(np.count_nonzero(v[mask]))

@@ -11,6 +11,17 @@ Every stage persists its artifacts, so a run can be resumed (``resume=True``
 reuses whatever is already on disk, including a partial trial log) or
 individual stages re-used by the CLI subcommands.
 
+Stage 2 never holds a whole vector. It makes lockstep passes over the base
+and both finetuned archives, holding one tensor of each at a time: pass 1
+adds up the norms and counts the select's top digit, pass 2 applies the
+keep masks for the pruned norms and retained counts, and pass 3 masks and
+rescales again, counts sign conflicts and writes both archives. The select
+settles a cut that is the floor value of its radix bucket in pass 1; any
+other cut costs further select passes between passes 1 and 2. At full
+retention pass 3 alone runs. Every merge reads the base and the stored
+stage-2 vectors one tensor at a time, so memory grows with the largest
+tensor, not with the model.
+
 Only a backend that loads weights from a path (``loads_weights``, the HTTP
 backend) gets a candidate file per trial: the candidates share one path in
 ``candidates/``, keeping at most one on disk, and the directory is removed
@@ -40,6 +51,8 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Union, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from . import __version__
 from .adaptation import (
     AdaptationSet,
@@ -49,10 +62,8 @@ from .adaptation import (
     save_difficulty_records,
     score_difficulty,
 )
-from .archive import atomic_write_text, open_archive
-# `sign_interference` is no longer called here; perfbench/worker.py's tracer
-# still wraps it at this import site.
-from .diagnostics import count_conflicts, sign_interference  # noqa: F401
+from .archive import TensorArchive, archive_writer, atomic_write_text, byte_sorted, open_archive
+from .diagnostics import InterferenceReport, opposite_signs
 from .errors import ConfigError, PipelineLockedError, StageError, TvfuseError
 from .evaluator import HttpBackend, MockBackend, encode_model_ref, quadratic_landscape
 from .evaluator.backend import EvaluationBackend, GenerationParams
@@ -61,13 +72,26 @@ from .floats import DTYPES
 from .optimizer import SearchSpace, TpeConfig, run_search
 from .optimizer.pareto import SELECTION_RULES
 from .task_vector import (
-    TaskVector,
+    Cut,
+    KeepMasks,
+    RadixSelect,
+    SparsityInfo,
+    StoredVector,
+    deltas,
+    merge,
+    non_finite,
+    rescale_gamma,
+    square_sum,
+    vector_metadata,
+)
+
+# Not called here any more: perfbench/worker.py's tracer wraps these names at
+# this import site.
+from .diagnostics import sign_interference  # noqa: F401
+from .task_vector import (  # noqa: F401
     extract_task_vector,
     global_l2_norm,
     load_task_vector,
-    merge,
-    require_finite,
-    save_task_vector,
     sparsify_and_rescale,
 )
 
@@ -228,6 +252,8 @@ class PipelineConfig:
                 problems.append(f"{label} does not exist: {value}")
         if not self.workspace:
             problems.append("workspace is required")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.retention_p <= 1.0:
             problems.append(f"retention_p must be in (0, 1], got {self.retention_p}")
         if self.epsilon <= 0:
@@ -252,6 +278,11 @@ class PipelineConfig:
             problems.append(f"backend.kind must be mock or http, got {self.backend.kind!r}")
         if self.backend.kind == "http" and not self.backend.url:
             problems.append("backend.url is required for the http backend")
+        # The mock's perplexity, ppl_base + ppl_slope * d^2, must stay positive.
+        if self.backend.mock.ppl_base <= 0:
+            problems.append(f"backend.mock.ppl_base must be > 0, got {self.backend.mock.ppl_base}")
+        if self.backend.mock.ppl_slope < 0:
+            problems.append(f"backend.mock.ppl_slope must be >= 0, got {self.backend.mock.ppl_slope}")
         try:
             self.search_space()
         except ValueError as exc:
@@ -527,20 +558,14 @@ def _stage_select_data(
     return selection
 
 
-def _process_vector(config: PipelineConfig, tv: TaskVector) -> TaskVector:
-    # At full retention the mask is the identity and no norm is lost, so the
-    # rescale step (whose epsilon would perturb gamma away from 1) is skipped;
-    # the select that would have rejected inf and NaN is skipped with it.
-    if config.retention_p >= 1.0:
-        require_finite(tv)
-        return tv
-    return sparsify_and_rescale(tv, config.retention_p, epsilon=config.epsilon)
-
-
 _SUMMARY_KEYS = {"retention_p", "epsilon", "sft", "rlvr", "sign_interference"}
 
 
 def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: bool) -> dict:
+    """Extract, prune, rescale and store both task vectors, and count their
+    sign interference, in lockstep passes over the base and both finetuned
+    archives that hold one tensor of each at a time (see `_sparsity` and
+    `_write_vectors`)."""
     if (
         resume
         and paths.tau_sft.exists()
@@ -551,53 +576,160 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
         return _read_json_object(paths.vector_summary, _SUMMARY_KEYS)
     paths.stage2.mkdir(parents=True, exist_ok=True)
     base = open_archive(config.base_path)
+    finetuned = [open_archive(config.sft_path), open_archive(config.rlvr_path)]
+    # At full retention the mask is the identity and no norm is lost, so the
+    # rescale step (whose epsilon would perturb gamma away from 1) is skipped.
+    prunings = _sparsity(config, base, finetuned) if config.retention_p < 1.0 else None
+    norms, interference = _write_vectors(config, base, finetuned, prunings, paths)
+    infos = [info for _, info in prunings] if prunings else [None, None]
     summary: dict[str, Any] = {"retention_p": config.retention_p, "epsilon": config.epsilon}
-    processed_vectors = {
-        label: _process_vector(config, extract_task_vector(base, open_archive(source)))
-        for label, source in (("sft", config.sft_path), ("rlvr", config.rlvr_path))
-    }
-    # Both vectors are processed, and so known to be finite, before either
-    # archive is written.
-    for label, out_path in (("sft", paths.tau_sft), ("rlvr", paths.tau_rlvr)):
-        processed = processed_vectors[label]
-        save_task_vector(processed, out_path)
-        # At full retention the processed vector is the raw one; otherwise
-        # sparsify stored the raw vector's norm.
-        processed_norm = global_l2_norm(processed)
-        entry = {"original_norm": processed_norm, "processed_norm": processed_norm}
-        if processed.sparsity is not None:
+    for label, info, norm in zip(("sft", "rlvr"), infos, norms):
+        entry = {"original_norm": norm, "processed_norm": norm}
+        if info is not None:
             entry.update(
-                original_norm=processed.sparsity.original_norm,
-                threshold=processed.sparsity.threshold,
-                retained_count=processed.sparsity.retained_count,
-                gamma=processed.sparsity.rescale_gamma,
+                original_norm=info.original_norm,
+                threshold=info.threshold,
+                retained_count=info.retained_count,
+                gamma=info.rescale_gamma,
             )
         summary[label] = entry
-    # Sign interference at retention_p, counted on the processed vectors
-    # instead of sparsifying the raw ones again: a processed vector is the
-    # sparsified one times gamma >= 0 (0 only for an all-zero vector), or the
-    # raw vector itself at full retention, so signs and support are the same.
-    interference = count_conflicts(
-        processed_vectors["sft"], processed_vectors["rlvr"], config.retention_p, config.retention_p
-    )
     summary["sign_interference"] = asdict(interference)
     atomic_write_text(paths.vector_summary, json.dumps(summary, indent=2))
     return summary
 
 
+def _raise_non_finite(finetuned: list[TensorArchive], first_bad: list[str | None]) -> None:
+    """Raise for the first vector, in sft, rlvr order, that holds inf or NaN."""
+    for ft, name in zip(finetuned, first_bad):
+        if name is not None:
+            raise non_finite(name, str(ft.path))
+
+
+def _sparsity(
+    config: PipelineConfig, base: TensorArchive, finetuned: list[TensorArchive]
+) -> list[tuple[Cut, SparsityInfo]]:
+    """The cut and sparsity of each vector, from lockstep passes over the inputs.
+
+    Pass 1 adds up the norm partials and feeds the select's first digit,
+    which settles a cut that is the floor of its bucket; any other cut takes
+    further select passes. Pass 2 applies the keep masks, adding up the
+    pruned vectors' norm partials and retained counts.
+    """
+    first = deltas(base, finetuned)
+    sizes = [meta.num_elements for meta in base.entries.values()]
+    selects = [RadixSelect(sum(sizes), max(sizes), [config.retention_p]) for _ in finetuned]
+    norms_sq = [0.0] * len(finetuned)
+    first_bad: list[str | None] = [None] * len(finetuned)
+    for name, vectors in first:
+        for i, values in enumerate(vectors):
+            partial = square_sum(values)
+            if not math.isfinite(partial) and first_bad[i] is None and not np.isfinite(values).all():
+                first_bad[i] = name
+            norms_sq[i] += partial
+            selects[i].feed(values)
+    _raise_non_finite(finetuned, first_bad)
+    for select in selects:
+        select.end_pass()
+    while pending := [i for i, select in enumerate(selects) if not select.done]:
+        for _, vectors in deltas(base, [finetuned[i] for i in pending]):
+            for i, values in zip(pending, vectors):
+                selects[i].feed(values)
+        for i in pending:
+            selects[i].end_pass()
+    cuts = [select.cuts()[0] for select in selects]
+
+    masks = [KeepMasks([cut]) for cut in cuts]
+    sparse_sq = [0.0] * len(finetuned)
+    retained = [0] * len(finetuned)
+    for _, vectors in deltas(base, finetuned):
+        for i, values in enumerate(vectors):
+            sparse = np.where(masks[i](values)[0], values, 0.0)
+            sparse_sq[i] += square_sum(sparse)
+            retained[i] += int(np.count_nonzero(sparse))
+    return [
+        (
+            cut,
+            SparsityInfo(
+                retention_p=config.retention_p,
+                threshold=cut.threshold,
+                retained_count=count,
+                original_norm=math.sqrt(norm_sq),
+                rescale_gamma=rescale_gamma(math.sqrt(norm_sq), math.sqrt(sq), config.epsilon),
+                epsilon=config.epsilon,
+            ),
+        )
+        for cut, count, norm_sq, sq in zip(cuts, retained, norms_sq, sparse_sq)
+    ]
+
+
+def _write_vectors(
+    config: PipelineConfig,
+    base: TensorArchive,
+    finetuned: list[TensorArchive],
+    prunings: list[tuple[Cut, SparsityInfo]] | None,
+    paths: WorkspacePaths,
+) -> tuple[list[float], InterferenceReport]:
+    """The last lockstep pass: mask each vector at its cut and rescale it by
+    its gamma (at full retention, `prunings` is None: keep both whole), write
+    both F32 archives, and return the processed norms and the sign
+    interference at retention_p.
+
+    The interference is counted on the processed float64 values instead of
+    sparsifying the raw ones again: a processed vector is the sparsified one
+    times gamma >= 0 (0 only for an all-zero vector), or the raw vector at
+    full retention, so signs and support are the same. A vector holding inf
+    or NaN (found here at full retention, where no earlier pass ran) raises
+    before either archive is renamed into place.
+    """
+    names = byte_sorted(base.entries)
+    specs = [(name, "F32", base.entries[name].shape) for name in names]
+    infos = [None] * len(finetuned)
+    if prunings is not None:
+        masks = [KeepMasks([cut]) for cut, _ in prunings]
+        infos = [info for _, info in prunings]
+    norms_sq = [0.0] * len(finetuned)
+    first_bad: list[str | None] = [None] * len(finetuned)
+    conflicts = denominator = 0
+    with contextlib.ExitStack() as stack:
+        writers = [
+            stack.enter_context(
+                archive_writer(specs, out, vector_metadata(str(base.path), str(ft.path), info))
+            )
+            for ft, info, out in zip(finetuned, infos, (paths.tau_sft, paths.tau_rlvr))
+        ]
+        for name, vectors in deltas(base, finetuned):
+            for i, values in enumerate(vectors):
+                if prunings is not None:
+                    values = np.where(masks[i](values)[0], values, 0.0)
+                    values *= infos[i].rescale_gamma
+                    vectors[i] = values
+                partial = square_sum(values)
+                if not math.isfinite(partial) and first_bad[i] is None and not np.isfinite(values).all():
+                    first_bad[i] = name
+                norms_sq[i] += partial
+                writers[i](values)
+            opposite, support = opposite_signs(*vectors)
+            conflicts += opposite.size
+            denominator += support
+        _raise_non_finite(finetuned, first_bad)
+    p = config.retention_p
+    return [math.sqrt(sq) for sq in norms_sq], InterferenceReport.of(p, p, conflicts, denominator)
+
+
 def _stage2_merger(
     config: PipelineConfig, paths: WorkspacePaths
 ) -> Callable[[tuple[float, float], Path], None]:
-    """Open the base archive and load both stage-2 vectors; return a function
-    that writes base + c_sft * tau_sft + c_rlvr * tau_rlvr to a path.
+    """Open the base archive and both stage-2 vectors; return a function
+    that writes base + c_sft * tau_sft + c_rlvr * tau_rlvr to a path, reading
+    the three archives one tensor at a time.
 
     The vectors come from the stage-2 archives (the canonical post-narrowing
     values), so search-time candidates and the final model are built from
     exactly the same data as any resumed run.
     """
     base = open_archive(config.base_path)
-    tau_sft = load_task_vector(paths.tau_sft)
-    tau_rlvr = load_task_vector(paths.tau_rlvr)
+    tau_sft = StoredVector(paths.tau_sft)
+    tau_rlvr = StoredVector(paths.tau_rlvr)
 
     def merge_to(coeffs: tuple[float, float], out_path: Path) -> None:
         merge(

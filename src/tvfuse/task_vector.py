@@ -1,18 +1,29 @@
 """Task-vector extraction, sparsification, rescaling and linear merging.
 
 A task vector is the elementwise difference between a post-trained
-checkpoint and its base model. Pruning (`sparsify`) keeps only the top
-fraction of entries by absolute magnitude, selected against a single global
-quantile over all parameters. `sparsify_and_rescale` is the one function
-that prunes and then rescales the pruned vector so its global L2 norm
-matches the original. There is one threshold algorithm: the exact k-th
-largest magnitude, found for several ranks at once by a radix select over
-the bits of |v| that streams the tensors in name order, and one tie rule.
-A vector holding inf or NaN has no magnitude order and is rejected.
+checkpoint and its base model. Every consumer reads a vector through one
+per-tensor source (`VectorSource`): float64 arrays, one tensor at a time in
+byte-wise name order. A source is a resident `TaskVector` or a stored
+archive read tensor by tensor (`StoredVector`); `deltas` reads ft - base of
+one base and several finetuned archives in lockstep, each archive once per
+tensor. A consumer walking a stored vector or the deltas holds one tensor
+of it at a time, so `merge` of stored vectors needs memory bounded by the
+largest tensor, not by the model.
 
-All arithmetic runs in float64 and all cross-tensor reductions combine
-per-tensor partials in byte-wise lexicographic tensor-name order, so
-results are bitwise reproducible.
+Pruning (`sparsify`) keeps only the top fraction of entries by absolute
+magnitude, selected against a single global cut over all parameters.
+`sparsify_and_rescale` prunes and then rescales the pruned vector so its
+global L2 norm matches the original. There is one threshold algorithm, the
+exact k-th largest magnitude found for several ranks at once by a radix
+select over the bits of |v| (`RadixSelect`), fed one tensor at a time per
+pass; and one tie rule (`KeepMasks`). The select settles a rank as soon as
+it falls among the entries equal to its bucket's floor value, so a cut on a
+value with a short significand (common among BF16 deltas) is found in one
+pass. A vector holding inf or NaN has no magnitude order and is rejected.
+
+All arithmetic runs in float64 and all cross-tensor reductions add
+per-tensor `np.sum` partials (`square_sum`) in byte-wise lexicographic
+tensor-name order, so results are bitwise reproducible whatever the source.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,8 +72,36 @@ class SparsityInfo:
     epsilon: float | None = None
 
 
+class VectorSource:
+    """A task vector read as float64 arrays, one tensor at a time in
+    byte-wise name order. `shapes` names its tensors; a subclass says where
+    `read` gets one from."""
+
+    shapes: dict[str, tuple[int, ...]]
+    source_base_id: str
+    source_ft_id: str
+
+    def read(self, name: str) -> np.ndarray:
+        raise NotImplementedError
+
+    def sorted_names(self) -> list[str]:
+        return byte_sorted(self.shapes)
+
+    def arrays(self) -> Iterator[tuple[str, np.ndarray]]:
+        for name in self.sorted_names():
+            yield name, self.read(name)
+
+    @property
+    def num_parameters(self) -> int:
+        return sum(math.prod(shape) for shape in self.shapes.values())
+
+    @property
+    def largest(self) -> int:
+        return max((math.prod(shape) for shape in self.shapes.values()), default=0)
+
+
 @dataclass
-class TaskVector:
+class TaskVector(VectorSource):
     """Named flat float64 delta buffers plus provenance and sparsity state."""
 
     tensors: dict[str, np.ndarray]
@@ -71,15 +110,24 @@ class TaskVector:
     source_ft_id: str = ""
     sparsity: SparsityInfo | None = None
 
-    def sorted_names(self) -> list[str]:
-        return byte_sorted(self.tensors)
-
-    @property
-    def num_parameters(self) -> int:
-        return sum(v.size for v in self.tensors.values())
+    def read(self, name: str) -> np.ndarray:
+        return self.tensors[name]
 
     def support_size(self) -> int:
         return int(sum(np.count_nonzero(v) for v in self.tensors.values()))
+
+
+class StoredVector(VectorSource):
+    """A vector archive, as `save_task_vector` writes it, read tensor by tensor."""
+
+    def __init__(self, path: str | Path):
+        self.archive = open_archive(path)
+        self.shapes = {name: meta.shape for name, meta in self.archive.entries.items()}
+        self.source_base_id = self.archive.metadata.get("source_base_id", "")
+        self.source_ft_id = self.archive.metadata.get("source_ft_id", "")
+
+    def read(self, name: str) -> np.ndarray:
+        return read_tensor(self.archive, name).values
 
 
 def retained_target(retention_p: float, total: int) -> int:
@@ -88,44 +136,81 @@ def retained_target(retention_p: float, total: int) -> int:
     return min(max(k, 1), total)
 
 
+def deltas(
+    base: TensorArchive,
+    finetuned: Sequence[TensorArchive],
+    *,
+    allow_dtype_mismatch: bool = False,
+) -> Iterator[tuple[str, list[np.ndarray]]]:
+    """One pass over ft - base for each finetuned archive: per tensor in
+    byte-wise name order, the name and one float64 delta per archive, each
+    archive read once. Names, shapes and dtypes are checked before any read."""
+    for ft in finetuned:
+        if set(base.entries) != set(ft.entries):
+            missing = set(base.entries) ^ set(ft.entries)
+            raise NameSetMismatchError(f"archives disagree on tensors: {sorted(missing)[:5]}")
+        for name in byte_sorted(base.entries):
+            bm, fm = base.entries[name], ft.entries[name]
+            if bm.shape != fm.shape:
+                raise ShapeMismatchError(f"tensor {name!r}: {bm.shape} vs {fm.shape}")
+            if bm.dtype != fm.dtype and not allow_dtype_mismatch:
+                raise ShapeMismatchError(
+                    f"tensor {name!r}: dtype {bm.dtype} vs {fm.dtype} "
+                    "(pass allow_dtype_mismatch=True to override)"
+                )
+
+    def lockstep() -> Iterator[tuple[str, list[np.ndarray]]]:
+        for name in byte_sorted(base.entries):
+            base_values = read_tensor(base, name).values
+            yield name, [read_tensor(ft, name).values - base_values for ft in finetuned]
+
+    return lockstep()
+
+
 def extract_task_vector(
     base: TensorArchive,
     finetuned: TensorArchive,
     *,
     allow_dtype_mismatch: bool = False,
 ) -> TaskVector:
-    """Per-tensor finetuned - base, streamed one tensor at a time."""
-    if set(base.entries) != set(finetuned.entries):
-        missing = set(base.entries) ^ set(finetuned.entries)
-        raise NameSetMismatchError(f"archives disagree on tensors: {sorted(missing)[:5]}")
-    tensors: dict[str, np.ndarray] = {}
-    shapes: dict[str, tuple[int, ...]] = {}
-    for name in byte_sorted(base.entries):
-        bm, fm = base.entries[name], finetuned.entries[name]
-        if bm.shape != fm.shape:
-            raise ShapeMismatchError(f"tensor {name!r}: {bm.shape} vs {fm.shape}")
-        if bm.dtype != fm.dtype and not allow_dtype_mismatch:
-            raise ShapeMismatchError(
-                f"tensor {name!r}: dtype {bm.dtype} vs {fm.dtype} "
-                "(pass allow_dtype_mismatch=True to override)"
-            )
-        tensors[name] = read_tensor(finetuned, name).values - read_tensor(base, name).values
-        shapes[name] = bm.shape
+    """Per-tensor finetuned - base, read one tensor at a time."""
+    tensors = {
+        name: delta
+        for name, (delta,) in deltas(base, [finetuned], allow_dtype_mismatch=allow_dtype_mismatch)
+    }
     return TaskVector(
         tensors=tensors,
-        shapes=shapes,
+        shapes={name: base.entries[name].shape for name in tensors},
         source_base_id=str(base.path),
         source_ft_id=str(finetuned.path),
     )
 
 
-def global_l2_norm(tv: TaskVector) -> float:
+def square_sum(values: np.ndarray) -> float:
+    """One tensor's partial of a squared L2 norm; a vector's partials add up
+    in byte-wise name order."""
+    return float(np.sum(np.square(values)))
+
+
+def global_l2_norm(source: VectorSource) -> float:
     """sqrt of the sum of squares over every parameter of every tensor."""
     total = 0.0
-    for name in tv.sorted_names():
-        v = tv.tensors[name]
-        total += float(np.sum(np.square(v)))
+    for _, values in source.arrays():
+        total += square_sum(values)
     return math.sqrt(total)
+
+
+def non_finite(name: str, source_ft_id: str) -> NonFiniteVectorError:
+    """The error for a vector whose tensor `name` holds inf or NaN."""
+    origin = f" of {source_ft_id}" if source_ft_id else ""
+    return NonFiniteVectorError(f"tensor {name!r}{origin} holds inf or NaN")
+
+
+def require_finite(source: VectorSource) -> None:
+    """Raise NonFiniteVectorError naming the first tensor holding inf or NaN."""
+    for name, values in source.arrays():
+        if not np.isfinite(values).all():
+            raise non_finite(name, source.source_ft_id)
 
 
 @dataclass(frozen=True)
@@ -145,24 +230,15 @@ _DIGIT_BITS = 16
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 # A top digit at or above this one has all exponent bits set: inf or NaN.
 _NON_FINITE_DIGIT = 0x7FF0
-
-
-def _magnitude_bits(values: np.ndarray) -> np.ndarray:
-    return values.view(np.int64) & _MAGNITUDE_BITS
-
-
-def require_finite(tv: TaskVector) -> None:
-    """Raise NonFiniteVectorError naming the first tensor holding inf or NaN."""
-    for name in tv.sorted_names():
-        if not np.isfinite(tv.tensors[name]).all():
-            origin = f" of {tv.source_ft_id}" if tv.source_ft_id else ""
-            raise NonFiniteVectorError(f"tensor {name!r}{origin} holds inf or NaN")
+# The bucket of every entry, whose members are all the magnitude bits.
+_ROOT = (64, 0)
 
 
 class _Bucket(NamedTuple):
     """Where one rank stands in the select: among the `size` entries whose
     magnitude bits above bit `shift` equal `prefix`, it is the `rank`-th
-    largest, and `above` entries lie in higher buckets."""
+    largest, and `above` entries lie in higher buckets. A settled bucket has
+    shift 0: its prefix is the cut's bits."""
 
     shift: int
     prefix: int
@@ -171,139 +247,193 @@ class _Bucket(NamedTuple):
     above: int
 
 
-def _descend(bucket: _Bucket, hist: np.ndarray) -> _Bucket:
-    """Step into the next digit's bucket that holds the rank, given `hist`,
-    the counts of that digit over `bucket`."""
-    from_top = np.cumsum(hist[::-1])
+def _tally(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From a bucket's `_count` counters, per digit: the members whose bits
+    below the digit are all 0, all the members, and (from the top digit
+    down) the running total of members."""
+    floors = counts[:, 0]
+    hist = floors + counts[:, 1]
+    return floors, hist, np.cumsum(hist[::-1])
+
+
+def _descend(bucket: _Bucket, floors: np.ndarray, hist: np.ndarray, from_top: np.ndarray) -> _Bucket:
+    """Step into the next digit's bucket that holds the rank, given the
+    `_tally` of that digit over `bucket`. A rank that falls among the entries
+    whose bits below the digit are all 0, the smallest of the bucket,
+    settles on that floor value, above all the bucket's other members."""
     index = int(np.searchsorted(from_top, bucket.rank))
     digit = hist.size - 1 - index
     higher = int(from_top[index] - hist[digit])
-    return _Bucket(
-        shift=bucket.shift - _DIGIT_BITS,
-        prefix=(bucket.prefix << _DIGIT_BITS) | digit,
-        size=int(hist[digit]),
-        rank=bucket.rank - higher,
-        above=bucket.above + higher,
-    )
+    shift = bucket.shift - _DIGIT_BITS
+    prefix = (bucket.prefix << _DIGIT_BITS) | digit
+    size, rank, above = int(hist[digit]), bucket.rank - higher, bucket.above + higher
+    over_floor = size - int(floors[digit])
+    if rank > over_floor:
+        return _Bucket(0, prefix << shift, size - over_floor, rank - over_floor, above + over_floor)
+    return _Bucket(shift, prefix, size, rank, above)
 
 
-def _bucket_members(tv: TaskVector, keys):
-    """Per tensor in name order, per (shift, prefix) key: the magnitude bits
-    whose bits above `shift` equal `prefix`."""
-    for name in tv.sorted_names():
-        bits = _magnitude_bits(tv.tensors[name])
+def _count(members: np.ndarray, low: int, mask: int, counts: np.ndarray) -> None:
+    """Add to `counts[digit, below]` each member's digit `(member >> low) &
+    mask`, with `below` 0 when its bits below `low` are all 0, else 1."""
+    if low:
+        key = members >> (low - 1)
+        key &= mask << 1
+        # Shifting out every bit from `low` up, the sign bit included, leaves the bits below.
+        key |= (members << (64 - low)) != 0
+    else:
+        key = (members & mask) << 1
+    added = np.bincount(key)
+    counts.reshape(-1)[: added.size] += added
+
+
+class RadixSelect:
+    """One exact cut per retention p, the k-th largest magnitude with
+    k = ceil(p*N), for a vector fed one tensor at a time, in name order, one
+    pass over the vector at a time:
+
+        select = RadixSelect(total, largest, retentions)
+        while not select.done:
+            for each tensor's values, in name order: select.feed(values)
+            select.end_pass()
+        select.cuts()
+
+    Pass 1 counts the top 16 bits of every entry's magnitude bits in one
+    2^16-bin histogram that all ranks share, which places each rank in one
+    bucket; it also counts, per digit, the entries whose lower bits are all
+    0, so a rank that falls among the entries equal to its bucket's floor
+    value settles at once. A bucket holding more entries than the largest
+    tensor is refined by the next 16-bit digit the same way, one pass per
+    digit, until it settles or is small (it settles after 4 digits), so a
+    bucket of ties is never gathered. One last pass gathers each remaining
+    bucket, which is then sorted. Memory is the counters, one tensor's
+    temporaries and the gathered buckets, none larger than the largest
+    tensor.
+    """
+
+    def __init__(self, total: int, largest: int, retentions: Sequence[float]):
+        for p in retentions:
+            if not 0.0 < p <= 1.0:
+                raise ValueError(f"retention fraction must be in (0, 1], got {p}")
+        if total == 0:
+            raise EmptyVectorError("task vector has no parameters")
+        self.largest = largest
+        self.ranks = [retained_target(p, total) for p in retentions]
+        self.non_finite = False
+        self._buckets = [_Bucket(*_ROOT, total, k, 0) for k in self.ranks]
+        # Per bucket key (shift, prefix) being refined this pass: its `_count`
+        # counters; per key being gathered: the members.
+        self._counting = {_ROOT: self._counters()}
+        self._gathering: dict[tuple[int, int], list[np.ndarray]] = {}
+
+    @staticmethod
+    def _counters() -> np.ndarray:
+        return np.zeros((1 << _DIGIT_BITS, 2), dtype=np.int64)
+
+    @property
+    def done(self) -> bool:
+        return not (self._counting or self._gathering)
+
+    def feed(self, values: np.ndarray) -> None:
+        """Count or gather one tensor's entries for the current pass."""
+        raw = values.view(np.int64)
+        if _ROOT in self._counting:
+            # Pass 1 counts the root alone, whose members are every entry; its
+            # digit, bits 48 to 62, leaves out the sign bit.
+            _count(raw, 64 - _DIGIT_BITS, _DIGIT_MASK >> 1, self._counting[_ROOT])
+            return
+        bits = raw & _MAGNITUDE_BITS
         high: dict[int, np.ndarray] = {}
-        for shift, prefix in keys:
+
+        def members(shift: int, prefix: int) -> np.ndarray:
             if shift not in high:
                 high[shift] = bits >> shift
-            yield (shift, prefix), bits[high[shift] == prefix]
+            return bits[high[shift] == prefix]
 
+        for (shift, prefix), counts in self._counting.items():
+            _count(members(shift, prefix), shift - _DIGIT_BITS, _DIGIT_MASK, counts)
+        for key, parts in self._gathering.items():
+            parts.append(members(*key))
 
-def quantile_threshold(tv: TaskVector, retentions: Sequence[float]) -> list[Cut]:
-    """One exact cut per retention p: the k-th largest magnitude, k = ceil(p*N).
-
-    A radix select over the magnitude bits, one tensor at a time. Pass 1
-    counts the top 16 bits of every entry in one 2^16-bin histogram that all
-    ranks share, which places each rank in one bucket. A bucket holding more
-    entries than the largest tensor is refined by the next 16-bit digit, one
-    pass per digit, until it is small or its value is known (after 4 digits,
-    or once the bits below the digit are 0 for all its entries), so a bucket
-    of ties is never gathered. One last pass gathers each remaining bucket,
-    which is then sorted. Memory is one tensor's temporaries, the counters
-    and the gathered buckets, none larger than the largest tensor.
-    """
-    for p in retentions:
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"retention fraction must be in (0, 1], got {p}")
-    total = tv.num_parameters
-    if total == 0:
-        raise EmptyVectorError("task vector has no parameters")
-    names = tv.sorted_names()
-    largest = max(tv.tensors[name].size for name in names)
-    ranks = [retained_target(p, total) for p in retentions]
-
-    hist = np.zeros(1 << _DIGIT_BITS, dtype=np.int64)
-    for name in names:
-        digits = _magnitude_bits(tv.tensors[name])
-        digits >>= 64 - _DIGIT_BITS
-        counts = np.bincount(digits)
-        hist[: counts.size] += counts
-    if hist[_NON_FINITE_DIGIT:].any():
-        require_finite(tv)
-    buckets = [_descend(_Bucket(64, 0, total, k, 0), hist) for k in ranks]
-
-    while True:
-        refine = {(b.shift, b.prefix) for b in buckets if b.shift > 0 and b.size > largest}
-        if not refine:
-            break
-        hists = {key: np.zeros(1 << _DIGIT_BITS, dtype=np.int64) for key in refine}
-        # OR of each bucket's bits below the digit counted: 0 means the digit
-        # alone settles the value.
-        rest = dict.fromkeys(refine, 0)
-        for (shift, prefix), members in _bucket_members(tv, refine):
-            low = shift - _DIGIT_BITS
-            counts = np.bincount((members >> low) & _DIGIT_MASK)
-            hists[shift, prefix][: counts.size] += counts
-            rest[shift, prefix] |= int(np.bitwise_or.reduce(members & ((1 << low) - 1)))
-        for i, bucket in enumerate(buckets):
+    def end_pass(self) -> None:
+        """Place each rank by the pass just fed, and plan the next pass."""
+        if _ROOT in self._counting:
+            self.non_finite = bool(self._counting[_ROOT][_NON_FINITE_DIGIT:].any())
+        tallies = {key: _tally(counts) for key, counts in self._counting.items()}
+        gathered = {key: np.sort(np.concatenate(parts)) for key, parts in self._gathering.items()}
+        for i, bucket in enumerate(self._buckets):
             key = (bucket.shift, bucket.prefix)
-            if key in refine:
-                bucket = _descend(bucket, hists[key])
-                if not rest[key]:
-                    bucket = bucket._replace(shift=0, prefix=bucket.prefix << bucket.shift)
-                buckets[i] = bucket
+            if key in tallies:
+                self._buckets[i] = _descend(bucket, *tallies[key])
+            elif key in gathered:
+                values = gathered[key]
+                bits = int(values[values.size - bucket.rank])
+                above = values.size - int(np.searchsorted(values, bits, side="right"))
+                self._buckets[i] = _Bucket(0, bits, 0, 0, bucket.above + above)
+        unsettled = {(b.shift, b.prefix) for b in self._buckets if b.shift > 0}
+        large = {(b.shift, b.prefix) for b in self._buckets if b.shift > 0 and b.size > self.largest}
+        self._counting = {key: self._counters() for key in large}
+        self._gathering = {} if large else {key: [] for key in unsettled}
 
-    gathered: dict[tuple[int, int], list[np.ndarray]] = {
-        (b.shift, b.prefix): [] for b in buckets if b.shift > 0
-    }
-    if gathered:
-        for key, members in _bucket_members(tv, gathered):
-            gathered[key].append(members)
-    for key, parts in gathered.items():
-        values = np.concatenate(parts)
-        values.sort()
-        gathered[key] = values
-
-    cuts = []
-    for k, bucket in zip(ranks, buckets):
-        bits, above = bucket.prefix, bucket.above
-        if bucket.shift > 0:
-            values = gathered[bucket.shift, bucket.prefix]
-            bits = int(values[values.size - bucket.rank])
-            above += values.size - int(np.searchsorted(values, bits, side="right"))
-        cuts.append(Cut(float(np.int64(bits).view(np.float64)), k, above))
-    return cuts
+    def cuts(self) -> list[Cut]:
+        return [
+            Cut(float(np.int64(bucket.prefix).view(np.float64)), k, bucket.above)
+            for k, bucket in zip(self.ranks, self._buckets)
+        ]
 
 
-def keep_masks(tv: TaskVector, cuts: Sequence[Cut]):
-    """Per tensor in name order: (name, one keep mask per cut).
+def quantile_threshold(source: VectorSource, retentions: Sequence[float]) -> list[Cut]:
+    """One exact cut per retention p by `RadixSelect`, reading `source` once
+    per pass. A vector holding inf or NaN raises NonFiniteVectorError."""
+    select = RadixSelect(source.num_parameters, source.largest, retentions)
+    while not select.done:
+        for _, values in source.arrays():
+            select.feed(values)
+        select.end_pass()
+        if select.non_finite:
+            require_finite(source)
+    return select.cuts()
 
-    A cut keeps |v| > threshold, then the first k - count_above ties
-    |v| == threshold in (name, flat index) order, so exactly k entries.
-    """
-    ties_left = [cut.k - cut.count_above for cut in cuts]
-    for name in tv.sorted_names():
-        magnitude = np.abs(tv.tensors[name])
+
+class KeepMasks:
+    """The one tie rule, fed one tensor at a time in name order: a cut keeps
+    |v| > threshold, then the first k - count_above ties |v| == threshold in
+    (name, flat index) order, so exactly k entries."""
+
+    def __init__(self, cuts: Sequence[Cut]):
+        self.cuts = list(cuts)
+        self.ties_left = [cut.k - cut.count_above for cut in cuts]
+
+    def __call__(self, values: np.ndarray) -> list[np.ndarray]:
+        """One keep mask per cut for the next tensor's values."""
+        magnitude = np.abs(values)
         masks = []
-        for i, cut in enumerate(cuts):
+        for i, cut in enumerate(self.cuts):
             mask = magnitude > cut.threshold
-            if ties_left[i]:
-                ties = np.flatnonzero(magnitude == cut.threshold)[: ties_left[i]]
+            if self.ties_left[i]:
+                ties = np.flatnonzero(magnitude == cut.threshold)[: self.ties_left[i]]
                 mask[ties] = True
-                ties_left[i] -= ties.size
+                self.ties_left[i] -= ties.size
             masks.append(mask)
-        yield name, masks
+        return masks
 
 
-def sparsify(tv: TaskVector, p: float) -> TaskVector:
+def keep_masks(source: VectorSource, cuts: Sequence[Cut]):
+    """Per tensor in name order: (name, values, one keep mask per cut)."""
+    keep = KeepMasks(cuts)
+    for name, values in source.arrays():
+        yield name, values, keep(values)
+
+
+def sparsify(source: VectorSource, p: float) -> TaskVector:
     """Zero all but the top-p fraction of entries by absolute magnitude."""
-    original_norm = global_l2_norm(tv)
-    (cut,) = quantile_threshold(tv, [p])
+    original_norm = global_l2_norm(source)
+    (cut,) = quantile_threshold(source, [p])
     result = TaskVector(
-        tensors={name: np.where(mask, tv.tensors[name], 0.0) for name, (mask,) in keep_masks(tv, [cut])},
-        shapes=dict(tv.shapes),
-        source_base_id=tv.source_base_id,
-        source_ft_id=tv.source_ft_id,
+        tensors={name: np.where(mask, values, 0.0) for name, values, (mask,) in keep_masks(source, [cut])},
+        shapes=dict(source.shapes),
+        source_base_id=source.source_base_id,
+        source_ft_id=source.source_ft_id,
     )
     result.sparsity = SparsityInfo(
         retention_p=p,
@@ -314,24 +444,30 @@ def sparsify(tv: TaskVector, p: float) -> TaskVector:
     return result
 
 
-def sparsify_and_rescale(tv: TaskVector, p: float, epsilon: float = DEFAULT_EPSILON) -> TaskVector:
-    """`sparsify`, then multiply every entry by gamma = original_norm /
-    (sparse_norm + epsilon), so the pruned vector keeps the unpruned norm.
-
-    The multiply runs in place on the arrays `sparsify` allocated, never on
-    `tv`'s own."""
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be finite and positive")
-    result = sparsify(tv, p)
-    original_norm = result.sparsity.original_norm
-    sparse_norm = global_l2_norm(result)
+def rescale_gamma(original_norm: float, sparse_norm: float, epsilon: float) -> float:
+    """gamma = original_norm / (sparse_norm + epsilon), warning when the
+    pruned vector is all zeros."""
     if sparse_norm == 0.0:
         warnings.warn(
             f"rescaling an all-zero sparse vector: gamma = {original_norm / epsilon:g}",
             DegenerateRescaleWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    gamma = original_norm / (sparse_norm + epsilon)
+    return original_norm / (sparse_norm + epsilon)
+
+
+def sparsify_and_rescale(
+    source: VectorSource, p: float, epsilon: float = DEFAULT_EPSILON
+) -> TaskVector:
+    """`sparsify`, then multiply every entry by `rescale_gamma`, so the pruned
+    vector keeps the unpruned norm.
+
+    The multiply runs in place on the arrays `sparsify` allocated, never on
+    the source's own."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be finite and positive")
+    result = sparsify(source, p)
+    gamma = rescale_gamma(result.sparsity.original_norm, global_l2_norm(result), epsilon)
     for values in result.tensors.values():
         values *= gamma
     result.sparsity.rescale_gamma = gamma
@@ -341,30 +477,31 @@ def sparsify_and_rescale(tv: TaskVector, p: float, epsilon: float = DEFAULT_EPSI
 
 def merge(
     base: TensorArchive,
-    terms: list[tuple[TaskVector, float]],
+    terms: list[tuple[VectorSource, float]],
     out_path: str | Path,
     out_dtype: str | None = None,
 ) -> None:
     """Write base + sum(coefficient * vector) narrowed to the output dtype.
 
-    Streams one tensor at a time; the output dtype defaults to each base
-    tensor's own storage dtype.
+    Reads the base and every vector one tensor at a time, so with stored
+    vectors it holds one tensor of each; the output dtype defaults to each
+    base tensor's own storage dtype.
     """
-    for tv, coeff in terms:
+    for source, coeff in terms:
         if not math.isfinite(coeff):
             raise ValueError(f"non-finite merge coefficient {coeff}")
-        if set(tv.tensors) != set(base.entries):
+        if set(source.shapes) != set(base.entries):
             raise NameSetMismatchError("task vector names do not match the base archive")
         for name, meta in base.entries.items():
-            if tv.shapes[name] != meta.shape:
+            if source.shapes[name] != meta.shape:
                 raise ShapeMismatchError(
-                    f"tensor {name!r}: vector shape {tv.shapes[name]} vs base {meta.shape}"
+                    f"tensor {name!r}: vector shape {source.shapes[name]} vs base {meta.shape}"
                 )
 
     def combine(name: str) -> np.ndarray:
         acc = read_tensor(base, name).values
-        for tv, coeff in terms:
-            acc = acc + coeff * tv.tensors[name]
+        for source, coeff in terms:
+            acc = acc + coeff * source.read(name)
         return acc
 
     entries = [
@@ -382,17 +519,14 @@ def merge(
 # --- persistence --------------------------------------------------------------
 
 
-def save_task_vector(tv: TaskVector, path: str | Path, dtype: str = "F32") -> None:
-    """Persist a task vector as a tensor archive with provenance metadata.
-
-    The sparsity keys are written for provenance; `load_task_vector` does not
-    read them back."""
-    metadata = {
-        "source_base_id": tv.source_base_id,
-        "source_ft_id": tv.source_ft_id,
-    }
-    if tv.sparsity is not None:
-        s = tv.sparsity
+def vector_metadata(
+    source_base_id: str, source_ft_id: str, sparsity: SparsityInfo | None
+) -> dict[str, str]:
+    """The provenance metadata of a stored vector. The sparsity keys are
+    written for people; `load_task_vector` does not read them back."""
+    metadata = {"source_base_id": source_base_id, "source_ft_id": source_ft_id}
+    if sparsity is not None:
+        s = sparsity
         metadata["retention_p"] = repr(s.retention_p)
         metadata["threshold"] = repr(s.threshold)
         metadata["original_norm"] = repr(s.original_norm)
@@ -401,9 +535,15 @@ def save_task_vector(tv: TaskVector, path: str | Path, dtype: str = "F32") -> No
             metadata["gamma"] = repr(s.rescale_gamma)
         if s.epsilon is not None:
             metadata["epsilon"] = repr(s.epsilon)
+    return metadata
+
+
+def save_task_vector(tv: TaskVector, path: str | Path, dtype: str = "F32") -> None:
+    """Persist a task vector as a tensor archive with `vector_metadata`."""
     entries = (
         (name, dtype, list(tv.shapes[name]), tv.tensors[name]) for name in tv.sorted_names()
     )
+    metadata = vector_metadata(tv.source_base_id, tv.source_ft_id, tv.sparsity)
     write_archive(entries, path, metadata=metadata)
 
 

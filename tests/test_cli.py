@@ -303,6 +303,13 @@ BAD_INPUTS = {
     ),
     "config-n-fraction": (None, [*_RUN, "--set", "n=2.5"], 2, "n must be an integer, got 2.5"),
     "config-seed-fraction": (None, [*_RUN, "--set", "seed=1.5"], 2, "seed must be an integer"),
+    "config-seed-negative": (None, [*_RUN, "--set", "seed=-1"], 2, "seed must be >= 0"),
+    "config-mock-ppl-base-zero": (
+        None, [*_RUN, "--set", "backend.mock.ppl_base=0"], 2, "backend.mock.ppl_base must be > 0"
+    ),
+    "config-mock-ppl-slope-negative": (
+        None, [*_RUN, "--set", "backend.mock.ppl_slope=-1"], 2, "backend.mock.ppl_slope must be >= 0"
+    ),
     "config-m-fraction": (None, [*_RUN, "--set", "m=5.5"], 2, "m must be an integer"),
     "config-timeout-negative": (None, [*_HTTP, "--set", "backend.timeout=-1"], 2, "timeout"),
     "config-timeout-nan": (None, [*_HTTP, "--set", "backend.timeout=NaN"], 2, "timeout"),

@@ -1,11 +1,12 @@
 """`run_pipeline` against the dense stage-2-and-merge reference.
 
 Generated trios mix BF16, F16 and F32 tensors, single-element ones
-included. Values come from an alphabet that makes ties at the cut span
-tensors (equal deltas in every tensor), puts cuts on the floor of their
-radix bucket with larger members in the same bucket (1.0 and 1 + 2^-7),
-gives deltas that F32 cannot hold (2^10 against 2^-20) and holds exact
-zeros of both signs, plus arbitrary values of each storage grid.
+included. Each finetuned entry is its base entry plus a delta from a short
+list, or an unrelated value. Repeated deltas make ties at the cut that
+span tensors, and 1.0 with 1 + 2^-7 puts cuts on the floor of their radix
+bucket with larger members in the same bucket. Unrelated values give
+deltas that F32 cannot hold (2^-20 against 2^10). Exact zeros of both
+signs, and arbitrary values of each storage grid, are drawn too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from synth import make_query_pool
 from tvfuse import archive
 from tvfuse.pipeline import PipelineConfig, WorkspacePaths, run_pipeline
 
-ALPHABET = [0.0, -0.0, 1.0, -1.0, 1.0078125, -1.0078125, 0.5, 2.0**10, -(2.0**10), 2.0**-20, 3.0]
+ALPHABET = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 2.0**10, -(2.0**10), 2.0**-20]
+DELTAS = [0.0, 1.0, -1.0, 1.0078125, -1.0078125, 0.5]
 NAMES = ["lm_head.weight", "model.embed_tokens.weight", "model.layers.0.mlp.up_proj.weight"]
 DTYPES = ["BF16", "F16", "F32"]
 
@@ -33,16 +35,24 @@ def on_grid(dtype: str, value: float) -> float:
     return float(widen(encode(np.array([value]), dtype), dtype)[0])
 
 
+def entries(dtype: str):
+    """(base, sft, rlvr) values of one position, on the grid of `dtype`."""
+    value = st.one_of(
+        st.sampled_from(ALPHABET), st.floats(-1e3, 1e3, allow_subnormal=False, width=32)
+    ).map(lambda v: on_grid(dtype, v))
+
+    def finetuned(base: float):
+        return st.one_of(st.sampled_from(DELTAS).map(lambda d: on_grid(dtype, base + d)), value)
+
+    return value.flatmap(lambda base: st.tuples(st.just(base), finetuned(base), finetuned(base)))
+
+
 @st.composite
 def trios(draw):
     tensors = []
     for i in range(draw(st.integers(1, 4))):
         dtype = draw(st.sampled_from(DTYPES))
-        entry = st.one_of(
-            st.sampled_from(ALPHABET), st.floats(-1e3, 1e3, allow_subnormal=False, width=32)
-        ).map(lambda v, dtype=dtype: on_grid(dtype, v))
-        size = draw(st.integers(1, 6))
-        rows = [draw(st.tuples(entry, entry, entry)) for _ in range(size)]
+        rows = draw(st.lists(entries(dtype), min_size=1, max_size=6))
         tensors.append((f"{NAMES[i % len(NAMES)]}.{i}", dtype, np.array(rows).T))
     return tensors
 

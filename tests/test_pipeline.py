@@ -7,6 +7,8 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -124,12 +126,26 @@ def count_calls(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def count_reads(monkeypatch, merges: list) -> list[tuple[Path, str, int]]:
+    """Every tensor the task-vector layer reads, as (archive path, tensor
+    name, merges begun before the read)."""
+    reads = []
+    original = task_vector.read_tensor
+
+    def counted(arc, name):
+        reads.append((Path(arc.path), name, len(merges)))
+        return original(arc, name)
+
+    monkeypatch.setattr(task_vector, "read_tensor", counted)
+    return reads
+
+
 def test_mock_backend_search_merges_and_loads_nothing(setup, monkeypatch):
     _, _, _, config_path = setup
     config = load_config(config_path)
     paths = WorkspacePaths(Path(config.workspace))
     merges = count_calls(monkeypatch, pipeline, "merge")
-    loads = count_calls(monkeypatch, pipeline, "load_task_vector")
+    reads = count_reads(monkeypatch, merges)
     candidate_dir_seen = []
     original_generate = MockBackend.generate
 
@@ -140,7 +156,13 @@ def test_mock_backend_search_merges_and_loads_nothing(setup, monkeypatch):
     monkeypatch.setattr(MockBackend, "generate", generate)
     run_pipeline(config)
     assert len(merges) == 1 and merges[0][2] == paths.merged_model  # the final merge alone
-    assert len(loads) == 2  # tau_sft and tau_rlvr, for the final merge
+    stored = [(path, name, merged) for path, name, merged in reads if path.parent == paths.stage2]
+    # The search reads no stage-2 tensor; the final merge reads each one once.
+    assert all(merged == 1 for _, _, merged in stored)
+    names = archive.open_archive(config.base_path).entries
+    assert sorted((path, name) for path, name, _ in stored) == sorted(
+        (path, name) for path in (paths.tau_sft, paths.tau_rlvr) for name in names
+    )
     assert candidate_dir_seen and not any(candidate_dir_seen)
     assert not paths.candidate.parent.exists()
 
@@ -515,30 +537,20 @@ def test_difficulty_spread_produces_two_pools(setup):
     assert all(0.0 <= d <= 1.0 for d in difficulties)
 
 
-@pytest.mark.parametrize("retention", [0.3, 1.0])
-def test_stage_two_sparsifies_each_vector_once(setup, monkeypatch, retention):
+# Lockstep passes of stage 2 over the inputs. At 0.3: pass 1 (norms and the
+# select's top digit), one gather pass (this trio's cuts lie in buckets no
+# larger than a tensor and not on their floor), the mask pass and the write
+# pass. At full retention the write pass alone.
+@pytest.mark.parametrize("retention, passes", [(0.3, 4), (1.0, 1)])
+def test_stage_two_sparsifies_each_vector_once(setup, monkeypatch, retention, passes):
     _, _, _, config_path = setup
     config = load_config(config_path, {"retention_p": str(retention)})
-    calls = []
-    original = task_vector.sparsify
-
-    def counting_sparsify(tv, p, *args, **kwargs):
-        calls.append(p)
-        return original(tv, p, *args, **kwargs)
-
-    norms = []
-    original_norm = pipeline.global_l2_norm
-
-    def counting_norm(tv):
-        norms.append(tv)
-        return original_norm(tv)
-
-    monkeypatch.setattr(task_vector, "sparsify", counting_sparsify)
-    monkeypatch.setattr(diagnostics, "sparsify", counting_sparsify)
-    monkeypatch.setattr(pipeline, "global_l2_norm", counting_norm)
+    reads = count_reads(monkeypatch, [])
     summary = pipeline._stage_task_vectors(config, WorkspacePaths(Path(config.workspace)), resume=False)
-    assert calls == ([retention, retention] if retention < 1.0 else [])
-    assert len(norms) == 2  # one per vector
+    tensors = len(archive.open_archive(config.base_path).entries)
+    per_archive = Counter(path.name for path, _, _ in reads)
+    assert per_archive == {name: passes * tensors for name in ("base.safetensors", "sft.safetensors", "rlvr.safetensors")}
+    monkeypatch.undo()
     # The count on the processed vectors equals the interference of the raw ones.
     base = archive.open_archive(config.base_path)
     raw = [
@@ -554,6 +566,81 @@ def test_stage_two_sparsifies_each_vector_once(setup, monkeypatch, retention):
         "conflict_ratio": expected.conflict_ratio,
         "denominator_count": expected.denominator_count,
     }
+
+
+def test_stage_two_takes_three_passes_when_each_cut_is_its_buckets_floor(tmp_path, monkeypatch):
+    # Deltas k/8 with |k| < 8 have at most 3 significant bits, so each cut is
+    # the floor value of its top-digit bucket and pass 1 settles it.
+    rng = np.random.default_rng(4)
+    shapes = {"a": (40,), "b": (7, 5), "c": (1,)}
+    checkpoints = {}
+    for label, spread in (("base", 0), ("sft", 7), ("rlvr", 2)):
+        checkpoints[label] = tmp_path / f"{label}.safetensors"
+        archive.write_archive(
+            [
+                (name, "BF16", list(shape), 2.0 + rng.integers(-spread, spread + 1, math.prod(shape)) / 8)
+                for name, shape in shapes.items()
+            ],
+            checkpoints[label],
+        )
+    pool = make_query_pool(tmp_path / "pool.jsonl")
+    config = load_config(make_config(tmp_path, checkpoints, pool, tmp_path / "ws"))
+    reads = count_reads(monkeypatch, [])
+    summary = pipeline._stage_task_vectors(config, WorkspacePaths(Path(config.workspace)), resume=False)
+    assert Counter(path.name for path, _, _ in reads) == {
+        f"{label}.safetensors": 3 * len(shapes) for label in ("base", "sft", "rlvr")
+    }
+    # ceil(0.3 * 76) entries, all non-zero since both cuts are above 0.
+    assert summary["sft"]["retained_count"] == summary["rlvr"]["retained_count"] == 23
+
+
+def write_bf16_trio(directory: Path, count: int, size: int) -> dict[str, Path]:
+    """A BF16 trio of `count` tensors of `size` values, with the benchmark's
+    delta scales, so after rounding many deltas tie."""
+    rng = np.random.default_rng(count)
+    names = [f"model.layers.{i}.mlp.up_proj.weight" for i in range(count)]
+    base = {name: rng.standard_normal(size) * 0.02 for name in names}
+    trio = {"base": base}
+    for label, scale in (("sft", 2e-3), ("rlvr", 5e-4)):
+        trio[label] = {name: values + rng.standard_normal(size) * scale for name, values in base.items()}
+    directory.mkdir(parents=True, exist_ok=True)
+    checkpoints = {}
+    for label, tensors in trio.items():
+        checkpoints[label] = directory / f"{label}.safetensors"
+        archive.write_archive(
+            [(name, "BF16", [size], values) for name, values in tensors.items()], checkpoints[label]
+        )
+    return checkpoints
+
+
+def test_stage_two_and_final_merge_hold_memory_bounded_by_the_largest_tensor(tmp_path):
+    # Tensors large enough that the headers parsed per tensor, which do grow
+    # with the count, stay small next to the data.
+    size = 65_536
+    pool = make_query_pool(tmp_path / "pool.jsonl")
+    peaks = {}
+    for count in (16, 64):
+        directory = tmp_path / str(count)
+        config = load_config(
+            make_config(directory, write_bf16_trio(directory, count, size), pool, directory / "ws")
+        )
+        paths = WorkspacePaths(Path(config.workspace))
+        tracemalloc.start()
+        try:
+            pipeline._stage_task_vectors(config, paths, resume=False)
+            stage_two = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            pipeline._stage_final_merge(config, paths, (0.8, 1.5))
+            final_merge = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks[count] = (stage_two, final_merge)
+    tensor_bytes = size * 8
+    for stage_two, final_merge in peaks.values():
+        # Stage 2 also holds each vector's select counters, 2^17 integers.
+        assert stage_two <= 16 * tensor_bytes and final_merge <= 6 * tensor_bytes
+    for few, many in zip(peaks[16], peaks[64]):
+        assert many <= 1.1 * few
 
 
 @pytest.mark.parametrize("url", ["localhost:8000", "ftp://host/x", "http://"])
