@@ -579,9 +579,10 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
     finetuned = [open_archive(config.sft_path), open_archive(config.rlvr_path)]
     # At full retention the mask is the identity and no norm is lost, so the
     # rescale step (whose epsilon would perturb gamma away from 1) is skipped.
-    prunings = _sparsity(config, base, finetuned) if config.retention_p < 1.0 else None
-    norms, interference = _write_vectors(config, base, finetuned, prunings, paths)
-    infos = [info for _, info in prunings] if prunings else [None, None]
+    cuts, infos = None, [None, None]
+    if config.retention_p < 1.0:
+        cuts, infos = _sparsity(config, base, finetuned)
+    norms, interference = _write_vectors(config, base, finetuned, cuts, infos, paths)
     summary: dict[str, Any] = {"retention_p": config.retention_p, "epsilon": config.epsilon}
     for label, info, norm in zip(("sft", "rlvr"), infos, norms):
         entry = {"original_norm": norm, "processed_norm": norm}
@@ -598,16 +599,32 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
     return summary
 
 
-def _raise_non_finite(finetuned: list[TensorArchive], first_bad: list[str | None]) -> None:
-    """Raise for the first vector, in sft, rlvr order, that holds inf or NaN."""
-    for ft, name in zip(finetuned, first_bad):
-        if name is not None:
-            raise non_finite(name, str(ft.path))
+class _Norms:
+    """Each finetuned archive's vector: its squared L2 norm, from per-tensor
+    partials added in name order, and its first tensor holding inf or NaN."""
+
+    def __init__(self, finetuned: list[TensorArchive]):
+        self.finetuned = finetuned
+        self.squares = [0.0] * len(finetuned)
+        self.first_bad: list[str | None] = [None] * len(finetuned)
+
+    def add(self, i: int, name: str, values: np.ndarray) -> None:
+        partial = square_sum(values)
+        # Finite squares can overflow too, so only then look for inf or NaN.
+        if not math.isfinite(partial) and self.first_bad[i] is None and not np.isfinite(values).all():
+            self.first_bad[i] = name
+        self.squares[i] += partial
+
+    def require_finite(self) -> None:
+        """Raise for the first vector, in sft, rlvr order, that holds inf or NaN."""
+        for ft, name in zip(self.finetuned, self.first_bad):
+            if name is not None:
+                raise non_finite(name, str(ft.path))
 
 
 def _sparsity(
     config: PipelineConfig, base: TensorArchive, finetuned: list[TensorArchive]
-) -> list[tuple[Cut, SparsityInfo]]:
+) -> tuple[list[Cut], list[SparsityInfo]]:
     """The cut and sparsity of each vector, from lockstep passes over the inputs.
 
     Pass 1 adds up the norm partials and feeds the select's first digit,
@@ -615,19 +632,15 @@ def _sparsity(
     further select passes. Pass 2 applies the keep masks, adding up the
     pruned vectors' norm partials and retained counts.
     """
-    first = deltas(base, finetuned)
+    first = deltas(base, finetuned)  # checks names, shapes and dtypes first
     sizes = [meta.num_elements for meta in base.entries.values()]
     selects = [RadixSelect(sum(sizes), max(sizes), [config.retention_p]) for _ in finetuned]
-    norms_sq = [0.0] * len(finetuned)
-    first_bad: list[str | None] = [None] * len(finetuned)
+    norms = _Norms(finetuned)
     for name, vectors in first:
         for i, values in enumerate(vectors):
-            partial = square_sum(values)
-            if not math.isfinite(partial) and first_bad[i] is None and not np.isfinite(values).all():
-                first_bad[i] = name
-            norms_sq[i] += partial
+            norms.add(i, name, values)
             selects[i].feed(values)
-    _raise_non_finite(finetuned, first_bad)
+    norms.require_finite()
     for select in selects:
         select.end_pass()
     while pending := [i for i, select in enumerate(selects) if not select.done]:
@@ -639,40 +652,41 @@ def _sparsity(
     cuts = [select.cuts()[0] for select in selects]
 
     masks = [KeepMasks([cut]) for cut in cuts]
-    sparse_sq = [0.0] * len(finetuned)
+    pruned = _Norms(finetuned)
     retained = [0] * len(finetuned)
-    for _, vectors in deltas(base, finetuned):
+    for name, vectors in deltas(base, finetuned):
         for i, values in enumerate(vectors):
             sparse = np.where(masks[i](values)[0], values, 0.0)
-            sparse_sq[i] += square_sum(sparse)
+            pruned.add(i, name, sparse)
             retained[i] += int(np.count_nonzero(sparse))
-    return [
-        (
-            cut,
+    infos = []
+    for cut, count, square, pruned_square in zip(cuts, retained, norms.squares, pruned.squares):
+        original_norm = math.sqrt(square)
+        infos.append(
             SparsityInfo(
                 retention_p=config.retention_p,
                 threshold=cut.threshold,
                 retained_count=count,
-                original_norm=math.sqrt(norm_sq),
-                rescale_gamma=rescale_gamma(math.sqrt(norm_sq), math.sqrt(sq), config.epsilon),
+                original_norm=original_norm,
+                rescale_gamma=rescale_gamma(original_norm, math.sqrt(pruned_square), config.epsilon),
                 epsilon=config.epsilon,
-            ),
+            )
         )
-        for cut, count, norm_sq, sq in zip(cuts, retained, norms_sq, sparse_sq)
-    ]
+    return cuts, infos
 
 
 def _write_vectors(
     config: PipelineConfig,
     base: TensorArchive,
     finetuned: list[TensorArchive],
-    prunings: list[tuple[Cut, SparsityInfo]] | None,
+    cuts: list[Cut] | None,
+    infos: list[SparsityInfo | None],
     paths: WorkspacePaths,
 ) -> tuple[list[float], InterferenceReport]:
     """The last lockstep pass: mask each vector at its cut and rescale it by
-    its gamma (at full retention, `prunings` is None: keep both whole), write
-    both F32 archives, and return the processed norms and the sign
-    interference at retention_p.
+    its gamma (at full retention `cuts` is None: keep both whole), write both
+    F32 archives, and return the processed norms and the sign interference
+    at retention_p.
 
     The interference is counted on the processed float64 values instead of
     sparsifying the raw ones again: a processed vector is the sparsified one
@@ -681,14 +695,9 @@ def _write_vectors(
     or NaN (found here at full retention, where no earlier pass ran) raises
     before either archive is renamed into place.
     """
-    names = byte_sorted(base.entries)
-    specs = [(name, "F32", base.entries[name].shape) for name in names]
-    infos = [None] * len(finetuned)
-    if prunings is not None:
-        masks = [KeepMasks([cut]) for cut, _ in prunings]
-        infos = [info for _, info in prunings]
-    norms_sq = [0.0] * len(finetuned)
-    first_bad: list[str | None] = [None] * len(finetuned)
+    specs = [(name, "F32", base.entries[name].shape) for name in byte_sorted(base.entries)]
+    masks = [KeepMasks([cut]) for cut in cuts] if cuts else None
+    norms = _Norms(finetuned)
     conflicts = denominator = 0
     with contextlib.ExitStack() as stack:
         writers = [
@@ -699,21 +708,18 @@ def _write_vectors(
         ]
         for name, vectors in deltas(base, finetuned):
             for i, values in enumerate(vectors):
-                if prunings is not None:
+                if masks:
                     values = np.where(masks[i](values)[0], values, 0.0)
                     values *= infos[i].rescale_gamma
                     vectors[i] = values
-                partial = square_sum(values)
-                if not math.isfinite(partial) and first_bad[i] is None and not np.isfinite(values).all():
-                    first_bad[i] = name
-                norms_sq[i] += partial
+                norms.add(i, name, values)
                 writers[i](values)
             opposite, support = opposite_signs(*vectors)
             conflicts += opposite.size
             denominator += support
-        _raise_non_finite(finetuned, first_bad)
+        norms.require_finite()
     p = config.retention_p
-    return [math.sqrt(sq) for sq in norms_sq], InterferenceReport.of(p, p, conflicts, denominator)
+    return [math.sqrt(square) for square in norms.squares], InterferenceReport.of(p, p, conflicts, denominator)
 
 
 def _stage2_merger(
