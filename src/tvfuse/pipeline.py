@@ -279,10 +279,11 @@ class PipelineConfig:
         if self.backend.kind == "http" and not self.backend.url:
             problems.append("backend.url is required for the http backend")
         # The mock's perplexity, ppl_base + ppl_slope * d^2, must stay positive.
-        if self.backend.mock.ppl_base <= 0:
-            problems.append(f"backend.mock.ppl_base must be > 0, got {self.backend.mock.ppl_base}")
-        if self.backend.mock.ppl_slope < 0:
-            problems.append(f"backend.mock.ppl_slope must be >= 0, got {self.backend.mock.ppl_slope}")
+        mock = self.backend.mock
+        if mock.ppl_base <= 0:
+            problems.append(f"backend.mock.ppl_base must be > 0, got {mock.ppl_base}")
+        if mock.ppl_slope < 0:
+            problems.append(f"backend.mock.ppl_slope must be >= 0, got {mock.ppl_slope}")
         try:
             self.search_space()
         except ValueError as exc:
@@ -611,8 +612,9 @@ class _Norms:
     def add(self, i: int, name: str, values: np.ndarray) -> None:
         partial = square_sum(values)
         # Finite squares can overflow too, so only then look for inf or NaN.
-        if not math.isfinite(partial) and self.first_bad[i] is None and not np.isfinite(values).all():
-            self.first_bad[i] = name
+        if not math.isfinite(partial) and self.first_bad[i] is None:
+            if not np.isfinite(values).all():
+                self.first_bad[i] = name
         self.squares[i] += partial
 
     def require_finite(self) -> None:
@@ -662,14 +664,10 @@ def _sparsity(
     infos = []
     for cut, count, square, pruned_square in zip(cuts, retained, norms.squares, pruned.squares):
         original_norm = math.sqrt(square)
+        gamma = rescale_gamma(original_norm, math.sqrt(pruned_square), config.epsilon)
         infos.append(
             SparsityInfo(
-                retention_p=config.retention_p,
-                threshold=cut.threshold,
-                retained_count=count,
-                original_norm=original_norm,
-                rescale_gamma=rescale_gamma(original_norm, math.sqrt(pruned_square), config.epsilon),
-                epsilon=config.epsilon,
+                config.retention_p, cut.threshold, count, original_norm, gamma, config.epsilon
             )
         )
     return cuts, infos
@@ -719,7 +717,8 @@ def _write_vectors(
             denominator += support
         norms.require_finite()
     p = config.retention_p
-    return [math.sqrt(square) for square in norms.squares], InterferenceReport.of(p, p, conflicts, denominator)
+    interference = InterferenceReport.of(p, p, conflicts, denominator)
+    return [math.sqrt(square) for square in norms.squares], interference
 
 
 def _stage2_merger(

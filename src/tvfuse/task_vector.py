@@ -256,7 +256,9 @@ def _tally(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return floors, hist, np.cumsum(hist[::-1])
 
 
-def _descend(bucket: _Bucket, floors: np.ndarray, hist: np.ndarray, from_top: np.ndarray) -> _Bucket:
+def _descend(
+    bucket: _Bucket, floors: np.ndarray, hist: np.ndarray, from_top: np.ndarray
+) -> _Bucket:
     """Step into the next digit's bucket that holds the rank, given the
     `_tally` of that digit over `bucket`. A rank that falls among the entries
     whose bits below the digit are all 0, the smallest of the bucket,
@@ -370,10 +372,10 @@ class RadixSelect:
                 bits = int(values[values.size - bucket.rank])
                 above = values.size - int(np.searchsorted(values, bits, side="right"))
                 self._buckets[i] = _Bucket(0, bits, 0, 0, bucket.above + above)
-        unsettled = {(b.shift, b.prefix) for b in self._buckets if b.shift > 0}
-        large = {(b.shift, b.prefix) for b in self._buckets if b.shift > 0 and b.size > self.largest}
+        unsettled = [b for b in self._buckets if b.shift > 0]
+        large = {(b.shift, b.prefix) for b in unsettled if b.size > self.largest}
         self._counting = {key: self._counters() for key in large}
-        self._gathering = {} if large else {key: [] for key in unsettled}
+        self._gathering = {} if large else {(b.shift, b.prefix): [] for b in unsettled}
 
     def cuts(self) -> list[Cut]:
         return [
@@ -430,7 +432,9 @@ def sparsify(source: VectorSource, p: float) -> TaskVector:
     original_norm = global_l2_norm(source)
     (cut,) = quantile_threshold(source, [p])
     result = TaskVector(
-        tensors={name: np.where(mask, values, 0.0) for name, values, (mask,) in keep_masks(source, [cut])},
+        tensors={
+            name: np.where(mask, values, 0.0) for name, values, (mask,) in keep_masks(source, [cut])
+        },
         shapes=dict(source.shapes),
         source_base_id=source.source_base_id,
         source_ft_id=source.source_ft_id,
