@@ -33,14 +33,14 @@ from .errors import TvfuseError
 from .pipeline import PipelineConfig, WorkspacePaths, load_config, load_report, run_pipeline, select_data
 from .task_vector import (
     StoredVector,
-    extract_task_vector,
+    deltas,
     global_l2_norm,
     load_task_vector,
     merge,
+    prune_and_rescale,
     require_finite,
-    save_task_vector,
-    sparsify,
-    sparsify_and_rescale,
+    vector_metadata,
+    write_vector,
 )
 
 logger = logging.getLogger(__name__)
@@ -101,24 +101,22 @@ def _load_config(args) -> PipelineConfig:
 def cmd_extract(args) -> int:
     base = open_archive(args.base)
     finetuned = open_archive(args.finetuned)
-    tv = extract_task_vector(base, finetuned, allow_dtype_mismatch=args.allow_dtype_mismatch)
-    if args.base_id:
-        tv.source_base_id = args.base_id
-    if args.ft_id:
-        tv.source_ft_id = args.ft_id
-    save_task_vector(tv, args.out, dtype=args.dtype)
-    print(f"wrote task vector ({tv.num_parameters} parameters) to {args.out}")
+    vector = deltas(base, [finetuned], allow_dtype_mismatch=args.allow_dtype_mismatch)
+    shapes = {name: meta.shape for name, meta in base.entries.items()}
+    metadata = vector_metadata(args.base_id or str(base.path), args.ft_id or str(finetuned.path), None)
+    write_vector(args.out, shapes, vector, metadata, dtype=args.dtype)
+    print(f"wrote task vector ({sum(map(math.prod, shapes.values()))} parameters) to {args.out}")
     return 0
 
 
 def cmd_sparsify(args) -> int:
-    tv = load_task_vector(args.vector)
-    if args.no_rescale:
-        sparse = sparsify(tv, args.retention)
-    else:
-        sparse = sparsify_and_rescale(tv, args.retention, args.epsilon)
-    save_task_vector(sparse, args.out)
-    info = sparse.sparsity
+    source = StoredVector(args.vector)
+    epsilon = None if args.no_rescale else args.epsilon
+    (info,), vector = prune_and_rescale(
+        source.lockstep, source.shapes, [source.source_ft_id], args.retention, epsilon
+    )
+    metadata = vector_metadata(source.source_base_id, source.source_ft_id, info)
+    write_vector(args.out, source.shapes, vector, metadata)
     print(
         f"retained {info.retained_count} entries (threshold {info.threshold:.6g}, "
         f"gamma {info.rescale_gamma if info.rescale_gamma is not None else 1.0:.6g}) -> {args.out}"

@@ -11,14 +11,11 @@ Every stage persists its artifacts, so a run can be resumed (``resume=True``
 reuses whatever is already on disk, including a partial trial log) or
 individual stages re-used by the CLI subcommands.
 
-Stage 2 never holds a whole vector. It makes lockstep passes over the base
-and both finetuned archives, holding one tensor of each at a time: pass 1
-adds up the norms and counts the select's top digit, pass 2 applies the
-keep masks for the pruned norms and retained counts, and pass 3 masks and
-rescales again, counts sign conflicts and writes both archives. The select
-settles a cut that is the floor value of its radix bucket in pass 1; any
-other cut costs further select passes between passes 1 and 2. At full
-retention pass 3 alone runs. Every merge reads the base and the stored
+Stage 2 never holds a whole vector: it runs `task_vector.prune_and_rescale`,
+the one prune-and-rescale implementation, over lockstep passes of the base
+and both finetuned archives, one tensor of each at a time, and its last
+pass also counts sign conflicts and writes both archives. At full retention
+that pass alone runs, unpruned. Every merge reads the base and the stored
 stage-2 vectors one tensor at a time, so memory grows with the largest
 tensor, not with the model.
 
@@ -51,8 +48,6 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Union, get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from . import __version__
 from .adaptation import (
     AdaptationSet,
@@ -62,7 +57,7 @@ from .adaptation import (
     save_difficulty_records,
     score_difficulty,
 )
-from .archive import TensorArchive, archive_writer, atomic_write_text, byte_sorted, open_archive
+from .archive import archive_writer, atomic_write_text, byte_sorted, open_archive
 from .diagnostics import InterferenceReport, opposite_signs
 from .errors import ConfigError, PipelineLockedError, StageError, TvfuseError
 from .evaluator import HttpBackend, MockBackend, encode_model_ref, quadratic_landscape
@@ -72,16 +67,12 @@ from .floats import DTYPES
 from .optimizer import SearchSpace, TpeConfig, run_search
 from .optimizer.pareto import SELECTION_RULES
 from .task_vector import (
-    Cut,
-    KeepMasks,
-    RadixSelect,
+    Norms,
     SparsityInfo,
     StoredVector,
     deltas,
     merge,
-    non_finite,
-    rescale_gamma,
-    square_sum,
+    prune_and_rescale,
     vector_metadata,
 )
 
@@ -98,6 +89,7 @@ from .task_vector import (  # noqa: F401
 logger = logging.getLogger(__name__)
 
 LOCK_NAME = ".lock"
+
 
 def _is_finite_number(value: Any) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -563,10 +555,15 @@ _SUMMARY_KEYS = {"retention_p", "epsilon", "sft", "rlvr", "sign_interference"}
 
 
 def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: bool) -> dict:
-    """Extract, prune, rescale and store both task vectors, and count their
-    sign interference, in lockstep passes over the base and both finetuned
-    archives that hold one tensor of each at a time (see `_sparsity` and
-    `_write_vectors`)."""
+    """Extract, prune, rescale and store both task vectors as F32 archives,
+    and count their sign interference at retention_p.
+
+    The interference is counted on the processed float64 values instead of
+    sparsifying the raw ones again: a processed vector is the sparsified one
+    times gamma >= 0 (0 only for an all-zero vector), or the raw vector at
+    full retention, so signs and support are the same. A vector holding inf
+    or NaN raises before either archive is renamed into place.
+    """
     if (
         resume
         and paths.tau_sft.exists()
@@ -578,14 +575,41 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
     paths.stage2.mkdir(parents=True, exist_ok=True)
     base = open_archive(config.base_path)
     finetuned = [open_archive(config.sft_path), open_archive(config.rlvr_path)]
+    origins = [str(ft.path) for ft in finetuned]
     # At full retention the mask is the identity and no norm is lost, so the
-    # rescale step (whose epsilon would perturb gamma away from 1) is skipped.
-    cuts, infos = None, [None, None]
+    # raw vectors are stored: the rescale step (whose epsilon would perturb
+    # gamma away from 1) is skipped.
+    infos: list[SparsityInfo | None] = [None, None]
     if config.retention_p < 1.0:
-        cuts, infos = _sparsity(config, base, finetuned)
-    norms, interference = _write_vectors(config, base, finetuned, cuts, infos, paths)
+        infos, vectors = prune_and_rescale(
+            lambda chosen: deltas(base, [finetuned[i] for i in chosen]),
+            {name: meta.shape for name, meta in base.entries.items()},
+            origins,
+            config.retention_p,
+            config.epsilon,
+        )
+    else:
+        vectors = deltas(base, finetuned)
+    specs = [(name, "F32", base.entries[name].shape) for name in byte_sorted(base.entries)]
+    norms = Norms(origins)
+    conflicts = denominator = 0
+    with contextlib.ExitStack() as stack:
+        writers = [
+            stack.enter_context(
+                archive_writer(specs, out, vector_metadata(str(base.path), origin, info))
+            )
+            for origin, info, out in zip(origins, infos, (paths.tau_sft, paths.tau_rlvr))
+        ]
+        for name, processed in vectors:
+            for i, values in enumerate(processed):
+                norms.add(i, name, values)
+                writers[i](values)
+            opposite, support = opposite_signs(*processed)
+            conflicts += opposite.size
+            denominator += support
+        norms.require_finite()
     summary: dict[str, Any] = {"retention_p": config.retention_p, "epsilon": config.epsilon}
-    for label, info, norm in zip(("sft", "rlvr"), infos, norms):
+    for label, info, norm in zip(("sft", "rlvr"), infos, norms.norms()):
         entry = {"original_norm": norm, "processed_norm": norm}
         if info is not None:
             entry.update(
@@ -595,130 +619,10 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
                 gamma=info.rescale_gamma,
             )
         summary[label] = entry
-    summary["sign_interference"] = asdict(interference)
+    p = config.retention_p
+    summary["sign_interference"] = asdict(InterferenceReport.of(p, p, conflicts, denominator))
     atomic_write_text(paths.vector_summary, json.dumps(summary, indent=2))
     return summary
-
-
-class _Norms:
-    """Each finetuned archive's vector: its squared L2 norm, from per-tensor
-    partials added in name order, and its first tensor holding inf or NaN."""
-
-    def __init__(self, finetuned: list[TensorArchive]):
-        self.finetuned = finetuned
-        self.squares = [0.0] * len(finetuned)
-        self.first_bad: list[str | None] = [None] * len(finetuned)
-
-    def add(self, i: int, name: str, values: np.ndarray) -> None:
-        partial = square_sum(values)
-        # Finite squares can overflow too, so only then look for inf or NaN.
-        if not math.isfinite(partial) and self.first_bad[i] is None:
-            if not np.isfinite(values).all():
-                self.first_bad[i] = name
-        self.squares[i] += partial
-
-    def require_finite(self) -> None:
-        """Raise for the first vector, in sft, rlvr order, that holds inf or NaN."""
-        for ft, name in zip(self.finetuned, self.first_bad):
-            if name is not None:
-                raise non_finite(name, str(ft.path))
-
-
-def _sparsity(
-    config: PipelineConfig, base: TensorArchive, finetuned: list[TensorArchive]
-) -> tuple[list[Cut], list[SparsityInfo]]:
-    """The cut and sparsity of each vector, from lockstep passes over the inputs.
-
-    Pass 1 adds up the norm partials and feeds the select's first digit,
-    which settles a cut that is the floor of its bucket; any other cut takes
-    further select passes. Pass 2 applies the keep masks, adding up the
-    pruned vectors' norm partials and retained counts.
-    """
-    first = deltas(base, finetuned)  # checks names, shapes and dtypes first
-    sizes = [meta.num_elements for meta in base.entries.values()]
-    selects = [RadixSelect(sum(sizes), max(sizes), [config.retention_p]) for _ in finetuned]
-    norms = _Norms(finetuned)
-    for name, vectors in first:
-        for i, values in enumerate(vectors):
-            norms.add(i, name, values)
-            selects[i].feed(values)
-    norms.require_finite()
-    for select in selects:
-        select.end_pass()
-    while pending := [i for i, select in enumerate(selects) if not select.done]:
-        for _, vectors in deltas(base, [finetuned[i] for i in pending]):
-            for i, values in zip(pending, vectors):
-                selects[i].feed(values)
-        for i in pending:
-            selects[i].end_pass()
-    cuts = [select.cuts()[0] for select in selects]
-
-    masks = [KeepMasks([cut]) for cut in cuts]
-    pruned = _Norms(finetuned)
-    retained = [0] * len(finetuned)
-    for name, vectors in deltas(base, finetuned):
-        for i, values in enumerate(vectors):
-            sparse = np.where(masks[i](values)[0], values, 0.0)
-            pruned.add(i, name, sparse)
-            retained[i] += int(np.count_nonzero(sparse))
-    infos = []
-    for cut, count, square, pruned_square in zip(cuts, retained, norms.squares, pruned.squares):
-        original_norm = math.sqrt(square)
-        gamma = rescale_gamma(original_norm, math.sqrt(pruned_square), config.epsilon)
-        infos.append(
-            SparsityInfo(
-                config.retention_p, cut.threshold, count, original_norm, gamma, config.epsilon
-            )
-        )
-    return cuts, infos
-
-
-def _write_vectors(
-    config: PipelineConfig,
-    base: TensorArchive,
-    finetuned: list[TensorArchive],
-    cuts: list[Cut] | None,
-    infos: list[SparsityInfo | None],
-    paths: WorkspacePaths,
-) -> tuple[list[float], InterferenceReport]:
-    """The last lockstep pass: mask each vector at its cut and rescale it by
-    its gamma (at full retention `cuts` is None: keep both whole), write both
-    F32 archives, and return the processed norms and the sign interference
-    at retention_p.
-
-    The interference is counted on the processed float64 values instead of
-    sparsifying the raw ones again: a processed vector is the sparsified one
-    times gamma >= 0 (0 only for an all-zero vector), or the raw vector at
-    full retention, so signs and support are the same. A vector holding inf
-    or NaN (found here at full retention, where no earlier pass ran) raises
-    before either archive is renamed into place.
-    """
-    specs = [(name, "F32", base.entries[name].shape) for name in byte_sorted(base.entries)]
-    masks = [KeepMasks([cut]) for cut in cuts] if cuts else None
-    norms = _Norms(finetuned)
-    conflicts = denominator = 0
-    with contextlib.ExitStack() as stack:
-        writers = [
-            stack.enter_context(
-                archive_writer(specs, out, vector_metadata(str(base.path), str(ft.path), info))
-            )
-            for ft, info, out in zip(finetuned, infos, (paths.tau_sft, paths.tau_rlvr))
-        ]
-        for name, vectors in deltas(base, finetuned):
-            for i, values in enumerate(vectors):
-                if masks:
-                    values = np.where(masks[i](values)[0], values, 0.0)
-                    values *= infos[i].rescale_gamma
-                    vectors[i] = values
-                norms.add(i, name, values)
-                writers[i](values)
-            opposite, support = opposite_signs(*vectors)
-            conflicts += opposite.size
-            denominator += support
-        norms.require_finite()
-    p = config.retention_p
-    interference = InterferenceReport.of(p, p, conflicts, denominator)
-    return [math.sqrt(square) for square in norms.squares], interference
 
 
 def _stage2_merger(

@@ -10,10 +10,12 @@ tensor. A consumer walking a stored vector or the deltas holds one tensor
 of it at a time, so `merge` of stored vectors needs memory bounded by the
 largest tensor, not by the model.
 
-Pruning (`sparsify`) keeps only the top fraction of entries by absolute
-magnitude, selected against a single global cut over all parameters.
-`sparsify_and_rescale` prunes and then rescales the pruned vector so its
-global L2 norm matches the original. There is one threshold algorithm, the
+`prune_and_rescale` is the one prune-and-rescale implementation. Over
+vectors read in lockstep, one tensor of each at a time, it keeps each
+vector's top fraction of entries by absolute magnitude against one global
+cut, and can rescale the pruned vector to its original global L2 norm.
+Stage 2 runs it over `deltas`; `sparsify`, `sparsify_and_rescale` and
+`tvfuse sparsify` over one source. There is one threshold algorithm, the
 exact k-th largest magnitude found for several ranks at once by a radix
 select over the bits of |v| (`RadixSelect`), fed one tensor at a time per
 pass; and one tie rule (`KeepMasks`). The select settles a rank as soon as
@@ -33,12 +35,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .archive import (
     TensorArchive,
+    archive_writer,
     byte_sorted,
     iter_tensors,
     open_archive,
@@ -91,13 +94,14 @@ class VectorSource:
         for name in self.sorted_names():
             yield name, self.read(name)
 
+    def lockstep(self, chosen: Sequence[int]) -> Iterator[tuple[str, list[np.ndarray]]]:
+        """`arrays` as the `Lockstep` reader of this one vector."""
+        for name, values in self.arrays():
+            yield name, [values]
+
     @property
     def num_parameters(self) -> int:
         return sum(math.prod(shape) for shape in self.shapes.values())
-
-    @property
-    def largest(self) -> int:
-        return max((math.prod(shape) for shape in self.shapes.values()), default=0)
 
 
 @dataclass
@@ -113,9 +117,6 @@ class TaskVector(VectorSource):
     def read(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
-    def support_size(self) -> int:
-        return int(sum(np.count_nonzero(v) for v in self.tensors.values()))
-
 
 class StoredVector(VectorSource):
     """A vector archive, as `save_task_vector` writes it, read tensor by tensor."""
@@ -128,6 +129,11 @@ class StoredVector(VectorSource):
 
     def read(self, name: str) -> np.ndarray:
         return read_tensor(self.archive, name).values
+
+
+# Reads several vectors in lockstep: called with the indices of the vectors
+# to read, yields per tensor in name order its name and one array per vector.
+Lockstep = Callable[[Sequence[int]], Iterator[tuple[str, list[np.ndarray]]]]
 
 
 def retained_target(retention_p: float, total: int) -> int:
@@ -213,6 +219,33 @@ def require_finite(source: VectorSource) -> None:
             raise non_finite(name, source.source_ft_id)
 
 
+class Norms:
+    """Several vectors' L2 norms, from per-tensor partials added in name
+    order, and each one's first tensor holding inf or NaN."""
+
+    def __init__(self, origins: Sequence[str]):
+        self.origins = list(origins)
+        self.squares = [0.0] * len(self.origins)
+        self.first_bad: list[str | None] = [None] * len(self.origins)
+
+    def add(self, i: int, name: str, values: np.ndarray) -> None:
+        partial = square_sum(values)
+        # Finite squares can overflow too, so only then look for inf or NaN.
+        if not math.isfinite(partial) and self.first_bad[i] is None:
+            if not np.isfinite(values).all():
+                self.first_bad[i] = name
+        self.squares[i] += partial
+
+    def require_finite(self) -> None:
+        """Raise for the first vector, in index order, that holds inf or NaN."""
+        for origin, name in zip(self.origins, self.first_bad):
+            if name is not None:
+                raise non_finite(name, origin)
+
+    def norms(self) -> list[float]:
+        return [math.sqrt(square) for square in self.squares]
+
+
 @dataclass(frozen=True)
 class Cut:
     """The exact k-th largest magnitude of a vector, k, and how many entries
@@ -291,14 +324,8 @@ def _count(members: np.ndarray, low: int, mask: int, counts: np.ndarray) -> None
 
 class RadixSelect:
     """One exact cut per retention p, the k-th largest magnitude with
-    k = ceil(p*N), for a vector fed one tensor at a time, in name order, one
-    pass over the vector at a time:
-
-        select = RadixSelect(total, largest, retentions)
-        while not select.done:
-            for each tensor's values, in name order: select.feed(values)
-            select.end_pass()
-        select.cuts()
+    k = ceil(p*N), for a vector of tensors of `shapes` fed one tensor at a
+    time, in name order, one pass over the vector at a time (`_run_selects`).
 
     Pass 1 counts the top 16 bits of every entry's magnitude bits in one
     2^16-bin histogram that all ranks share, which places each rank in one
@@ -313,13 +340,15 @@ class RadixSelect:
     tensor.
     """
 
-    def __init__(self, total: int, largest: int, retentions: Sequence[float]):
+    def __init__(self, shapes: Iterable[tuple[int, ...]], retentions: Sequence[float]):
         for p in retentions:
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"retention fraction must be in (0, 1], got {p}")
+        sizes = [math.prod(shape) for shape in shapes]
+        total = sum(sizes)
         if total == 0:
             raise EmptyVectorError("task vector has no parameters")
-        self.largest = largest
+        self.largest = max(sizes)
         self.ranks = [retained_target(p, total) for p in retentions]
         self.non_finite = False
         self._buckets = [_Bucket(*_ROOT, total, k, 0) for k in self.ranks]
@@ -384,16 +413,36 @@ class RadixSelect:
         ]
 
 
+def _run_selects(
+    read: Lockstep,
+    selects: Sequence[RadixSelect],
+    first_pass: Callable[[int, str, np.ndarray], None] | None,
+    require_finite: Callable[[], None],
+) -> None:
+    """Run one select per vector `read` yields until each is done. Pass 1
+    also hands each tensor to `first_pass(i, name, values)`, and then calls
+    `require_finite()`, which raises, if a vector holds inf or NaN; later
+    passes read only the vectors whose select is pending."""
+    pending = list(range(len(selects)))
+    while pending:
+        for name, vectors in read(pending):
+            for i, values in zip(pending, vectors):
+                if first_pass is not None:
+                    first_pass(i, name, values)
+                selects[i].feed(values)
+        for i in pending:
+            selects[i].end_pass()
+        if any(select.non_finite for select in selects):
+            require_finite()
+        first_pass = None
+        pending = [i for i in pending if not selects[i].done]
+
+
 def quantile_threshold(source: VectorSource, retentions: Sequence[float]) -> list[Cut]:
     """One exact cut per retention p by `RadixSelect`, reading `source` once
     per pass. A vector holding inf or NaN raises NonFiniteVectorError."""
-    select = RadixSelect(source.num_parameters, source.largest, retentions)
-    while not select.done:
-        for _, values in source.arrays():
-            select.feed(values)
-        select.end_pass()
-        if select.non_finite:
-            require_finite(source)
+    select = RadixSelect(source.shapes.values(), retentions)
+    _run_selects(source.lockstep, [select], None, lambda: require_finite(source))
     return select.cuts()
 
 
@@ -427,27 +476,6 @@ def keep_masks(source: VectorSource, cuts: Sequence[Cut]):
         yield name, values, keep(values)
 
 
-def sparsify(source: VectorSource, p: float) -> TaskVector:
-    """Zero all but the top-p fraction of entries by absolute magnitude."""
-    original_norm = global_l2_norm(source)
-    (cut,) = quantile_threshold(source, [p])
-    result = TaskVector(
-        tensors={
-            name: np.where(mask, values, 0.0) for name, values, (mask,) in keep_masks(source, [cut])
-        },
-        shapes=dict(source.shapes),
-        source_base_id=source.source_base_id,
-        source_ft_id=source.source_ft_id,
-    )
-    result.sparsity = SparsityInfo(
-        retention_p=p,
-        threshold=cut.threshold,
-        retained_count=result.support_size(),
-        original_norm=original_norm,
-    )
-    return result
-
-
 def rescale_gamma(original_norm: float, sparse_norm: float, epsilon: float) -> float:
     """gamma = original_norm / (sparse_norm + epsilon), warning when the
     pruned vector is all zeros."""
@@ -460,23 +488,76 @@ def rescale_gamma(original_norm: float, sparse_norm: float, epsilon: float) -> f
     return original_norm / (sparse_norm + epsilon)
 
 
+def prune_and_rescale(
+    read: Lockstep,
+    shapes: dict[str, tuple[int, ...]],
+    origins: Sequence[str],
+    retention_p: float,
+    epsilon: float | None,
+) -> tuple[list[SparsityInfo], Iterator[tuple[str, list[np.ndarray]]]]:
+    """Prune each vector `read` yields over tensors of `shapes` to its top
+    retention_p fraction by magnitude and, unless `epsilon` is None, rescale
+    it by `rescale_gamma`. Return each one's sparsity (`origins` name them in
+    errors) and the last pass, which yields as `read` does. Pass 1 adds up
+    the norms, checks finiteness and feeds the selects; further select passes
+    read only the vectors still pending; a mask pass gives gamma."""
+    selects = [RadixSelect(shapes.values(), [retention_p]) for _ in origins]
+    norms = Norms(origins)
+    _run_selects(read, selects, norms.add, norms.require_finite)
+    cuts = [select.cuts()[0] for select in selects]
+    # A cut above 0 keeps k non-zero entries; a cut at 0 keeps the entries
+    # above it and zeros.
+    infos = [
+        SparsityInfo(
+            retention_p, cut.threshold, cut.k if cut.threshold > 0 else cut.count_above, norm
+        )
+        for cut, norm in zip(cuts, norms.norms())
+    ]
+
+    def masked(gammas: Sequence[float] | None) -> Iterator[tuple[str, list[np.ndarray]]]:
+        masks = [KeepMasks([cut]) for cut in cuts]
+        for name, vectors in read(range(len(cuts))):
+            # Replaced in place, so no raw tensor outlives its masking.
+            for i, keep in enumerate(masks):
+                vectors[i] = np.where(keep(vectors[i])[0], vectors[i], 0.0)
+                if gammas is not None:
+                    vectors[i] *= gammas[i]
+            yield name, vectors
+
+    if epsilon is None:
+        return infos, masked(None)
+    pruned = Norms(origins)
+    for name, vectors in masked(None):
+        for i, values in enumerate(vectors):
+            pruned.add(i, name, values)
+    for info, sparse_norm in zip(infos, pruned.norms()):
+        info.rescale_gamma = rescale_gamma(info.original_norm, sparse_norm, epsilon)
+        info.epsilon = epsilon
+    return infos, masked([info.rescale_gamma for info in infos])
+
+
+def sparsify(source: VectorSource, p: float) -> TaskVector:
+    """Zero all but the top-p fraction of entries by absolute magnitude."""
+    return sparsify_and_rescale(source, p, None)
+
+
 def sparsify_and_rescale(
-    source: VectorSource, p: float, epsilon: float = DEFAULT_EPSILON
+    source: VectorSource, p: float, epsilon: float | None = DEFAULT_EPSILON
 ) -> TaskVector:
     """`sparsify`, then multiply every entry by `rescale_gamma`, so the pruned
-    vector keeps the unpruned norm.
-
-    The multiply runs in place on the arrays `sparsify` allocated, never on
-    the source's own."""
-    if not (math.isfinite(epsilon) and epsilon > 0):
+    vector keeps the unpruned norm; `epsilon` None skips the rescale."""
+    if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be finite and positive")
-    result = sparsify(source, p)
-    gamma = rescale_gamma(result.sparsity.original_norm, global_l2_norm(result), epsilon)
-    for values in result.tensors.values():
-        values *= gamma
-    result.sparsity.rescale_gamma = gamma
-    result.sparsity.epsilon = epsilon
-    return result
+    (info,), vectors = prune_and_rescale(
+        source.lockstep, source.shapes, [source.source_ft_id], p, epsilon
+    )
+    return TaskVector(
+        tensors={name: values for name, (values,) in vectors},
+        shapes=dict(source.shapes),
+        source_base_id=source.source_base_id,
+        source_ft_id=source.source_ft_id,
+        sparsity=info,
+    )
 
 
 def merge(
@@ -542,13 +623,25 @@ def vector_metadata(
     return metadata
 
 
+def write_vector(
+    path: str | Path,
+    shapes: dict[str, tuple[int, ...]],
+    vector: Iterable[tuple[str, list[np.ndarray]]],
+    metadata: dict[str, str],
+    dtype: str = "F32",
+) -> None:
+    """Write one vector, yielded tensor by tensor in name order as a
+    `Lockstep` reader yields it, to an archive."""
+    specs = [(name, dtype, shapes[name]) for name in byte_sorted(shapes)]
+    with archive_writer(specs, path, metadata) as write:
+        for _, (values,) in vector:
+            write(values)
+
+
 def save_task_vector(tv: TaskVector, path: str | Path, dtype: str = "F32") -> None:
     """Persist a task vector as a tensor archive with `vector_metadata`."""
-    entries = (
-        (name, dtype, list(tv.shapes[name]), tv.tensors[name]) for name in tv.sorted_names()
-    )
     metadata = vector_metadata(tv.source_base_id, tv.source_ft_id, tv.sparsity)
-    write_archive(entries, path, metadata=metadata)
+    write_vector(path, tv.shapes, tv.lockstep([0]), metadata, dtype)
 
 
 def load_task_vector(path: str | Path) -> TaskVector:

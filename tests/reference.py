@@ -153,6 +153,51 @@ def _square_sum(parts: list[np.ndarray]) -> float:
     return total
 
 
+def _split(flat: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    return np.split(flat, np.cumsum(sizes)[:-1])
+
+
+def prune_dense(
+    flat: np.ndarray, sizes: list[int], retention: float, epsilon: float | None
+) -> tuple[np.ndarray, dict]:
+    """(processed vector, sparsity) of a flat name-ordered vector of tensors
+    of `sizes` values: pruned to its top `retention` by a full stable sort
+    (`keep_top`) and, unless `epsilon` is None, rescaled by gamma from
+    per-tensor partials. The sparsity keys are in their stored order."""
+    k = retained_count(retention, flat.size)
+    sparse = np.where(keep_top(flat, k), flat, 0.0)
+    original = math.sqrt(_square_sum(_split(flat, sizes)))
+    sparsity = {
+        "retention_p": retention,
+        "threshold": float(np.sort(np.abs(flat))[flat.size - k]),
+        "original_norm": original,
+        "retained_count": int(np.count_nonzero(sparse)),
+    }
+    if epsilon is None:
+        return sparse, sparsity
+    gamma = original / (math.sqrt(_square_sum(_split(sparse, sizes))) + epsilon)
+    sparsity.update(gamma=gamma, epsilon=epsilon)
+    return sparse * gamma, sparsity
+
+
+def sparsify_archive(path, retention: float, epsilon: float | None) -> bytes:
+    """The file `tvfuse sparsify` writes for the vector archive at `path`:
+    `prune_dense` over its name-ordered tensors, stored F32 with the
+    vector's source ids and the sparsity as metadata."""
+    arc = open_archive(path)
+    names = sorted(arc.entries, key=lambda s: s.encode("utf-8"))
+    parts = [widen(read_tensor_bytes(arc, name), arc.entries[name].dtype) for name in names]
+    sizes = [part.size for part in parts]
+    processed, sparsity = prune_dense(np.concatenate(parts), sizes, retention, epsilon)
+    metadata = {key: arc.metadata.get(key, "") for key in ("source_base_id", "source_ft_id")}
+    metadata.update((key, repr(value)) for key, value in sparsity.items())
+    tensors = [
+        (name, "F32", arc.entries[name].shape, encode(part, "F32"))
+        for name, part in zip(names, _split(processed, sizes))
+    ]
+    return archive_bytes(tensors, metadata)
+
+
 def stage2_and_merge(
     paths: dict[str, str],
     retention: float,
@@ -163,10 +208,10 @@ def stage2_and_merge(
     """(stage-2 archive bytes per label, summary.json text, merged model bytes)
     for the base/sft/rlvr checkpoints at `paths`.
 
-    Each task vector is float64 ft - base, pruned as one name-ordered flat
-    vector by a full stable sort (`keep_top`) and rescaled by gamma, stored
-    F32; the merge is dense float64 over the stored vectors, narrowed to the
-    output dtype (default: each base tensor's own).
+    Each task vector is float64 ft - base, pruned and rescaled as one
+    name-ordered flat vector by `prune_dense` (kept raw at full retention),
+    stored F32; the merge is dense float64 over the stored vectors, narrowed
+    to the output dtype (default: each base tensor's own).
     """
     arcs = {label: open_archive(path) for label, path in paths.items()}
     names = sorted(arcs["base"].entries, key=lambda s: s.encode("utf-8"))
@@ -175,9 +220,6 @@ def stage2_and_merge(
     def values(label: str) -> list[np.ndarray]:
         arc = arcs[label]
         return [widen(read_tensor_bytes(arc, name), arc.entries[name].dtype) for name in names]
-
-    def split(flat: np.ndarray) -> list[np.ndarray]:
-        return np.split(flat, np.cumsum(sizes)[:-1])
 
     base = values("base")
     summary: dict = {"retention_p": retention, "epsilon": epsilon}
@@ -188,33 +230,21 @@ def stage2_and_merge(
         flat = np.concatenate([ft - b for ft, b in zip(values(label), base)])
         raw[label] = flat
         metadata = {"source_base_id": str(arcs["base"].path), "source_ft_id": str(arcs[label].path)}
-        original = math.sqrt(_square_sum(split(flat)))
         if retention < 1.0:
-            k = retained_count(retention, flat.size)
-            sparse = np.where(keep_top(flat, k), flat, 0.0)
-            gamma = original / (math.sqrt(_square_sum(split(sparse))) + epsilon)
-            processed = sparse * gamma
-            threshold = float(np.sort(np.abs(flat))[flat.size - k])
-            count = int(np.count_nonzero(sparse))
-            metadata.update(
-                retention_p=repr(retention),
-                threshold=repr(threshold),
-                original_norm=repr(original),
-                retained_count=str(count),
-                gamma=repr(gamma),
-                epsilon=repr(epsilon),
-            )
+            processed, sparsity = prune_dense(flat, sizes, retention, epsilon)
+            metadata.update((key, repr(value)) for key, value in sparsity.items())
             summary[label] = {
-                "original_norm": original,
-                "processed_norm": math.sqrt(_square_sum(split(processed))),
-                "threshold": threshold,
-                "retained_count": count,
-                "gamma": gamma,
+                "original_norm": sparsity["original_norm"],
+                "processed_norm": math.sqrt(_square_sum(_split(processed, sizes))),
+                "threshold": sparsity["threshold"],
+                "retained_count": sparsity["retained_count"],
+                "gamma": sparsity["gamma"],
             }
         else:
             processed = flat
+            original = math.sqrt(_square_sum(_split(flat, sizes)))
             summary[label] = {"original_norm": original, "processed_norm": original}
-        parts = [encode(part, "F32") for part in split(processed)]
+        parts = [encode(part, "F32") for part in _split(processed, sizes)]
         stored[label] = [widen(part, "F32") for part in parts]
         tensors = [
             (name, "F32", arcs["base"].entries[name].shape, part) for name, part in zip(names, parts)

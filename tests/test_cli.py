@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from reference import sparsify_archive
 from synth import make_checkpoint_trio, make_config, make_query_pool
 from tvfuse import archive
 from tvfuse.cli import main
@@ -54,6 +57,84 @@ def test_sparsify_and_merge_subcommands(setup, capsys):
     )
     assert code == 0
     assert archive.open_archive(merged).entries.keys() == archive.open_archive(checkpoints["base"]).entries.keys()
+
+
+# F32 values that tie within and across tensors, zeros of both signs among
+# them, so cuts fall on ties and at 0.
+TIED = [0.0, -0.0, 0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25, 2.0**-20, -(2.0**-20), 3.0]
+# Tensor names whose byte order differs from their write order.
+TIED_SHAPES = {"b.weight": (3, 5), "a.weight": (17,), "c": (1,), "model.z": (4, 4), "a": (9,)}
+DRAWN_RETENTION = float(np.random.default_rng(13).uniform(0.05, 0.95))
+
+
+@pytest.mark.parametrize("rescale", [True, False], ids=["rescale", "no-rescale"])
+@pytest.mark.parametrize("retention", [0.3, DRAWN_RETENTION, 1.0])
+def test_sparsify_writes_the_dense_reference_bytes(tmp_path, retention, rescale):
+    # At full retention the CLI still rescales, by original / (original + epsilon).
+    rng = np.random.default_rng(5)
+    vector = tmp_path / "tau.safetensors"
+    archive.write_archive(
+        [
+            (name, "F32", list(shape), rng.choice(TIED, math.prod(shape)))
+            for name, shape in TIED_SHAPES.items()
+        ],
+        vector,
+        metadata={"source_base_id": "base-model", "source_ft_id": "sft-model"},
+    )
+    expected = sparsify_archive(vector, retention, 1e-8 if rescale else None)
+    flags = ["--retention", repr(retention)] + ([] if rescale else ["--no-rescale"])
+    out = tmp_path / "out.safetensors"
+    assert main(["sparsify", "--vector", str(vector), "--out", str(out), *flags]) == 0
+    assert out.read_bytes() == expected
+    # Written over its own input.
+    assert main(["sparsify", "--vector", str(vector), "--out", str(vector), *flags]) == 0
+    assert vector.read_bytes() == expected
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_extract_and_sparsify_hold_memory_bounded_by_the_largest_tensor(tmp_path):
+    # Tensors large enough that the headers parsed per tensor, which do grow
+    # with the count, stay small next to the data.
+    size = 65_536
+
+    def values(seed: int, scale: float):
+        return lambda: np.random.default_rng(seed).standard_normal(size) * scale
+
+    peaks = {}
+    for count in (16, 64):
+        directory = tmp_path / str(count)
+        directory.mkdir()
+        base, ft, tau, sparse = (
+            directory / f"{label}.safetensors" for label in ("base", "ft", "tau", "sparse")
+        )
+        names = [f"model.layers.{i}.mlp.up_proj.weight" for i in range(count)]
+        archive.write_archive(
+            [(name, "BF16", [size], values(i, 0.02)) for i, name in enumerate(names)], base
+        )
+        archive.write_archive(
+            [
+                (name, "BF16", [size], lambda i=i: values(i, 0.02)() + values(count + i, 2e-3)())
+                for i, name in enumerate(names)
+            ],
+            ft,
+        )
+        tracemalloc.start()
+        try:
+            extract_argv = ["extract", "--base", str(base), "--finetuned", str(ft), "--out", str(tau)]
+            assert main(extract_argv) == 0
+            extract = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert main(["sparsify", "--vector", str(tau), "--out", str(sparse)]) == 0
+            sparsify = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks[count] = (extract, sparsify)
+    tensor_bytes = size * 8
+    for extract, sparsify in peaks.values():
+        # The select's counters are 2^17 integers, two tensors' worth.
+        assert extract <= 6 * tensor_bytes and sparsify <= 8 * tensor_bytes, (extract, sparsify)
+    for few, many in zip(peaks[16], peaks[64]):
+        assert many <= 1.1 * few, (few, many)
 
 
 def test_analyze_subcommands(setup, capsys, tmp_path):

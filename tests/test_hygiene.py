@@ -17,6 +17,9 @@ A top-level function whose own body returns a value has a caller in the
 program that uses that value: at least one reference to it is not a call
 whose result is dropped as a bare statement.
 
+Only `task_vector` references the select, the tie rule and the rescale, so
+pruning is implemented once.
+
 Every leaf field of the pipeline config is type-checked by its annotation.
 """
 
@@ -167,6 +170,31 @@ def discarded_returns() -> list[str]:
 def test_every_returned_value_has_a_reader():
     found = discarded_returns()
     assert not found, f"functions whose every caller drops the return value: {found}"
+
+
+PRUNING = {"RadixSelect", "KeepMasks", "rescale_gamma"}
+
+
+def _names_and_imports(tree: ast.Module) -> set[str]:
+    """Names a module imports or loads; attributes are left out, since
+    `SparsityInfo.rescale_gamma` is a field, not the function."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_only_task_vector_selects_masks_and_rescales():
+    found = [
+        f"{path.relative_to(PACKAGE)}: {name}"
+        for path in _modules(PACKAGE)
+        if path.name != "task_vector.py"
+        for name in sorted(PRUNING & _names_and_imports(ast.parse(path.read_text("utf-8"))))
+    ]
+    assert not found, f"pruning outside task_vector: {found}"
 
 
 def _leaf_fields(cls: type, prefix: str = "") -> list[str]:

@@ -85,12 +85,17 @@ def test_cuts_equal_full_sort(tensors, retentions):
 @settings(max_examples=300, deadline=None)
 @given(TENSORS, st.floats(0.0, 1.0, exclude_min=True))
 @example([[1.0, 1.0], [1.0, 1.0], [2.0]], 0.8)
+@example([[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0]], 0.9)  # a cut at 0 keeps zeros
 def test_sparsify_keeps_the_full_sort_top_k(tensors, retention):
     tv = build(tensors)
     values = flat(tv)
     expected = np.where(keep_top(values, retained_count(retention, values.size)), values, 0.0)
-    got = flat(tvec.sparsify(tv, retention))
+    result = tvec.sparsify(tv, retention)
+    got = flat(result)
     assert got.tobytes() == expected.tobytes()
+    # The retained count follows from the cut, without counting the result.
+    assert result.sparsity.retained_count == np.count_nonzero(got)
+    assert result.sparsity.original_norm == tvec.global_l2_norm(tv)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

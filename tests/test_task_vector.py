@@ -236,7 +236,8 @@ def test_sparsify_and_rescale_allocates_one_array_per_tensor():
     assert peak <= 64 * tensor_bytes + 4 * tensor_bytes + (1 << 20), peak
     assert {name: values.tobytes() for name, values in tv.tensors.items()} == before
     assert out.sparsity.rescale_gamma > 1.0
-    assert out.support_size() == tvec.retained_target(0.3, 64 << 14)
+    support = sum(np.count_nonzero(values) for values in out.tensors.values())
+    assert support == tvec.retained_target(0.3, 64 << 14)
 
 
 # --- merge ------------------------------------------------------------------------
