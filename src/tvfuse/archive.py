@@ -45,6 +45,9 @@ from .floats import DTYPE_SIZES, DTYPES, narrow_from_f64, widen_to_f64
 
 _HEADER_LEN_BYTES = 8
 _METADATA_KEY = "__metadata__"
+# Values narrowed and written at a time: narrowing holds one block's
+# storage bytes, not a whole tensor's.
+_WRITE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -257,7 +260,8 @@ def archive_writer(
     that writes the next tensor's float64 values, in spec order.
 
     The data block is laid out in spec order with no padding; values are
-    narrowed to the storage dtype with round-to-nearest-even. Offsets come
+    narrowed to the storage dtype with round-to-nearest-even, one block of
+    `_WRITE_BLOCK` values at a time. Offsets come
     from shape and dtype alone, so the header is written first and each
     tensor can be dropped once written. The file is written to a temp
     sibling and renamed when the block ends with every tensor written, so
@@ -305,7 +309,8 @@ def archive_writer(
                 raise ShapeMismatchError(
                     f"tensor {name!r}: {flat.size} values do not fill shape {shape}"
                 )
-            fh.write(narrow_from_f64(flat, dtype))
+            for start in range(0, flat.size, _WRITE_BLOCK):
+                fh.write(narrow_from_f64(flat[start : start + _WRITE_BLOCK], dtype))
 
         yield write
         unwritten = [name for name, _, _ in pending]

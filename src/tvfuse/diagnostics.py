@@ -106,10 +106,14 @@ class InterferenceReport:
 
 
 def opposite_signs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """For one tensor of each vector: the positions of `b`'s support where
-    `a` has the opposite sign, and the size of that support."""
-    support = np.flatnonzero(b)
-    return support[np.sign(a[support]) * np.sign(b[support]) < 0], support.size
+    """For one tensor of each vector: a mask of the entries where both are
+    non-zero with opposite signs, and the size of `b`'s support."""
+    opposite = np.signbit(a)
+    opposite ^= np.signbit(b)
+    opposite &= a != 0
+    support = b != 0
+    opposite &= support
+    return opposite, int(np.count_nonzero(support))
 
 
 def layerwise_norms(tv: TaskVector, layer_pattern: str = DEFAULT_LAYER_PATTERN) -> LayerNormProfile:
@@ -183,8 +187,9 @@ def interference_sweep(
         opposite, support = opposite_signs(a, sparse_b.tensors[name])
         denominator += support
         # Kept entries of `tv_a` at these positions conflict; dropped ones have sign 0.
+        positions = np.flatnonzero(opposite)
         for i, mask in enumerate(masks):
-            conflicts[i] += int(np.count_nonzero(mask[opposite]))
+            conflicts[i] += int(np.count_nonzero(mask[positions]))
     return [
         InterferenceReport.of(r, retention_b, c, denominator)
         for r, c in zip(retentions_a, conflicts)

@@ -32,7 +32,8 @@ def widen_to_f64(raw: bytes, dtype: str) -> np.ndarray:
     if dtype == "F16":
         return np.frombuffer(raw, dtype="<f2").astype(np.float64)
     if dtype == "BF16":
-        bits = np.frombuffer(raw, dtype="<u2").astype(np.uint32) << np.uint32(16)
+        bits = np.frombuffer(raw, dtype="<u2").astype(np.uint32)
+        bits <<= np.uint32(16)
         return bits.view(np.float32).astype(np.float64)
     raise ValueError(f"unsupported dtype {dtype!r}")
 

@@ -15,7 +15,10 @@ Stage 2 never holds a whole vector: it runs `task_vector.prune_and_rescale`,
 the one prune-and-rescale implementation, over lockstep passes of the base
 and both finetuned archives, one tensor of each at a time, and its last
 pass also counts sign conflicts and writes both archives. At full retention
-that pass alone runs, unpruned. Every merge reads the base and the stored
+that pass alone runs, unpruned. Each pass reads one tensor ahead
+(`task_vector.deltas`): one worker thread reads, widens and subtracts the
+next tensor of each archive while the stage works on the current one, so
+one more tensor set is in flight. Every merge reads the base and the stored
 stage-2 vectors one tensor at a time, so memory grows with the largest
 tensor, not with the model.
 
@@ -47,6 +50,8 @@ import types
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Union, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from . import __version__
 from .adaptation import (
@@ -605,7 +610,7 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
                 norms.add(i, name, values)
                 writers[i](values)
             opposite, support = opposite_signs(*processed)
-            conflicts += opposite.size
+            conflicts += int(np.count_nonzero(opposite))
             denominator += support
         norms.require_finite()
     summary: dict[str, Any] = {"retention_p": config.retention_p, "epsilon": config.epsilon}

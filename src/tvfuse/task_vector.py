@@ -6,9 +6,12 @@ per-tensor source (`VectorSource`): float64 arrays, one tensor at a time in
 byte-wise name order. A source is a resident `TaskVector` or a stored
 archive read tensor by tensor (`StoredVector`); `deltas` reads ft - base of
 one base and several finetuned archives in lockstep, each archive once per
-tensor. A consumer walking a stored vector or the deltas holds one tensor
-of it at a time, so `merge` of stored vectors needs memory bounded by the
-largest tensor, not by the model.
+tensor, and one tensor ahead: while the caller works on one tensor set, one
+worker thread reads, widens and subtracts the next, so one more tensor set
+is in flight. A consumer walking a stored vector or the deltas holds one
+tensor of it at a time, and `deltas` one more set in flight, so `merge` of
+stored vectors and stage 2 need memory bounded by the largest tensor, not
+by the model.
 
 `prune_and_rescale` is the one prune-and-rescale implementation. Over
 vectors read in lockstep, one tensor of each at a time, it keeps each
@@ -33,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -150,7 +154,9 @@ def deltas(
 ) -> Iterator[tuple[str, list[np.ndarray]]]:
     """One pass over ft - base for each finetuned archive: per tensor in
     byte-wise name order, the name and one float64 delta per archive, each
-    archive read once. Names, shapes and dtypes are checked before any read."""
+    archive read once. Names, shapes and dtypes are checked before any read.
+    The pass reads one tensor set ahead on one worker thread; a read error
+    surfaces where a serial read would raise it, after the tensors before."""
     for ft in finetuned:
         if set(base.entries) != set(ft.entries):
             missing = set(base.entries) ^ set(ft.entries)
@@ -165,10 +171,24 @@ def deltas(
                     "(pass allow_dtype_mismatch=True to override)"
                 )
 
-    def lockstep() -> Iterator[tuple[str, list[np.ndarray]]]:
+    def tensors() -> Iterator[tuple[str, list[np.ndarray]]]:
         for name in byte_sorted(base.entries):
             base_values = read_tensor(base, name).values
-            yield name, [read_tensor(ft, name).values - base_values for ft in finetuned]
+            vectors = [read_tensor(ft, name).values for ft in finetuned]
+            for values in vectors:
+                values -= base_values
+            yield name, vectors
+
+    def lockstep() -> Iterator[tuple[str, list[np.ndarray]]]:
+        # One tensor ahead: the worker reads the next tensor set while the
+        # caller works on this one. Leaving the `with` joins the worker, and
+        # its errors surface from `result()` in tensor order.
+        ahead = tensors()
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            pending = worker.submit(next, ahead, None)
+            while (item := pending.result()) is not None:
+                pending = worker.submit(next, ahead, None)
+                yield item
 
     return lockstep()
 
@@ -462,9 +482,15 @@ class KeepMasks:
         for i, cut in enumerate(self.cuts):
             mask = magnitude > cut.threshold
             if self.ties_left[i]:
-                ties = np.flatnonzero(magnitude == cut.threshold)[: self.ties_left[i]]
-                mask[ties] = True
-                self.ties_left[i] -= ties.size
+                ties = magnitude == cut.threshold
+                count = int(np.count_nonzero(ties))
+                if count <= self.ties_left[i]:
+                    mask |= ties
+                    self.ties_left[i] -= count
+                else:
+                    # The ties run out inside this tensor.
+                    mask[np.flatnonzero(ties)[: self.ties_left[i]]] = True
+                    self.ties_left[i] = 0
             masks.append(mask)
         return masks
 
@@ -517,9 +543,14 @@ def prune_and_rescale(
     def masked(gammas: Sequence[float] | None) -> Iterator[tuple[str, list[np.ndarray]]]:
         masks = [KeepMasks([cut]) for cut in cuts]
         for name, vectors in read(range(len(cuts))):
-            # Replaced in place, so no raw tensor outlives its masking.
+            # Replaced in the list, so no raw tensor outlives its masking; a
+            # new array, since a resident source yields its own.
             for i, keep in enumerate(masks):
-                vectors[i] = np.where(keep(vectors[i])[0], vectors[i], 0.0)
+                (mask,) = keep(vectors[i])
+                # A dropped entry's bits AND 0 to +0.0; a kept one's AND -1.
+                kept = np.negative(mask.view(np.int8), dtype=np.int64)
+                kept &= vectors[i].view(np.int64)
+                vectors[i] = kept.view(np.float64)
                 if gammas is not None:
                     vectors[i] *= gammas[i]
             yield name, vectors

@@ -89,6 +89,24 @@ COEFFICIENT = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-2.0, 2.0))
     (0.75, -1.25),
     None,
 )
+# A -0.0 delta kept at a cut of 0 (sft) where the other vector is positive,
+# which is no sign conflict.
+@example(
+    [("a", "F32", np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -0.0, 0.0, -0.0], [0.0, 2.0, 0.0, 0.0]]))],
+    0.5,
+    (0.5, 1.0),
+    None,
+)
+# Ties at the cut 1.0 are all kept in tensor a and run out inside tensor b.
+@example(
+    [
+        ("a", "F32", np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 0.5]])),
+        ("b", "BF16", np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 0.5]])),
+    ],
+    0.5,
+    (1.0, 1.0),
+    "BF16",
+)
 def test_pipeline_matches_dense_reference(tensors, retention, coefficients, output_dtype):
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,7 @@ from tvfuse.errors import (
     EmptyVectorError,
     NameSetMismatchError,
     ShapeMismatchError,
+    TruncatedFileError,
 )
 from tvfuse.task_vector import TaskVector
 
@@ -83,6 +86,49 @@ def test_extract_dtype_mismatch_policy(tmp_path):
         tvec.extract_task_vector(base, ft)
     tv = tvec.extract_task_vector(base, ft, allow_dtype_mismatch=True)
     assert tv.tensors["w"].tolist() == [1.0]
+
+
+def reading_trio(tmp_path):
+    """A base and a finetuned archive of tensors a, b, c, and their names in order."""
+    named = {name: np.arange(1000.0) * (i + 1) for i, name in enumerate("abc")}
+    base = write_checkpoint(tmp_path / "b.safetensors", named, dtype="BF16")
+    ft = write_checkpoint(tmp_path / "f.safetensors", {k: v + 1 for k, v in named.items()}, dtype="BF16")
+    return base, ft, archive.byte_sorted(named)
+
+
+def test_deltas_over_a_truncated_archive_fail_as_a_serial_read_does(tmp_path):
+    base, ft, names = reading_trio(tmp_path)
+    # Cut the file inside tensor b's data, after both archives are opened.
+    b = ft.entries["b"]
+    os.truncate(ft.path, ft.data_start + b.data_offsets[0] + b.num_bytes // 2)
+    with pytest.raises(TruncatedFileError) as serial:
+        for name in names:
+            archive.read_tensor(ft, name)
+    yielded = []
+    with pytest.raises(TruncatedFileError) as ahead:
+        for name, _ in tvec.deltas(base, [ft]):
+            yielded.append(name)
+    assert "'b'" in str(serial.value)
+    assert str(ahead.value) == str(serial.value)
+    assert yielded == ["a"]
+
+
+def test_deltas_read_ahead_ends_its_worker_when_the_consumer_stops(tmp_path):
+    base, ft, _ = reading_trio(tmp_path)
+    before = threading.active_count()
+    for _ in tvec.deltas(base, [ft]):
+        # One worker reads the next tensor meanwhile.
+        assert threading.active_count() == before + 1
+        break
+    assert threading.active_count() == before
+    with pytest.raises(RuntimeError):
+        for _ in tvec.deltas(base, [ft]):
+            raise RuntimeError("consumer failed")
+    assert threading.active_count() == before
+    reader = tvec.deltas(base, [ft])
+    next(reader)
+    reader.close()
+    assert threading.active_count() == before
 
 
 # --- norms ----------------------------------------------------------------------
