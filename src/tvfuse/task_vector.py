@@ -9,9 +9,8 @@ one base and several finetuned archives in lockstep, each archive once per
 tensor, and one tensor ahead: while the caller works on one tensor set, one
 worker thread reads, widens and subtracts the next, so one more tensor set
 is in flight. A consumer walking a stored vector or the deltas holds one
-tensor of it at a time, and `deltas` one more set in flight, so `merge` of
-stored vectors and stage 2 need memory bounded by the largest tensor, not
-by the model.
+tensor of it at a time, so `merge` of stored vectors and stage 2 need
+memory bounded by the largest tensor, not by the model.
 
 `prune_and_rescale` is the one prune-and-rescale implementation. Over
 vectors read in lockstep, one tensor of each at a time, it keeps each
@@ -181,8 +180,10 @@ def deltas(
 
     def lockstep() -> Iterator[tuple[str, list[np.ndarray]]]:
         # One tensor ahead: the worker reads the next tensor set while the
-        # caller works on this one. Leaving the `with` joins the worker, and
-        # its errors surface from `result()` in tensor order.
+        # caller works on this one. Leaving the `with` joins the worker. Its
+        # errors surface from `result()` in tensor order; the error of the
+        # one read past where the caller stopped is dropped, since a serial
+        # reader would not have made that read.
         ahead = tensors()
         with ThreadPoolExecutor(max_workers=1) as worker:
             pending = worker.submit(next, ahead, None)
