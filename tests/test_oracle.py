@@ -101,7 +101,11 @@ COEFFICIENT = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-2.0, 2.0))
 @example(
     [
         ("a", "F32", np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 0.5]])),
-        ("b", "BF16", np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 0.5]])),
+        (
+            "b",
+            "BF16",
+            np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 0.5]]),
+        ),
     ],
     0.5,
     (1.0, 1.0),

@@ -92,7 +92,8 @@ def reading_trio(tmp_path):
     """A base and a finetuned archive of tensors a, b, c, and their names in order."""
     named = {name: np.arange(1000.0) * (i + 1) for i, name in enumerate("abc")}
     base = write_checkpoint(tmp_path / "b.safetensors", named, dtype="BF16")
-    ft = write_checkpoint(tmp_path / "f.safetensors", {k: v + 1 for k, v in named.items()}, dtype="BF16")
+    shifted = {name: values + 1 for name, values in named.items()}
+    ft = write_checkpoint(tmp_path / "f.safetensors", shifted, dtype="BF16")
     return base, ft, archive.byte_sorted(named)
 
 
