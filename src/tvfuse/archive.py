@@ -85,6 +85,10 @@ class TensorArchive:
     metadata: dict[str, str] = field(default_factory=dict)
     data_start: int = 0
 
+    @property
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return {name: meta.shape for name, meta in self.entries.items()}
+
 
 def _require_str_map(obj: object, what: str) -> dict[str, str]:
     if not isinstance(obj, dict) or not all(
@@ -228,12 +232,6 @@ def byte_sorted(names: Iterable[str]) -> list[str]:
     """Names in ascending byte-wise UTF-8 order, the one order every
     cross-tensor reduction and every write uses."""
     return sorted(names, key=lambda s: s.encode("utf-8"))
-
-
-def iter_tensors(archive: TensorArchive) -> Iterator[tuple[str, TensorData]]:
-    """Yield tensors in ascending byte-wise name order, one at a time."""
-    for name in byte_sorted(archive.entries):
-        yield name, read_tensor(archive, name)
 
 
 def write_archive(

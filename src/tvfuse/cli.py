@@ -35,7 +35,6 @@ from .task_vector import (
     StoredVector,
     deltas,
     global_l2_norm,
-    load_task_vector,
     merge,
     prune_and_rescale,
     require_finite,
@@ -55,12 +54,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _number(text: str) -> float:
+    """`text` as a float, or NaN if it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def _fraction(text: str) -> float:
     """argparse type: a retention fraction in (0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    value = _number(text)
     if not 0.0 < value <= 1.0:
         raise argparse.ArgumentTypeError(f"expected a fraction in (0, 1], got {text!r}")
     return value
@@ -68,10 +72,7 @@ def _fraction(text: str) -> float:
 
 def _positive(text: str) -> float:
     """argparse type: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    value = _number(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return value
@@ -102,7 +103,7 @@ def cmd_extract(args) -> int:
     base = open_archive(args.base)
     finetuned = open_archive(args.finetuned)
     vector = deltas(base, [finetuned], allow_dtype_mismatch=args.allow_dtype_mismatch)
-    shapes = {name: meta.shape for name, meta in base.entries.items()}
+    shapes = base.shapes
     metadata = vector_metadata(args.base_id or str(base.path), args.ft_id or str(finetuned.path), None)
     write_vector(args.out, shapes, vector, metadata, dtype=args.dtype)
     print(f"wrote task vector ({sum(map(math.prod, shapes.values()))} parameters) to {args.out}")
@@ -130,10 +131,10 @@ def cmd_merge(args) -> int:
         path, _, coeff = spec.rpartition("=")
         if not path:
             raise UsageError(f"--term must look like PATH=COEFF, got {spec!r}")
-        try:
-            parsed.append((path, float(coeff)))
-        except ValueError:
-            raise UsageError(f"--term coefficient is not a number in {spec!r}") from None
+        value = _number(coeff)
+        if not math.isfinite(value):
+            raise UsageError(f"--term coefficient is not a finite number in {spec!r}")
+        parsed.append((path, value))
     base = open_archive(args.base)
     # Stored vectors are read one tensor at a time: once to check, once to merge.
     terms = [(StoredVector(path), coeff) for path, coeff in parsed]
@@ -145,7 +146,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_analyze_norms(args) -> int:
-    tv = load_task_vector(args.vector)
+    tv = StoredVector(args.vector)
     profile = layerwise_norms(tv, args.pattern)
     if args.out_csv:
         write_norms_csv(profile, args.out_csv)
@@ -161,8 +162,7 @@ def cmd_analyze_norms(args) -> int:
 
 
 def cmd_analyze_interference(args) -> int:
-    tv_a = load_task_vector(args.a)
-    tv_b = load_task_vector(args.b)
+    tv_a, tv_b = StoredVector(args.a), StoredVector(args.b)
     report = sign_interference(tv_a, tv_b, args.retain_a, args.retain_b)
     if args.out_csv:
         write_interference_csv([report], args.out_csv)
@@ -180,8 +180,7 @@ def cmd_analyze_interference(args) -> int:
 
 
 def cmd_analyze_sweep(args) -> int:
-    tv_a = load_task_vector(args.a)
-    tv_b = load_task_vector(args.b)
+    tv_a, tv_b = StoredVector(args.a), StoredVector(args.b)
     reports = interference_sweep(tv_a, tv_b, args.retentions, args.retain_b)
     if args.out_csv:
         write_interference_csv(reports, args.out_csv)
@@ -191,7 +190,7 @@ def cmd_analyze_sweep(args) -> int:
 
 
 def cmd_analyze_modules(args) -> int:
-    tv = load_task_vector(args.vector)
+    tv = StoredVector(args.vector)
     rules = load_module_rules(args.rules) if args.rules else DEFAULT_MODULE_RULES
     ratios = modulewise_activation(tv, args.retention, rules)
     if args.out_csv:

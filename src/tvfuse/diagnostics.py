@@ -6,7 +6,9 @@ them, sign interference counts opposing update directions over the support
 of one sparsified vector, and module-wise activation shows where each
 vector concentrates its largest entries.
 
-All functions are pure; identical inputs produce bitwise identical outputs.
+Each reads any `VectorSource` one tensor at a time; only the sweep holds a
+vector, its second one pruned. All functions are pure; identical inputs
+produce bitwise identical outputs.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from .archive import atomic_write_text
-from .errors import ConfigError, EmptyVectorError, InvalidPatternError, ShapeMismatchError
+from .errors import ConfigError, InvalidPatternError
 from .task_vector import (
-    TaskVector,
+    VectorSource,
     keep_masks,
     quantile_threshold,
     require_finite,
+    require_matching,
     sparsify,
     square_sum,
 )
@@ -116,7 +119,7 @@ def opposite_signs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     return opposite, int(np.count_nonzero(support))
 
 
-def layerwise_norms(tv: TaskVector, layer_pattern: str = DEFAULT_LAYER_PATTERN) -> LayerNormProfile:
+def layerwise_norms(tv: VectorSource, layer_pattern: str = DEFAULT_LAYER_PATTERN) -> LayerNormProfile:
     """Group tensors by the layer index captured by `layer_pattern`."""
     try:
         compiled = re.compile(layer_pattern)
@@ -136,7 +139,12 @@ def layerwise_norms(tv: TaskVector, layer_pattern: str = DEFAULT_LAYER_PATTERN) 
         if match is None:
             non_layer_sq += sq
             continue
-        idx = int(match.group(1))
+        try:
+            idx = int(match.group(1))
+        except (TypeError, ValueError):  # the group captured nothing, or not an integer
+            raise InvalidPatternError(
+                f"layer pattern {layer_pattern!r} captures {match.group(1)!r} in tensor {name!r}"
+            ) from None
         per_layer_sq[idx] = per_layer_sq.get(idx, 0.0) + sq
     return LayerNormProfile(
         per_layer={k: math.sqrt(s) for k, s in sorted(per_layer_sq.items())},
@@ -145,8 +153,8 @@ def layerwise_norms(tv: TaskVector, layer_pattern: str = DEFAULT_LAYER_PATTERN) 
 
 
 def sign_interference(
-    tv_a: TaskVector,
-    tv_b: TaskVector,
+    tv_a: VectorSource,
+    tv_b: VectorSource,
     retention_a: float,
     retention_b: float,
 ) -> InterferenceReport:
@@ -161,30 +169,26 @@ def sign_interference(
 
 
 def interference_sweep(
-    tv_a: TaskVector,
-    tv_b: TaskVector,
+    tv_a: VectorSource,
+    tv_b: VectorSource,
     retentions_a: Sequence[float],
     retention_b: float,
 ) -> list[InterferenceReport]:
     """One interference report per retention of the first vector.
 
-    `tv_b` is sparsified once; `tv_a` is never sparsified: one select finds
-    its cut at every retention, and one pass counts, per cut, the kept
-    entries of `tv_a` that oppose the sign of sparsified `tv_b`.
+    `tv_b` is sparsified once, into a resident copy; `tv_a` is never: one
+    select finds its cut at every retention, and one pass counts, per cut,
+    the kept entries of `tv_a` that oppose the sign of sparsified `tv_b`.
     """
     if not retentions_a:
         raise ValueError("retention list must be non-empty")
-    if set(tv_a.tensors) != set(tv_b.tensors):
-        raise ShapeMismatchError("task vectors disagree on tensor names")
-    for name in tv_a.tensors:
-        if tv_a.shapes[name] != tv_b.shapes[name]:
-            raise ShapeMismatchError(f"tensor {name!r} shapes differ")
+    require_matching(tv_a.shapes, tv_b.shapes)
     sparse_b = sparsify(tv_b, retention_b)
     cuts = quantile_threshold(tv_a, retentions_a)
     conflicts = [0] * len(cuts)
     denominator = 0
     for name, a, masks in keep_masks(tv_a, cuts):
-        opposite, support = opposite_signs(a, sparse_b.tensors[name])
+        opposite, support = opposite_signs(a, sparse_b.read(name))
         denominator += support
         # Kept entries of `tv_a` at these positions conflict; dropped ones have sign 0.
         positions = np.flatnonzero(opposite)
@@ -207,7 +211,7 @@ def classify_module(
 
 
 def modulewise_activation(
-    tv: TaskVector,
+    tv: VectorSource,
     retention: float,
     rules: Sequence[ModuleRule] = DEFAULT_MODULE_RULES,
 ) -> dict[ModuleClass, float]:
@@ -216,8 +220,6 @@ def modulewise_activation(
     Retained means non-zero after sparsifying at `retention`; classes with
     zero parameters are omitted.
     """
-    if tv.num_parameters == 0:
-        raise EmptyVectorError("task vector has no parameters")
     cuts = quantile_threshold(tv, [retention])
     totals: dict[ModuleClass, int] = {}
     retained: dict[ModuleClass, int] = {}
@@ -232,7 +234,8 @@ def modulewise_activation(
 
 
 def load_module_rules(path: str | Path) -> list[ModuleRule]:
-    """Read an ordered rule list from a JSON array of {"pattern","class"}.
+    """Read an ordered rule list from a JSON array of {"pattern","class"},
+    each with an optional JSON boolean "exact".
 
     Any unreadable or malformed file raises ConfigError naming it.
     """
@@ -254,7 +257,10 @@ def load_module_rules(path: str | Path) -> list[ModuleRule]:
             raise ConfigError(
                 f"rule file {path}: item {index} has unknown class {item['class']!r}"
             ) from None
-        rules.append(ModuleRule(item["pattern"], module_class, bool(item.get("exact", False))))
+        exact = item.get("exact", False)
+        if not isinstance(exact, bool):
+            raise ConfigError(f"rule file {path}: item {index} has a non-boolean 'exact' {exact!r}")
+        rules.append(ModuleRule(item["pattern"], module_class, exact))
     return rules
 
 

@@ -588,7 +588,7 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
     if config.retention_p < 1.0:
         infos, vectors = prune_and_rescale(
             lambda chosen: deltas(base, [finetuned[i] for i in chosen]),
-            {name: meta.shape for name, meta in base.entries.items()},
+            base.shapes,
             origins,
             config.retention_p,
             config.epsilon,

@@ -46,7 +46,6 @@ from .archive import (
     TensorArchive,
     archive_writer,
     byte_sorted,
-    iter_tensors,
     open_archive,
     read_tensor,
     write_archive,
@@ -90,21 +89,14 @@ class VectorSource:
     def read(self, name: str) -> np.ndarray:
         raise NotImplementedError
 
-    def sorted_names(self) -> list[str]:
-        return byte_sorted(self.shapes)
-
     def arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        for name in self.sorted_names():
+        for name in byte_sorted(self.shapes):
             yield name, self.read(name)
 
     def lockstep(self, chosen: Sequence[int]) -> Iterator[tuple[str, list[np.ndarray]]]:
         """`arrays` as the `Lockstep` reader of this one vector."""
         for name, values in self.arrays():
             yield name, [values]
-
-    @property
-    def num_parameters(self) -> int:
-        return sum(math.prod(shape) for shape in self.shapes.values())
 
 
 @dataclass
@@ -122,11 +114,12 @@ class TaskVector(VectorSource):
 
 
 class StoredVector(VectorSource):
-    """A vector archive, as `save_task_vector` writes it, read tensor by tensor."""
+    """A vector archive, as `save_task_vector` writes it, read tensor by tensor.
+    It is the one reader of vector archives."""
 
     def __init__(self, path: str | Path):
         self.archive = open_archive(path)
-        self.shapes = {name: meta.shape for name, meta in self.archive.entries.items()}
+        self.shapes = self.archive.shapes
         self.source_base_id = self.archive.metadata.get("source_base_id", "")
         self.source_ft_id = self.archive.metadata.get("source_ft_id", "")
 
@@ -145,6 +138,17 @@ def retained_target(retention_p: float, total: int) -> int:
     return min(max(k, 1), total)
 
 
+def require_matching(shapes: dict[str, tuple[int, ...]], other: dict[str, tuple[int, ...]]) -> None:
+    """Raise unless two sets of tensors agree on their names and, name by
+    name in byte-wise order, on their shapes."""
+    if shapes.keys() != other.keys():
+        differing = byte_sorted(shapes.keys() ^ other.keys())
+        raise NameSetMismatchError(f"tensor names differ: {differing[:5]}")
+    for name in byte_sorted(shapes):
+        if shapes[name] != other[name]:
+            raise ShapeMismatchError(f"tensor {name!r}: shape {shapes[name]} vs {other[name]}")
+
+
 def deltas(
     base: TensorArchive,
     finetuned: Sequence[TensorArchive],
@@ -157,13 +161,9 @@ def deltas(
     The pass reads one tensor set ahead on one worker thread; a read error
     surfaces where a serial read would raise it, after the tensors before."""
     for ft in finetuned:
-        if set(base.entries) != set(ft.entries):
-            missing = set(base.entries) ^ set(ft.entries)
-            raise NameSetMismatchError(f"archives disagree on tensors: {sorted(missing)[:5]}")
+        require_matching(base.shapes, ft.shapes)
         for name in byte_sorted(base.entries):
             bm, fm = base.entries[name], ft.entries[name]
-            if bm.shape != fm.shape:
-                raise ShapeMismatchError(f"tensor {name!r}: {bm.shape} vs {fm.shape}")
             if bm.dtype != fm.dtype and not allow_dtype_mismatch:
                 raise ShapeMismatchError(
                     f"tensor {name!r}: dtype {bm.dtype} vs {fm.dtype} "
@@ -607,13 +607,7 @@ def merge(
     for source, coeff in terms:
         if not math.isfinite(coeff):
             raise ValueError(f"non-finite merge coefficient {coeff}")
-        if set(source.shapes) != set(base.entries):
-            raise NameSetMismatchError("task vector names do not match the base archive")
-        for name, meta in base.entries.items():
-            if source.shapes[name] != meta.shape:
-                raise ShapeMismatchError(
-                    f"tensor {name!r}: vector shape {source.shapes[name]} vs base {meta.shape}"
-                )
+        require_matching(base.shapes, source.shapes)
 
     def combine(name: str) -> np.ndarray:
         acc = read_tensor(base, name).values
@@ -640,7 +634,7 @@ def vector_metadata(
     source_base_id: str, source_ft_id: str, sparsity: SparsityInfo | None
 ) -> dict[str, str]:
     """The provenance metadata of a stored vector. The sparsity keys are
-    written for people; `load_task_vector` does not read them back."""
+    written for people; `StoredVector` does not read them back."""
     metadata = {"source_base_id": source_base_id, "source_ft_id": source_ft_id}
     if sparsity is not None:
         s = sparsity
@@ -677,16 +671,11 @@ def save_task_vector(tv: TaskVector, path: str | Path, dtype: str = "F32") -> No
 
 
 def load_task_vector(path: str | Path) -> TaskVector:
-    """Load the tensors and source ids of an archive written by `save_task_vector`."""
-    arc = open_archive(path)
-    tensors: dict[str, np.ndarray] = {}
-    shapes: dict[str, tuple[int, ...]] = {}
-    for name, data in iter_tensors(arc):
-        tensors[name] = data.values
-        shapes[name] = data.meta.shape
+    """A resident copy of the archive `save_task_vector` wrote, read through `StoredVector`."""
+    stored = StoredVector(path)
     return TaskVector(
-        tensors=tensors,
-        shapes=shapes,
-        source_base_id=arc.metadata.get("source_base_id", ""),
-        source_ft_id=arc.metadata.get("source_ft_id", ""),
+        tensors=dict(stored.arrays()),
+        shapes=stored.shapes,
+        source_base_id=stored.source_base_id,
+        source_ft_id=stored.source_ft_id,
     )

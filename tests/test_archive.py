@@ -18,6 +18,7 @@ from tvfuse.errors import (
     TruncatedFileError,
     UnknownDtypeError,
 )
+from tvfuse.task_vector import StoredVector
 
 
 def build_raw(header: dict, data: bytes) -> bytes:
@@ -155,15 +156,13 @@ def test_iter_order_is_bytewise_lexicographic(tmp_path):
         ],
         path,
     )
-    arc = archive.open_archive(path)
-    assert [name for name, _ in archive.iter_tensors(arc)] == ["a", "a.1", "b"]
+    assert [name for name, _ in StoredVector(path).arrays()] == ["a", "a.1", "b"]
 
 
 def test_empty_archive_iterates_nothing(tmp_path):
     path = tmp_path / "empty.safetensors"
     archive.write_archive([], path)
-    arc = archive.open_archive(path)
-    assert list(archive.iter_tensors(arc)) == []
+    assert list(StoredVector(path).arrays()) == []
 
 
 def test_scalar_tensor(tmp_path):
@@ -262,6 +261,6 @@ def test_streaming_equals_individual_reads(tmp_path):
     path = tmp_path / "stream.safetensors"
     archive.write_archive(entries, path)
     arc = archive.open_archive(path)
-    streamed = {name: td.values for name, td in archive.iter_tensors(arc)}
+    streamed = dict(StoredVector(path).arrays())
     for name in arc.entries:
         assert np.array_equal(streamed[name], archive.read_tensor(arc, name).values)

@@ -126,13 +126,20 @@ def test_extract_and_sparsify_hold_memory_bounded_by_the_largest_tensor(tmp_path
             tracemalloc.reset_peak()
             assert main(["sparsify", "--vector", str(tau), "--out", str(sparse)]) == 0
             sparsify = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert main(["analyze", "norms", "--vector", str(tau)]) == 0
+            norms = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert main(["analyze", "modules", "--vector", str(tau)]) == 0
+            modules = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        peaks[count] = (extract, sparsify)
+        peaks[count] = (extract, sparsify, norms, modules)
     tensor_bytes = size * 8
-    for extract, sparsify in peaks.values():
+    for extract, *streamed in peaks.values():
         # The select's counters are 2^17 integers, two tensors' worth.
-        assert extract <= 6 * tensor_bytes and sparsify <= 8 * tensor_bytes, (extract, sparsify)
+        assert extract <= 6 * tensor_bytes, extract
+        assert all(peak <= 8 * tensor_bytes for peak in streamed), streamed
     for few, many in zip(peaks[16], peaks[64]):
         assert many <= 1.1 * few, (few, many)
 
@@ -337,6 +344,7 @@ _HTTP = [*_RUN, "--set", "backend.kind=http", "--set", "backend.url=http://127.0
 _RULES = ["analyze", "modules", "--vector", "{vector}", "--rules", "{file}"]
 _SPARSIFY = ["sparsify", "--vector", "{vector}", "--out", "{file}"]
 _PAIR = ["--a", "{vector}", "--b", "{vector}"]
+_MERGE = ["merge", "--base", "{vector}", "--out", "{file}"]
 BAD_INPUTS = {
     "pool-array-line": (b"[1, 2]\n", _POOL, 2, "file:1"),
     "pool-not-json": (b'{"id": "a", "text": "x"}\nnope\n', _POOL, 2, "file:2"),
@@ -349,6 +357,12 @@ BAD_INPUTS = {
     "rules-not-array": (b"{}", _RULES, 2, "file"),
     "rules-no-pattern": (b'[{"class": "MLP"}]', _RULES, 2, "file"),
     "rules-unknown-class": (b'[{"pattern": "mlp", "class": "Router"}]', _RULES, 2, "Router"),
+    "rules-exact-string": (
+        b'[{"pattern": "layers", "class": "MLP", "exact": "false"}]', _RULES, 2, "file: item 0"
+    ),
+    "norms-pattern-captures-no-integer": (
+        None, ["analyze", "norms", "--vector", "{vector}", "--pattern", r"layers\.\d+\.(\w+)"], 2, "pattern"
+    ),
     "config-k-string": (None, [*_RUN, "--set", "search.k=abc"], 2, "search.k"),
     "config-retention-string": (None, [*_RUN, "--set", "retention_p=abc"], 2, "retention_p"),
     "config-retention-bool": (None, [*_RUN, "--set", "retention_p=true"], 2, "retention_p"),
@@ -423,6 +437,9 @@ BAD_INPUTS = {
     "config-mock-falloff-nan": (
         None, [*_RUN, "--set", "backend.mock.falloff=NaN"], 2, "backend.mock.falloff"
     ),
+    "merge-coefficient-nan": (None, [*_MERGE, "--term", "{vector}=nan"], 1, "--term"),
+    "merge-coefficient-inf": (None, [*_MERGE, "--term", "{vector}=inf"], 1, "--term"),
+    "merge-coefficient-overflow": (None, [*_MERGE, "--term", "{vector}=1e999"], 1, "--term"),
     "sparsify-retention-zero": (None, [*_SPARSIFY, "--retention", "0"], 1, "--retention"),
     "sparsify-retention-nan": (None, [*_SPARSIFY, "--retention", "nan"], 1, "--retention"),
     "sparsify-epsilon-zero": (None, [*_SPARSIFY, "--epsilon", "0"], 1, "--epsilon"),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,21 @@ import pytest
 
 from tvfuse import diagnostics as diag
 from tvfuse.diagnostics import ModuleClass
-from tvfuse.errors import InvalidPatternError, ShapeMismatchError
-from tvfuse.task_vector import TaskVector, sparsify
+from tvfuse.errors import (
+    ConfigError,
+    EmptyVectorError,
+    InvalidPatternError,
+    NameSetMismatchError,
+    ShapeMismatchError,
+)
+from tvfuse.task_vector import (
+    StoredVector,
+    TaskVector,
+    global_l2_norm,
+    load_task_vector,
+    save_task_vector,
+    sparsify,
+)
 
 
 def vec(values, name="w") -> TaskVector:
@@ -19,6 +33,19 @@ def vec(values, name="w") -> TaskVector:
 def multi(named: dict) -> TaskVector:
     tensors = {k: np.asarray(v, dtype=np.float64) for k, v in named.items()}
     return TaskVector(tensors=tensors, shapes={k: v.shape for k, v in tensors.items()})
+
+
+@pytest.fixture(params=["resident", "stored"])
+def source(request, tmp_path):
+    """Save a vector and read it back, as a resident `TaskVector` or a `StoredVector`."""
+    paths = (tmp_path / f"v{i}.safetensors" for i in itertools.count())
+
+    def make(tv: TaskVector):
+        path = next(paths)
+        save_task_vector(tv, path)
+        return load_task_vector(path) if request.param == "resident" else StoredVector(path)
+
+    return make
 
 
 # --- layer-wise norms ------------------------------------------------------------
@@ -36,17 +63,10 @@ def test_non_layer_tensor_goes_to_non_layer_bucket():
     assert profile.non_layer == 5.0
 
 
-def test_layer_norms_consistent_with_global_norm():
-    tv = multi(
-        {
-            "model.layers.0.w": np.array([3.0]),
-            "model.layers.1.w": np.array([4.0]),
-        }
-    )
+def test_layer_norms_consistent_with_global_norm(source):
+    tv = source(multi({"model.layers.0.w": np.array([3.0]), "model.layers.1.w": np.array([4.0])}))
     profile = diag.layerwise_norms(tv)
     assert profile.per_layer == {0: 3.0, 1: 4.0}
-    from tvfuse.task_vector import global_l2_norm
-
     total = global_l2_norm(tv)
     summed = math.sqrt(sum(n * n for n in profile.per_layer.values()) + profile.non_layer**2)
     assert abs(summed - total) / total <= 1e-9
@@ -58,6 +78,10 @@ def test_invalid_pattern_rejected():
         diag.layerwise_norms(vec([1.0]), layer_pattern="layers[")
     with pytest.raises(InvalidPatternError):
         diag.layerwise_norms(vec([1.0]), layer_pattern="layers")  # no group
+    with pytest.raises(InvalidPatternError, match=r"captures 'a' in tensor 'model\.layers\.a\.w'"):
+        diag.layerwise_norms(vec([1.0], name="model.layers.a.w"), layer_pattern=r"layers\.(\w+)")
+    with pytest.raises(InvalidPatternError, match="captures None"):
+        diag.layerwise_norms(vec([1.0], name="model.layers.w"), layer_pattern=r"layers\.(\d+)?")
 
 
 # --- sign interference --------------------------------------------------------------
@@ -99,6 +123,8 @@ def test_interference_is_asymmetric():
 def test_interference_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         diag.sign_interference(vec([1.0]), vec([1.0, 2.0]), 1.0, 1.0)
+    with pytest.raises(NameSetMismatchError, match=r"\['v', 'w'\]"):
+        diag.interference_sweep(vec([1.0]), vec([1.0], name="v"), [1.0, 0.5], 1.0)
 
 
 def brute_force_interference(a, b, retention_a, retention_b):
@@ -168,9 +194,9 @@ def test_sweep_sparsifies_only_the_second_vector(monkeypatch):
     assert calls == []
 
 
-def test_sweep_points_equal_independent_calls():
+def test_sweep_points_equal_independent_calls(source):
     rng = np.random.default_rng(23)
-    a, b = vec(rng.standard_normal(80)), vec(rng.standard_normal(80))
+    a, b = source(vec(rng.standard_normal(80))), source(vec(rng.standard_normal(80)))
     retentions = [1.0, 0.7, 0.4, 0.1]
     sweep = diag.interference_sweep(a, b, retentions, 0.1)
     for r, report in zip(retentions, sweep):
@@ -255,6 +281,17 @@ def test_rule_file_round_trip(tmp_path):
     assert diag.classify_module("model.q_proj.weight", rules) == ModuleClass.ATTENTION
 
 
+def test_rule_file_exact_must_be_a_boolean(tmp_path):
+    path = tmp_path / "rules.json"
+    path.write_text('[{"pattern": "layers", "class": "MLP", "exact": false}]')
+    assert diag.classify_module("model.layers.0.w", diag.load_module_rules(path)) == ModuleClass.MLP
+    path.write_text('[{"pattern": "layers", "class": "MLP", "exact": true}]')
+    assert diag.classify_module("model.layers.0.w", diag.load_module_rules(path)) == ModuleClass.OTHER
+    path.write_text('[{"pattern": "layers", "class": "MLP", "exact": "false"}]')
+    with pytest.raises(ConfigError, match="rules.json: item 0 has a non-boolean 'exact'"):
+        diag.load_module_rules(path)
+
+
 # --- module-wise activation -------------------------------------------------------------
 
 
@@ -265,14 +302,20 @@ def test_single_class_activation_matches_retention():
     assert ratios == {ModuleClass.MLP: 0.1}
 
 
-def test_top_entries_concentrate_in_one_class():
+def test_top_entries_concentrate_in_one_class(source):
     rng = np.random.default_rng(37)
     big = rng.standard_normal(100) + np.sign(rng.standard_normal(100)) * 10
     small = rng.standard_normal(100) * 1e-3
-    tv = multi({"model.layers.0.mlp.w": big, "model.layers.0.self_attn.q_proj.w": small})
+    tv = source(multi({"model.layers.0.mlp.w": big, "model.layers.0.self_attn.q_proj.w": small}))
     ratios = diag.modulewise_activation(tv, 0.25)
     assert ratios[ModuleClass.MLP] == 0.5  # 2 x retention with equal-sized classes
     assert ratios[ModuleClass.ATTENTION] == 0.0
+
+
+@pytest.mark.parametrize("named", [{}, {"model.layers.0.mlp.w": []}], ids=["no-tensors", "empty-tensor"])
+def test_module_activation_of_an_empty_vector_raises(named):
+    with pytest.raises(EmptyVectorError, match="task vector has no parameters"):
+        diag.modulewise_activation(multi(named), 0.1)
 
 
 def test_full_retention_activates_everything():

@@ -18,7 +18,8 @@ program that uses that value: at least one reference to it is not a call
 whose result is dropped as a bare statement.
 
 Only `task_vector` references the select, the tie rule and the rescale, so
-pruning is implemented once.
+pruning is implemented once; and only it reads a resident vector's
+`.tensors`, so every other module reads vectors through `VectorSource`.
 
 Every leaf field of the pipeline config is type-checked by its annotation.
 """
@@ -195,6 +196,17 @@ def test_only_task_vector_selects_masks_and_rescales():
         for name in sorted(PRUNING & _names_and_imports(ast.parse(path.read_text("utf-8"))))
     ]
     assert not found, f"pruning outside task_vector: {found}"
+
+
+def test_only_task_vector_reads_resident_tensors():
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in _modules(PACKAGE)
+        if path.name != "task_vector.py"
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "tensors"
+    ]
+    assert not found, f"`.tensors` read outside task_vector: {found}"
 
 
 def _leaf_fields(cls: type, prefix: str = "") -> list[str]:

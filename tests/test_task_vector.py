@@ -335,8 +335,14 @@ def test_merge_linearity(tmp_path):
 
 def test_merge_shape_mismatch(tmp_path):
     base = write_checkpoint(tmp_path / "b.safetensors", {"w": [1.0, 1.0]})
-    with pytest.raises(ShapeMismatchError):
-        tvec.merge(base, [(vec([1.0, 2.0, 3.0]), 1.0)], tmp_path / "m.safetensors")
+    out = tmp_path / "m.safetensors"
+    with pytest.raises(ShapeMismatchError, match=r"'w': shape \(2,\) vs \(3,\)"):
+        tvec.merge(base, [(vec([1.0, 2.0, 3.0]), 1.0)], out)
+    # A name mismatch lists the first five differing names.
+    base = write_checkpoint(tmp_path / "b7.safetensors", {name: [1.0] for name in "gfedcba"})
+    with pytest.raises(NameSetMismatchError, match=r"\['a', 'b', 'c', 'd', 'e'\]$"):
+        tvec.merge(base, [(vec([1.0], name="w"), 1.0)], out)
+    assert not out.exists()
 
 
 # --- persistence --------------------------------------------------------------------
