@@ -211,21 +211,32 @@ def open_archive(path: str | Path) -> TensorArchive:
     )
 
 
-def read_tensor(archive: TensorArchive, name: str) -> TensorData:
-    """Read one tensor and widen it exactly to float64."""
+def read_tensor(archive: TensorArchive, name: str, out: np.ndarray | None = None) -> TensorData:
+    """Read one tensor and widen it exactly to float64: into a new array, or
+    into the front of `out`, a flat float64 array at least as large as the
+    tensor, whose values are then a view of `out`.
+
+    The stored bytes are read into the tail of the values' own memory and
+    widened in place (`widen_to_f64`), so a read needs no other buffer.
+    """
     try:
         meta = archive.entries[name]
     except KeyError:
         raise NameNotFoundError(f"tensor {name!r} not in {archive.path}") from None
+    count = meta.num_elements
+    values = np.empty(count) if out is None else out[:count]
+    if values.size != count:
+        raise ValueError(f"tensor {name!r} has {count} values, more than its buffer holds")
+    raw = values.view(np.uint8)[values.nbytes - meta.num_bytes :]
     try:
         with open(archive.path, "rb") as fh:
             fh.seek(archive.data_start + meta.data_offsets[0])
-            raw = fh.read(meta.num_bytes)
+            got = fh.readinto(raw)
     except OSError as exc:
         raise IoFailureError(f"cannot read {archive.path}: {exc}") from exc
-    if len(raw) != meta.num_bytes:
+    if got != meta.num_bytes:
         raise TruncatedFileError(f"{archive.path}: tensor {name!r} data is truncated")
-    return TensorData(meta=meta, values=widen_to_f64(raw, meta.dtype))
+    return TensorData(meta=meta, values=widen_to_f64(raw, meta.dtype, out=values))
 
 
 def byte_sorted(names: Iterable[str]) -> list[str]:

@@ -32,9 +32,9 @@ from .diagnostics import (
 from .errors import TvfuseError
 from .pipeline import PipelineConfig, WorkspacePaths, load_config, load_report, run_pipeline, select_data
 from .task_vector import (
+    Scratch,
     StoredVector,
     deltas,
-    global_l2_norm,
     merge,
     prune_and_rescale,
     require_finite,
@@ -114,7 +114,12 @@ def cmd_sparsify(args) -> int:
     source = StoredVector(args.vector)
     epsilon = None if args.no_rescale else args.epsilon
     (info,), vector = prune_and_rescale(
-        source.lockstep, source.shapes, [source.source_ft_id], args.retention, epsilon
+        source.lockstep,
+        source.shapes,
+        [source.source_ft_id],
+        args.retention,
+        epsilon,
+        Scratch(source.shapes.values()),
     )
     metadata = vector_metadata(source.source_base_id, source.source_ft_id, info)
     write_vector(args.out, source.shapes, vector, metadata)
@@ -153,7 +158,7 @@ def cmd_analyze_norms(args) -> int:
     payload = {
         "per_layer": {str(k): v for k, v in profile.per_layer.items()},
         "non_layer": profile.non_layer,
-        "global_norm": global_l2_norm(tv),
+        "global_norm": profile.global_norm,
     }
     if args.out_json:
         atomic_write_text(Path(args.out_json), json.dumps(payload, indent=2))

@@ -28,13 +28,14 @@ import numpy as np
 from .archive import atomic_write_text
 from .errors import ConfigError, InvalidPatternError
 from .task_vector import (
+    Scratch,
     VectorSource,
+    global_l2_norm,
     keep_masks,
     quantile_threshold,
     require_finite,
     require_matching,
     sparsify,
-    square_sum,
 )
 
 DEFAULT_LAYER_PATTERN = r"layers\.(\d+)"
@@ -84,10 +85,12 @@ DEFAULT_MODULE_RULES: tuple[ModuleRule, ...] = (
 
 @dataclass
 class LayerNormProfile:
-    """Per-layer L2 norms plus the norm of tensors without a layer index."""
+    """Per-layer L2 norms plus the norm of tensors without a layer index,
+    and the global norm."""
 
     per_layer: dict[int, float]
     non_layer: float
+    global_norm: float
 
 
 @dataclass(frozen=True)
@@ -108,19 +111,22 @@ class InterferenceReport:
         return cls(retention_a, retention_b, ratio, denominator)
 
 
-def opposite_signs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+def opposite_signs(a: np.ndarray, b: np.ndarray, scratch: Scratch) -> tuple[np.ndarray, int]:
     """For one tensor of each vector: a mask of the entries where both are
-    non-zero with opposite signs, and the size of `b`'s support."""
-    opposite = np.signbit(a)
-    opposite ^= np.signbit(b)
-    opposite &= a != 0
-    support = b != 0
+    non-zero with opposite signs, and the size of `b`'s support. The mask
+    lies in `scratch`, valid until its next user."""
+    opposite, other = scratch.flags[:, : a.size]
+    np.signbit(a, out=opposite)
+    opposite ^= np.signbit(b, out=other)
+    opposite &= np.not_equal(a, 0, out=other)
+    support = np.not_equal(b, 0, out=other)
     opposite &= support
     return opposite, int(np.count_nonzero(support))
 
 
 def layerwise_norms(tv: VectorSource, layer_pattern: str = DEFAULT_LAYER_PATTERN) -> LayerNormProfile:
-    """Group tensors by the layer index captured by `layer_pattern`."""
+    """Group tensors by the layer index captured by `layer_pattern`, from
+    the per-tensor partials of one `global_l2_norm` pass."""
     try:
         compiled = re.compile(layer_pattern)
     except re.error as exc:
@@ -129,11 +135,12 @@ def layerwise_norms(tv: VectorSource, layer_pattern: str = DEFAULT_LAYER_PATTERN
         raise InvalidPatternError(
             f"layer pattern {layer_pattern!r} needs a capturing group for the index"
         )
+    partials: dict[str, float] = {}
+    global_norm = global_l2_norm(tv, partials)
     per_layer_sq: dict[int, float] = {}
     non_layer_sq = 0.0
-    for name, v in tv.arrays():
-        sq = square_sum(v)
-        if not math.isfinite(sq):  # inf or NaN in `v`, or finite squares that overflow
+    for name, sq in partials.items():
+        if not math.isfinite(sq):  # inf or NaN in the tensor, or finite squares that overflow
             require_finite(tv)
         match = compiled.search(name)
         if match is None:
@@ -149,6 +156,7 @@ def layerwise_norms(tv: VectorSource, layer_pattern: str = DEFAULT_LAYER_PATTERN
     return LayerNormProfile(
         per_layer={k: math.sqrt(s) for k, s in sorted(per_layer_sq.items())},
         non_layer=math.sqrt(non_layer_sq),
+        global_norm=global_norm,
     )
 
 
@@ -187,8 +195,9 @@ def interference_sweep(
     cuts = quantile_threshold(tv_a, retentions_a)
     conflicts = [0] * len(cuts)
     denominator = 0
-    for name, a, masks in keep_masks(tv_a, cuts):
-        opposite, support = opposite_signs(a, sparse_b.read(name))
+    scratch = Scratch(tv_a.shapes.values())
+    for name, a, masks in keep_masks(tv_a, cuts, scratch):
+        opposite, support = opposite_signs(a, sparse_b.read(name), scratch)
         denominator += support
         # Kept entries of `tv_a` at these positions conflict; dropped ones have sign 0.
         positions = np.flatnonzero(opposite)
@@ -223,7 +232,7 @@ def modulewise_activation(
     cuts = quantile_threshold(tv, [retention])
     totals: dict[ModuleClass, int] = {}
     retained: dict[ModuleClass, int] = {}
-    for name, v, (mask,) in keep_masks(tv, cuts):
+    for name, v, (mask,) in keep_masks(tv, cuts, Scratch(tv.shapes.values())):
         cls = classify_module(name, rules)
         totals[cls] = totals.get(cls, 0) + v.size
         retained[cls] = retained.get(cls, 0) + int(np.count_nonzero(v[mask]))

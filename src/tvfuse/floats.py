@@ -21,21 +21,47 @@ DTYPES = ("F32", "F16", "BF16")
 
 DTYPE_SIZES = {"F32": 4, "F16": 2, "BF16": 2}
 
+# How `widen_to_f64` reads each dtype's storage: BF16 as the upper half of
+# float32 bit patterns.
+_STORED = {"F32": np.dtype("<f4"), "F16": np.dtype("<f2"), "BF16": np.dtype("<u2")}
+# Values widened at a time, through a staging array that stays in cache.
+_WIDEN_BLOCK = 1 << 14
+
 # Largest finite BF16: (2 - 2**-7) * 2**127.
 _BF16_MAX = float(np.ldexp(255.0, 120))
 
 
-def widen_to_f64(raw: bytes, dtype: str) -> np.ndarray:
-    """Decode little-endian storage bytes into a flat float64 array."""
-    if dtype == "F32":
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64)
-    if dtype == "F16":
-        return np.frombuffer(raw, dtype="<f2").astype(np.float64)
-    if dtype == "BF16":
-        bits = np.frombuffer(raw, dtype="<u2").astype(np.uint32)
-        bits <<= np.uint32(16)
-        return bits.view(np.float32).astype(np.float64)
-    raise ValueError(f"unsupported dtype {dtype!r}")
+def widen_to_f64(raw, dtype: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Decode little-endian storage bytes (any buffer) into a flat float64
+    array: `out` when given, which must hold exactly one value per stored
+    one, else a new array.
+
+    Blocks are widened front to back, each copied into a small staging
+    array before its values are written, so `raw` may be the tail of
+    `out`'s own memory: a value is at least as wide as its storage, so a
+    block's values end no later than its own stored bytes and never
+    overwrite a block still to come.
+    """
+    if dtype not in _STORED:
+        raise ValueError(f"unsupported dtype {dtype!r}")
+    stored = np.frombuffer(raw, dtype=_STORED[dtype])
+    if out is None:
+        out = np.empty(stored.size)
+    elif out.shape != stored.shape:
+        raise ValueError(f"{stored.size} stored values do not fill an output of shape {out.shape}")
+    staging = np.empty(min(stored.size, _WIDEN_BLOCK), np.uint32)
+    for start in range(0, stored.size, _WIDEN_BLOCK):
+        block = stored[start : start + _WIDEN_BLOCK]
+        if dtype == "BF16":
+            staged = staging[: block.size]
+            np.copyto(staged, block)
+            staged <<= np.uint32(16)
+            staged = staged.view(np.float32)
+        else:
+            staged = staging.view(block.dtype)[: block.size]
+            np.copyto(staged, block)
+        np.copyto(out[start : start + block.size], staged)
+    return out
 
 
 def narrow_from_f64(values: np.ndarray, dtype: str) -> bytes:

@@ -22,6 +22,14 @@ one more tensor set is in flight. Every merge reads the base and the stored
 stage-2 vectors one tensor at a time, so memory grows with the largest
 tensor, not with the model.
 
+Buffers: each pass of stage 2 allocates its two sets of delta buffers when
+it starts and frees them when it ends; the stage owns one
+`task_vector.Scratch` for all of its passes, and each merge owns its
+accumulator and term buffer for the length of the call. A delta the stage
+is handed stays valid until it asks for the next tensor, and is masked,
+rescaled and written in place before then. Nothing outlives its stage, so
+the search is not charged for stage 2's buffers.
+
 Only a backend that loads weights from a path (``loads_weights``, the HTTP
 backend) gets a candidate file per trial: the candidates share one path in
 ``candidates/``, keeping at most one on disk, and the directory is removed
@@ -73,6 +81,7 @@ from .optimizer import SearchSpace, TpeConfig, run_search
 from .optimizer.pareto import SELECTION_RULES
 from .task_vector import (
     Norms,
+    Scratch,
     SparsityInfo,
     StoredVector,
     deltas,
@@ -585,6 +594,7 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
     # raw vectors are stored: the rescale step (whose epsilon would perturb
     # gamma away from 1) is skipped.
     infos: list[SparsityInfo | None] = [None, None]
+    scratch = Scratch(base.shapes.values())
     if config.retention_p < 1.0:
         infos, vectors = prune_and_rescale(
             lambda chosen: deltas(base, [finetuned[i] for i in chosen]),
@@ -592,11 +602,12 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
             origins,
             config.retention_p,
             config.epsilon,
+            scratch,
         )
     else:
         vectors = deltas(base, finetuned)
     specs = [(name, "F32", base.entries[name].shape) for name in byte_sorted(base.entries)]
-    norms = Norms(origins)
+    norms = Norms(origins, scratch)
     conflicts = denominator = 0
     with contextlib.ExitStack() as stack:
         writers = [
@@ -609,7 +620,7 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
             for i, values in enumerate(processed):
                 norms.add(i, name, values)
                 writers[i](values)
-            opposite, support = opposite_signs(*processed)
+            opposite, support = opposite_signs(*processed, scratch)
             conflicts += int(np.count_nonzero(opposite))
             denominator += support
         norms.require_finite()

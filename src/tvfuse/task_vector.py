@@ -12,6 +12,17 @@ is in flight. A consumer walking a stored vector or the deltas holds one
 tensor of it at a time, so `merge` of stored vectors and stage 2 need
 memory bounded by the largest tensor, not by the model.
 
+Who owns the working memory: each streamed pass reads into a fixed set of
+arrays sized to the largest tensor, allocated on the calling thread when
+the pass starts and freed when it ends, so tensors reuse pages instead of
+faulting in fresh ones. `deltas` lends two sets of delta buffers in turn
+(the worker alone owns the base buffer); `StoredVector.lockstep` lends one
+buffer; a yielded array is the caller's to overwrite until it asks for the
+next tensor. A `Scratch` holds one stage's magnitudes, squares, select keys
+and masks, and `merge` one accumulator and one term buffer. What keeps
+every tensor (`extract_task_vector`, `sparsify`, `sparsify_and_rescale`,
+`load_task_vector`) gets a new array per tensor.
+
 `prune_and_rescale` is the one prune-and-rescale implementation. Over
 vectors read in lockstep, one tensor of each at a time, it keeps each
 vector's top fraction of entries by absolute magnitude against one global
@@ -86,7 +97,9 @@ class VectorSource:
     source_base_id: str
     source_ft_id: str
 
-    def read(self, name: str) -> np.ndarray:
+    def read(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
+        """Tensor `name`. A source that reads may read it into `out`, a flat
+        float64 array at least as large, and return a view of it."""
         raise NotImplementedError
 
     def arrays(self) -> Iterator[tuple[str, np.ndarray]]:
@@ -109,7 +122,7 @@ class TaskVector(VectorSource):
     source_ft_id: str = ""
     sparsity: SparsityInfo | None = None
 
-    def read(self, name: str) -> np.ndarray:
+    def read(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
         return self.tensors[name]
 
 
@@ -123,13 +136,46 @@ class StoredVector(VectorSource):
         self.source_base_id = self.archive.metadata.get("source_base_id", "")
         self.source_ft_id = self.archive.metadata.get("source_ft_id", "")
 
-    def read(self, name: str) -> np.ndarray:
-        return read_tensor(self.archive, name).values
+    def read(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
+        return read_tensor(self.archive, name, out=out).values
+
+    def lockstep(self, chosen: Sequence[int]) -> Iterator[tuple[str, list[np.ndarray]]]:
+        """`arrays` as a `Lockstep` reader that reads every tensor into one
+        buffer, sized to the largest tensor: each array is borrowed, the
+        caller's to overwrite until it asks for the next."""
+        buffer = np.empty(largest_size(self.shapes.values()))
+        for name in byte_sorted(self.shapes):
+            yield name, [self.read(name, out=buffer)]
 
 
 # Reads several vectors in lockstep: called with the indices of the vectors
 # to read, yields per tensor in name order its name and one array per vector.
 Lockstep = Callable[[Sequence[int]], Iterator[tuple[str, list[np.ndarray]]]]
+
+
+def largest_size(shapes: Iterable[tuple[int, ...]]) -> int:
+    """The number of values of the largest of tensors of `shapes`, 0 if none."""
+    return max((math.prod(shape) for shape in shapes), default=0)
+
+
+class Scratch:
+    """The working arrays of one streamed job, sized to its largest tensor
+    and allocated on the thread that makes it: every tensor reuses the same
+    pages instead of faulting in fresh ones. Each user takes prefix views
+    and is done with them before the next user takes them.
+
+    - `floats` and `ints`, two views of one array: magnitudes (`KeepMasks`)
+      and squares (`Norms`); the select's digit keys (`RadixSelect`) and a
+      mask pass's keep bits (`prune_and_rescale`);
+    - `flags`: two boolean rows, for ties (`KeepMasks`), the select's
+      lower-bits flags and sign conflicts (`diagnostics.opposite_signs`).
+    """
+
+    def __init__(self, shapes: Iterable[tuple[int, ...]]):
+        size = largest_size(shapes)
+        self.floats = np.empty(size)
+        self.ints = self.floats.view(np.int64)
+        self.flags = np.empty((2, size), dtype=bool)
 
 
 def retained_target(retention_p: float, total: int) -> int:
@@ -154,12 +200,20 @@ def deltas(
     finetuned: Sequence[TensorArchive],
     *,
     allow_dtype_mismatch: bool = False,
+    keep: bool = False,
 ) -> Iterator[tuple[str, list[np.ndarray]]]:
     """One pass over ft - base for each finetuned archive: per tensor in
     byte-wise name order, the name and one float64 delta per archive, each
     archive read once. Names, shapes and dtypes are checked before any read.
     The pass reads one tensor set ahead on one worker thread; a read error
-    surfaces where a serial read would raise it, after the tensors before."""
+    surfaces where a serial read would raise it, after the tensors before.
+
+    Unless `keep`, the deltas are borrowed: the pass reads into two sets of
+    buffers, sized to the largest tensor and allocated on the calling thread
+    when iteration starts, in turn. An item's arrays are the caller's to
+    overwrite until it asks for the next item; the worker then reads the
+    item after that into them. A caller that keeps every delta passes
+    `keep`, and each delta is a new array."""
     for ft in finetuned:
         require_matching(base.shapes, ft.shapes)
         for name in byte_sorted(base.entries):
@@ -170,15 +224,21 @@ def deltas(
                     "(pass allow_dtype_mismatch=True to override)"
                 )
 
-    def tensors() -> Iterator[tuple[str, list[np.ndarray]]]:
-        for name in byte_sorted(base.entries):
-            base_values = read_tensor(base, name).values
-            vectors = [read_tensor(ft, name).values for ft in finetuned]
-            for values in vectors:
-                values -= base_values
-            yield name, vectors
-
     def lockstep() -> Iterator[tuple[str, list[np.ndarray]]]:
+        size = largest_size(base.shapes.values())
+        # Only the worker touches the base buffer.
+        base_buffer = np.empty(size)
+        sets = [[None if keep else np.empty(size) for _ in finetuned] for _ in range(2)]
+
+        def tensors() -> Iterator[tuple[str, list[np.ndarray]]]:
+            for index, name in enumerate(byte_sorted(base.entries)):
+                base_values = read_tensor(base, name, out=base_buffer).values
+                buffers = sets[index % 2]
+                vectors = [read_tensor(ft, name, out=out).values for ft, out in zip(finetuned, buffers)]
+                for values in vectors:
+                    values -= base_values
+                yield name, vectors
+
         # One tensor ahead: the worker reads the next tensor set while the
         # caller works on this one. Leaving the `with` joins the worker. Its
         # errors surface from `result()` in tensor order; the error of the
@@ -203,7 +263,9 @@ def extract_task_vector(
     """Per-tensor finetuned - base, read one tensor at a time."""
     tensors = {
         name: delta
-        for name, (delta,) in deltas(base, [finetuned], allow_dtype_mismatch=allow_dtype_mismatch)
+        for name, (delta,) in deltas(
+            base, [finetuned], allow_dtype_mismatch=allow_dtype_mismatch, keep=True
+        )
     }
     return TaskVector(
         tensors=tensors,
@@ -213,17 +275,21 @@ def extract_task_vector(
     )
 
 
-def square_sum(values: np.ndarray) -> float:
+def square_sum(values: np.ndarray, out: np.ndarray | None = None) -> float:
     """One tensor's partial of a squared L2 norm; a vector's partials add up
-    in byte-wise name order."""
-    return float(np.sum(np.square(values)))
+    in byte-wise name order. The squares go to `out` when it is given."""
+    return float(np.sum(np.square(values, out=out)))
 
 
-def global_l2_norm(source: VectorSource) -> float:
-    """sqrt of the sum of squares over every parameter of every tensor."""
+def global_l2_norm(source: VectorSource, partials: dict[str, float] | None = None) -> float:
+    """sqrt of the sum of squares over every parameter of every tensor.
+    `partials`, when given, receives each tensor's `square_sum` by name."""
     total = 0.0
-    for _, values in source.arrays():
-        total += square_sum(values)
+    for name, values in source.arrays():
+        partial = square_sum(values)
+        if partials is not None:
+            partials[name] = partial
+        total += partial
     return math.sqrt(total)
 
 
@@ -244,13 +310,14 @@ class Norms:
     """Several vectors' L2 norms, from per-tensor partials added in name
     order, and each one's first tensor holding inf or NaN."""
 
-    def __init__(self, origins: Sequence[str]):
+    def __init__(self, origins: Sequence[str], scratch: Scratch):
         self.origins = list(origins)
         self.squares = [0.0] * len(self.origins)
         self.first_bad: list[str | None] = [None] * len(self.origins)
+        self.scratch = scratch
 
     def add(self, i: int, name: str, values: np.ndarray) -> None:
-        partial = square_sum(values)
+        partial = square_sum(values, out=self.scratch.floats[: values.size])
         # Finite squares can overflow too, so only then look for inf or NaN.
         if not math.isfinite(partial) and self.first_bad[i] is None:
             if not np.isfinite(values).all():
@@ -329,16 +396,24 @@ def _descend(
     return _Bucket(shift, prefix, size, rank, above)
 
 
-def _count(members: np.ndarray, low: int, mask: int, counts: np.ndarray) -> None:
+def _count(
+    members: np.ndarray, low: int, mask: int, counts: np.ndarray, scratch: Scratch
+) -> None:
     """Add to `counts[digit, below]` each member's digit `(member >> low) &
-    mask`, with `below` 0 when its bits below `low` are all 0, else 1."""
+    mask`, with `below` 0 when its bits below `low` are all 0, else 1. The
+    keys are built in `scratch`, which `members` must not lie in."""
+    key = scratch.ints[: members.size]
     if low:
-        key = members >> (low - 1)
-        key &= mask << 1
+        below = scratch.flags[0, : members.size]
         # Shifting out every bit from `low` up, the sign bit included, leaves the bits below.
-        key |= (members << (64 - low)) != 0
+        np.left_shift(members, 64 - low, out=key)
+        np.not_equal(key, 0, out=below)
+        np.right_shift(members, low - 1, out=key)
+        key &= mask << 1
+        key |= below
     else:
-        key = (members & mask) << 1
+        np.bitwise_and(members, mask, out=key)
+        key <<= 1
     added = np.bincount(key)
     counts.reshape(-1)[: added.size] += added
 
@@ -361,7 +436,9 @@ class RadixSelect:
     tensor.
     """
 
-    def __init__(self, shapes: Iterable[tuple[int, ...]], retentions: Sequence[float]):
+    def __init__(
+        self, shapes: Iterable[tuple[int, ...]], retentions: Sequence[float], scratch: Scratch
+    ):
         for p in retentions:
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"retention fraction must be in (0, 1], got {p}")
@@ -372,6 +449,7 @@ class RadixSelect:
         self.largest = max(sizes)
         self.ranks = [retained_target(p, total) for p in retentions]
         self.non_finite = False
+        self.scratch = scratch
         self._buckets = [_Bucket(*_ROOT, total, k, 0) for k in self.ranks]
         # Per bucket key (shift, prefix) being refined this pass: its `_count`
         # counters; per key being gathered: the members.
@@ -392,7 +470,7 @@ class RadixSelect:
         if _ROOT in self._counting:
             # Pass 1 counts the root alone, whose members are every entry; its
             # digit, bits 48 to 62, leaves out the sign bit.
-            _count(raw, 64 - _DIGIT_BITS, _DIGIT_MASK >> 1, self._counting[_ROOT])
+            _count(raw, 64 - _DIGIT_BITS, _DIGIT_MASK >> 1, self._counting[_ROOT], self.scratch)
             return
         bits = raw & _MAGNITUDE_BITS
         high: dict[int, np.ndarray] = {}
@@ -403,7 +481,7 @@ class RadixSelect:
             return bits[high[shift] == prefix]
 
         for (shift, prefix), counts in self._counting.items():
-            _count(members(shift, prefix), shift - _DIGIT_BITS, _DIGIT_MASK, counts)
+            _count(members(shift, prefix), shift - _DIGIT_BITS, _DIGIT_MASK, counts, self.scratch)
         for key, parts in self._gathering.items():
             parts.append(members(*key))
 
@@ -462,7 +540,7 @@ def _run_selects(
 def quantile_threshold(source: VectorSource, retentions: Sequence[float]) -> list[Cut]:
     """One exact cut per retention p by `RadixSelect`, reading `source` once
     per pass. A vector holding inf or NaN raises NonFiniteVectorError."""
-    select = RadixSelect(source.shapes.values(), retentions)
+    select = RadixSelect(source.shapes.values(), retentions, Scratch(source.shapes.values()))
     _run_selects(source.lockstep, [select], None, lambda: require_finite(source))
     return select.cuts()
 
@@ -472,18 +550,22 @@ class KeepMasks:
     |v| > threshold, then the first k - count_above ties |v| == threshold in
     (name, flat index) order, so exactly k entries."""
 
-    def __init__(self, cuts: Sequence[Cut]):
+    def __init__(self, cuts: Sequence[Cut], scratch: Scratch):
         self.cuts = list(cuts)
         self.ties_left = [cut.k - cut.count_above for cut in cuts]
+        self.scratch = scratch
+        self.masks = np.empty((len(self.cuts), scratch.floats.size), dtype=bool)
 
     def __call__(self, values: np.ndarray) -> list[np.ndarray]:
-        """One keep mask per cut for the next tensor's values."""
-        magnitude = np.abs(values)
+        """One keep mask per cut for the next tensor's values, valid until
+        the next call."""
+        n = values.size
+        magnitude = np.abs(values, out=self.scratch.floats[:n])
         masks = []
         for i, cut in enumerate(self.cuts):
-            mask = magnitude > cut.threshold
+            mask = np.greater(magnitude, cut.threshold, out=self.masks[i, :n])
             if self.ties_left[i]:
-                ties = magnitude == cut.threshold
+                ties = np.equal(magnitude, cut.threshold, out=self.scratch.flags[0, :n])
                 count = int(np.count_nonzero(ties))
                 if count <= self.ties_left[i]:
                     mask |= ties
@@ -496,9 +578,10 @@ class KeepMasks:
         return masks
 
 
-def keep_masks(source: VectorSource, cuts: Sequence[Cut]):
-    """Per tensor in name order: (name, values, one keep mask per cut)."""
-    keep = KeepMasks(cuts)
+def keep_masks(source: VectorSource, cuts: Sequence[Cut], scratch: Scratch):
+    """Per tensor in name order: (name, values, one keep mask per cut), the
+    masks valid until the next tensor."""
+    keep = KeepMasks(cuts, scratch)
     for name, values in source.arrays():
         yield name, values, keep(values)
 
@@ -521,15 +604,24 @@ def prune_and_rescale(
     origins: Sequence[str],
     retention_p: float,
     epsilon: float | None,
+    scratch: Scratch,
+    *,
+    keep: bool = False,
 ) -> tuple[list[SparsityInfo], Iterator[tuple[str, list[np.ndarray]]]]:
     """Prune each vector `read` yields over tensors of `shapes` to its top
     retention_p fraction by magnitude and, unless `epsilon` is None, rescale
     it by `rescale_gamma`. Return each one's sparsity (`origins` name them in
     errors) and the last pass, which yields as `read` does. Pass 1 adds up
     the norms, checks finiteness and feeds the selects; further select passes
-    read only the vectors still pending; a mask pass gives gamma."""
-    selects = [RadixSelect(shapes.values(), [retention_p]) for _ in origins]
-    norms = Norms(origins)
+    read only the vectors still pending; a mask pass gives gamma. Every pass
+    works in `scratch`.
+
+    Unless `keep`, the mask passes mask in place the arrays `read` yields,
+    which must be theirs to overwrite (a stored vector's, or borrowed from
+    `deltas`), and the last pass yields them. A caller that keeps every
+    tensor passes `keep`, and each pruned tensor is a new array."""
+    selects = [RadixSelect(shapes.values(), [retention_p], scratch) for _ in origins]
+    norms = Norms(origins, scratch)
     _run_selects(read, selects, norms.add, norms.require_finite)
     cuts = [select.cuts()[0] for select in selects]
     # A cut above 0 keeps k non-zero entries; a cut at 0 keeps the entries
@@ -542,23 +634,24 @@ def prune_and_rescale(
     ]
 
     def masked(gammas: Sequence[float] | None) -> Iterator[tuple[str, list[np.ndarray]]]:
-        masks = [KeepMasks([cut]) for cut in cuts]
+        masks = [KeepMasks([cut], scratch) for cut in cuts]
         for name, vectors in read(range(len(cuts))):
-            # Replaced in the list, so no raw tensor outlives its masking; a
-            # new array, since a resident source yields its own.
-            for i, keep in enumerate(masks):
-                (mask,) = keep(vectors[i])
+            for i, keep_mask in enumerate(masks):
+                values = vectors[i]
+                (mask,) = keep_mask(values)
                 # A dropped entry's bits AND 0 to +0.0; a kept one's AND -1.
-                kept = np.negative(mask.view(np.int8), dtype=np.int64)
-                kept &= vectors[i].view(np.int64)
-                vectors[i] = kept.view(np.float64)
+                bits = np.negative(mask.view(np.int8), out=scratch.ints[: values.size])
+                pruned = np.empty_like(values) if keep else values
+                np.bitwise_and(bits, values.view(np.int64), out=pruned.view(np.int64))
                 if gammas is not None:
-                    vectors[i] *= gammas[i]
+                    pruned *= gammas[i]
+                # Replaced in the list, so no raw tensor outlives its masking.
+                vectors[i] = pruned
             yield name, vectors
 
     if epsilon is None:
         return infos, masked(None)
-    pruned = Norms(origins)
+    pruned = Norms(origins, scratch)
     for name, vectors in masked(None):
         for i, values in enumerate(vectors):
             pruned.add(i, name, values)
@@ -581,7 +674,13 @@ def sparsify_and_rescale(
     if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be finite and positive")
     (info,), vectors = prune_and_rescale(
-        source.lockstep, source.shapes, [source.source_ft_id], p, epsilon
+        source.lockstep,
+        source.shapes,
+        [source.source_ft_id],
+        p,
+        epsilon,
+        Scratch(source.shapes.values()),
+        keep=True,
     )
     return TaskVector(
         tensors={name: values for name, (values,) in vectors},
@@ -600,19 +699,26 @@ def merge(
 ) -> None:
     """Write base + sum(coefficient * vector) narrowed to the output dtype.
 
-    Reads the base and every vector one tensor at a time, so with stored
-    vectors it holds one tensor of each; the output dtype defaults to each
-    base tensor's own storage dtype.
+    Reads the base and every vector one tensor at a time into one
+    accumulator and one term buffer, sized to the largest tensor and freed
+    when the call ends, so with stored vectors it holds two tensors' worth;
+    the output dtype defaults to each base tensor's own storage dtype.
     """
     for source, coeff in terms:
         if not math.isfinite(coeff):
             raise ValueError(f"non-finite merge coefficient {coeff}")
         require_matching(base.shapes, source.shapes)
 
+    # `write_archive` writes each combined tensor before it combines the next.
+    size = largest_size(base.shapes.values())
+    acc_buffer, term_buffer = np.empty(size), np.empty(size)
+
     def combine(name: str) -> np.ndarray:
-        acc = read_tensor(base, name).values
+        acc = read_tensor(base, name, out=acc_buffer).values
+        term = term_buffer[: acc.size]
         for source, coeff in terms:
-            acc = acc + coeff * source.read(name)
+            # The same bits as `acc + coeff * v`: IEEE products commute.
+            acc += np.multiply(source.read(name, out=term), coeff, out=term)
         return acc
 
     entries = [

@@ -123,6 +123,29 @@ def widen(raw: bytes, dtype: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=_STORAGE[dtype]).astype(np.float64)
 
 
+# Stored bit patterns of every class of value: +-0, the smallest and largest
+# subnormals, 1, the most negative finite, +-inf, and quiet and signalling
+# NaNs of both signs with payloads.
+SPECIAL_PATTERNS = {
+    "F32": [0x0000_0000, 0x8000_0000, 0x0000_0001, 0x807F_FFFF, 0x3F80_0000, 0xFF7F_FFFF,
+            0x7F80_0000, 0xFF80_0000, 0x7FC0_0000, 0xFFC0_0001, 0x7F80_0001, 0xFFBF_FFFF],
+    "F16": [0x0000, 0x8000, 0x0001, 0x83FF, 0x3C00, 0xFBFF,
+            0x7C00, 0xFC00, 0x7E00, 0xFE01, 0x7C01, 0xFDFF],
+    "BF16": [0x0000, 0x8000, 0x0001, 0x807F, 0x3F80, 0xFF7F,
+             0x7F80, 0xFF80, 0x7FC0, 0xFFC1, 0x7F81, 0xFFBF],
+}
+
+
+def stored_patterns(dtype: str, count: int) -> bytes:
+    """`count` stored values of `dtype`: the special patterns first, then
+    random bit patterns, which include more of every class."""
+    width = 32 if dtype == "F32" else 16
+    bits = np.random.default_rng(count).integers(0, 1 << width, count, dtype=np.uint64)
+    special = SPECIAL_PATTERNS[dtype][:count]
+    bits[: len(special)] = special
+    return bits.astype(f"<u{width // 8}").tobytes()
+
+
 def encode(values: np.ndarray, dtype: str) -> bytes:
     """Stored bytes of float64 values rounded once, ties to even, by the
     rational `round_to_format` (F16, F32) or `f64_to_bf16_bits` (BF16)."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import read_tensor_bytes
+from reference import archive_bytes, read_tensor_bytes, stored_patterns, widen
 from tvfuse import archive
 from tvfuse.errors import (
     DuplicateNameError,
@@ -264,3 +264,25 @@ def test_streaming_equals_individual_reads(tmp_path):
     streamed = dict(StoredVector(path).arrays())
     for name in arc.entries:
         assert np.array_equal(streamed[name], archive.read_tensor(arc, name).values)
+
+
+@pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
+def test_read_into_a_buffer_matches_a_fresh_read_bit_for_bit(tmp_path, dtype):
+    # Every class of stored value, NaN payloads included, in tensors smaller
+    # and larger than the widening block.
+    width = 4 if dtype == "F32" else 2
+    stored = {name: stored_patterns(dtype, count) for name, count in (("a", 12), ("b", 40_000), ("c", 0))}
+    path = tmp_path / "patterns.safetensors"
+    path.write_bytes(archive_bytes([(name, dtype, (len(raw) // width,), raw) for name, raw in stored.items()]))
+    arc = archive.open_archive(path)
+    buffer = np.full(50_000, np.pi)
+    with np.errstate(invalid="ignore"):  # casting a signalling NaN quiets it
+        for name, raw in stored.items():
+            want = widen(raw, dtype).view(np.uint64)
+            fresh = archive.read_tensor(arc, name).values
+            into = archive.read_tensor(arc, name, out=buffer).values
+            assert into.size == 0 or np.shares_memory(into, buffer)
+            assert np.array_equal(fresh.view(np.uint64), want)
+            assert np.array_equal(into.view(np.uint64), want)
+    with pytest.raises(ValueError, match="more than its buffer holds"):
+        archive.read_tensor(arc, "b", out=np.empty(100))

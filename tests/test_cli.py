@@ -10,7 +10,7 @@ import pytest
 
 from reference import sparsify_archive
 from synth import make_checkpoint_trio, make_config, make_query_pool
-from tvfuse import archive
+from tvfuse import archive, task_vector
 from tvfuse.cli import main
 from tvfuse.pipeline import WorkspaceLock, WorkspacePaths
 from tvfuse.task_vector import load_task_vector
@@ -190,6 +190,30 @@ def test_analyze_subcommands(setup, capsys, tmp_path):
     assert main(["analyze", "modules", "--vector", str(tau_sft), "--retention", "0.1"]) == 0
     ratios = json.loads(capsys.readouterr().out)
     assert "MLP" in ratios
+
+
+def test_analyze_norms_reads_each_tensor_once(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(32)
+    names = [f"model.layers.{i // 4}.mlp.w{i % 4}" for i in range(30)] + ["lm_head.weight", "norm.weight"]
+    path = tmp_path / "tau.safetensors"
+    archive.write_archive([(name, "F32", [50], rng.standard_normal(50)) for name in names], path)
+    reads = []
+    original = task_vector.read_tensor
+
+    def counted(arc, name, *args, **kwargs):
+        reads.append(name)
+        return original(arc, name, *args, **kwargs)
+
+    monkeypatch.setattr(task_vector, "read_tensor", counted)
+    out_json, out_csv = tmp_path / "norms.json", tmp_path / "norms.csv"
+    argv = ["analyze", "norms", "--vector", str(path), "--out-json", str(out_json), "--out-csv", str(out_csv)]
+    assert main(argv) == 0
+    assert sorted(reads) == sorted(names)
+    # The global norm from the layer partials has the bits of a second pass.
+    payload = json.loads(out_json.read_text())
+    monkeypatch.undo()
+    assert payload["global_norm"] == task_vector.global_l2_norm(task_vector.StoredVector(path))
+    assert json.loads(capsys.readouterr().out) == payload
 
 
 def test_usage_errors_exit_one(capsys):

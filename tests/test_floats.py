@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tvfuse.floats
-from reference import bf16_bits_to_f64, round_to_format
-from tvfuse.floats import f64_to_bf16_bits, narrow_from_f64, widen_to_f64
+from reference import bf16_bits_to_f64, round_to_format, stored_patterns, widen
+from tvfuse.floats import DTYPES, f64_to_bf16_bits, narrow_from_f64, widen_to_f64
 
 
 def bf16_narrow_widen(x: float) -> float:
@@ -84,6 +84,40 @@ def test_f32_round_trip_is_exact():
 
 def test_negative_zero_keeps_sign():
     assert struct.unpack("<H", narrow_from_f64(np.array([-0.0]), "BF16"))[0] == 0x8000
+
+
+# --- widening into a given buffer ---------------------------------------------------
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype == np.float64 and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64)
+    )
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("count", [0, 1, 12, 1 << 14, (1 << 14) + 1, 3 * (1 << 14) + 5])
+def test_widening_into_a_buffer_matches_the_plain_cast_bit_for_bit(dtype, count):
+    # Counts around the widening block size; every class of stored value.
+    raw = stored_patterns(dtype, count)
+    with np.errstate(invalid="ignore"):  # casting a signalling NaN quiets it
+        want = widen(raw, dtype)
+        assert same_bits(widen_to_f64(raw, dtype), want)
+        out = np.full(count, math.pi)
+        assert widen_to_f64(raw, dtype, out=out) is out
+        assert same_bits(out, want)
+        # The stored bytes in the tail of the output's own memory, where
+        # `archive.read_tensor` reads them.
+        out = np.full(count, math.pi)
+        tail = out.view(np.uint8)[out.nbytes - len(raw) :]
+        tail[:] = np.frombuffer(raw, dtype=np.uint8)
+        widen_to_f64(tail, dtype, out=out)
+        assert same_bits(out, want)
+
+
+def test_widening_rejects_an_output_of_another_size():
+    with pytest.raises(ValueError, match="do not fill"):
+        widen_to_f64(b"\x00\x00\x80\x3f", "F32", out=np.empty(2))
 
 
 # --- the BF16 fast path against the f64_to_bf16_bits oracle ------------------------

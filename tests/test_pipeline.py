@@ -132,9 +132,9 @@ def count_reads(monkeypatch, merges: list) -> list[tuple[Path, str, int]]:
     reads = []
     original = task_vector.read_tensor
 
-    def counted(arc, name):
+    def counted(arc, name, *args, **kwargs):
         reads.append((Path(arc.path), name, len(merges)))
-        return original(arc, name)
+        return original(arc, name, *args, **kwargs)
 
     monkeypatch.setattr(task_vector, "read_tensor", counted)
     return reads

@@ -132,6 +132,83 @@ def test_deltas_read_ahead_ends_its_worker_when_the_consumer_stops(tmp_path):
     assert threading.active_count() == before
 
 
+def stepped_trio(tmp_path, sizes=(1000, 1000, 1000, 1000)):
+    """A zero base and a finetuned archive whose tensor i holds i + 1
+    everywhere, so delta i is i + 1; and the names in order."""
+    names = [f"t{i}" for i in range(len(sizes))]
+    base = write_checkpoint(tmp_path / "b.safetensors", {n: np.zeros(s) for n, s in zip(names, sizes)})
+    ft = write_checkpoint(
+        tmp_path / "f.safetensors", {n: np.full(s, i + 1.0) for i, (n, s) in enumerate(zip(names, sizes))}
+    )
+    return base, ft, names
+
+
+def test_deltas_lend_two_buffer_sets_in_turn(tmp_path):
+    base, ft, names = stepped_trio(tmp_path)
+    held = []
+    for i, (name, (delta,)) in enumerate(tvec.deltas(base, [ft])):
+        assert name == names[i] and np.all(delta == i + 1)
+        held.append(delta)
+    # An item's buffers are read into again two items later.
+    assert [np.shares_memory(held[0], other) for other in held[1:]] == [False, True, False]
+    assert np.shares_memory(held[1], held[3])
+    assert np.all(held[0] == 3.0) and np.all(held[1] == 4.0)
+
+
+def test_resident_collectors_return_arrays_of_their_own(tmp_path):
+    base, ft, names = stepped_trio(tmp_path, sizes=(1000, 700, 1000, 300))
+    extracted = tvec.extract_task_vector(base, ft)
+    path = tmp_path / "tau.safetensors"
+    tvec.save_task_vector(extracted, path)
+    before = {name: values.copy() for name, values in extracted.tensors.items()}
+    collected = {
+        "extract": extracted,
+        "load": tvec.load_task_vector(path),
+        "sparsify stored": tvec.sparsify(tvec.StoredVector(path), 0.5),
+        "sparsify resident": tvec.sparsify(extracted, 0.5),
+        "rescale stored": tvec.sparsify_and_rescale(tvec.StoredVector(path), 0.5),
+    }
+    arrays = [(label, name, values) for label, tv in collected.items() for name, values in tv.tensors.items()]
+    for i, (label, name, values) in enumerate(arrays):
+        for other_label, other_name, other in arrays[i + 1 :]:
+            assert not np.shares_memory(values, other), (label, name, other_label, other_name)
+    # Pruning a resident vector leaves it as it was.
+    assert all(np.array_equal(extracted.tensors[n], before[n]) for n in names)
+    for label in ("extract", "load"):
+        assert [float(collected[label].tensors[n][0]) for n in names] == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_a_pass_that_fails_or_stops_early_joins_its_worker(tmp_path):
+    base, ft, names = stepped_trio(tmp_path)
+    before = threading.active_count()
+    shapes = base.shapes
+
+    def prune(epsilon):
+        return tvec.prune_and_rescale(
+            lambda chosen: tvec.deltas(base, [ft for _ in chosen]),
+            shapes, ["ft"], 0.5, epsilon, tvec.Scratch(shapes.values()),
+        )
+
+    # Stopping the last pass early.
+    _, vectors = prune(1e-8)
+    name, (values,) = next(vectors)
+    assert name == names[0]
+    vectors.close()
+    assert threading.active_count() == before
+    # A read error inside tensor t2 of the select pass, after t0 and t1.
+    t2 = ft.entries["t2"]
+    os.truncate(ft.path, ft.data_start + t2.data_offsets[0] + t2.num_bytes // 2)
+    with pytest.raises(TruncatedFileError, match="'t2'"):
+        prune(None)
+    assert threading.active_count() == before
+    yielded = []
+    with pytest.raises(TruncatedFileError, match="'t2'"):
+        for name, _ in tvec.deltas(base, [ft]):
+            yielded.append(name)
+    assert yielded == names[:2]
+    assert threading.active_count() == before
+
+
 # --- norms ----------------------------------------------------------------------
 
 
@@ -331,6 +408,41 @@ def test_merge_linearity(tmp_path):
     a = archive.read_tensor(once, "w").values
     b = archive.read_tensor(twice, "w").values
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+def test_merge_combines_in_place_with_the_bits_of_the_plain_sum(tmp_path, monkeypatch):
+    # Values across many binades, with signed zeros and subnormals; one
+    # resident and one stored term; tensors smaller and larger than the
+    # first, so each reuses the accumulator and term buffers.
+    rng = np.random.default_rng(5)
+
+    def spread(size):
+        values = rng.standard_normal(size) * 10.0 ** rng.uniform(-20, 20, size)
+        values[:4] = [0.0, -0.0, 5e-324, -2.2e-308]
+        return values
+
+    sizes = {"a": 3000, "b": 17, "c": 40_000}
+    base = write_checkpoint(tmp_path / "b.safetensors", {n: spread(s) for n, s in sizes.items()})
+    resident = multi(**{n: spread(s) for n, s in sizes.items()})
+    tvec.save_task_vector(multi(**{n: spread(s) for n, s in sizes.items()}), tmp_path / "t.safetensors")
+    stored = tvec.StoredVector(tmp_path / "t.safetensors")
+    combined = {}
+    original = tvec.write_archive
+
+    def capture(entries, path, *args):
+        entries = list(entries)
+        combined.update((name, values().copy()) for name, _, _, values in entries)
+        return original(entries, path, *args)
+
+    monkeypatch.setattr(tvec, "write_archive", capture)
+    for coeffs in [(0.0, 0.0), (-0.0, 1.0), (-1.5, 0.7), (3.0e-5, -2.25), (1e10, -1e-10)]:
+        terms = [(resident, coeffs[0]), (stored, coeffs[1])]
+        tvec.merge(base, terms, tmp_path / "m.safetensors")
+        for name in sizes:
+            want = archive.read_tensor(base, name).values
+            for source, coeff in terms:
+                want = want + coeff * source.read(name)
+            assert np.array_equal(combined[name].view(np.uint64), want.view(np.uint64)), (coeffs, name)
 
 
 def test_merge_shape_mismatch(tmp_path):
