@@ -216,22 +216,28 @@ def read_tensor(archive: TensorArchive, name: str, out: np.ndarray | None = None
     into the front of `out`, a flat float64 array at least as large as the
     tensor, whose values are then a view of `out`.
 
-    The stored bytes are read into the tail of the values' own memory and
-    widened in place (`widen_to_f64`), so a read needs no other buffer.
+    Into `out`, the stored bytes are read into the tail of the values' own
+    memory and widened in place (`widen_to_f64`), so a read needs no other
+    buffer.
     """
     try:
         meta = archive.entries[name]
     except KeyError:
         raise NameNotFoundError(f"tensor {name!r} not in {archive.path}") from None
-    count = meta.num_elements
-    values = np.empty(count) if out is None else out[:count]
-    if values.size != count:
-        raise ValueError(f"tensor {name!r} has {count} values, more than its buffer holds")
-    raw = values.view(np.uint8)[values.nbytes - meta.num_bytes :]
+    values = None
+    if out is not None:
+        values = out[: meta.num_elements]
+        if values.size != meta.num_elements:
+            raise ValueError(f"tensor {name!r} has {meta.num_elements} values, more than its buffer holds")
     try:
         with open(archive.path, "rb") as fh:
             fh.seek(archive.data_start + meta.data_offsets[0])
-            got = fh.readinto(raw)
+            if values is None:
+                raw = fh.read(meta.num_bytes)
+                got = len(raw)
+            else:
+                raw = values.view(np.uint8)[values.nbytes - meta.num_bytes :]
+                got = fh.readinto(raw)
     except OSError as exc:
         raise IoFailureError(f"cannot read {archive.path}: {exc}") from exc
     if got != meta.num_bytes:

@@ -24,7 +24,7 @@ DTYPE_SIZES = {"F32": 4, "F16": 2, "BF16": 2}
 # How `widen_to_f64` reads each dtype's storage: BF16 as the upper half of
 # float32 bit patterns.
 _STORED = {"F32": np.dtype("<f4"), "F16": np.dtype("<f2"), "BF16": np.dtype("<u2")}
-# Values widened at a time, through a staging array that stays in cache.
+# BF16 values widened at a time, through a staging array that stays in cache.
 _WIDEN_BLOCK = 1 << 14
 
 # Largest finite BF16: (2 - 2**-7) * 2**127.
@@ -36,11 +36,11 @@ def widen_to_f64(raw, dtype: str, out: np.ndarray | None = None) -> np.ndarray:
     array: `out` when given, which must hold exactly one value per stored
     one, else a new array.
 
-    Blocks are widened front to back, each copied into a small staging
-    array before its values are written, so `raw` may be the tail of
-    `out`'s own memory: a value is at least as wide as its storage, so a
-    block's values end no later than its own stored bytes and never
-    overwrite a block still to come.
+    `raw` may be the tail of `out`'s own memory. F32 and F16 widen in one
+    copy, which numpy makes exact over overlapping memory. BF16 widens block
+    by block, front to back, through a small staging array: a value is wider
+    than its storage, so a block's values end no later than its own stored
+    bytes and never overwrite a block still to come.
     """
     if dtype not in _STORED:
         raise ValueError(f"unsupported dtype {dtype!r}")
@@ -49,18 +49,16 @@ def widen_to_f64(raw, dtype: str, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty(stored.size)
     elif out.shape != stored.shape:
         raise ValueError(f"{stored.size} stored values do not fill an output of shape {out.shape}")
+    if dtype != "BF16":
+        np.copyto(out, stored)
+        return out
     staging = np.empty(min(stored.size, _WIDEN_BLOCK), np.uint32)
     for start in range(0, stored.size, _WIDEN_BLOCK):
         block = stored[start : start + _WIDEN_BLOCK]
-        if dtype == "BF16":
-            staged = staging[: block.size]
-            np.copyto(staged, block)
-            staged <<= np.uint32(16)
-            staged = staged.view(np.float32)
-        else:
-            staged = staging.view(block.dtype)[: block.size]
-            np.copyto(staged, block)
-        np.copyto(out[start : start + block.size], staged)
+        bits = staging[: block.size]
+        np.copyto(bits, block)
+        bits <<= np.uint32(16)
+        np.copyto(out[start : start + block.size], bits.view(np.float32))
     return out
 
 

@@ -153,6 +153,12 @@ def test_deltas_lend_two_buffer_sets_in_turn(tmp_path):
     assert [np.shares_memory(held[0], other) for other in held[1:]] == [False, True, False]
     assert np.shares_memory(held[1], held[3])
     assert np.all(held[0] == 3.0) and np.all(held[1] == 4.0)
+    # A stored vector's lockstep reader lends one buffer.
+    path = tmp_path / "tau.safetensors"
+    tvec.save_task_vector(tvec.extract_task_vector(base, ft), path)
+    held = [values for _, (values,) in tvec.StoredVector(path).lockstep([0])]
+    assert all(np.shares_memory(held[0], other) for other in held[1:])
+    assert np.all(held[0] == 4.0)
 
 
 def test_resident_collectors_return_arrays_of_their_own(tmp_path):
