@@ -31,7 +31,7 @@ _WIDEN_BLOCK = 1 << 14
 _BF16_MAX = float(np.ldexp(255.0, 120))
 
 
-def widen_to_f64(raw, dtype: str, out: np.ndarray | None = None) -> np.ndarray:
+def widen_to_f64(raw: bytes | np.ndarray, dtype: str, out: np.ndarray | None = None) -> np.ndarray:
     """Decode little-endian storage bytes (any buffer) into a flat float64
     array: `out` when given, which must hold exactly one value per stored
     one, else a new array.

@@ -209,11 +209,12 @@ def deltas(
     surfaces where a serial read would raise it, after the tensors before.
 
     Unless `keep`, the deltas are borrowed: the pass reads into two sets of
-    buffers, sized to the largest tensor and allocated on the calling thread
-    when iteration starts, in turn. An item's arrays are the caller's to
-    overwrite until it asks for the next item; the worker then reads the
-    item after that into them. A caller that keeps every delta passes
-    `keep`, and each delta is a new array."""
+    buffers in turn, sized to the largest tensor and allocated on the
+    calling thread when iteration starts. An item's arrays are the caller's
+    to overwrite until it asks for the next item; the worker then reads the
+    item after that into them, so they are overwritten two items later. A
+    caller that keeps every delta passes `keep`, and each delta is a new
+    array."""
     for ft in finetuned:
         require_matching(base.shapes, ft.shapes)
         for name in byte_sorted(base.entries):
