@@ -35,6 +35,7 @@ from .task_vector import (
     Scratch,
     StoredVector,
     deltas,
+    lockstep,
     merge,
     prune_and_rescale,
     require_finite,
@@ -102,7 +103,7 @@ def _load_config(args) -> PipelineConfig:
 def cmd_extract(args) -> int:
     base = open_archive(args.base)
     finetuned = open_archive(args.finetuned)
-    vector = deltas(base, [finetuned], allow_dtype_mismatch=args.allow_dtype_mismatch)
+    vector = deltas(base, [finetuned], allow_dtype_mismatch=args.allow_dtype_mismatch)([0])
     shapes = base.shapes
     metadata = vector_metadata(args.base_id or str(base.path), args.ft_id or str(finetuned.path), None)
     write_vector(args.out, shapes, vector, metadata, dtype=args.dtype)
@@ -114,7 +115,7 @@ def cmd_sparsify(args) -> int:
     source = StoredVector(args.vector)
     epsilon = None if args.no_rescale else args.epsilon
     (info,), vector = prune_and_rescale(
-        source.lockstep,
+        lockstep(source),
         source.shapes,
         [source.source_ft_id],
         args.retention,

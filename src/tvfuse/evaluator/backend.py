@@ -67,10 +67,21 @@ class ScoreResult:
 
     @classmethod
     def from_logprobs(cls, logprobs: Sequence[float]) -> "ScoreResult":
+        """The perplexity exp(-mean(logprobs)). No tokens, a non-finite
+        log-probability or a perplexity that overflows a float make a
+        malformed reply."""
         if len(logprobs) == 0:
             raise MalformedResponseError("score returned an empty token list")
-        lp = tuple(float(x) for x in logprobs)
-        return cls(token_logprobs=lp, perplexity=math.exp(-sum(lp) / len(lp)))
+        try:
+            lp = tuple(float(x) for x in logprobs)
+            log_perplexity = -sum(lp) / len(lp)
+            perplexity = math.exp(log_perplexity)
+        except OverflowError:
+            raise MalformedResponseError("score log-probabilities overflow the perplexity") from None
+        # Also catches a sum of finite values that overflows.
+        if not math.isfinite(log_perplexity):
+            raise MalformedResponseError("score returned a non-finite log-probability")
+        return cls(token_logprobs=lp, perplexity=perplexity)
 
 
 @runtime_checkable

@@ -176,6 +176,8 @@ class HttpBackend:
         samples = body.get("samples")
         if not isinstance(samples, list):
             raise MalformedResponseError("/generate: missing 'samples' list")
+        if len(samples) != request.num_samples:
+            raise MalformedResponseError(f"/generate: {len(samples)} samples for n={request.num_samples}")
         out: list[GenerationSample] = []
         for item in samples:
             if not isinstance(item, dict) or not isinstance(item.get("text"), str):

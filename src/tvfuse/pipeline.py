@@ -22,13 +22,13 @@ one more tensor set is in flight. Every merge reads the base and the stored
 stage-2 vectors one tensor at a time, so memory grows with the largest
 tensor, not with the model.
 
-Buffers: each pass of stage 2 allocates its two sets of delta buffers when
-it starts and frees them when it ends; the stage owns one
-`task_vector.Scratch` for all of its passes, and each merge owns its
-accumulator and term buffer for the length of the call. A delta the stage
-is handed stays valid until it asks for the next tensor, and is masked,
-rescaled and written in place before then. Nothing outlives its stage, so
-the search is not charged for stage 2's buffers.
+Buffers: stage 2 makes one `deltas` reader and one `task_vector.Scratch`
+for all of its passes, and each merge owns its accumulator and term buffer
+for the length of the call. The reader's rule: a yielded delta is borrowed
+until the next item, and the stage masks, rescales and writes it in place
+before then; the buffers live as long as the reader; it runs one pass at a
+time. Nothing outlives its stage, so the search is not charged for stage
+2's buffers.
 
 Only a backend that loads weights from a path (``loads_weights``, the HTTP
 backend) gets a candidate file per trial: the candidates share one path in
@@ -409,6 +409,17 @@ def _read_json_object(path: Path, keys: set[str]) -> dict[str, Any]:
     return payload
 
 
+def _require_written_with(path: Path, stored: dict[str, Any], settings: dict[str, Any]) -> None:
+    """Raise ConfigError unless the stage file at `path` was written with
+    each of `settings`, which `stored` holds as read from it."""
+    for key, value in settings.items():
+        if stored[key] != value:
+            raise ConfigError(
+                f"cannot resume: {path} was written with {key}={stored[key]!r}, "
+                f"but the config has {key}={value!r}"
+            )
+
+
 def _sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -533,7 +544,16 @@ def _stage_select_data(
     if resume and paths.adaptation_set.exists() and paths.difficulty_records.exists():
         logger.info("reusing stage1 artifacts")
         keys = {f.name for f in fields(AdaptationSet)}
-        return AdaptationSet(**_read_json_object(paths.adaptation_set, keys))
+        stored = _read_json_object(paths.adaptation_set, keys)
+        threshold = config.difficulty_threshold
+        settings = {
+            "seed": config.seed,
+            "m": config.m,
+            "n": config.n,
+            "threshold": default_threshold(config.m) if threshold is None else threshold,
+        }
+        _require_written_with(paths.adaptation_set, stored, settings)
+        return AdaptationSet(**stored)
     pool = load_query_pool(config.pool_path)
     paths.stage1.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []
@@ -585,7 +605,10 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
         and paths.vector_summary.exists()
     ):
         logger.info("reusing stage2 artifacts")
-        return _read_json_object(paths.vector_summary, _SUMMARY_KEYS)
+        summary = _read_json_object(paths.vector_summary, _SUMMARY_KEYS)
+        settings = {"retention_p": config.retention_p, "epsilon": config.epsilon}
+        _require_written_with(paths.vector_summary, summary, settings)
+        return summary
     paths.stage2.mkdir(parents=True, exist_ok=True)
     base = open_archive(config.base_path)
     finetuned = [open_archive(config.sft_path), open_archive(config.rlvr_path)]
@@ -595,9 +618,10 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
     # gamma away from 1) is skipped.
     infos: list[SparsityInfo | None] = [None, None]
     scratch = Scratch(base.shapes.values())
+    read = deltas(base, finetuned)
     if config.retention_p < 1.0:
         infos, vectors = prune_and_rescale(
-            lambda chosen: deltas(base, [finetuned[i] for i in chosen]),
+            read,
             base.shapes,
             origins,
             config.retention_p,
@@ -605,7 +629,7 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
             scratch,
         )
     else:
-        vectors = deltas(base, finetuned)
+        vectors = read([0, 1])
     specs = [(name, "F32", base.entries[name].shape) for name in byte_sorted(base.entries)]
     norms = Norms(origins, scratch)
     conflicts = denominator = 0

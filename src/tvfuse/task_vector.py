@@ -4,24 +4,24 @@ A task vector is the elementwise difference between a post-trained
 checkpoint and its base model. Every consumer reads a vector through one
 per-tensor source (`VectorSource`): float64 arrays, one tensor at a time in
 byte-wise name order. A source is a resident `TaskVector` or a stored
-archive read tensor by tensor (`StoredVector`); `deltas` reads ft - base of
-one base and several finetuned archives in lockstep, each archive once per
-tensor, and one tensor ahead: while the caller works on one tensor set, one
-worker thread reads, widens and subtracts the next, so one more tensor set
-is in flight. A consumer walking a stored vector or the deltas holds one
-tensor of it at a time, so `merge` of stored vectors and stage 2 need
-memory bounded by the largest tensor, not by the model.
+archive read tensor by tensor (`StoredVector`). A `Lockstep` reader runs
+passes over several vectors, tensor by tensor: `lockstep(source)` over one
+source, and `deltas` over ft - base of one base and several finetuned
+archives, each archive once per tensor and one tensor ahead: while the
+caller works on one tensor set, one worker thread reads, widens and
+subtracts the next, so one more tensor set is in flight. A consumer walking
+a stored vector or the deltas holds one tensor of it at a time, so `merge`
+of stored vectors and stage 2 need memory bounded by the largest tensor,
+not by the model.
 
-Who owns the working memory: each streamed pass reads into a fixed set of
-arrays sized to the largest tensor, allocated on the calling thread when
-the pass starts and freed when it ends, so tensors reuse pages instead of
-faulting in fresh ones. `deltas` lends two sets of delta buffers in turn
-(the worker alone owns the base buffer); `StoredVector.lockstep` lends one
-buffer; a yielded array is the caller's to overwrite until it asks for the
-next tensor. A `Scratch` holds one stage's magnitudes, squares, select keys
-and masks, and `merge` one accumulator and one term buffer. What keeps
-every tensor (`extract_task_vector`, `sparsify`, `sparsify_and_rescale`,
-`load_task_vector`) gets a new array per tensor.
+Who owns the working memory: a job makes each reader once; the reader
+allocates its buffers, sized to the largest tensor, on the calling thread,
+and every pass reuses their pages. The one rule: a yielded array is
+borrowed until the next item; the buffers live as long as the reader; a
+reader runs one pass at a time. A `Scratch` holds one stage's magnitudes,
+squares, select keys and masks, and `merge` one accumulator and one term
+buffer. What keeps every tensor (`extract_task_vector`, `sparsify`,
+`sparsify_and_rescale`, `load_task_vector`) gets a new array per tensor.
 
 `prune_and_rescale` is the one prune-and-rescale implementation. Over
 vectors read in lockstep, one tensor of each at a time, it keeps each
@@ -106,11 +106,6 @@ class VectorSource:
         for name in byte_sorted(self.shapes):
             yield name, self.read(name)
 
-    def lockstep(self, chosen: Sequence[int]) -> Iterator[tuple[str, list[np.ndarray]]]:
-        """`arrays` as the `Lockstep` reader of this one vector."""
-        for name, values in self.arrays():
-            yield name, [values]
-
 
 @dataclass
 class TaskVector(VectorSource):
@@ -139,17 +134,10 @@ class StoredVector(VectorSource):
     def read(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
         return read_tensor(self.archive, name, out=out).values
 
-    def lockstep(self, chosen: Sequence[int]) -> Iterator[tuple[str, list[np.ndarray]]]:
-        """`arrays` as a `Lockstep` reader that reads every tensor into one
-        buffer, sized to the largest tensor: each array is borrowed, the
-        caller's to overwrite until it asks for the next."""
-        buffer = np.empty(largest_size(self.shapes.values()))
-        for name in byte_sorted(self.shapes):
-            yield name, [self.read(name, out=buffer)]
 
-
-# Reads several vectors in lockstep: called with the indices of the vectors
-# to read, yields per tensor in name order its name and one array per vector.
+# Reads several vectors in lockstep: each call, with the indices of the
+# vectors to read, runs one pass that yields per tensor in name order its
+# name and one array per vector, under the module docstring's buffer rule.
 Lockstep = Callable[[Sequence[int]], Iterator[tuple[str, list[np.ndarray]]]]
 
 
@@ -200,21 +188,19 @@ def deltas(
     finetuned: Sequence[TensorArchive],
     *,
     allow_dtype_mismatch: bool = False,
-    keep: bool = False,
-) -> Iterator[tuple[str, list[np.ndarray]]]:
-    """One pass over ft - base for each finetuned archive: per tensor in
-    byte-wise name order, the name and one float64 delta per archive, each
-    archive read once. Names, shapes and dtypes are checked before any read.
-    The pass reads one tensor set ahead on one worker thread; a read error
-    surfaces where a serial read would raise it, after the tensors before.
+) -> Lockstep:
+    """The `Lockstep` reader of ft - base for each finetuned archive: a pass
+    yields per tensor in byte-wise name order the name and one float64 delta
+    per chosen archive, each archive read once. Names, shapes and dtypes are
+    checked before any read. A pass reads one tensor set ahead on one worker
+    thread; a read error surfaces where a serial read would raise it, after
+    the tensors before.
 
-    Unless `keep`, the deltas are borrowed: the pass reads into two sets of
-    buffers in turn, sized to the largest tensor and allocated on the
-    calling thread when iteration starts. An item's arrays are the caller's
-    to overwrite until it asks for the next item; the worker then reads the
-    item after that into them, so they are overwritten two items later. A
-    caller that keeps every delta passes `keep`, and each delta is a new
-    array."""
+    The reader owns a base buffer and two sets of delta buffers, sized to
+    the largest tensor and allocated here, on the calling thread; every pass
+    reads into them, the sets in turn. An item's arrays are the caller's to
+    overwrite until it asks for the next item; the worker then reads the
+    item after that into them, so they are overwritten two items later."""
     for ft in finetuned:
         require_matching(base.shapes, ft.shapes)
         for name in byte_sorted(base.entries):
@@ -225,17 +211,17 @@ def deltas(
                     "(pass allow_dtype_mismatch=True to override)"
                 )
 
-    def lockstep() -> Iterator[tuple[str, list[np.ndarray]]]:
-        size = largest_size(base.shapes.values())
-        # Only the worker touches the base buffer.
-        base_buffer = np.empty(size)
-        sets = [[None if keep else np.empty(size) for _ in finetuned] for _ in range(2)]
+    size = largest_size(base.shapes.values())
+    # Only the worker touches the base buffer.
+    base_buffer = np.empty(size)
+    sets = [[np.empty(size) for _ in finetuned] for _ in range(2)]
 
+    def read(chosen: Sequence[int]) -> Iterator[tuple[str, list[np.ndarray]]]:
         def tensors() -> Iterator[tuple[str, list[np.ndarray]]]:
             for index, name in enumerate(byte_sorted(base.entries)):
                 base_values = read_tensor(base, name, out=base_buffer).values
                 buffers = sets[index % 2]
-                vectors = [read_tensor(ft, name, out=out).values for ft, out in zip(finetuned, buffers)]
+                vectors = [read_tensor(finetuned[i], name, out=buffers[i]).values for i in chosen]
                 for values in vectors:
                     values -= base_values
                 yield name, vectors
@@ -252,7 +238,20 @@ def deltas(
                 pending = worker.submit(next, ahead, None)
                 yield item
 
-    return lockstep()
+    return read
+
+
+def lockstep(source: VectorSource) -> Lockstep:
+    """`source.arrays()` as the `Lockstep` reader of one vector. A stored
+    vector is read into one buffer, allocated here and sized to its largest
+    tensor; a resident one yields its own arrays."""
+    buffer = None if isinstance(source, TaskVector) else np.empty(largest_size(source.shapes.values()))
+
+    def read(chosen: Sequence[int]) -> Iterator[tuple[str, list[np.ndarray]]]:
+        for name in byte_sorted(source.shapes):
+            yield name, [source.read(name, out=buffer)]
+
+    return read
 
 
 def extract_task_vector(
@@ -262,12 +261,8 @@ def extract_task_vector(
     allow_dtype_mismatch: bool = False,
 ) -> TaskVector:
     """Per-tensor finetuned - base, read one tensor at a time."""
-    tensors = {
-        name: delta
-        for name, (delta,) in deltas(
-            base, [finetuned], allow_dtype_mismatch=allow_dtype_mismatch, keep=True
-        )
-    }
+    read = deltas(base, [finetuned], allow_dtype_mismatch=allow_dtype_mismatch)
+    tensors = {name: delta.copy() for name, (delta,) in read([0])}
     return TaskVector(
         tensors=tensors,
         shapes={name: base.entries[name].shape for name in tensors},
@@ -542,7 +537,7 @@ def quantile_threshold(source: VectorSource, retentions: Sequence[float]) -> lis
     """One exact cut per retention p by `RadixSelect`, reading `source` once
     per pass. A vector holding inf or NaN raises NonFiniteVectorError."""
     select = RadixSelect(source.shapes.values(), retentions, Scratch(source.shapes.values()))
-    _run_selects(source.lockstep, [select], None, lambda: require_finite(source))
+    _run_selects(lockstep(source), [select], None, lambda: require_finite(source))
     return select.cuts()
 
 
@@ -618,8 +613,8 @@ def prune_and_rescale(
     works in `scratch`.
 
     Unless `keep`, the mask passes mask in place the arrays `read` yields,
-    which must be theirs to overwrite (a stored vector's, or borrowed from
-    `deltas`), and the last pass yields them. A caller that keeps every
+    which must be theirs to overwrite (borrowed from `deltas`, or from
+    `lockstep` of a stored vector), and the last pass yields them. A caller that keeps every
     tensor passes `keep`, and each pruned tensor is a new array."""
     selects = [RadixSelect(shapes.values(), [retention_p], scratch) for _ in origins]
     norms = Norms(origins, scratch)
@@ -675,7 +670,7 @@ def sparsify_and_rescale(
     if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be finite and positive")
     (info,), vectors = prune_and_rescale(
-        source.lockstep,
+        lockstep(source),
         source.shapes,
         [source.source_ft_id],
         p,
@@ -774,7 +769,7 @@ def write_vector(
 def save_task_vector(tv: TaskVector, path: str | Path, dtype: str = "F32") -> None:
     """Persist a task vector as a tensor archive with `vector_metadata`."""
     metadata = vector_metadata(tv.source_base_id, tv.source_ft_id, tv.sparsity)
-    write_vector(path, tv.shapes, tv.lockstep([0]), metadata, dtype)
+    write_vector(path, tv.shapes, lockstep(tv)([0]), metadata, dtype)
 
 
 def load_task_vector(path: str | Path) -> TaskVector:

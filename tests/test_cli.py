@@ -308,6 +308,19 @@ def test_resume_over_a_malformed_stage_file_ends_in_one_error_line(setup, capsys
     assert not [r for r in caplog.records if r.exc_info]
 
 
+def test_resume_under_other_settings_ends_in_one_error_line(setup, capsys, caplog):
+    tmp_path, _, _, config_path = setup
+    run = ["run", "--config", str(config_path), "--set", "fixed_coefficients=[1.0, 1.0]"]
+    assert main(run) == 0
+    capsys.readouterr()
+    assert main([*run, "--resume", "--set", "retention_p=0.9"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert str(tmp_path / "ws" / "stage2" / "summary.json") in lines[0]
+    assert "retention_p=0.3" in lines[0] and "retention_p=0.9" in lines[0]
+    assert not [r for r in caplog.records if r.exc_info]
+
+
 @pytest.mark.parametrize("content", ['"abc"', "[1, 2]"], ids=["string", "array"])
 def test_non_object_config_exits_two_without_traceback(tmp_path, capsys, caplog, content):
     config_path = tmp_path / "config.json"

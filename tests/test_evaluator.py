@@ -116,6 +116,17 @@ def test_score_result_rejects_empty():
         ScoreResult.from_logprobs([])
 
 
+# Log-probabilities with no finite perplexity: a non-finite value, a mean
+# whose exp overflows, and finite values whose sum overflows.
+@pytest.mark.parametrize(
+    "logprobs",
+    [[float("nan")], [float("inf")], [-float("inf")], [-1.0, float("nan")], [-1000.0], [-1e308, -1e308]],
+)
+def test_score_result_rejects_logprobs_without_a_finite_perplexity(logprobs):
+    with pytest.raises(MalformedResponseError):
+        ScoreResult.from_logprobs(logprobs)
+
+
 def test_perplexity_of_empty_text():
     # Rejected before any request is made, so nothing listens on the port.
     with pytest.raises(EmptyTextError):

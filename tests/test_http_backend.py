@@ -27,10 +27,12 @@ from tvfuse.evaluator import (
     HttpBackend,
     MockBackend,
     MockInferenceServer,
+    ScoreResult,
     consistency,
     encode_model_ref,
     quadratic_landscape,
 )
+from tvfuse.evaluator.backend import GenerationParams, map_queries, sample_consistency
 
 LANDSCAPE = quadratic_landscape(peak=(0.8, 1.5), falloff=0.5, ppl_base=2.0, ppl_slope=3.0)
 
@@ -175,6 +177,53 @@ def test_malformed_server_response():
         client = HttpBackend(url, max_attempts=1)
         with pytest.raises(MalformedResponseError):
             client.generate(GenerationRequest("m", "p", num_samples=1))
+
+
+class FaultyBackend(MockBackend):
+    """A mock whose replies a remote server could send: `extra` samples more
+    than asked for (fewer when negative), and fixed, unchecked
+    log-probabilities for every text."""
+
+    def __init__(self, extra: int, logprobs: tuple[float, ...] = (-1.0,)):
+        super().__init__(LANDSCAPE, seed=5)
+        self.extra = extra
+        self.logprobs = logprobs
+
+    def generate(self, request):
+        samples = super().generate(request)
+        return (samples * 2)[: len(samples) + self.extra]
+
+    def score(self, model_ref, text):
+        # Built directly, as a remote server would send them, unchecked.
+        return ScoreResult(token_logprobs=self.logprobs)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_a_reply_with_the_wrong_sample_count_fails_its_query(extra):
+    with MockInferenceServer(FaultyBackend(extra)) as srv:
+        with contextlib.closing(HttpBackend(srv.url, max_attempts=1)) as client:
+            with pytest.raises(MalformedResponseError, match="samples for n=5"):
+                client.generate(GenerationRequest("sft", "q", num_samples=5))
+            params = GenerationParams()
+            results, failures = map_queries(
+                lambda i, qid, text: sample_consistency(client, "sft", text, 5, params, seed=i),
+                [("q1", "first"), ("q2", "second")],
+                concurrency=2,
+            )
+    assert results == []
+    assert [qid for qid, _ in failures] == ["q1", "q2"]
+    assert all(isinstance(exc, MalformedResponseError) for _, exc in failures)
+
+
+@pytest.mark.parametrize(
+    "logprobs", [(float("nan"),), (float("inf"),), (-1000.0,)], ids=["nan", "inf", "overflow"]
+)
+def test_a_score_without_a_finite_perplexity_is_malformed(logprobs):
+    # JSON's reader accepts NaN and Infinity, so they arrive over the wire.
+    with MockInferenceServer(FaultyBackend(0, logprobs)) as srv:
+        with contextlib.closing(HttpBackend(srv.url, max_attempts=1)) as client:
+            with pytest.raises(MalformedResponseError):
+                client.score("sft", "some text")
 
 
 def test_connection_refused_is_backend_failure():

@@ -18,7 +18,7 @@ import pytest
 from reference import read_tensor_bytes
 from synth import make_checkpoint_trio, make_config, make_query_pool
 from tvfuse import archive, diagnostics, pipeline, task_vector
-from tvfuse.errors import BackendFailure, ConfigError, PipelineLockedError
+from tvfuse.errors import BackendFailure, ConfigError, PipelineLockedError, StageError
 from tvfuse.evaluator import MockBackend, MockInferenceServer
 from tvfuse.floats import narrow_from_f64
 from tvfuse.pipeline import (
@@ -265,15 +265,63 @@ def test_resume_skips_completed_stages(setup, monkeypatch):
     _, _, _, config_path = setup
     config = load_config(config_path)
     run_pipeline(config)
+    paths = WorkspacePaths(Path(config.workspace))
+    outputs = [
+        paths.adaptation_set,
+        paths.tau_sft,
+        paths.tau_rlvr,
+        paths.vector_summary,
+        paths.trial_log,
+        paths.search_result,
+        paths.merged_model,
+    ]
+    written = {path: path.read_bytes() for path in outputs}
+    paths.merged_model.unlink()
 
-    from tvfuse import pipeline as pl
+    def fail(stage):
+        def failing(*args, **kwargs):
+            raise AssertionError(f"{stage} should have been reused")
 
-    def fail_scoring(*args, **kwargs):
-        raise AssertionError("stage 1 should have been reused")
+        return failing
 
-    monkeypatch.setattr(pl, "score_difficulty", fail_scoring)
+    monkeypatch.setattr(pipeline, "score_difficulty", fail("stage 1"))
+    monkeypatch.setattr(pipeline, "deltas", fail("stage 2"))
     report = run_pipeline(config, resume=True)
     assert report.final_model is not None
+    assert {path: path.read_bytes() for path in outputs} == written
+
+
+# Each setting a stage file records, changed alone: the config overrides,
+# and the file, field and both values the refusal names. The last case
+# changes two settings; stage 1 refuses first.
+CHANGED_SETTINGS = {
+    "seed": ({"seed": "5"}, "stage1/adaptation_set.json", "seed", 7, 5),
+    "m": ({"m": "4"}, "stage1/adaptation_set.json", "m", 5, 4),
+    "n": ({"n": "6"}, "stage1/adaptation_set.json", "n", 8, 6),
+    "threshold": ({"difficulty_threshold": "0.5"}, "stage1/adaptation_set.json", "threshold", 0.8, 0.5),
+    "retention_p": ({"retention_p": "0.9"}, "stage2/summary.json", "retention_p", 0.3, 0.9),
+    "epsilon": ({"epsilon": "1e-6"}, "stage2/summary.json", "epsilon", 1e-8, 1e-6),
+    "retention_p and seed": (
+        {"retention_p": "0.9", "seed": "5"}, "stage1/adaptation_set.json", "seed", 7, 5
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CHANGED_SETTINGS))
+def test_resume_refuses_stage_files_written_under_other_settings(setup, case):
+    tmp_path, _, _, config_path = setup
+    fixed = {"fixed_coefficients": "[1.0, 1.0]"}
+    run_pipeline(load_config(config_path, fixed))
+    overrides, name, key, written, configured = CHANGED_SETTINGS[case]
+    stage_files = sorted((tmp_path / "ws").glob("stage*/*"))
+    before = [path.read_bytes() for path in stage_files]
+    with pytest.raises(StageError) as info:
+        run_pipeline(load_config(config_path, {**fixed, **overrides}), resume=True)
+    assert isinstance(info.value.__cause__, ConfigError)
+    message = str(info.value)
+    assert str(tmp_path / "ws" / name) in message
+    assert f"{key}={written!r}" in message and f"{key}={configured!r}" in message
+    assert [path.read_bytes() for path in stage_files] == before
 
 
 def test_fixed_coefficients_with_full_retention_is_linear(setup):
@@ -594,6 +642,39 @@ def test_stage_two_takes_three_passes_when_each_cut_is_its_buckets_floor(tmp_pat
     }
     # ceil(0.3 * 76) entries, all non-zero since both cuts are above 0.
     assert summary["sft"]["retained_count"] == summary["rlvr"]["retained_count"] == 23
+
+
+def test_stage_two_passes_reuse_one_readers_buffers(setup, monkeypatch):
+    # One `deltas` reader serves all four passes at 0.3, so the last pass
+    # reads into the pages the first one faulted in.
+    _, _, _, config_path = setup
+    config = load_config(config_path)
+    passes = []
+    original = pipeline.deltas
+
+    def recorded(*args, **kwargs):
+        read = original(*args, **kwargs)
+
+        def each_pass(chosen):
+            arrays = []
+            passes.append(arrays)
+            for name, vectors in read(chosen):
+                arrays.append(list(vectors))
+                yield name, vectors
+
+        return each_pass
+
+    monkeypatch.setattr(pipeline, "deltas", recorded)
+    paths = WorkspacePaths(Path(config.workspace))
+    pipeline._stage_task_vectors(config, paths, resume=False)
+    assert len(passes) == 4
+    first, last = passes[0][0], passes[-1][0]
+    assert len(first) == len(last) == 2
+    assert all(np.shares_memory(a, b) for a, b in zip(first, last))
+    # Two passes of one stored vector's reader read into one buffer.
+    read = task_vector.lockstep(task_vector.StoredVector(paths.tau_sft))
+    (_, (once,)), (_, (again,)) = next(read([0])), next(read([0]))
+    assert np.shares_memory(once, again)
 
 
 def write_bf16_trio(directory: Path, count: int, size: int) -> dict[str, Path]:

@@ -107,7 +107,7 @@ def test_deltas_over_a_truncated_archive_fail_as_a_serial_read_does(tmp_path):
             archive.read_tensor(ft, name)
     yielded = []
     with pytest.raises(TruncatedFileError) as ahead:
-        for name, _ in tvec.deltas(base, [ft]):
+        for name, _ in tvec.deltas(base, [ft])([0]):
             yielded.append(name)
     assert "'b'" in str(serial.value)
     assert str(ahead.value) == str(serial.value)
@@ -117,16 +117,16 @@ def test_deltas_over_a_truncated_archive_fail_as_a_serial_read_does(tmp_path):
 def test_deltas_read_ahead_ends_its_worker_when_the_consumer_stops(tmp_path):
     base, ft, _ = reading_trio(tmp_path)
     before = threading.active_count()
-    for _ in tvec.deltas(base, [ft]):
+    for _ in tvec.deltas(base, [ft])([0]):
         # One worker reads the next tensor meanwhile.
         assert threading.active_count() == before + 1
         break
     assert threading.active_count() == before
     with pytest.raises(RuntimeError):
-        for _ in tvec.deltas(base, [ft]):
+        for _ in tvec.deltas(base, [ft])([0]):
             raise RuntimeError("consumer failed")
     assert threading.active_count() == before
-    reader = tvec.deltas(base, [ft])
+    reader = tvec.deltas(base, [ft])([0])
     next(reader)
     reader.close()
     assert threading.active_count() == before
@@ -146,7 +146,7 @@ def stepped_trio(tmp_path, sizes=(1000, 1000, 1000, 1000)):
 def test_deltas_lend_two_buffer_sets_in_turn(tmp_path):
     base, ft, names = stepped_trio(tmp_path)
     held = []
-    for i, (name, (delta,)) in enumerate(tvec.deltas(base, [ft])):
+    for i, (name, (delta,)) in enumerate(tvec.deltas(base, [ft])([0])):
         assert name == names[i] and np.all(delta == i + 1)
         held.append(delta)
     # An item's buffers are read into again two items later.
@@ -156,7 +156,7 @@ def test_deltas_lend_two_buffer_sets_in_turn(tmp_path):
     # A stored vector's lockstep reader lends one buffer.
     path = tmp_path / "tau.safetensors"
     tvec.save_task_vector(tvec.extract_task_vector(base, ft), path)
-    held = [values for _, (values,) in tvec.StoredVector(path).lockstep([0])]
+    held = [values for _, (values,) in tvec.lockstep(tvec.StoredVector(path))([0])]
     assert all(np.shares_memory(held[0], other) for other in held[1:])
     assert np.all(held[0] == 4.0)
 
@@ -191,7 +191,7 @@ def test_a_pass_that_fails_or_stops_early_joins_its_worker(tmp_path):
 
     def prune(epsilon):
         return tvec.prune_and_rescale(
-            lambda chosen: tvec.deltas(base, [ft for _ in chosen]),
+            tvec.deltas(base, [ft]),
             shapes, ["ft"], 0.5, epsilon, tvec.Scratch(shapes.values()),
         )
 
@@ -209,7 +209,7 @@ def test_a_pass_that_fails_or_stops_early_joins_its_worker(tmp_path):
     assert threading.active_count() == before
     yielded = []
     with pytest.raises(TruncatedFileError, match="'t2'"):
-        for name, _ in tvec.deltas(base, [ft]):
+        for name, _ in tvec.deltas(base, [ft])([0]):
             yielded.append(name)
     assert yielded == names[:2]
     assert threading.active_count() == before
