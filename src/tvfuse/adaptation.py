@@ -22,7 +22,7 @@ import numpy as np
 
 from .archive import atomic_write_text
 from .errors import BackendFailure, ConfigError, InsufficientQueriesError
-from .evaluator.backend import EvaluationBackend, GenerationParams, map_queries, sample_consistency
+from .evaluator.backend import EvaluationBackend, GenerationParams, QueryFanOut, sample_consistency
 from .evaluator.prompts import render_prompt
 
 logger = logging.getLogger(__name__)
@@ -133,7 +133,8 @@ def score_difficulty(
             difficulty=1.0 - (c_sft + c_rlvr) / 2.0,
         )
 
-    records, failures = map_queries(score_one, pool.queries, concurrency)
+    with QueryFanOut(concurrency) as fan_out:
+        records, failures = fan_out.map(score_one, pool.queries)
     for qid, exc in failures:
         logger.warning("difficulty scoring failed for query %s: %s", qid, exc)
         if on_failure is not None:

@@ -4,10 +4,10 @@ Data selection and coefficient search never talk to an inference engine
 directly; they go through the `EvaluationBackend` contract defined here.
 Both measure queries with the one query evaluator in `backend`:
 `sample_consistency` under shared `GenerationParams`, fanned out over the
-queries by `map_queries`. Two implementations ship with the package: an
-HTTP client for a remote generation/scoring service, and a fully
-deterministic in-process mock driven by a synthetic coefficient landscape
-(plus an HTTP server wrapper around it for wire-protocol tests).
+queries by one stage-long `QueryFanOut`. Two implementations ship with the
+package: an HTTP client for a remote generation/scoring service, and a
+fully deterministic in-process mock driven by a synthetic coefficient
+landscape (plus an HTTP server wrapper around it for wire-protocol tests).
 """
 
 from .answers import consistency, extract_answer, normalize_answer

@@ -5,12 +5,17 @@ and a `loads_weights` flag, can drive data selection and coefficient search.
 Backends must be safe for concurrent requests; callers bound in-flight
 requests themselves.
 Difficulty scoring and trial evaluation both measure queries with
-`sample_consistency`, fanned out over the queries by `map_queries`.
+`sample_consistency`, fanned out over the queries by a `QueryFanOut`. A
+stage opens one fan-out, so one pool of `concurrency` worker threads serves
+stage 1's scoring pass or the search's every trial, and is joined when the
+stage ends. Each pass hands the queries to at most `concurrency` workers,
+which pull them one at a time, so at most `concurrency` calls are in flight.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
@@ -118,24 +123,76 @@ def sample_consistency(
     return consistency([s.extracted_answer for s in samples], k)
 
 
-def map_queries(
-    fn: Callable[[int, str, str], T],
-    queries: Sequence[tuple[str, str]],
-    concurrency: int,
-) -> tuple[list[T], list[tuple[str, BackendFailure]]]:
-    """Call fn(index, query_id, text) for every query on one thread pool.
+class QueryFanOut:
+    """At most `concurrency` query calls in flight, on one pool of threads.
 
-    Returns the results of the queries that succeeded, in query order, and
-    the (query id, failure) of each query whose call raised BackendFailure,
-    also in query order. Any other exception propagates.
+    The pool lives until `close` (or the end of a `with` block), so every
+    `map` of a stage reuses the same worker threads. A worker that holds the
+    GIL runs in-process calls back to back; a call that waits on the network
+    releases it, so the other workers' calls overlap it.
     """
-    results: list[T] = []
-    failures: list[tuple[str, BackendFailure]] = []
-    with ThreadPoolExecutor(max_workers=concurrency) as executor:
-        futures = [executor.submit(fn, i, qid, text) for i, (qid, text) in enumerate(queries)]
-        for (qid, _), future in zip(queries, futures):
-            try:
-                results.append(future.result())
-            except BackendFailure as exc:
+
+    def __init__(self, concurrency: int):
+        self.concurrency = concurrency
+        self._pool = ThreadPoolExecutor(max_workers=concurrency)
+
+    def __enter__(self) -> "QueryFanOut":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._pool.shutdown()
+
+    def map(
+        self, fn: Callable[[int, str, str], T], queries: Sequence[tuple[str, str]]
+    ) -> tuple[list[T], list[tuple[str, BackendFailure]]]:
+        """Call fn(index, query_id, text) for every query.
+
+        Submits min(concurrency, len(queries)) tasks; each takes the next
+        query from one shared iterator until none is left. Returns the
+        results of the queries that succeeded, in query order, and the
+        (query id, failure) of each query whose call raised BackendFailure,
+        also in query order. Once a call raises anything else, no further
+        query starts, and when the calls in flight have returned, the
+        earliest such exception in query order is raised.
+        """
+        pending = iter(enumerate(queries))
+        lock = threading.Lock()
+        stop = threading.Event()
+        # (result, None) or (None, exception) per query that ran.
+        outcomes: list = [None] * len(queries)
+
+        def work() -> None:
+            while not stop.is_set():
+                with lock:
+                    item = next(pending, None)
+                if item is None:
+                    return
+                index, (qid, text) = item
+                try:
+                    outcomes[index] = (fn(index, qid, text), None)
+                except BaseException as exc:
+                    if not isinstance(exc, BackendFailure):
+                        stop.set()
+                    outcomes[index] = (None, exc)
+
+        tasks = [self._pool.submit(work) for _ in range(min(self.concurrency, len(queries)))]
+        try:
+            for task in tasks:
+                task.result()
+        finally:
+            stop.set()
+        results: list[T] = []
+        failures: list[tuple[str, BackendFailure]] = []
+        # Queries start in order, so every query before the first unexpected
+        # error ran, and the queries that never started all come after it.
+        for (qid, _), (result, exc) in zip(queries, outcomes):
+            if exc is None:
+                results.append(result)
+            elif isinstance(exc, BackendFailure):
                 failures.append((qid, exc))
-    return results, failures
+            else:
+                raise exc
+        return results, failures

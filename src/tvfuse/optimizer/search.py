@@ -9,7 +9,8 @@ frontier is built and a point is selected.
 
 Completed trials append to a JSON-lines log; restarting with the same log
 replays history instead of re-evaluating, and the per-trial seeded random
-streams make the resumed run identical to an uninterrupted one. At INFO
+streams make the resumed run identical to an uninterrupted one; a log whose
+coefficients this search would not have suggested is refused. At INFO
 level each evaluated trial (not a replayed one) logs one progress line: its
 consistency, the best so far and an ETA from this run's mean trial time.
 """
@@ -26,7 +27,7 @@ from typing import Callable, Sequence
 
 from ..archive import atomic_write_text
 from ..errors import BackendFailure, TooManyFailedTrialsError, TrialLogError
-from ..evaluator.backend import EvaluationBackend, GenerationParams, map_queries, sample_consistency
+from ..evaluator.backend import EvaluationBackend, GenerationParams, QueryFanOut, sample_consistency
 from ..evaluator.prompts import render_prompt
 from .pareto import SELECTION_RULES, pareto_frontier
 from .tpe import SearchSpace, TpeConfig, tpe_suggest
@@ -127,6 +128,23 @@ def load_trial_log(path: str | Path) -> list[TrialRecord]:
     return records
 
 
+def _require_replayable(
+    path: Path, history: Sequence[TrialRecord], space: SearchSpace, config: TpeConfig
+) -> None:
+    """Raise TrialLogError unless every logged trial holds the coefficients
+    this search suggests after the trials before it. A log written under
+    another seed, search space or TPE setting fails at its first trial
+    that differs, before any trial is evaluated."""
+    for index, record in enumerate(history):
+        expected = tpe_suggest(history[:index], space, config)
+        if record.coeffs != expected:
+            raise TrialLogError(
+                f"{path}: trial {index} holds coefficients {record.coeffs}, but this search "
+                f"suggests {expected}; the log was written with another seed, search space "
+                "or TPE setting"
+            )
+
+
 def _evaluate_trial(
     backend: EvaluationBackend,
     model_ref: str,
@@ -134,7 +152,7 @@ def _evaluate_trial(
     samples_per_query: int,
     gen_params: GenerationParams,
     trial_seed: int,
-    concurrency: int,
+    fan_out: QueryFanOut,
 ) -> tuple[float, float, int]:
     """Mean consistency and mean perplexity over the adaptation queries.
 
@@ -151,7 +169,7 @@ def _evaluate_trial(
         perplexity = backend.score(model_ref, prompt).perplexity
         return answer_share, perplexity
 
-    scored, failures = map_queries(eval_query, queries, concurrency)
+    scored, failures = fan_out.map(eval_query, queries)
     for qid, exc in failures:
         logger.warning("query %s failed during trial evaluation: %s", qid, exc)
     if not scored:
@@ -188,6 +206,7 @@ def run_search(
         trial_log_path.parent.mkdir(parents=True, exist_ok=True)
         if resume:
             history = load_trial_log(trial_log_path)[: config.n_trials]
+            _require_replayable(trial_log_path, history, space, config)
         # Rewrite the log to the replayed records, none on a fresh run, so no
         # record is appended to a dropped truncated line or an earlier run's log.
         atomic_write_text(trial_log_path, "".join(t.to_json() + "\n" for t in history))
@@ -200,56 +219,61 @@ def run_search(
     replayed = len(history)
     started = time.perf_counter()
     try:
-        while len(history) < config.n_trials:
-            index = len(history)
-            coeffs = tpe_suggest(history, space, config)
-            try:
-                model_ref = merge_builder(coeffs)
-                mean_c, mean_p, failed_queries = _evaluate_trial(
-                    backend,
-                    model_ref,
-                    queries,
-                    samples_per_query,
-                    gen_params,
-                    trial_seed=config.seed * 100_000 + index,
-                    concurrency=concurrency,
-                )
-                record = TrialRecord(
-                    index=index,
-                    coeffs=coeffs,
-                    consistency=mean_c,
-                    perplexity=mean_p,
-                    status="ok",
-                    failed_query_count=failed_queries,
-                )
-            except BackendFailure as exc:
-                logger.warning("trial %d failed: %s", index, exc)
-                record = TrialRecord(
-                    index=index, coeffs=coeffs, consistency=None, perplexity=None, status="failed"
-                )
-                failed_count += 1
-            history.append(record)
-            if log_fh is not None:
-                log_fh.write(record.to_json() + "\n")
-                log_fh.flush()
-            if logger.isEnabledFor(logging.INFO):
-                ok = [t for t in history if t.consistency is not None]
-                best = max(ok, key=lambda t: t.consistency) if ok else None
-                mean_s = (time.perf_counter() - started) / (len(history) - replayed)
-                logger.info(
-                    "trial %d (%d/%d): consistency %s; best %s; eta %.1f s",
-                    index,
-                    len(history),
-                    config.n_trials,
-                    "failed" if record.consistency is None else f"{record.consistency:.4f}",
-                    "none" if best is None else f"{best.consistency:.4f} at trial {best.index}",
-                    mean_s * (config.n_trials - len(history)),
-                )
-            if failed_count > max_failed:
-                raise TooManyFailedTrialsError(
-                    f"{failed_count} of {len(history)} trials failed "
-                    f"(cap {FAILED_TRIAL_CAP:.0%} of {config.n_trials})"
-                )
+        with QueryFanOut(concurrency) as fan_out:
+            while len(history) < config.n_trials:
+                index = len(history)
+                coeffs = tpe_suggest(history, space, config)
+                try:
+                    model_ref = merge_builder(coeffs)
+                    mean_c, mean_p, failed_queries = _evaluate_trial(
+                        backend,
+                        model_ref,
+                        queries,
+                        samples_per_query,
+                        gen_params,
+                        trial_seed=config.seed * 100_000 + index,
+                        fan_out=fan_out,
+                    )
+                    record = TrialRecord(
+                        index=index,
+                        coeffs=coeffs,
+                        consistency=mean_c,
+                        perplexity=mean_p,
+                        status="ok",
+                        failed_query_count=failed_queries,
+                    )
+                except BackendFailure as exc:
+                    logger.warning("trial %d failed: %s", index, exc)
+                    record = TrialRecord(
+                        index=index,
+                        coeffs=coeffs,
+                        consistency=None,
+                        perplexity=None,
+                        status="failed",
+                    )
+                    failed_count += 1
+                history.append(record)
+                if log_fh is not None:
+                    log_fh.write(record.to_json() + "\n")
+                    log_fh.flush()
+                if logger.isEnabledFor(logging.INFO):
+                    ok = [t for t in history if t.consistency is not None]
+                    best = max(ok, key=lambda t: t.consistency) if ok else None
+                    mean_s = (time.perf_counter() - started) / (len(history) - replayed)
+                    logger.info(
+                        "trial %d (%d/%d): consistency %s; best %s; eta %.1f s",
+                        index,
+                        len(history),
+                        config.n_trials,
+                        "failed" if record.consistency is None else f"{record.consistency:.4f}",
+                        "none" if best is None else f"{best.consistency:.4f} at trial {best.index}",
+                        mean_s * (config.n_trials - len(history)),
+                    )
+                if failed_count > max_failed:
+                    raise TooManyFailedTrialsError(
+                        f"{failed_count} of {len(history)} trials failed "
+                        f"(cap {FAILED_TRIAL_CAP:.0%} of {config.n_trials})"
+                    )
     finally:
         if log_fh is not None:
             log_fh.close()

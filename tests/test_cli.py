@@ -321,6 +321,33 @@ def test_resume_under_other_settings_ends_in_one_error_line(setup, capsys, caplo
     assert not [r for r in caplog.records if r.exc_info]
 
 
+# Each case: a search setting changed on resume, and the file the error names.
+OTHER_SEARCH_SETTINGS = {
+    "seed": ("seed=8", "stage1/adaptation_set.json"),
+    "space": ("search.space=[[0, 1.5], [0, 2]]", "stage3/trials.jsonl"),
+    "n-startup": ("search.n_startup=4", "stage3/trials.jsonl"),
+}
+
+
+@pytest.mark.parametrize("case", list(OTHER_SEARCH_SETTINGS))
+def test_resume_under_another_search_ends_in_one_error_line(setup, capsys, caplog, case):
+    tmp_path, _, _, config_path = setup
+    overrides = ["--set", "search.n_trials=16", "--set", "search.n_startup=5"]
+    assert main(["search", "--config", str(config_path), *overrides]) == 0
+    paths = WorkspacePaths(tmp_path / "ws")
+    log_before = paths.trial_log.read_bytes()
+    capsys.readouterr()
+    setting, named = OTHER_SEARCH_SETTINGS[case]
+    run = ["run", "--config", str(config_path), "--resume", *overrides, "--set", setting]
+    assert main(run) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert str(tmp_path / "ws" / named) in lines[0]
+    assert not [r for r in caplog.records if r.exc_info]
+    assert paths.trial_log.read_bytes() == log_before
+    assert not paths.merged_model.exists()
+
+
 @pytest.mark.parametrize("content", ['"abc"', "[1, 2]"], ids=["string", "array"])
 def test_non_object_config_exits_two_without_traceback(tmp_path, capsys, caplog, content):
     config_path = tmp_path / "config.json"

@@ -1,12 +1,21 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import time
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tvfuse.errors import EmptyTextError, LengthMismatchError, MalformedResponseError
+from tvfuse.errors import (
+    EmptyTextError,
+    LengthMismatchError,
+    MalformedResponseError,
+    UnknownModelRefError,
+)
 from tvfuse.evaluator import (
     GenerationRequest,
     HttpBackend,
@@ -18,6 +27,7 @@ from tvfuse.evaluator import (
     quadratic_landscape,
     render_prompt,
 )
+from tvfuse.evaluator.backend import QueryFanOut
 from tvfuse.evaluator.prompts import PROMPT_PRESETS
 
 
@@ -219,3 +229,130 @@ def test_generation_request_validation():
         GenerationRequest("m", "p", temperature=-0.1)
     with pytest.raises(ValueError):
         GenerationRequest("m", "p", temperature=math.nan)
+
+
+# --- query fan-out -------------------------------------------------------------------
+
+
+def numbered_queries(n):
+    return [(f"q{i}", f"text {i}") for i in range(n)]
+
+
+def test_fan_out_keeps_calls_concurrent():
+    # Each call waits for a second call to arrive, so one worker running the
+    # queries one after another would break the barrier.
+    barrier = threading.Barrier(2, timeout=5)
+
+    def call(index, qid, text):
+        barrier.wait()
+        return index
+
+    with QueryFanOut(2) as fan_out:
+        assert fan_out.map(call, numbered_queries(6)) == ([0, 1, 2, 3, 4, 5], [])
+
+
+def test_fan_out_returns_results_and_failures_in_query_order():
+    def call(index, qid, text):
+        time.sleep(0.002 * (8 - index))  # later queries finish first
+        if index % 3 == 1:
+            raise UnknownModelRefError(f"down {index}")
+        return text
+
+    with QueryFanOut(3) as fan_out:
+        results, failures = fan_out.map(call, numbered_queries(8))
+    assert results == ["text 0", "text 2", "text 3", "text 5", "text 6"]
+    assert [qid for qid, _ in failures] == ["q1", "q4", "q7"]
+    assert [str(exc) for _, exc in failures] == ["down 1", "down 4", "down 7"]
+
+
+class YieldingSequence(Sequence):
+    """Queries whose iterator is Python code that lets other threads run
+    while it fetches an item."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, index):
+        item = self.items[index]
+        time.sleep(0)
+        return item
+
+
+@pytest.mark.parametrize("kind", [list, YieldingSequence])
+def test_fan_out_runs_each_query_once_under_contention(kind):
+    # More workers than cores and a 1 us switch interval: a query taken twice
+    # or skipped by the shared iterator would show in the counts.
+    calls = [0] * 1000
+
+    def call(index, qid, text):
+        calls[index] += 1
+        return qid
+
+    queries = kind(numbered_queries(len(calls)))
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with QueryFanOut(8) as fan_out:
+            for _ in range(3):
+                results, failures = fan_out.map(call, queries)
+                assert results == [qid for qid, _ in queries] and failures == []
+    finally:
+        sys.setswitchinterval(previous)
+    assert calls == [3] * len(calls)
+
+
+def test_fan_out_of_no_queries_starts_no_task():
+    before = set(threading.enumerate())
+    with QueryFanOut(4) as fan_out:
+        assert fan_out.map(lambda *args: pytest.fail("called"), []) == ([], [])
+        # The pool starts a worker thread only when a task is submitted.
+        assert set(threading.enumerate()) == before
+
+
+def test_fan_out_reuses_its_threads_across_passes():
+    threads = set()
+
+    def call(index, qid, text):
+        threads.add(threading.current_thread())
+        return index
+
+    with QueryFanOut(2) as fan_out:
+        for _ in range(5):
+            fan_out.map(call, numbered_queries(16))
+    assert 1 <= len(threads) <= 2
+    assert not any(thread.is_alive() for thread in threads)
+
+
+@pytest.mark.parametrize("concurrency", [1, 2, 4])
+def test_unexpected_error_stops_the_fan_out(concurrency):
+    calls = []
+
+    def call(index, qid, text):
+        calls.append(index)
+        if index == 0:
+            raise ValueError("boom")
+        time.sleep(0.01)
+        return index
+
+    with QueryFanOut(concurrency) as fan_out:
+        with pytest.raises(ValueError, match="boom"):
+            fan_out.map(call, numbered_queries(64))
+    assert len(calls) <= 1 + concurrency
+
+
+def test_earliest_unexpected_error_in_query_order_is_raised():
+    started = threading.Barrier(2, timeout=5)
+
+    def call(index, qid, text):
+        started.wait()  # both queries are in flight before either raises
+        if index == 0:
+            time.sleep(0.02)  # query 1 raises first
+            raise KeyError("query 0")
+        raise ValueError("query 1")
+
+    with QueryFanOut(2) as fan_out:
+        with pytest.raises(KeyError, match="query 0"):
+            fan_out.map(call, numbered_queries(2))

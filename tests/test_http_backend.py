@@ -32,7 +32,7 @@ from tvfuse.evaluator import (
     encode_model_ref,
     quadratic_landscape,
 )
-from tvfuse.evaluator.backend import GenerationParams, map_queries, sample_consistency
+from tvfuse.evaluator.backend import GenerationParams, QueryFanOut, sample_consistency
 
 LANDSCAPE = quadratic_landscape(peak=(0.8, 1.5), falloff=0.5, ppl_base=2.0, ppl_slope=3.0)
 
@@ -205,11 +205,11 @@ def test_a_reply_with_the_wrong_sample_count_fails_its_query(extra):
             with pytest.raises(MalformedResponseError, match="samples for n=5"):
                 client.generate(GenerationRequest("sft", "q", num_samples=5))
             params = GenerationParams()
-            results, failures = map_queries(
-                lambda i, qid, text: sample_consistency(client, "sft", text, 5, params, seed=i),
-                [("q1", "first"), ("q2", "second")],
-                concurrency=2,
-            )
+            with QueryFanOut(2) as fan_out:
+                results, failures = fan_out.map(
+                    lambda i, qid, text: sample_consistency(client, "sft", text, 5, params, seed=i),
+                    [("q1", "first"), ("q2", "second")],
+                )
     assert results == []
     assert [qid for qid, _ in failures] == ["q1", "q2"]
     assert all(isinstance(exc, MalformedResponseError) for _, exc in failures)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -467,6 +468,62 @@ def test_each_evaluated_trial_logs_one_progress_line_at_info(tmp_path, caplog):
         assert message.endswith(" s")
     assert progress[-1].endswith("eta 0.0 s")
     assert resumed.trials == reference.trials
+
+
+def test_search_runs_every_trial_on_one_pool_of_concurrency_threads():
+    names = set()
+
+    class Recording(MockBackend):
+        def generate(self, request):
+            names.add(threading.current_thread().name)
+            return super().generate(request)
+
+        def score(self, model_ref, text):
+            names.add(threading.current_thread().name)
+            return super().score(model_ref, text)
+
+    result = run_search(
+        merge_builder=lambda coeffs: encode_model_ref(*coeffs),
+        backend=Recording(quadratic_landscape(peak=PEAK), seed=9),
+        queries=QUERIES,
+        config=TpeConfig(n_trials=6, n_startup=3, seed=8),
+        samples_per_query=5,
+        concurrency=2,
+    )
+    assert len(result.trials) == 6
+    assert 1 <= len(names) <= 2, sorted(names)
+
+
+# Each case: a TpeConfig or SearchSpace change under which the logged trial
+# at the given index is no longer what the search suggests.
+OTHER_SEARCHES = {
+    "seed": (dict(seed=9), None, 0),
+    "space": ({}, SearchSpace(bounds=((0.0, 1.5), (0.0, 2.0))), 0),
+    "n-startup": (dict(n_startup=5), None, 5),
+}
+
+
+@pytest.mark.parametrize("case", list(OTHER_SEARCHES))
+def test_resume_refuses_a_log_from_another_search(tmp_path, case):
+    log = tmp_path / "trials.jsonl"
+    kwargs = dict(
+        merge_builder=lambda coeffs: encode_model_ref(*coeffs),
+        backend=MockBackend(quadratic_landscape(peak=PEAK), seed=9),
+        queries=QUERIES,
+        samples_per_query=5,
+        trial_log_path=log,
+    )
+    first = run_search(config=small_config(seed=8, trials=12), **kwargs)
+    written = log.read_bytes()
+    changes, space, index = OTHER_SEARCHES[case]
+    config = TpeConfig(**{"n_trials": 12, "n_startup": 8, "seed": 8, **changes})
+    expected = tpe_suggest(first.trials[:index], space or SearchSpace(), config)
+    with pytest.raises(TrialLogError) as caught:
+        run_search(config=config, space=space, resume=True, **kwargs)
+    message = str(caught.value)
+    assert str(log) in message and f"trial {index} " in message
+    assert str(first.trials[index].coeffs) in message and str(expected) in message
+    assert log.read_bytes() == written
 
 
 def write_trial_log(path, indices):
