@@ -8,6 +8,8 @@ queries by one stage-long `QueryFanOut`. Two implementations ship with the
 package: an HTTP client for a remote generation/scoring service, and a
 fully deterministic in-process mock driven by a synthetic coefficient
 landscape (plus an HTTP server wrapper around it for wire-protocol tests).
+`HttpBackend` and `MockInferenceServer` are imported on first use, so the
+mock backend and the analysis commands load no HTTP or TLS modules.
 """
 
 from .answers import consistency, extract_answer, normalize_answer
@@ -17,9 +19,7 @@ from .backend import (
     GenerationSample,
     ScoreResult,
 )
-from .http_backend import HttpBackend
 from .mock import MockBackend, encode_model_ref, quadratic_landscape
-from .mock_server import MockInferenceServer
 from .prompts import PROMPT_PRESETS, render_prompt
 
 __all__ = [
@@ -38,3 +38,15 @@ __all__ = [
     "quadratic_landscape",
     "render_prompt",
 ]
+
+
+def __getattr__(name: str):
+    if name == "HttpBackend":
+        from .http_backend import HttpBackend
+
+        return HttpBackend
+    if name == "MockInferenceServer":
+        from .mock_server import MockInferenceServer
+
+        return MockInferenceServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

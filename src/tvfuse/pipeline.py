@@ -73,7 +73,7 @@ from .adaptation import (
 from .archive import archive_writer, atomic_write_text, byte_sorted, open_archive
 from .diagnostics import InterferenceReport, opposite_signs
 from .errors import ConfigError, PipelineLockedError, StageError, TvfuseError
-from .evaluator import HttpBackend, MockBackend, encode_model_ref, quadratic_landscape
+from .evaluator import MockBackend, encode_model_ref, quadratic_landscape
 from .evaluator.backend import EvaluationBackend, GenerationParams
 from .evaluator.prompts import PROMPT_PRESETS
 from .floats import DTYPES
@@ -367,6 +367,8 @@ def apply_overrides(raw: dict[str, Any], overrides: dict[str, str]) -> dict[str,
 
 def build_backend(config: PipelineConfig) -> EvaluationBackend:
     if config.backend.kind == "http":
+        from .evaluator.http_backend import HttpBackend
+
         try:
             return HttpBackend(
                 config.backend.url,
@@ -416,15 +418,18 @@ def _require_written_with(path: Path, stored: dict[str, Any], settings: dict[str
         if stored[key] != value:
             raise ConfigError(
                 f"cannot resume: {path} was written with {key}={stored[key]!r}, "
-                f"but the config has {key}={value!r}"
+                f"but this run has {key}={value!r}"
             )
 
 
 def _sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     return digest.hexdigest()
 
 
@@ -585,12 +590,38 @@ def _stage_select_data(
     return selection
 
 
-_SUMMARY_KEYS = {"retention_p", "epsilon", "sft", "rlvr", "sign_interference"}
+_CHECKPOINTS = ("base", "sft", "rlvr")
+_SUMMARY_KEYS = {
+    "retention_p",
+    "epsilon",
+    *(f"{label}_sha256" for label in _CHECKPOINTS),
+    "sft",
+    "rlvr",
+    "sign_interference",
+}
 
 
-def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: bool) -> dict:
+def _input_digests(config: PipelineConfig) -> dict[str, str]:
+    """The sha256 of each checkpoint and of the query pool, by label."""
+    return {
+        label: _sha256_file(getattr(config, f"{label}_path")) for label in (*_CHECKPOINTS, "pool")
+    }
+
+
+def _stage2_settings(config: PipelineConfig, digests: dict[str, str]) -> dict[str, Any]:
+    """What stage 2's archives are built from, as `summary.json` records it."""
+    settings: dict[str, Any] = {"retention_p": config.retention_p, "epsilon": config.epsilon}
+    settings.update((f"{label}_sha256", digests[label]) for label in _CHECKPOINTS)
+    return settings
+
+
+def _stage_task_vectors(
+    config: PipelineConfig, paths: WorkspacePaths, digests: dict[str, str], resume: bool
+) -> dict:
     """Extract, prune, rescale and store both task vectors as F32 archives,
-    and count their sign interference at retention_p.
+    and count their sign interference at retention_p. The summary records
+    the sha256 `digests` of the three checkpoints, and a resume reuses the
+    archives only for checkpoints with the same digests.
 
     The interference is counted on the processed float64 values instead of
     sparsifying the raw ones again: a processed vector is the sparsified one
@@ -606,8 +637,7 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
     ):
         logger.info("reusing stage2 artifacts")
         summary = _read_json_object(paths.vector_summary, _SUMMARY_KEYS)
-        settings = {"retention_p": config.retention_p, "epsilon": config.epsilon}
-        _require_written_with(paths.vector_summary, summary, settings)
+        _require_written_with(paths.vector_summary, summary, _stage2_settings(config, digests))
         return summary
     paths.stage2.mkdir(parents=True, exist_ok=True)
     base = open_archive(config.base_path)
@@ -648,7 +678,7 @@ def _stage_task_vectors(config: PipelineConfig, paths: WorkspacePaths, resume: b
             conflicts += int(np.count_nonzero(opposite))
             denominator += support
         norms.require_finite()
-    summary: dict[str, Any] = {"retention_p": config.retention_p, "epsilon": config.epsilon}
+    summary: dict[str, Any] = _stage2_settings(config, digests)
     for label, info, norm in zip(("sft", "rlvr"), infos, norms.norms()):
         entry = {"original_norm": norm, "processed_norm": norm}
         if info is not None:
@@ -772,7 +802,7 @@ def _open_workspace(config: PipelineConfig) -> Iterator[tuple[WorkspacePaths, Ev
         with WorkspaceLock(paths.root):
             yield paths, backend
     finally:
-        if isinstance(backend, HttpBackend):
+        if config.backend.kind == "http":
             backend.close()
 
 
@@ -797,8 +827,9 @@ def run_pipeline(
         return value
 
     with _open_workspace(config) as (paths, backend):
+        digests = _input_digests(config)
         selection = timed("select-data", _stage_select_data, config, paths, backend, resume)
-        vector_summary = timed("task-vectors", _stage_task_vectors, config, paths, resume)
+        vector_summary = timed("task-vectors", _stage_task_vectors, config, paths, digests, resume)
         coefficients, selection_rule = timed(
             "search", _stage_search, config, paths, backend, selection, resume
         )
@@ -809,12 +840,7 @@ def run_pipeline(
         report = RunReport(
             tool_version=__version__,
             config=asdict(config),
-            input_digests={
-                "base": _sha256_file(config.base_path),
-                "sft": _sha256_file(config.sft_path),
-                "rlvr": _sha256_file(config.rlvr_path),
-                "pool": _sha256_file(config.pool_path),
-            },
+            input_digests=digests,
             stage_seconds=stage_seconds,
             vector_summary=vector_summary,
             adaptation_manifest=asdict(selection),

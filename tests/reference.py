@@ -7,10 +7,12 @@ sides cannot share a bug.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -246,6 +248,8 @@ def stage2_and_merge(
 
     base = values("base")
     summary: dict = {"retention_p": retention, "epsilon": epsilon}
+    for label in ("base", "sft", "rlvr"):
+        summary[f"{label}_sha256"] = hashlib.sha256(Path(paths[label]).read_bytes()).hexdigest()
     raw: dict[str, np.ndarray] = {}
     stored: dict[str, list[np.ndarray]] = {}
     files: dict[str, bytes] = {}

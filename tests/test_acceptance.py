@@ -500,9 +500,10 @@ def test_criterion_12_end_to_end(tmp_path, monkeypatch):
 @criterion(13, "protocol-conformance")
 def test_criterion_13_protocol_conformance():
     landscape = quadratic_landscape(peak=(0.8, 1.5), ppl_base=2.0, ppl_slope=3.0)
-    with MockInferenceServer(MockBackend(landscape, seed=13)) as server:
+    with MockInferenceServer(MockBackend(landscape, seed=13)) as server, HttpBackend(
+        server.url, max_attempts=3, backoff_base=0.01
+    ) as remote:
         local = MockBackend(landscape, seed=13)
-        remote = HttpBackend(server.url, max_attempts=3, backoff_base=0.01)
 
         request = GenerationRequest(encode_model_ref(0.8, 1.5), "conformance probe", num_samples=5)
         assert [s.text for s in remote.generate(request)] == [

@@ -281,6 +281,34 @@ def test_search_then_resume_run(setup, capsys):
     assert WorkspacePaths(workspace).merged_model.exists()
 
 
+def test_resume_over_a_changed_checkpoint_ends_in_one_error_line(setup, capsys, caplog):
+    tmp_path, checkpoints, _, config_path = setup
+    run = ["run", "--config", str(config_path), "--set", "search.n_trials=12"]
+    assert main(run) == 0
+    paths = WorkspacePaths(tmp_path / "ws")
+    outputs = [paths.tau_sft, paths.tau_rlvr, paths.vector_summary, paths.trial_log]
+    outputs += [paths.search_result, paths.merged_model]
+    written = {path: path.read_bytes() for path in outputs}
+    # Unchanged inputs: the resume reuses every stage and writes the same bytes.
+    assert main([*run, "--resume"]) == 0
+    assert {path: path.read_bytes() for path in outputs} == written
+    # Another trio's sft checkpoint at the same path.
+    other = make_checkpoint_trio(tmp_path / "other", seed=3)
+    checkpoints["sft"].write_bytes(other["sft"].read_bytes())
+    capsys.readouterr()
+    assert main([*run, "--resume"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert str(paths.vector_summary) in lines[0] and "sft_sha256=" in lines[0]
+    assert {path: path.read_bytes() for path in outputs} == written
+    assert not [r for r in caplog.records if r.exc_info]
+    # Stage 2 and the report record the same digests of the checkpoints.
+    report = json.loads(paths.report.read_text())
+    summary = json.loads(paths.vector_summary.read_text())
+    for label in ("base", "sft", "rlvr"):
+        assert summary[f"{label}_sha256"] == report["input_digests"][label]
+
+
 # Each case: (the stage file `--resume` would reuse, and the bytes it is
 # replaced with; None keeps the first half of what the first run wrote).
 BAD_RESUME_FILES = {

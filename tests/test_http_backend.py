@@ -5,8 +5,12 @@ from __future__ import annotations
 
 import contextlib
 import http.server
+import json
 import math
 import os
+import shutil
+import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -241,6 +245,16 @@ def test_auth_token_comes_from_environment(monkeypatch):
     assert HttpBackend("http://example.invalid", auth_token="inline").auth_token == "inline"
 
 
+@pytest.mark.parametrize(
+    "url, token",
+    [("http://127.0.0.1:9/a b", None), ("http://127.0.0.1:9", "two\r\nX-Injected: 1")],
+    ids=["space-in-path", "line-break-in-token"],
+)
+def test_a_path_or_token_that_cannot_go_in_a_request_head_is_refused_up_front(url, token):
+    with pytest.raises(ValueError, match="printable ASCII"):
+        HttpBackend(url, auth_token=token)
+
+
 def test_unencodable_payload_fails_without_retry():
     # NaN is not JSON; nothing is sent and no backoff is slept.
     client = HttpBackend("http://127.0.0.1:9", max_attempts=3, backoff_base=60.0)
@@ -333,11 +347,250 @@ def test_stop_closes_kept_alive_connections():
     client.close()
 
 
-def test_cli_import_does_not_load_requests():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+SCORE_BODY = b'{"token_logprobs": [-0.5, -1.5]}'
+
+
+def replying(reply: bytes, close: bool):
+    """A handler that answers every request with the raw bytes `reply`, then
+    closes the connection if `close`, and counts the connections it serves."""
+
+    class Handler(QuietHandler):
+        protocol_version = "HTTP/1.1"
+        connections = 0
+        requests = 0
+
+        def setup(self):
+            super().setup()
+            type(self).connections += 1
+
+        def do_POST(self):
+            type(self).requests += 1
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.wfile.write(reply)
+            self.close_connection = close
+
+    return Handler
+
+
+def _framed(status_line: bytes, *headers: bytes, body: bytes = SCORE_BODY) -> bytes:
+    return b"\r\n".join((status_line, *headers, b"", body))
+
+
+# Each case: the raw reply, whether the server then closes, and how many
+# connections three requests take. A server that keeps a connection open
+# after a reply that says it will not shows whether the client honours it.
+REPLIES = {
+    "content-length": (_framed(b"HTTP/1.1 200 OK", b"Content-Length: 32"), False, 1),
+    "chunked": (
+        _framed(
+            b"HTTP/1.1 200 OK",
+            b"Transfer-Encoding: chunked",
+            body=b"7;note=1\r\n" + SCORE_BODY[:7] + b"\r\n19\r\n" + SCORE_BODY[7:]
+            + b"\r\n0\r\nX-Trailer: 1\r\n\r\n",
+        ),
+        False,
+        1,
+    ),
+    # 100 lines, counting the blank line that ends them.
+    "99-header-lines": (
+        _framed(
+            b"HTTP/1.1 200 OK", *[b"X-Filler-%d: 1" % i for i in range(98)], b"Content-Length: 32"
+        ),
+        False,
+        1,
+    ),
+    "http-1.0": (_framed(b"HTTP/1.0 200 OK", b"Content-Length: 32"), False, 3),
+    "http-1.0-keep-alive": (
+        _framed(b"HTTP/1.0 200 OK", b"Connection: keep-alive", b"Content-Length: 32"), False, 1
+    ),
+    "connection-close": (
+        _framed(b"HTTP/1.1 200 OK", b"Connection: close", b"Content-Length: 32"), False, 3
+    ),
+    "until-close": (_framed(b"HTTP/1.1 200 OK", b"Content-Type: application/json"), True, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(REPLIES))
+def test_reply_framing_and_connection_reuse(case):
+    reply, close, connections = REPLIES[case]
+    handler = replying(reply, close)
+    with serve(handler) as url, contextlib.closing(HttpBackend(url, max_attempts=1)) as client:
+        for _ in range(3):
+            assert client.score("m", "text").token_logprobs == (-0.5, -1.5)
+    assert (handler.requests, handler.connections) == (3, connections)
+
+
+# Replies whose framing breaks a limit. The server keeps the connection
+# open, so a client that read on would wait for its timeout.
+BAD_FRAMING = {
+    "long-header-line": _framed(b"HTTP/1.1 200 OK", b"X-Long: " + b"a" * 70_000, b"Content-Length: 32"),
+    "100-header-lines": _framed(b"HTTP/1.1 200 OK", *[b"X-Filler-%d: 1" % i for i in range(100)]),
+    "bad-status-line": _framed(b"HTTP/1.1 OK", b"Content-Length: 32"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FRAMING))
+def test_malformed_framing_is_a_connection_failure(case):
+    handler = replying(BAD_FRAMING[case], False)
+    with serve(handler) as url, contextlib.closing(
+        HttpBackend(url, max_attempts=2, backoff_base=0.0, timeout=5.0)
+    ) as client:
+        start = time.perf_counter()
+        with pytest.raises(HttpStatusError) as info:
+            client.score("m", "text")
+        assert time.perf_counter() - start < 2.0
+    assert info.value.status == 0 and "connection failed" in str(info.value)
+    assert handler.requests == 2  # retried
+
+
+def test_body_cut_short_is_retried():
+    class CutShort(QuietHandler):
+        protocol_version = "HTTP/1.1"
+        requests = 0
+
+        def do_POST(self):
+            type(self).requests += 1
+            self.rfile.read(int(self.headers["Content-Length"]))
+            if self.requests == 1:
+                self.wfile.write(_framed(b"HTTP/1.1 200 OK", b"Content-Length: 32")[:-20])
+                self.close_connection = True
+            else:
+                self.reply(SCORE_BODY)
+
+    with serve(CutShort) as url, contextlib.closing(
+        HttpBackend(url, max_attempts=2, backoff_base=0.0)
+    ) as client:
+        assert client.score("m", "text").token_logprobs == (-0.5, -1.5)
+    assert CutShort.requests == 2
+
+
+def capture_request(monkeypatch, url: str, token: str | None) -> tuple[int, tuple, bytes, bytes]:
+    """Send one score request to `url` with `{port}` filled in, connected to a
+    local listener at that port whatever the host. Return the port, the
+    address the client asked for, and the request's head and body."""
+    monkeypatch.delenv("TVFUSE_BACKEND_TOKEN", raising=False)
+    received = []
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        port = listener.getsockname()[1]
+
+        def serve_one():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                head = b"".join(iter(reader.readline, b"\r\n")) + b"\r\n"
+                length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+                received.extend((head, reader.read(length)))
+                conn.sendall(_framed(b"HTTP/1.1 200 OK", b"Content-Length: 32"))
+
+        def connect(address, *args, **kwargs):
+            received.append(address)
+            return create_connection(("127.0.0.1", port), *args, **kwargs)
+
+        thread = threading.Thread(target=serve_one, daemon=True)
+        thread.start()
+        create_connection = socket.create_connection
+        monkeypatch.setattr(socket, "create_connection", connect)
+        with contextlib.closing(HttpBackend(url.format(port=port), auth_token=token)) as client:
+            client.score("m", "text")
+        thread.join(5.0)
+    address, head, body = received
+    return port, address, head, body
+
+
+# Each case: the backend URL and token; the address connected to, the
+# request path and the Host header the request must carry.
+REQUEST_HEADS = {
+    "port-and-path": (
+        "http://127.0.0.1:{port}/v1", "tok", ("127.0.0.1", "{port}"), "/v1/score", "127.0.0.1:{port}"
+    ),
+    "default-port": ("http://backend.test", None, ("backend.test", "80"), "/score", "backend.test"),
+    "explicit-default-port": (
+        "http://backend.test:80/", None, ("backend.test", "80"), "/score", "backend.test"
+    ),
+    "ipv6": ("http://[::1]:8080", None, ("::1", "8080"), "/score", "[::1]:8080"),
+    # Before, this URL connected to port 1 of host ":" and sent "Host: [:]:1".
+    "ipv6-default-port": ("http://[::1]", None, ("::1", "80"), "/score", "[::1]"),
+}
+
+
+@pytest.mark.parametrize("case", list(REQUEST_HEADS))
+def test_request_head_is_exactly_as_sent_before(monkeypatch, case):
+    url, token, address, path, host = REQUEST_HEADS[case]
+    port, connected, head, body = capture_request(monkeypatch, url, token)
+    assert connected == (address[0], int(address[1].format(port=port)))
+    assert body == json.dumps({"model": "m", "text": "text"}).encode("utf-8")
+    lines = [
+        f"POST {path} HTTP/1.1",
+        f"Host: {host.format(port=port)}",
+        "Accept-Encoding: identity",
+        f"Content-Length: {len(body)}",
+        "Content-Type: application/json",
+        *([f"Authorization: Bearer {token}"] if token else []),
+    ]
+    assert head == "\r\n".join(lines).encode("ascii") + b"\r\n\r\n"
+
+
+@pytest.mark.skipif(shutil.which("openssl") is None, reason="needs the openssl command")
+def test_https_url_speaks_tls_on_kept_alive_connections(tmp_path, monkeypatch):
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
     subprocess.run(
-        [sys.executable, "-c", "import tvfuse.cli, sys; assert 'requests' not in sys.modules"],
+        ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+         "-nodes", "-days", "1", "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+         "-keyout", str(key), "-out", str(cert)],
+        check=True,
+        capture_output=True,
+    )
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    srv = CountingServer(MockBackend(LANDSCAPE, seed=5))
+    srv._server.socket = context.wrap_socket(srv._server.socket, server_side=True)
+    url = srv.url.replace("http://", "https://")
+    local = MockBackend(LANDSCAPE, seed=5)
+    request = GenerationRequest(encode_model_ref(0.6, 1.1), "over tls", num_samples=3)
+    with srv:
+        # The certificate is not trusted unless SSL_CERT_FILE names it.
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        with contextlib.closing(HttpBackend(url, max_attempts=1)) as client:
+            with pytest.raises(HttpStatusError) as info:
+                client.score("sft", "untrusted")
+        assert info.value.status == 0
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+        accepted = srv.accepted
+        with contextlib.closing(HttpBackend(url, max_attempts=1)) as client:
+            for _ in range(3):
+                assert client.generate(request) == local.generate(request)
+            assert client.score("sft", "t").token_logprobs == local.score("sft", "t").token_logprobs
+        assert srv.accepted == accepted + 1
+
+
+# A run on the mock backend, after `import tvfuse.cli`, in a fresh process.
+MOCK_RUN = """
+import sys
+from pathlib import Path
+import tvfuse.cli
+from synth import make_checkpoint_trio, make_config, make_query_pool
+from tvfuse.pipeline import load_config, run_pipeline
+
+tmp = Path(sys.argv[1])
+checkpoints = make_checkpoint_trio(tmp / "ckpt", seed=1)
+pool = make_query_pool(tmp / "pool.jsonl")
+config_path = make_config(tmp, checkpoints, pool, tmp / "ws")
+run_pipeline(load_config(config_path, {"search.n_trials": "3", "search.n_startup": "2"}))
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_cli_import_does_not_load_requests(tmp_path):
+    # Neither the CLI nor a run on the mock backend needs HTTP or TLS.
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    result = subprocess.run(
+        [sys.executable, "-c", MOCK_RUN, str(tmp_path)],
         env=env,
         check=True,
+        capture_output=True,
+        text=True,
     )
+    loaded = set(result.stdout.split())
+    assert "tvfuse.pipeline" in loaded
+    unwanted = {"requests", "ssl", "http.client", "http.server", "email.parser"}
+    assert not unwanted & loaded

@@ -594,8 +594,11 @@ def test_stage_two_sparsifies_each_vector_once(setup, monkeypatch, retention):
     passes = {0.3: 4, 1.0: 1}[retention]
     _, _, _, config_path = setup
     config = load_config(config_path, {"retention_p": str(retention)})
+    digests = pipeline._input_digests(config)
     reads = count_reads(monkeypatch, [])
-    summary = pipeline._stage_task_vectors(config, WorkspacePaths(Path(config.workspace)), resume=False)
+    summary = pipeline._stage_task_vectors(
+        config, WorkspacePaths(Path(config.workspace)), digests, resume=False
+    )
     tensors = len(archive.open_archive(config.base_path).entries)
     assert Counter(path.name for path, _, _ in reads) == {
         f"{label}.safetensors": passes * tensors for label in ("base", "sft", "rlvr")
@@ -635,8 +638,11 @@ def test_stage_two_takes_three_passes_when_each_cut_is_its_buckets_floor(tmp_pat
         )
     pool = make_query_pool(tmp_path / "pool.jsonl")
     config = load_config(make_config(tmp_path, checkpoints, pool, tmp_path / "ws"))
+    digests = pipeline._input_digests(config)
     reads = count_reads(monkeypatch, [])
-    summary = pipeline._stage_task_vectors(config, WorkspacePaths(Path(config.workspace)), resume=False)
+    summary = pipeline._stage_task_vectors(
+        config, WorkspacePaths(Path(config.workspace)), digests, resume=False
+    )
     assert Counter(path.name for path, _, _ in reads) == {
         f"{label}.safetensors": 3 * len(shapes) for label in ("base", "sft", "rlvr")
     }
@@ -666,7 +672,7 @@ def test_stage_two_passes_reuse_one_readers_buffers(setup, monkeypatch):
 
     monkeypatch.setattr(pipeline, "deltas", recorded)
     paths = WorkspacePaths(Path(config.workspace))
-    pipeline._stage_task_vectors(config, paths, resume=False)
+    pipeline._stage_task_vectors(config, paths, pipeline._input_digests(config), resume=False)
     assert len(passes) == 4
     first, last = passes[0][0], passes[-1][0]
     assert len(first) == len(last) == 2
@@ -708,9 +714,10 @@ def test_stage_two_and_final_merge_hold_memory_bounded_by_the_largest_tensor(tmp
             make_config(directory, write_bf16_trio(directory, count, size), pool, directory / "ws")
         )
         paths = WorkspacePaths(Path(config.workspace))
+        digests = pipeline._input_digests(config)
         tracemalloc.start()
         try:
-            pipeline._stage_task_vectors(config, paths, resume=False)
+            pipeline._stage_task_vectors(config, paths, digests, resume=False)
             stage_two = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             pipeline._stage_final_merge(config, paths, (0.8, 1.5))
