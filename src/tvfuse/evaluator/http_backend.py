@@ -81,7 +81,7 @@ class _Connection:
     def _line(self) -> bytes:
         line = self._reader.readline(_MAX_LINE + 1)
         if len(line) > _MAX_LINE:
-            raise _FramingError("reply line longer than 65536 bytes")
+            raise _FramingError(f"reply line longer than {_MAX_LINE} bytes")
         return line
 
     def _exactly(self, count: int) -> bytes:

@@ -372,7 +372,7 @@ def replying(reply: bytes, close: bool):
     return Handler
 
 
-def _framed(status_line: bytes, *headers: bytes, body: bytes = SCORE_BODY) -> bytes:
+def framed(status_line: bytes, *headers: bytes, body: bytes = SCORE_BODY) -> bytes:
     return b"\r\n".join((status_line, *headers, b"", body))
 
 
@@ -380,9 +380,9 @@ def _framed(status_line: bytes, *headers: bytes, body: bytes = SCORE_BODY) -> by
 # connections three requests take. A server that keeps a connection open
 # after a reply that says it will not shows whether the client honours it.
 REPLIES = {
-    "content-length": (_framed(b"HTTP/1.1 200 OK", b"Content-Length: 32"), False, 1),
+    "content-length": (framed(b"HTTP/1.1 200 OK", b"Content-Length: 32"), False, 1),
     "chunked": (
-        _framed(
+        framed(
             b"HTTP/1.1 200 OK",
             b"Transfer-Encoding: chunked",
             body=b"7;note=1\r\n" + SCORE_BODY[:7] + b"\r\n19\r\n" + SCORE_BODY[7:]
@@ -393,20 +393,20 @@ REPLIES = {
     ),
     # 100 lines, counting the blank line that ends them.
     "99-header-lines": (
-        _framed(
+        framed(
             b"HTTP/1.1 200 OK", *[b"X-Filler-%d: 1" % i for i in range(98)], b"Content-Length: 32"
         ),
         False,
         1,
     ),
-    "http-1.0": (_framed(b"HTTP/1.0 200 OK", b"Content-Length: 32"), False, 3),
+    "http-1.0": (framed(b"HTTP/1.0 200 OK", b"Content-Length: 32"), False, 3),
     "http-1.0-keep-alive": (
-        _framed(b"HTTP/1.0 200 OK", b"Connection: keep-alive", b"Content-Length: 32"), False, 1
+        framed(b"HTTP/1.0 200 OK", b"Connection: keep-alive", b"Content-Length: 32"), False, 1
     ),
     "connection-close": (
-        _framed(b"HTTP/1.1 200 OK", b"Connection: close", b"Content-Length: 32"), False, 3
+        framed(b"HTTP/1.1 200 OK", b"Connection: close", b"Content-Length: 32"), False, 3
     ),
-    "until-close": (_framed(b"HTTP/1.1 200 OK", b"Content-Type: application/json"), True, 3),
+    "until-close": (framed(b"HTTP/1.1 200 OK", b"Content-Type: application/json"), True, 3),
 }
 
 
@@ -423,9 +423,11 @@ def test_reply_framing_and_connection_reuse(case):
 # Replies whose framing breaks a limit. The server keeps the connection
 # open, so a client that read on would wait for its timeout.
 BAD_FRAMING = {
-    "long-header-line": _framed(b"HTTP/1.1 200 OK", b"X-Long: " + b"a" * 70_000, b"Content-Length: 32"),
-    "100-header-lines": _framed(b"HTTP/1.1 200 OK", *[b"X-Filler-%d: 1" % i for i in range(100)]),
-    "bad-status-line": _framed(b"HTTP/1.1 OK", b"Content-Length: 32"),
+    "long-header-line": framed(
+        b"HTTP/1.1 200 OK", b"X-Long: " + b"a" * 70_000, b"Content-Length: 32"
+    ),
+    "100-header-lines": framed(b"HTTP/1.1 200 OK", *[b"X-Filler-%d: 1" % i for i in range(100)]),
+    "bad-status-line": framed(b"HTTP/1.1 OK", b"Content-Length: 32"),
 }
 
 
@@ -452,7 +454,7 @@ def test_body_cut_short_is_retried():
             type(self).requests += 1
             self.rfile.read(int(self.headers["Content-Length"]))
             if self.requests == 1:
-                self.wfile.write(_framed(b"HTTP/1.1 200 OK", b"Content-Length: 32")[:-20])
+                self.wfile.write(framed(b"HTTP/1.1 200 OK", b"Content-Length: 32")[:-20])
                 self.close_connection = True
             else:
                 self.reply(SCORE_BODY)
@@ -479,7 +481,7 @@ def capture_request(monkeypatch, url: str, token: str | None) -> tuple[int, tupl
                 head = b"".join(iter(reader.readline, b"\r\n")) + b"\r\n"
                 length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
                 received.extend((head, reader.read(length)))
-                conn.sendall(_framed(b"HTTP/1.1 200 OK", b"Content-Length: 32"))
+                conn.sendall(framed(b"HTTP/1.1 200 OK", b"Content-Length: 32"))
 
         def connect(address, *args, **kwargs):
             received.append(address)
@@ -507,13 +509,13 @@ REQUEST_HEADS = {
         "http://backend.test:80/", None, ("backend.test", "80"), "/score", "backend.test"
     ),
     "ipv6": ("http://[::1]:8080", None, ("::1", "8080"), "/score", "[::1]:8080"),
-    # Before, this URL connected to port 1 of host ":" and sent "Host: [:]:1".
+    # The port is the scheme's default, not the "1" after the last colon.
     "ipv6-default-port": ("http://[::1]", None, ("::1", "80"), "/score", "[::1]"),
 }
 
 
 @pytest.mark.parametrize("case", list(REQUEST_HEADS))
-def test_request_head_is_exactly_as_sent_before(monkeypatch, case):
+def test_request_head_holds_exactly_these_lines(monkeypatch, case):
     url, token, address, path, host = REQUEST_HEADS[case]
     port, connected, head, body = capture_request(monkeypatch, url, token)
     assert connected == (address[0], int(address[1].format(port=port)))
