@@ -4,7 +4,9 @@ Completed trials are split by objective into a good set (top gamma
 fraction) and a bad set. Each dimension gets two Parzen mixtures of
 truncated Gaussians, one per set, each with a uniform prior component;
 candidates are sampled from the good mixture and the one maximizing the
-good/bad density ratio is suggested. Until enough trials exist, points
+good/bad density ratio is suggested. All candidates are drawn first and
+then scored in one array pass per dimension and mixture, bit for bit what
+scoring them one point at a time gives. Until enough trials exist, points
 are drawn uniformly.
 
 Suggestions are a pure function of (history, space, config): the random
@@ -91,13 +93,14 @@ class _ParzenMixture:
         else:
             self.truncation = np.empty(0)
 
-    def log_pdf(self, x: float) -> float:
-        density = self.weight / (self.hi - self.lo)  # uniform prior component
-        if self.centers.size:
-            z = (x - self.centers) / self.bandwidth
-            kernel = np.exp(-0.5 * z * z) / (self.bandwidth * _SQRT2PI)
-            density += self.weight * float(np.sum(kernel / self.truncation))
-        return math.log(density)
+    def log_densities(self, xs: Sequence[float]) -> list[float]:
+        """Log density at each of `xs`: one kernel matrix of points x centres,
+        summed along each row as `np.sum` sums one point's kernel row."""
+        prior = self.weight / (self.hi - self.lo)  # uniform prior component
+        z = (np.asarray(xs, dtype=np.float64)[:, None] - self.centers) / self.bandwidth
+        kernel = np.exp(-0.5 * z * z) / (self.bandwidth * _SQRT2PI)
+        row_sums = np.sum(kernel / self.truncation, axis=1)
+        return [math.log(prior + self.weight * float(s)) for s in row_sums]
 
     def sample(self, rng: np.random.Generator) -> float:
         idx = int(rng.integers(0, self.centers.size + 1))
@@ -152,13 +155,15 @@ def tpe_suggest(history: Sequence, space: SearchSpace, config: TpeConfig) -> tup
         bm = _ParzenMixture([t.coeffs[dim] for t in bad], lo, hi, config.bandwidth_floor)
         mixtures.append((gm, bm))
 
+    points = [tuple(gm.sample(rng) for gm, _ in mixtures) for _ in range(config.n_candidates)]
+    terms = [  # per dimension, the log density ratio at each candidate
+        [g - b for g, b in zip(gm.log_densities(xs), bm.log_densities(xs))]
+        for xs, (gm, bm) in zip(zip(*points), mixtures)
+    ]
     best_point: tuple[float, ...] | None = None
     best_score = -math.inf
-    for _ in range(config.n_candidates):
-        point = tuple(gm.sample(rng) for gm, _ in mixtures)
-        score = sum(
-            gm.log_pdf(x) - bm.log_pdf(x) for x, (gm, bm) in zip(point, mixtures)
-        )
+    for point, point_terms in zip(points, zip(*terms)):
+        score = sum(point_terms)
         if score > best_score:
             best_score = score
             best_point = point

@@ -544,11 +544,18 @@ class RunReport:
 
 
 def _stage_select_data(
-    config: PipelineConfig, paths: WorkspacePaths, backend: EvaluationBackend, resume: bool
+    config: PipelineConfig,
+    paths: WorkspacePaths,
+    backend: EvaluationBackend,
+    pool_digest: str,
+    resume: bool,
 ) -> AdaptationSet:
+    """Score difficulty and write the adaptation set, which records the
+    sha256 `pool_digest` of the query pool; a resume reuses it only for a
+    pool with the same digest."""
     if resume and paths.adaptation_set.exists() and paths.difficulty_records.exists():
         logger.info("reusing stage1 artifacts")
-        keys = {f.name for f in fields(AdaptationSet)}
+        keys = {f.name for f in fields(AdaptationSet)} | {"pool_sha256"}
         stored = _read_json_object(paths.adaptation_set, keys)
         threshold = config.difficulty_threshold
         settings = {
@@ -556,8 +563,10 @@ def _stage_select_data(
             "m": config.m,
             "n": config.n,
             "threshold": default_threshold(config.m) if threshold is None else threshold,
+            "pool_sha256": pool_digest,
         }
         _require_written_with(paths.adaptation_set, stored, settings)
+        del stored["pool_sha256"]
         return AdaptationSet(**stored)
     pool = load_query_pool(config.pool_path)
     paths.stage1.mkdir(parents=True, exist_ok=True)
@@ -586,7 +595,8 @@ def _stage_select_data(
         threshold=config.difficulty_threshold,
         easy_ratio=config.easy_medium_ratio,
     )
-    atomic_write_text(paths.adaptation_set, json.dumps(asdict(selection), indent=2))
+    stage_file = {**asdict(selection), "pool_sha256": pool_digest}
+    atomic_write_text(paths.adaptation_set, json.dumps(stage_file, indent=2))
     return selection
 
 
@@ -809,7 +819,7 @@ def _open_workspace(config: PipelineConfig) -> Iterator[tuple[WorkspacePaths, Ev
 def select_data(config: PipelineConfig, resume: bool = False) -> AdaptationSet:
     """Run stage 1 alone: score query difficulty and write the adaptation set."""
     with _open_workspace(config) as (paths, backend):
-        return _stage_select_data(config, paths, backend, resume)
+        return _stage_select_data(config, paths, backend, _sha256_file(config.pool_path), resume)
 
 
 def run_pipeline(
@@ -828,7 +838,9 @@ def run_pipeline(
 
     with _open_workspace(config) as (paths, backend):
         digests = _input_digests(config)
-        selection = timed("select-data", _stage_select_data, config, paths, backend, resume)
+        selection = timed(
+            "select-data", _stage_select_data, config, paths, backend, digests["pool"], resume
+        )
         vector_summary = timed("task-vectors", _stage_task_vectors, config, paths, digests, resume)
         coefficients, selection_rule = timed(
             "search", _stage_search, config, paths, backend, selection, resume

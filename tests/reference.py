@@ -316,3 +316,49 @@ def brute_force_frontier(points: list[tuple[float, float, int]]) -> set[int]:
         if not dominated:
             keep.add(idx_i)
     return keep
+
+
+# --- TPE scored one candidate at a time ------------------------------------------
+
+
+def parzen_log_pdf(mixture, x: float) -> float:
+    """Log density of one point under a `tpe._ParzenMixture`, scored alone."""
+    density = mixture.weight / (mixture.hi - mixture.lo)  # uniform prior component
+    if mixture.centers.size:
+        z = (x - mixture.centers) / mixture.bandwidth
+        kernel = np.exp(-0.5 * z * z) / (mixture.bandwidth * math.sqrt(2.0 * math.pi))
+        density += mixture.weight * float(np.sum(kernel / mixture.truncation))
+    return math.log(density)
+
+
+def pointwise_tpe_suggest(history, space, config) -> tuple[float, ...]:
+    """`tpe_suggest` with its candidates drawn and scored one point at a time.
+
+    The split, the mixtures and the sampler are the library's; only the
+    scoring differs, so this pins the array pass to the per-point result.
+    """
+    from tvfuse.optimizer.tpe import _objective, _ParzenMixture, _uniform_point, trial_rng
+
+    rng = trial_rng(config.seed, len(history))
+    completed = [t for t in history if t.status == "ok"]
+    if len(completed) < config.n_startup:
+        return _uniform_point(space, rng)
+    ranked = sorted(completed, key=lambda t: (-_objective(t, config.scalarize_ppl_weight), t.index))
+    n_good = math.ceil(config.gamma_split * len(ranked))
+    good, bad = ranked[:n_good], ranked[n_good:] or ranked
+    mixtures = [
+        tuple(
+            _ParzenMixture([t.coeffs[dim] for t in side], lo, hi, config.bandwidth_floor)
+            for side in (good, bad)
+        )
+        for dim, (lo, hi) in enumerate(space.bounds)
+    ]
+    best_point, best_score = None, -math.inf
+    for _ in range(config.n_candidates):
+        point = tuple(gm.sample(rng) for gm, _ in mixtures)
+        score = sum(
+            parzen_log_pdf(gm, x) - parzen_log_pdf(bm, x) for x, (gm, bm) in zip(point, mixtures)
+        )
+        if score > best_score:
+            best_score, best_point = score, point
+    return best_point

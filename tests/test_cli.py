@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -118,6 +119,9 @@ def test_extract_and_sparsify_hold_memory_bounded_by_the_largest_tensor(tmp_path
             ],
             ft,
         )
+        # tracemalloc counts every thread's allocations: a thread that an
+        # earlier test left running would show up as a higher peak.
+        assert threading.enumerate() == [threading.main_thread()], threading.enumerate()
         tracemalloc.start()
         try:
             extract_argv = ["extract", "--base", str(base), "--finetuned", str(ft), "--out", str(tau)]
@@ -307,6 +311,38 @@ def test_resume_over_a_changed_checkpoint_ends_in_one_error_line(setup, capsys, 
     summary = json.loads(paths.vector_summary.read_text())
     for label in ("base", "sft", "rlvr"):
         assert summary[f"{label}_sha256"] == report["input_digests"][label]
+
+
+# Each case: how the query pool is rewritten at its path, and whether the
+# stage-3 files are removed first, so that only stage 1 stands between the
+# new pool and the search.
+CHANGED_POOLS = {
+    "same-ids": (("expression", "formula"), False),
+    "other-ids": (('"q', '"p'), True),
+}
+
+
+@pytest.mark.parametrize("case", list(CHANGED_POOLS))
+def test_resume_over_a_changed_query_pool_ends_in_one_error_line(setup, capsys, caplog, case):
+    tmp_path, _, pool, config_path = setup
+    run = ["run", "--config", str(config_path), "--set", "search.n_trials=12"]
+    assert main(run) == 0
+    paths = WorkspacePaths(tmp_path / "ws")
+    (old, new), drop_stage3 = CHANGED_POOLS[case]
+    if drop_stage3:
+        for path in (paths.trial_log, paths.search_result, paths.merged_model):
+            path.unlink()
+    written = {path: path.read_bytes() for path in sorted((tmp_path / "ws").rglob("*.*"))}
+    pool.write_text(pool.read_text().replace(old, new))
+    capsys.readouterr()
+    assert main([*run, "--resume"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert str(paths.adaptation_set) in lines[0] and "pool_sha256=" in lines[0]
+    assert {path: path.read_bytes() for path in written} == written
+    assert not [r for r in caplog.records if r.exc_info]
+    stored = json.loads(paths.adaptation_set.read_text())["pool_sha256"]
+    assert stored == json.loads(paths.report.read_text())["input_digests"]["pool"]
 
 
 # Each case: (the stage file `--resume` would reuse, and the bytes it is

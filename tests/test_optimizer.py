@@ -6,8 +6,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import brute_force_frontier
+from reference import brute_force_frontier, parzen_log_pdf, pointwise_tpe_suggest
 from tvfuse.errors import (
     EmptyFrontierError,
     EmptySpaceError,
@@ -27,7 +29,7 @@ from tvfuse.optimizer import (
     select_max_consistency,
     tpe_suggest,
 )
-from tvfuse.optimizer.tpe import _objective, trial_rng
+from tvfuse.optimizer.tpe import _objective, _ParzenMixture, trial_rng
 
 
 def trial(index, c, p, coeffs=(0.0, 0.0), status="ok"):
@@ -164,6 +166,120 @@ def test_config_validation():
         TpeConfig(gamma_split=1.0)
     with pytest.raises(ValueError):
         TpeConfig(n_candidates=0)
+
+
+@st.composite
+def tpe_cases(draw):
+    """A history with tied objectives and failed trials, a 1-3 dimensional
+    space and a TPE config, all drawn at random."""
+    bounds = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.floats(-10.0, 10.0))
+        bounds.append((lo, lo + draw(st.floats(1e-3, 20.0))))
+    coefficient = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    history = []
+    for index in range(draw(st.integers(0, 40))):
+        coeffs = tuple(min(lo + draw(coefficient) * (hi - lo), hi) for lo, hi in bounds)
+        if draw(st.integers(0, 5)) == 0:
+            history.append(trial(index, None, None, coeffs=coeffs, status="failed"))
+        else:
+            consistency = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0))
+            perplexity = draw(st.sampled_from([1.0, 2.0]) | st.floats(1.0, 50.0))
+            history.append(trial(index, consistency, perplexity, coeffs=coeffs))
+    n_startup = draw(st.integers(1, 12))
+    config = TpeConfig(
+        n_trials=n_startup + len(history) + 1,
+        n_startup=n_startup,
+        gamma_split=draw(st.floats(0.01, 0.99)),
+        n_candidates=draw(st.integers(1, 40)),
+        bandwidth_floor=draw(st.floats(1e-3, 1.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        scalarize_ppl_weight=draw(st.sampled_from([0.0]) | st.floats(0.0, 2.0)),
+    )
+    return history, SearchSpace(tuple(bounds)), config
+
+
+@settings(max_examples=200, deadline=None)
+@given(tpe_cases())
+def test_array_scoring_suggests_what_pointwise_scoring_suggests(case):
+    history, space, config = case
+    got = tpe_suggest(history, space, config)
+    want = pointwise_tpe_suggest(history, space, config)
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-10.0, 10.0),
+    st.floats(1e-3, 20.0),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    st.floats(1e-3, 1.0),
+)
+def test_array_densities_equal_pointwise_densities(lo, width, centres, xs, bandwidth_floor):
+    # Suggestions only show a density that moved enough to change the
+    # winning candidate; pin every density's bits as well.
+    hi = lo + width
+    mixture = _ParzenMixture([lo + c * width for c in centres], lo, hi, bandwidth_floor)
+    points = [min(lo + x * width, hi) for x in xs]
+    want = [parzen_log_pdf(mixture, x) for x in points]
+    assert repr(mixture.log_densities(points)) == repr(want)
+
+
+def seeded_history(seed, n, bounds):
+    rng = np.random.default_rng(seed)
+    history = []
+    for i in range(n):
+        coeffs = tuple(float(rng.uniform(lo, hi)) for lo, hi in bounds)
+        if rng.random() < 0.15:
+            history.append(trial(i, None, None, coeffs=coeffs, status="failed"))
+        else:
+            consistency = float(rng.integers(0, 5)) / 4.0  # coarse, so ranks tie
+            history.append(trial(i, consistency, float(rng.uniform(1.0, 4.0)), coeffs=coeffs))
+    return history
+
+
+# Captured from the per-point scorer, before candidates were scored in one
+# array pass; a change here changes every logged search.
+@pytest.mark.parametrize(
+    "seed, n, bounds, config, expected",
+    [
+        (
+            7, 20, ((0.0, 2.0), (0.0, 2.0)),
+            dict(n_trials=100, n_startup=10, seed=7),
+            "(1.2078573894558422, 1.9513077031832649)",
+        ),
+        (
+            23, 45, ((-1.0, 0.5), (10.0, 11.0), (0.0, 1e-3)),
+            dict(n_trials=200, n_startup=4, gamma_split=0.4, n_candidates=7,
+                 bandwidth_floor=0.2, seed=23, scalarize_ppl_weight=0.3),
+            "(0.3015864341795605, 10.248421892855436, 0.0006102904770202907)",
+        ),
+        (  # one completed trial: the bad set falls back to the good one
+            3, 1, ((0.0, 1.0),),
+            dict(n_trials=10, n_startup=1, n_candidates=3, seed=3),
+            "(0.40719719128199483,)",
+        ),
+        (  # still drawing startup points uniformly
+            11, 3, ((0.0, 2.0), (0.0, 2.0)),
+            dict(n_trials=100, n_startup=10, seed=11),
+            "(1.9290740997692841, 1.6979785204101097)",
+        ),
+    ],
+)
+def test_suggestions_hold_their_bits(seed, n, bounds, config, expected):
+    history = seeded_history(seed, n, bounds)
+    assert repr(tpe_suggest(history, SearchSpace(bounds), TpeConfig(**config))) == expected
+
+
+def test_row_sums_along_an_axis_equal_one_row_summed_alone():
+    # tpe_suggest scores all candidates with np.sum(..., axis=1) and stays
+    # bit-exact only while each row sums exactly as a 1-D np.sum does.
+    rng = np.random.default_rng(5)
+    for length in range(1, 301):
+        m = rng.standard_normal((24, length)) * 10.0 ** rng.uniform(-8, 8, (24, length))
+        rows = np.array([np.sum(row) for row in m])
+        assert np.sum(m, axis=1).tobytes() == rows.tobytes(), f"row length {length}"
 
 
 # --- Pareto frontier ------------------------------------------------------------------

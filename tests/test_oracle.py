@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from reference import encode, stage2_and_merge, widen
 from synth import make_query_pool
 from tvfuse import archive
+from tvfuse.errors import DegenerateRescaleWarning
 from tvfuse.pipeline import PipelineConfig, WorkspacePaths, run_pipeline
 
 ALPHABET = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 2.0**10, -(2.0**10), 2.0**-20]
@@ -129,10 +131,21 @@ def test_pipeline_matches_dense_reference(tensors, retention, coefficients, outp
                 "output_dtype": output_dtype,
             }
         )
-        run_pipeline(config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_pipeline(config)
         files, summary, merged = stage2_and_merge(
             paths, retention, config.epsilon, coefficients, output_dtype
         )
+        # One warning per vector that pruning leaves all zeros, and no other.
+        degenerate = [
+            label
+            for label in ("sft", "rlvr")
+            if retention < 1.0 and json.loads(summary)[label]["processed_norm"] == 0.0
+        ]
+        assert [w.category for w in caught] == [DegenerateRescaleWarning] * len(degenerate), [
+            str(w.message) for w in caught
+        ]
         ws = WorkspacePaths(Path(config.workspace))
         assert ws.tau_sft.read_bytes() == files["sft"]
         assert ws.tau_rlvr.read_bytes() == files["rlvr"]
