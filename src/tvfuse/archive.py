@@ -32,6 +32,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DuplicateNameError,
     IoFailureError,
     MalformedHeaderError,
@@ -331,6 +332,14 @@ def archive_writer(
         unwritten = [name for name, _, _ in pending]
         if unwritten:
             raise ValueError(f"{path}: tensors {unwritten[:5]} were not written")
+
+
+def read_json(path: str | Path, kind: str = "") -> object:
+    """Parse the UTF-8 JSON file at `path`, or raise ConfigError "cannot load <kind> <path>"."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot load {f'{kind} {path}'.lstrip()}: {exc}") from exc
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

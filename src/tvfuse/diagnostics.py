@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .archive import atomic_write_text
+from .archive import atomic_write_text, read_json
 from .errors import ConfigError, InvalidPatternError
 from .task_vector import (
     Scratch,
@@ -248,10 +247,7 @@ def load_module_rules(path: str | Path) -> list[ModuleRule]:
 
     Any unreadable or malformed file raises ConfigError naming it.
     """
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load rule file {path}: {exc}") from exc
+    raw = read_json(path, "rule file")
     if not isinstance(raw, list):
         raise ConfigError(f"rule file {path} must hold a JSON array")
     rules = []

@@ -4,12 +4,12 @@ The pipeline is a sequential four-stage machine over a workspace directory:
 
     stage1/  difficulty records and the selected adaptation set
     stage2/  processed task-vector archives (pruned + rescaled, stored F32)
-    stage3/  trial log and search result
+    stage3/  the settings the search is built from, trial log and search result
     merged_model.safetensors, report.json
 
-Every stage persists its artifacts, so a run can be resumed (``resume=True``
-reuses whatever is already on disk, including a partial trial log) or
-individual stages re-used by the CLI subcommands.
+Every stage persists its artifacts and what they are built from, so a run can
+be resumed (``resume=True`` reuses what is on disk if built the same way,
+including a partial trial log) or individual stages re-used by the CLI subcommands.
 
 Stage 2 never holds a whole vector: it runs `task_vector.prune_and_rescale`,
 the one prune-and-rescale implementation, over lockstep passes of the base
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import contextlib
 import fcntl
+import functools
 import hashlib
 import json
 import logging
@@ -70,7 +71,7 @@ from .adaptation import (
     save_difficulty_records,
     score_difficulty,
 )
-from .archive import archive_writer, atomic_write_text, byte_sorted, open_archive
+from .archive import archive_writer, atomic_write_text, byte_sorted, open_archive, read_json
 from .diagnostics import InterferenceReport, opposite_signs
 from .errors import ConfigError, PipelineLockedError, StageError, TvfuseError
 from .evaluator import MockBackend, encode_model_ref, quadratic_landscape
@@ -339,10 +340,7 @@ class PipelineConfig:
 
 def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> PipelineConfig:
     """Read a JSON config file and apply dotted-path `overrides` (see `apply_overrides`)."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load config {path}: {exc}") from exc
+    raw = read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     return PipelineConfig.from_dict(apply_overrides(raw, overrides or {}))
@@ -398,10 +396,7 @@ def build_backend(config: PipelineConfig) -> EvaluationBackend:
 def _read_json_object(path: Path, keys: set[str]) -> dict[str, Any]:
     """Read a JSON object holding exactly `keys` from a workspace file; a file
     that is missing, unreadable or shaped otherwise raises ConfigError naming it."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load {path}: {exc}") from exc
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     missing = sorted(keys - payload.keys())
@@ -411,15 +406,16 @@ def _read_json_object(path: Path, keys: set[str]) -> dict[str, Any]:
     return payload
 
 
-def _require_written_with(path: Path, stored: dict[str, Any], settings: dict[str, Any]) -> None:
-    """Raise ConfigError unless the stage file at `path` was written with
-    each of `settings`, which `stored` holds as read from it."""
+def _reuse(path: Path, settings: dict[str, Any], other_keys: set[str]) -> dict[str, Any]:
+    """Read the stage file holding `settings` and `other_keys`; raise ConfigError on a mismatch."""
+    stored = _read_json_object(path, settings.keys() | other_keys)
     for key, value in settings.items():
         if stored[key] != value:
             raise ConfigError(
                 f"cannot resume: {path} was written with {key}={stored[key]!r}, "
                 f"but this run has {key}={value!r}"
             )
+    return stored
 
 
 def _sha256_file(path: str | Path) -> str:
@@ -506,6 +502,10 @@ class WorkspacePaths:
         return self.stage2 / "summary.json"
 
     @property
+    def search_settings(self) -> Path:
+        return self.stage3 / "settings.json"
+
+    @property
     def trial_log(self) -> Path:
         return self.stage3 / "trials.jsonl"
 
@@ -542,32 +542,54 @@ class RunReport:
 
 # --- stages --------------------------------------------------------------------------
 
+_CHECKPOINTS = ("base", "sft", "rlvr")
+_SELECT_DATA = (
+    "seed", "m", "n", "difficulty_threshold", "easy_medium_ratio",
+    "search.temperature", "search.max_tokens", "search.prompt_preset",
+    "backend.kind", "backend.sft_ref", "backend.rlvr_ref", "backend.mock", "pool_sha256",
+)
+_TASK_VECTORS = ("retention_p", "epsilon", *(f"{label}_sha256" for label in _CHECKPOINTS))
+# What each stage's files are built from, by the stage's name in `stage_seconds`:
+# dotted config fields, and the sha256 of an input as `<label>_sha256`. Every
+# other config field reaches no stage file, or is a change a resume honours.
+_BUILT_FROM = {
+    "select-data": _SELECT_DATA,
+    "task-vectors": _TASK_VECTORS,
+    # The trials score the selected queries on candidates merged from the
+    # stage-2 archives, so the trial log is built from both stages' inputs.
+    "search": (
+        *_SELECT_DATA, *_TASK_VECTORS, "search.k", "search.space", "search.n_startup",
+        "search.gamma_split", "search.n_candidates", "search.bandwidth_floor",
+        "search.scalarize_ppl_weight",
+    ),
+}
+
+
+def _built_from(config: PipelineConfig, stage: str, digests: dict[str, str]) -> dict[str, Any]:
+    """What `stage`'s files are built from, as read back from JSON: a pair is a list."""
+    record = {
+        key: digests[key.removesuffix("_sha256")]
+        if key.endswith("_sha256")
+        else functools.reduce(getattr, key.split("."), config)
+        for key in _BUILT_FROM[stage]
+    }
+    return json.loads(json.dumps(record, default=asdict))
+
 
 def _stage_select_data(
     config: PipelineConfig,
     paths: WorkspacePaths,
     backend: EvaluationBackend,
-    pool_digest: str,
+    digests: dict[str, str],
     resume: bool,
 ) -> AdaptationSet:
-    """Score difficulty and write the adaptation set, which records the
-    sha256 `pool_digest` of the query pool; a resume reuses it only for a
-    pool with the same digest."""
+    """Score difficulty and write the adaptation set with the record of what
+    it is built from; a resume reuses it only under the same record."""
+    record = _built_from(config, "select-data", digests)
     if resume and paths.adaptation_set.exists() and paths.difficulty_records.exists():
         logger.info("reusing stage1 artifacts")
-        keys = {f.name for f in fields(AdaptationSet)} | {"pool_sha256"}
-        stored = _read_json_object(paths.adaptation_set, keys)
-        threshold = config.difficulty_threshold
-        settings = {
-            "seed": config.seed,
-            "m": config.m,
-            "n": config.n,
-            "threshold": default_threshold(config.m) if threshold is None else threshold,
-            "pool_sha256": pool_digest,
-        }
-        _require_written_with(paths.adaptation_set, stored, settings)
-        del stored["pool_sha256"]
-        return AdaptationSet(**stored)
+        stored = _reuse(paths.adaptation_set, record, {f.name for f in fields(AdaptationSet)})
+        return AdaptationSet(**{f.name: stored[f.name] for f in fields(AdaptationSet)})
     pool = load_query_pool(config.pool_path)
     paths.stage1.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []
@@ -595,20 +617,8 @@ def _stage_select_data(
         threshold=config.difficulty_threshold,
         easy_ratio=config.easy_medium_ratio,
     )
-    stage_file = {**asdict(selection), "pool_sha256": pool_digest}
-    atomic_write_text(paths.adaptation_set, json.dumps(stage_file, indent=2))
+    atomic_write_text(paths.adaptation_set, json.dumps({**asdict(selection), **record}, indent=2))
     return selection
-
-
-_CHECKPOINTS = ("base", "sft", "rlvr")
-_SUMMARY_KEYS = {
-    "retention_p",
-    "epsilon",
-    *(f"{label}_sha256" for label in _CHECKPOINTS),
-    "sft",
-    "rlvr",
-    "sign_interference",
-}
 
 
 def _input_digests(config: PipelineConfig) -> dict[str, str]:
@@ -618,20 +628,13 @@ def _input_digests(config: PipelineConfig) -> dict[str, str]:
     }
 
 
-def _stage2_settings(config: PipelineConfig, digests: dict[str, str]) -> dict[str, Any]:
-    """What stage 2's archives are built from, as `summary.json` records it."""
-    settings: dict[str, Any] = {"retention_p": config.retention_p, "epsilon": config.epsilon}
-    settings.update((f"{label}_sha256", digests[label]) for label in _CHECKPOINTS)
-    return settings
-
-
 def _stage_task_vectors(
     config: PipelineConfig, paths: WorkspacePaths, digests: dict[str, str], resume: bool
 ) -> dict:
     """Extract, prune, rescale and store both task vectors as F32 archives,
     and count their sign interference at retention_p. The summary records
-    the sha256 `digests` of the three checkpoints, and a resume reuses the
-    archives only for checkpoints with the same digests.
+    what the archives are built from, the sha256 `digests` of the three
+    checkpoints among it, and a resume reuses them only under the same record.
 
     The interference is counted on the processed float64 values instead of
     sparsifying the raw ones again: a processed vector is the sparsified one
@@ -639,6 +642,7 @@ def _stage_task_vectors(
     full retention, so signs and support are the same. A vector holding inf
     or NaN raises before either archive is renamed into place.
     """
+    summary = _built_from(config, "task-vectors", digests)
     if (
         resume
         and paths.tau_sft.exists()
@@ -646,9 +650,7 @@ def _stage_task_vectors(
         and paths.vector_summary.exists()
     ):
         logger.info("reusing stage2 artifacts")
-        summary = _read_json_object(paths.vector_summary, _SUMMARY_KEYS)
-        _require_written_with(paths.vector_summary, summary, _stage2_settings(config, digests))
-        return summary
+        return _reuse(paths.vector_summary, summary, {"sft", "rlvr", "sign_interference"})
     paths.stage2.mkdir(parents=True, exist_ok=True)
     base = open_archive(config.base_path)
     finetuned = [open_archive(config.sft_path), open_archive(config.rlvr_path)]
@@ -688,7 +690,6 @@ def _stage_task_vectors(
             conflicts += int(np.count_nonzero(opposite))
             denominator += support
         norms.require_finite()
-    summary: dict[str, Any] = _stage2_settings(config, digests)
     for label, info, norm in zip(("sft", "rlvr"), infos, norms.norms()):
         entry = {"original_norm": norm, "processed_norm": norm}
         if info is not None:
@@ -757,6 +758,7 @@ def _stage_search(
     paths: WorkspacePaths,
     backend: EvaluationBackend,
     selection: AdaptationSet,
+    digests: dict[str, str],
     resume: bool,
 ) -> tuple[tuple[float, float], str]:
     paths.stage3.mkdir(parents=True, exist_ok=True)
@@ -764,6 +766,10 @@ def _stage_search(
         logger.info("fixed coefficients %s: skipping search", config.fixed_coefficients)
         payload = {"selection_rule": "fixed", "coefficients": list(config.fixed_coefficients)}
     else:
+        record = _built_from(config, "search", digests)
+        if resume and paths.trial_log.exists():
+            _reuse(paths.search_settings, record, set())
+        atomic_write_text(paths.search_settings, json.dumps(record, indent=2))
         texts = dict(load_query_pool(config.pool_path).queries)
         result = run_search(
             merge_builder=make_merge_builder(config, paths, backend),
@@ -819,7 +825,8 @@ def _open_workspace(config: PipelineConfig) -> Iterator[tuple[WorkspacePaths, Ev
 def select_data(config: PipelineConfig, resume: bool = False) -> AdaptationSet:
     """Run stage 1 alone: score query difficulty and write the adaptation set."""
     with _open_workspace(config) as (paths, backend):
-        return _stage_select_data(config, paths, backend, _sha256_file(config.pool_path), resume)
+        digests = {"pool": _sha256_file(config.pool_path)}
+        return _stage_select_data(config, paths, backend, digests, resume)
 
 
 def run_pipeline(
@@ -839,11 +846,11 @@ def run_pipeline(
     with _open_workspace(config) as (paths, backend):
         digests = _input_digests(config)
         selection = timed(
-            "select-data", _stage_select_data, config, paths, backend, digests["pool"], resume
+            "select-data", _stage_select_data, config, paths, backend, digests, resume
         )
         vector_summary = timed("task-vectors", _stage_task_vectors, config, paths, digests, resume)
         coefficients, selection_rule = timed(
-            "search", _stage_search, config, paths, backend, selection, resume
+            "search", _stage_search, config, paths, backend, selection, digests, resume
         )
         final_path: Path | None = None
         if final_merge:

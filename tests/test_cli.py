@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import math
 import threading
 import tracemalloc
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ from reference import sparsify_archive
 from synth import make_checkpoint_trio, make_config, make_query_pool
 from tvfuse import archive, task_vector
 from tvfuse.cli import main
-from tvfuse.pipeline import WorkspaceLock, WorkspacePaths
+from tvfuse.pipeline import WorkspaceLock, WorkspacePaths, load_config
 from tvfuse.task_vector import load_task_vector
 
 
@@ -127,12 +130,18 @@ def test_extract_and_sparsify_hold_memory_bounded_by_the_largest_tensor(tmp_path
             extract_argv = ["extract", "--base", str(base), "--finetuned", str(ft), "--out", str(tau)]
             assert main(extract_argv) == 0
             extract = tracemalloc.get_traced_memory()[1]
+            # Each `main` call leaves its argparse parser, about 100 kB, as
+            # cyclic garbage: collect it, or the next peak counts it or not
+            # depending on when the collector last ran.
+            gc.collect()
             tracemalloc.reset_peak()
             assert main(["sparsify", "--vector", str(tau), "--out", str(sparse)]) == 0
             sparsify = tracemalloc.get_traced_memory()[1]
+            gc.collect()
             tracemalloc.reset_peak()
             assert main(["analyze", "norms", "--vector", str(tau)]) == 0
             norms = tracemalloc.get_traced_memory()[1]
+            gc.collect()
             tracemalloc.reset_peak()
             assert main(["analyze", "modules", "--vector", str(tau)]) == 0
             modules = tracemalloc.get_traced_memory()[1]
@@ -388,8 +397,8 @@ def test_resume_under_other_settings_ends_in_one_error_line(setup, capsys, caplo
 # Each case: a search setting changed on resume, and the file the error names.
 OTHER_SEARCH_SETTINGS = {
     "seed": ("seed=8", "stage1/adaptation_set.json"),
-    "space": ("search.space=[[0, 1.5], [0, 2]]", "stage3/trials.jsonl"),
-    "n-startup": ("search.n_startup=4", "stage3/trials.jsonl"),
+    "space": ("search.space=[[0, 1.5], [0, 2]]", "stage3/settings.json"),
+    "n-startup": ("search.n_startup=4", "stage3/settings.json"),
 }
 
 
@@ -410,6 +419,88 @@ def test_resume_under_another_search_ends_in_one_error_line(setup, capsys, caplo
     assert not [r for r in caplog.records if r.exc_info]
     assert paths.trial_log.read_bytes() == log_before
     assert not paths.merged_model.exists()
+
+
+# Each case: a setting that a stage file records, changed on resume with
+# `--set`, the stage file whose record refuses it, and the recorded field.
+RECORDED_SETTINGS = {
+    "easy-medium-ratio": ("easy_medium_ratio=1.0", "stage1/adaptation_set.json", "easy_medium_ratio"),
+    "temperature": ("search.temperature=0.1", "stage1/adaptation_set.json", "search.temperature"),
+    "max-tokens": ("search.max_tokens=7", "stage1/adaptation_set.json", "search.max_tokens"),
+    "prompt-preset": ("search.prompt_preset=plain", "stage1/adaptation_set.json", "search.prompt_preset"),
+    "sft-ref": ("backend.sft_ref=other", "stage1/adaptation_set.json", "backend.sft_ref"),
+    "k": ("search.k=2", "stage3/settings.json", "search.k"),
+    "mock-peak": ("backend.mock.peak=[0.1,0.1]", "stage1/adaptation_set.json", "backend.mock"),
+}
+
+
+def _config_value(config_path: Path, overrides: dict[str, str], field: str):
+    """The value of the dotted `field` under `overrides`, as a stage file records it."""
+    value = functools.reduce(getattr, field.split("."), load_config(config_path, overrides))
+    return asdict(value) if is_dataclass(value) else value
+
+
+def _workspace_files(workspace: Path) -> dict[Path, bytes]:
+    return {path: path.read_bytes() for path in sorted(workspace.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("case", list(RECORDED_SETTINGS))
+def test_resume_under_a_recorded_setting_ends_in_one_error_line(setup, capsys, caplog, case):
+    tmp_path, _, _, config_path = setup
+    run = ["run", "--config", str(config_path), "--set", "search.n_trials=12"]
+    assert main(run) == 0
+    written = _workspace_files(tmp_path / "ws")
+    setting, named, field = RECORDED_SETTINGS[case]
+    capsys.readouterr()
+    assert main([*run, "--resume", "--set", setting]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert str(tmp_path / "ws" / named) in lines[0]
+    for overrides in ({}, dict([setting.split("=", 1)])):
+        assert f"{field}={_config_value(config_path, overrides, field)!r}" in lines[0], lines
+    assert _workspace_files(tmp_path / "ws") == written
+    assert not [r for r in caplog.records if r.exc_info]
+
+
+def test_resume_refuses_a_trial_log_scored_on_another_selection(setup, capsys, caplog):
+    tmp_path, _, _, config_path = setup
+    run = ["--config", str(config_path), "--set", "search.n_trials=12"]
+    assert main(["run", *run]) == 0
+    paths = WorkspacePaths(tmp_path / "ws")
+    log = paths.trial_log.read_bytes()
+    # Stage 1 rebuilt alone over fewer queries: the trials scored the old ones.
+    assert main(["select-data", *run, "--set", "n=6"]) == 0
+    capsys.readouterr()
+    assert main(["run", *run, "--set", "n=6", "--resume"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert str(paths.search_settings) in lines[0] and "n=8" in lines[0] and "n=6" in lines[0]
+    assert paths.trial_log.read_bytes() == log
+    assert not [r for r in caplog.records if r.exc_info]
+
+
+# Settings that no stage file records: a resume honours a change to each.
+HONOURED_SETTINGS = {
+    "more-trials": "search.n_trials=16",
+    "selection-rule": "search.selection_rule=knee",
+    "concurrency": "search.concurrency=1",
+    "output-dtype": "output_dtype=F32",
+    "timeout": "backend.timeout=5",
+}
+
+
+@pytest.mark.parametrize("case", list(HONOURED_SETTINGS))
+def test_resume_honours_a_setting_no_stage_file_records(setup, case):
+    tmp_path, _, _, config_path = setup
+    run = ["run", "--config", str(config_path), "--set", "search.n_trials=12"]
+    assert main(run) == 0
+    paths = WorkspacePaths(tmp_path / "ws")
+    stage_files = [*paths.stage1.iterdir(), *paths.stage2.iterdir(), paths.search_settings]
+    written = {path: path.read_bytes() for path in stage_files}
+    log = paths.trial_log.read_bytes()
+    assert main([*run, "--resume", "--set", HONOURED_SETTINGS[case]]) == 0
+    assert {path: path.read_bytes() for path in stage_files} == written
+    assert paths.trial_log.read_bytes().startswith(log)
 
 
 @pytest.mark.parametrize("content", ['"abc"', "[1, 2]"], ids=["string", "array"])

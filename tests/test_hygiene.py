@@ -21,7 +21,9 @@ Only `task_vector` references the select, the tie rule and the rescale, so
 pruning is implemented once; and only it reads a resident vector's
 `.tensors`, so every other module reads vectors through `VectorSource`.
 
-Every leaf field of the pipeline config is type-checked by its annotation.
+Every leaf field of the pipeline config is type-checked by its annotation,
+and is either recorded by the stage files built from it (`pipeline._BUILT_FROM`)
+or listed here as a field a resume may change.
 """
 
 from __future__ import annotations
@@ -236,3 +238,41 @@ def test_every_config_field_rejects_a_wrongly_typed_value(path):
 def test_type_walker_rejects_an_annotation_it_does_not_handle():
     with pytest.raises(TypeError, match="list"):
         pipeline._type_problems([1], list[int], "field")
+
+
+# Config fields that no stage file records, each with why a resume may change it.
+RESUME_MAY_CHANGE = {
+    # The inputs reach the stages through their digests, which the stages record.
+    "base_path",
+    "sft_path",
+    "rlvr_path",
+    "pool_path",
+    # Where the stage files are, not what they hold.
+    "workspace",
+    # More trials extend the replayed log; fewer select from its prefix.
+    "search.n_trials",
+    # Chooses from the trials once they are all logged.
+    "search.selection_rule",
+    # How many queries are in flight; their results are gathered in order.
+    "search.concurrency",
+    # The final model's dtype. A backend that loads weights gets its candidates
+    # in it too, so a change there mixes dtypes in one trial log (ROADMAP item 5).
+    "output_dtype",
+    # Takes these coefficients in place of the search, which logs nothing.
+    "fixed_coefficients",
+    # How the HTTP backend is reached and how long it is waited for.
+    "backend.url",
+    "backend.max_attempts",
+    "backend.timeout",
+}
+
+
+@pytest.mark.parametrize("path", _leaf_fields(PipelineConfig))
+def test_every_config_field_is_recorded_by_a_stage_or_may_change_on_resume(path):
+    parts = path.split(".")
+    # A leaf is recorded when a stage names it or a dataclass above it.
+    covering = {".".join(parts[:i]) for i in range(1, len(parts) + 1)}
+    recorded = sorted(
+        stage for stage, keys in pipeline._BUILT_FROM.items() if covering.intersection(keys)
+    )
+    assert bool(recorded) != (path in RESUME_MAY_CHANGE), (path, recorded)

@@ -96,6 +96,25 @@ def test_unknown_config_field_rejected():
             PipelineConfig.from_dict(raw)
 
 
+# Each JSON file reader, and the prefix of its refusal of a file that is not JSON.
+JSON_READERS = {
+    "config": (load_config, "cannot load config "),
+    "rule-file": (diagnostics.load_module_rules, "cannot load rule file "),
+    "stage-file": (lambda path: pipeline._read_json_object(path, set()), "cannot load "),
+}
+
+
+@pytest.mark.parametrize("case", list(JSON_READERS))
+@pytest.mark.parametrize("content", [b"{", b"\xff"], ids=["truncated", "not-utf8"])
+def test_json_readers_name_the_file_they_cannot_load(tmp_path, case, content):
+    read, prefix = JSON_READERS[case]
+    path = tmp_path / "file.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError) as info:
+        read(path)
+    assert str(info.value).startswith(f"{prefix}{path}: "), str(info.value)
+
+
 def test_full_pipeline_completes_and_finds_peak(setup):
     _, _, _, config_path = setup
     config = load_config(config_path)
@@ -298,7 +317,9 @@ CHANGED_SETTINGS = {
     "seed": ({"seed": "5"}, "stage1/adaptation_set.json", "seed", 7, 5),
     "m": ({"m": "4"}, "stage1/adaptation_set.json", "m", 5, 4),
     "n": ({"n": "6"}, "stage1/adaptation_set.json", "n", 8, 6),
-    "threshold": ({"difficulty_threshold": "0.5"}, "stage1/adaptation_set.json", "threshold", 0.8, 0.5),
+    "threshold": (
+        {"difficulty_threshold": "0.5"}, "stage1/adaptation_set.json", "difficulty_threshold", None, 0.5
+    ),
     "retention_p": ({"retention_p": "0.9"}, "stage2/summary.json", "retention_p", 0.3, 0.9),
     "epsilon": ({"epsilon": "1e-6"}, "stage2/summary.json", "epsilon", 1e-8, 1e-6),
     "retention_p and seed": (
