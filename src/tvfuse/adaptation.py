@@ -12,11 +12,12 @@ through the query evaluator in `evaluator.backend`, as trial scoring does.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .evaluator.prompts import render_prompt
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_M = 5
 DEFAULT_FAILURE_CAP = 0.10
 
 
@@ -73,18 +73,19 @@ def default_threshold(m: int) -> float:
     return 1.0 - 1.0 / m
 
 
-def load_query_pool(path: str | Path) -> QueryPool:
-    """Read a JSON-lines file of {"id": str, "text": str} objects.
+def load_query_pool(path: str | Path) -> tuple[QueryPool, str]:
+    """Read a JSON-lines file of {"id": str, "text": str} objects once; return
+    the pool and the sha256 of the bytes it was parsed from.
 
     An unreadable file raises ConfigError naming it; a bad line raises
     ConfigError naming `file:line`.
     """
     try:
-        lines = Path(path).read_bytes().splitlines()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read query pool {path}: {exc}") from exc
     queries: list[tuple[str, str]] = []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(data.splitlines(), start=1):
         try:
             line = raw.decode("utf-8").strip()
             if not line:
@@ -96,9 +97,10 @@ def load_query_pool(path: str | Path) -> QueryPool:
             raise ConfigError(f"{path}:{line_no}: expected an object with 'id' and 'text'")
         queries.append((str(obj["id"]), str(obj["text"])))
     try:
-        return QueryPool(queries=tuple(queries))
+        pool = QueryPool(queries=tuple(queries))
     except ValueError as exc:
         raise ConfigError(f"query pool {path}: {exc}") from exc
+    return pool, hashlib.sha256(data).hexdigest()
 
 
 def score_difficulty(
@@ -106,17 +108,17 @@ def score_difficulty(
     backend: EvaluationBackend,
     sft_ref: str,
     rlvr_ref: str,
-    m: int = DEFAULT_M,
+    m: int,
     gen_params: GenerationParams = GenerationParams(),
     seed: int = 0,
     concurrency: int = 8,
-    on_failure: Callable[[str, Exception], None] | None = None,
-) -> list[DifficultyRecord]:
-    """Score every query's difficulty from both source models' consistency.
+) -> tuple[list[DifficultyRecord], list[str]]:
+    """Score every query's difficulty from both source models' consistency;
+    return the records and the ids of the queries that failed.
 
-    Queries whose backend calls fail are excluded (and reported through
-    `on_failure` / the log), never silently scored; if more than
-    DEFAULT_FAILURE_CAP of the pool fails the whole scoring pass raises.
+    Queries whose backend calls fail are excluded (and logged), never
+    silently scored; if more than DEFAULT_FAILURE_CAP of the pool fails the
+    whole scoring pass raises.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -137,14 +139,12 @@ def score_difficulty(
         records, failures = fan_out.map(score_one, pool.queries)
     for qid, exc in failures:
         logger.warning("difficulty scoring failed for query %s: %s", qid, exc)
-        if on_failure is not None:
-            on_failure(qid, exc)
     if len(pool) and len(failures) / len(pool) > DEFAULT_FAILURE_CAP:
         raise BackendFailure(
             f"difficulty scoring failed for {len(failures)}/{len(pool)} queries "
             f"(cap {DEFAULT_FAILURE_CAP:.0%})"
         )
-    return records
+    return records, [qid for qid, _ in failures]
 
 
 def build_adaptation_set(

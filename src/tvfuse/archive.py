@@ -255,13 +255,12 @@ def byte_sorted(names: Iterable[str]) -> list[str]:
 def write_archive(
     entries: Iterable[tuple[str, str, Sequence[int], "np.ndarray | Callable[[], np.ndarray]"]],
     path: str | Path,
-    metadata: dict[str, str] | None = None,
 ) -> None:
-    """Write (name, dtype, shape, float64 values) entries to a new archive
-    through `archive_writer`. Values may be zero-argument callables, which are
-    materialized one tensor at a time while writing."""
+    """Write (name, dtype, shape, float64 values) entries to a new archive,
+    without metadata, through `archive_writer`. Values may be zero-argument
+    callables, which are materialized one tensor at a time while writing."""
     entries = list(entries)
-    with archive_writer([entry[:3] for entry in entries], path, metadata) as write:
+    with archive_writer([entry[:3] for entry in entries], path) as write:
         for *_, values in entries:
             write(values() if callable(values) else values)
 

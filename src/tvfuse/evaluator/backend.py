@@ -18,7 +18,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
+from typing import Callable, Protocol, Sequence, TypeVar
 
 from ..errors import BackendFailure, MalformedResponseError
 from .answers import consistency
@@ -89,7 +89,6 @@ class ScoreResult:
         return cls(token_logprobs=lp, perplexity=perplexity)
 
 
-@runtime_checkable
 class EvaluationBackend(Protocol):
     """Contract shared by the HTTP client and the in-process mock."""
 

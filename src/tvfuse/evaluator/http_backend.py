@@ -26,10 +26,12 @@ before any byte of the status line arrives; it is reopened once, and that
 does not count as an attempt. The client connects straight to the
 configured host: `HTTP_PROXY`/`HTTPS_PROXY` are not read.
 
-Transient failures (5xx, connection errors, timeouts) are retried with
-exponential backoff up to the configured attempt count; 4xx responses fail
-immediately. Requests are idempotent, so retries never duplicate effects.
-Perplexity is always recomputed client-side from the returned logprobs.
+Transient failures (5xx, connection errors, timeouts) are retried up to
+the configured attempt count, sleeping 0.5 s before the first retry and
+twice as long before each next one; 4xx responses fail immediately.
+Requests are idempotent, so retries never duplicate effects. The bearer
+token, if any, is read only from `TVFUSE_BACKEND_TOKEN`. Perplexity is
+always recomputed client-side from the returned logprobs.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ from .answers import extract_answer
 from .backend import GenerationRequest, GenerationSample, ScoreResult
 
 TOKEN_ENV_VAR = "TVFUSE_BACKEND_TOKEN"
+# The sleep before the first retry, and its factor before each next one.
+BACKOFF_BASE_S = 0.5
+BACKOFF_FACTOR = 2.0
 
 # The limits of the standard library's `http.client`.
 _MAX_LINE = 65536
@@ -151,15 +156,7 @@ class HttpBackend:
     # The serving side loads the model named by a request's `model` path.
     loads_weights = True
 
-    def __init__(
-        self,
-        base_url: str,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
-        backoff_factor: float = 2.0,
-        timeout: float = 60.0,
-        auth_token: str | None = None,
-    ):
+    def __init__(self, base_url: str, max_attempts: int = 3, timeout: float = 60.0):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if not (math.isfinite(timeout) and timeout > 0):
@@ -178,10 +175,8 @@ class HttpBackend:
             self._tls = ssl.create_default_context()
             self._tls.set_alpn_protocols(["http/1.1"])
         self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
         self.timeout = timeout
-        self.auth_token = auth_token if auth_token is not None else os.environ.get(TOKEN_ENV_VAR)
+        self.auth_token = os.environ.get(TOKEN_ENV_VAR)
         if not all("!" <= c <= "~" for c in url.path + (self.auth_token or "")):
             raise ValueError("backend URL path and token must be printable ASCII without spaces")
         host = self._host if self._host.isascii() else self._host.encode("idna").decode("ascii")
@@ -258,7 +253,7 @@ class HttpBackend:
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
             if attempt > 0:
-                time.sleep(self.backoff_base * self.backoff_factor ** (attempt - 1))
+                time.sleep(BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1))
             try:
                 status, data = self._round_trip(request)
             except TimeoutError as exc:

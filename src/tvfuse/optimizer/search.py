@@ -10,7 +10,8 @@ frontier is built and a point is selected.
 Completed trials append to a JSON-lines log; restarting with the same log
 replays history instead of re-evaluating, and the per-trial seeded random
 streams make the resumed run identical to an uninterrupted one; a log whose
-coefficients this search would not have suggested is refused. At INFO
+coefficients this search would not have suggested is refused, and so is one
+whose failed trials already break the cap, before any trial runs. At INFO
 level each evaluated trial (not a replayed one) logs one progress line: its
 consistency, the best so far and an ETA from this run's mean trial time.
 """
@@ -145,6 +146,15 @@ def _require_replayable(
             )
 
 
+def _require_under_cap(failed_count: int, trials: int, n_trials: int) -> None:
+    """Raise TooManyFailedTrialsError once more than FAILED_TRIAL_CAP of the
+    trial budget has failed."""
+    if failed_count > math.floor(FAILED_TRIAL_CAP * n_trials):
+        raise TooManyFailedTrialsError(
+            f"{failed_count} of {trials} trials failed (cap {FAILED_TRIAL_CAP:.0%} of {n_trials})"
+        )
+
+
 def _evaluate_trial(
     backend: EvaluationBackend,
     model_ref: str,
@@ -184,15 +194,16 @@ def run_search(
     backend: EvaluationBackend,
     queries: Sequence[tuple[str, str]],
     config: TpeConfig,
+    trial_log_path: str | Path,
     space: SearchSpace | None = None,
     samples_per_query: int = 5,
     gen_params: GenerationParams = GenerationParams(),
     selection_rule: str = "max-consistency",
     concurrency: int = 8,
-    trial_log_path: str | Path | None = None,
     resume: bool = False,
 ) -> SearchResult:
-    """Run the trial budget sequentially and select from the Pareto frontier."""
+    """Run the trial budget sequentially, logging each trial to
+    `trial_log_path`, and select from the Pareto frontier."""
     if not queries:
         raise ValueError("adaptation query list is empty")
     if selection_rule not in SELECTION_RULES:
@@ -200,25 +211,22 @@ def run_search(
     space = space or SearchSpace()
 
     history: list[TrialRecord] = []
-    log_fh = None
-    if trial_log_path is not None:
-        trial_log_path = Path(trial_log_path)
-        trial_log_path.parent.mkdir(parents=True, exist_ok=True)
-        if resume:
-            history = load_trial_log(trial_log_path)[: config.n_trials]
-            _require_replayable(trial_log_path, history, space, config)
-        # Rewrite the log to the replayed records, none on a fresh run, so no
-        # record is appended to a dropped truncated line or an earlier run's log.
-        atomic_write_text(trial_log_path, "".join(t.to_json() + "\n" for t in history))
-        log_fh = open(trial_log_path, "a", encoding="utf-8")
+    trial_log_path = Path(trial_log_path)
+    trial_log_path.parent.mkdir(parents=True, exist_ok=True)
+    if resume:
+        history = load_trial_log(trial_log_path)[: config.n_trials]
+        _require_replayable(trial_log_path, history, space, config)
+    failed_count = sum(1 for t in history if t.status == "failed")
+    _require_under_cap(failed_count, len(history), config.n_trials)
+    # Rewrite the log to the replayed records, none on a fresh run, so no
+    # record is appended to a dropped truncated line or an earlier run's log.
+    atomic_write_text(trial_log_path, "".join(t.to_json() + "\n" for t in history))
     if history:
         logger.info("resuming search from %d completed trials", len(history))
 
-    max_failed = math.floor(FAILED_TRIAL_CAP * config.n_trials)
-    failed_count = sum(1 for t in history if t.status == "failed")
     replayed = len(history)
     started = time.perf_counter()
-    try:
+    with open(trial_log_path, "a", encoding="utf-8") as log_fh:
         with QueryFanOut(concurrency) as fan_out:
             while len(history) < config.n_trials:
                 index = len(history)
@@ -253,9 +261,8 @@ def run_search(
                     )
                     failed_count += 1
                 history.append(record)
-                if log_fh is not None:
-                    log_fh.write(record.to_json() + "\n")
-                    log_fh.flush()
+                log_fh.write(record.to_json() + "\n")
+                log_fh.flush()
                 if logger.isEnabledFor(logging.INFO):
                     ok = [t for t in history if t.consistency is not None]
                     best = max(ok, key=lambda t: t.consistency) if ok else None
@@ -269,14 +276,7 @@ def run_search(
                         "none" if best is None else f"{best.consistency:.4f} at trial {best.index}",
                         mean_s * (config.n_trials - len(history)),
                     )
-                if failed_count > max_failed:
-                    raise TooManyFailedTrialsError(
-                        f"{failed_count} of {len(history)} trials failed "
-                        f"(cap {FAILED_TRIAL_CAP:.0%} of {config.n_trials})"
-                    )
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+                _require_under_cap(failed_count, len(history), config.n_trials)
 
     frontier = pareto_frontier(history)
     selected = SELECTION_RULES[selection_rule](frontier)

@@ -65,6 +65,7 @@ import numpy as np
 from . import __version__
 from .adaptation import (
     AdaptationSet,
+    QueryPool,
     build_adaptation_set,
     default_threshold,
     load_query_pool,
@@ -561,6 +562,8 @@ _BUILT_FROM = {
         *_SELECT_DATA, *_TASK_VECTORS, "search.k", "search.space", "search.n_startup",
         "search.gamma_split", "search.n_candidates", "search.bandwidth_floor",
         "search.scalarize_ppl_weight",
+        # A backend that loads weights scores candidates merged in this dtype.
+        "output_dtype",
     ),
 }
 
@@ -580,20 +583,20 @@ def _stage_select_data(
     config: PipelineConfig,
     paths: WorkspacePaths,
     backend: EvaluationBackend,
+    pool: QueryPool,
     digests: dict[str, str],
     resume: bool,
 ) -> AdaptationSet:
-    """Score difficulty and write the adaptation set with the record of what
-    it is built from; a resume reuses it only under the same record."""
+    """Score the difficulty of the `pool` queries and write the adaptation
+    set with the record of what it is built from; a resume reuses it only
+    under the same record."""
     record = _built_from(config, "select-data", digests)
     if resume and paths.adaptation_set.exists() and paths.difficulty_records.exists():
         logger.info("reusing stage1 artifacts")
         stored = _reuse(paths.adaptation_set, record, {f.name for f in fields(AdaptationSet)})
         return AdaptationSet(**{f.name: stored[f.name] for f in fields(AdaptationSet)})
-    pool = load_query_pool(config.pool_path)
     paths.stage1.mkdir(parents=True, exist_ok=True)
-    failures: list[str] = []
-    records = score_difficulty(
+    records, failures = score_difficulty(
         pool,
         backend,
         config.backend.sft_ref,
@@ -602,7 +605,6 @@ def _stage_select_data(
         gen_params=config.gen_params(),
         seed=config.seed,
         concurrency=config.search.concurrency,
-        on_failure=lambda qid, exc: failures.append(qid),
     )
     save_difficulty_records(records, paths.difficulty_records)
     if failures:
@@ -621,11 +623,9 @@ def _stage_select_data(
     return selection
 
 
-def _input_digests(config: PipelineConfig) -> dict[str, str]:
-    """The sha256 of each checkpoint and of the query pool, by label."""
-    return {
-        label: _sha256_file(getattr(config, f"{label}_path")) for label in (*_CHECKPOINTS, "pool")
-    }
+def _checkpoint_digests(config: PipelineConfig) -> dict[str, str]:
+    """The sha256 of each checkpoint, by label."""
+    return {label: _sha256_file(getattr(config, f"{label}_path")) for label in _CHECKPOINTS}
 
 
 def _stage_task_vectors(
@@ -758,6 +758,7 @@ def _stage_search(
     paths: WorkspacePaths,
     backend: EvaluationBackend,
     selection: AdaptationSet,
+    pool: QueryPool,
     digests: dict[str, str],
     resume: bool,
 ) -> tuple[tuple[float, float], str]:
@@ -770,7 +771,7 @@ def _stage_search(
         if resume and paths.trial_log.exists():
             _reuse(paths.search_settings, record, set())
         atomic_write_text(paths.search_settings, json.dumps(record, indent=2))
-        texts = dict(load_query_pool(config.pool_path).queries)
+        texts = dict(pool.queries)
         result = run_search(
             merge_builder=make_merge_builder(config, paths, backend),
             backend=backend,
@@ -825,8 +826,8 @@ def _open_workspace(config: PipelineConfig) -> Iterator[tuple[WorkspacePaths, Ev
 def select_data(config: PipelineConfig, resume: bool = False) -> AdaptationSet:
     """Run stage 1 alone: score query difficulty and write the adaptation set."""
     with _open_workspace(config) as (paths, backend):
-        digests = {"pool": _sha256_file(config.pool_path)}
-        return _stage_select_data(config, paths, backend, digests, resume)
+        pool, pool_sha256 = load_query_pool(config.pool_path)
+        return _stage_select_data(config, paths, backend, pool, {"pool": pool_sha256}, resume)
 
 
 def run_pipeline(
@@ -844,13 +845,15 @@ def run_pipeline(
         return value
 
     with _open_workspace(config) as (paths, backend):
-        digests = _input_digests(config)
+        # The pool is read once: both stages get the queries its digest is of.
+        pool, pool_sha256 = load_query_pool(config.pool_path)
+        digests = {**_checkpoint_digests(config), "pool": pool_sha256}
         selection = timed(
-            "select-data", _stage_select_data, config, paths, backend, digests, resume
+            "select-data", _stage_select_data, config, paths, backend, pool, digests, resume
         )
         vector_summary = timed("task-vectors", _stage_task_vectors, config, paths, digests, resume)
         coefficients, selection_rule = timed(
-            "search", _stage_search, config, paths, backend, selection, digests, resume
+            "search", _stage_search, config, paths, backend, selection, pool, digests, resume
         )
         final_path: Path | None = None
         if final_merge:

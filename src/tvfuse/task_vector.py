@@ -254,14 +254,9 @@ def lockstep(source: VectorSource) -> Lockstep:
     return read
 
 
-def extract_task_vector(
-    base: TensorArchive,
-    finetuned: TensorArchive,
-    *,
-    allow_dtype_mismatch: bool = False,
-) -> TaskVector:
+def extract_task_vector(base: TensorArchive, finetuned: TensorArchive) -> TaskVector:
     """Per-tensor finetuned - base, read one tensor at a time."""
-    read = deltas(base, [finetuned], allow_dtype_mismatch=allow_dtype_mismatch)
+    read = deltas(base, [finetuned])
     tensors = {name: delta.copy() for name, (delta,) in read([0])}
     return TaskVector(
         tensors=tensors,
@@ -766,10 +761,10 @@ def write_vector(
             write(values)
 
 
-def save_task_vector(tv: TaskVector, path: str | Path, dtype: str = "F32") -> None:
-    """Persist a task vector as a tensor archive with `vector_metadata`."""
+def save_task_vector(tv: TaskVector, path: str | Path) -> None:
+    """Persist a task vector as an F32 tensor archive with `vector_metadata`."""
     metadata = vector_metadata(tv.source_base_id, tv.source_ft_id, tv.sparsity)
-    write_vector(path, tv.shapes, lockstep(tv)([0]), metadata, dtype)
+    write_vector(path, tv.shapes, lockstep(tv)([0]), metadata)
 
 
 def load_task_vector(path: str | Path) -> TaskVector:

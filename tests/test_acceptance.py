@@ -370,7 +370,7 @@ def test_criterion_10_pareto_and_knee():
 
 
 @criterion(11, "tpe-efficacy")
-def test_criterion_11_tpe_efficacy():
+def test_criterion_11_tpe_efficacy(tmp_path):
     started = time.monotonic()
     peak = (0.8, 1.5)
     landscape = quadratic_landscape(peak=peak, falloff=8.0, ppl_base=2.0, ppl_slope=1.0)
@@ -414,6 +414,7 @@ def test_criterion_11_tpe_efficacy():
             config=TpeConfig(n_trials=100, n_startup=10, seed=seed),
             samples_per_query=samples_per_query,
             concurrency=4,
+            trial_log_path=tmp_path / "trials.jsonl",
         )
         distance = math.hypot(
             result.coefficients[0] - grid_optimum[0], result.coefficients[1] - grid_optimum[1]
@@ -501,7 +502,7 @@ def test_criterion_12_end_to_end(tmp_path, monkeypatch):
 def test_criterion_13_protocol_conformance():
     landscape = quadratic_landscape(peak=(0.8, 1.5), ppl_base=2.0, ppl_slope=3.0)
     with MockInferenceServer(MockBackend(landscape, seed=13)) as server, HttpBackend(
-        server.url, max_attempts=3, backoff_base=0.01
+        server.url, max_attempts=3
     ) as remote:
         local = MockBackend(landscape, seed=13)
 

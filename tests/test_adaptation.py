@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -51,8 +52,8 @@ def test_difficulty_formula_cases():
 def test_score_difficulty_end_to_end():
     pool = ad.QueryPool(queries=(("a", "question a"), ("b", "question b")))
     backend = MockBackend(landscape_with_profiles(1.0, 0.6))
-    records = ad.score_difficulty(pool, backend, "sft", "rlvr", m=5)
-    assert len(records) == 2
+    records, failed = ad.score_difficulty(pool, backend, "sft", "rlvr", m=5)
+    assert len(records) == 2 and failed == []
     for r in records:
         assert r.c_sft == 1.0
         assert r.c_rlvr == 0.6
@@ -63,7 +64,7 @@ def test_score_difficulty_all_distinct_answers():
     # Consistency floor is 1/m when every sample disagrees.
     pool = ad.QueryPool(queries=(("a", "question a"),))
     backend = MockBackend(landscape_with_profiles(0.0, 0.0))
-    records = ad.score_difficulty(pool, backend, "sft", "rlvr", m=5)
+    records, _ = ad.score_difficulty(pool, backend, "sft", "rlvr", m=5)
     assert records[0].c_sft == 0.2 and records[0].c_rlvr == 0.2
     assert records[0].difficulty == pytest.approx(0.8)
 
@@ -78,10 +79,7 @@ def test_score_difficulty_records_failures_and_excludes():
             return super().generate(request)
 
     backend = Flaky(landscape_with_profiles(1.0, 1.0))
-    failed = []
-    records = ad.score_difficulty(
-        pool, backend, "sft", "rlvr", m=5, on_failure=lambda qid, exc: failed.append(qid)
-    )
+    records, failed = ad.score_difficulty(pool, backend, "sft", "rlvr", m=5)
     assert failed == ["q3"]
     assert {r.query_id for r in records} == {f"q{i}" for i in range(20)} - {"q3"}
 
@@ -105,8 +103,9 @@ def test_query_pool_rejects_duplicate_ids():
 def test_load_query_pool(tmp_path):
     path = tmp_path / "pool.jsonl"
     path.write_text('{"id": "a", "text": "one"}\n\n{"id": "b", "text": "two"}\n')
-    pool = ad.load_query_pool(path)
+    pool, digest = ad.load_query_pool(path)
     assert pool.queries == (("a", "one"), ("b", "two"))
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "a"}\n')
     with pytest.raises(ConfigError, match="bad.jsonl:1"):

@@ -38,9 +38,8 @@ def test_minimal_single_tensor(tmp_path):
 
 def test_metadata_round_trip(tmp_path):
     path = tmp_path / "meta.safetensors"
-    archive.write_archive(
-        [("w", "F32", [2], np.array([1.0, 2.0]))], path, metadata={"origin": "unit-test"}
-    )
+    with archive.archive_writer([("w", "F32", [2])], path, {"origin": "unit-test"}) as write:
+        write(np.array([1.0, 2.0]))
     arc = archive.open_archive(path)
     assert arc.metadata == {"origin": "unit-test"}
 
@@ -134,7 +133,8 @@ def test_write_rejects_duplicate_names(tmp_path):
 def test_write_rejects_reserved_metadata_name_before_writing(tmp_path, metadata):
     path = tmp_path / "reserved.safetensors"
     with pytest.raises(ValueError, match="__metadata__"):
-        archive.write_archive([("__metadata__", "F32", [2], np.zeros(2))], path, metadata)
+        with archive.archive_writer([("__metadata__", "F32", [2])], path, metadata) as write:
+            write(np.zeros(2))
     assert not list(tmp_path.iterdir())  # neither the archive nor its .tmp sibling
 
 

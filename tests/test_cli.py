@@ -77,14 +77,11 @@ def test_sparsify_writes_the_dense_reference_bytes(tmp_path, retention, rescale)
     # At full retention the CLI still rescales, by original / (original + epsilon).
     rng = np.random.default_rng(5)
     vector = tmp_path / "tau.safetensors"
-    archive.write_archive(
-        [
-            (name, "F32", list(shape), rng.choice(TIED, math.prod(shape)))
-            for name, shape in TIED_SHAPES.items()
-        ],
-        vector,
-        metadata={"source_base_id": "base-model", "source_ft_id": "sft-model"},
-    )
+    specs = [(name, "F32", list(shape)) for name, shape in TIED_SHAPES.items()]
+    metadata = {"source_base_id": "base-model", "source_ft_id": "sft-model"}
+    with archive.archive_writer(specs, vector, metadata) as write:
+        for shape in TIED_SHAPES.values():
+            write(rng.choice(TIED, math.prod(shape)))
     expected = sparsify_archive(vector, retention, 1e-8 if rescale else None)
     flags = ["--retention", repr(retention)] + ([] if rescale else ["--no-rescale"])
     out = tmp_path / "out.safetensors"
@@ -430,6 +427,7 @@ RECORDED_SETTINGS = {
     "prompt-preset": ("search.prompt_preset=plain", "stage1/adaptation_set.json", "search.prompt_preset"),
     "sft-ref": ("backend.sft_ref=other", "stage1/adaptation_set.json", "backend.sft_ref"),
     "k": ("search.k=2", "stage3/settings.json", "search.k"),
+    "output-dtype": ("output_dtype=F32", "stage3/settings.json", "output_dtype"),
     "mock-peak": ("backend.mock.peak=[0.1,0.1]", "stage1/adaptation_set.json", "backend.mock"),
 }
 
@@ -484,7 +482,6 @@ HONOURED_SETTINGS = {
     "more-trials": "search.n_trials=16",
     "selection-rule": "search.selection_rule=knee",
     "concurrency": "search.concurrency=1",
-    "output-dtype": "output_dtype=F32",
     "timeout": "backend.timeout=5",
 }
 

@@ -36,6 +36,7 @@ from tvfuse.evaluator import (
     encode_model_ref,
     quadratic_landscape,
 )
+from tvfuse.evaluator import http_backend as http_module
 from tvfuse.evaluator.backend import GenerationParams, QueryFanOut, sample_consistency
 
 LANDSCAPE = quadratic_landscape(peak=(0.8, 1.5), falloff=0.5, ppl_base=2.0, ppl_slope=3.0)
@@ -81,6 +82,14 @@ class QuietHandler(http.server.BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
+@pytest.fixture()
+def slept(monkeypatch):
+    """The client's backoff sleeps, recorded in place of being slept."""
+    calls: list[float] = []
+    monkeypatch.setattr(http_module.time, "sleep", calls.append)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def server():
     with MockInferenceServer(MockBackend(LANDSCAPE, seed=5)) as srv:
@@ -89,7 +98,7 @@ def server():
 
 @pytest.fixture(scope="module")
 def http_backend(server):
-    with contextlib.closing(HttpBackend(server.url, max_attempts=3, backoff_base=0.01)) as client:
+    with contextlib.closing(HttpBackend(server.url, max_attempts=3)) as client:
         yield client
 
 
@@ -143,18 +152,20 @@ def test_contract_same_results_both_transports(mock_backend, http_backend):
 # --- retry behaviour -------------------------------------------------------------
 
 
-def test_two_failures_then_success_is_retried(server, http_backend):
+def test_two_failures_then_success_is_retried(server, http_backend, slept):
     server.fail_next(2)
     samples = http_backend.generate(GenerationRequest("sft", "retry-me", num_samples=2))
     assert len(samples) == 2
 
 
-def test_persistent_500s_exhaust_retries(server, http_backend):
+def test_persistent_500s_exhaust_retries(server, http_backend, slept):
     server.fail_next(3)  # max_attempts is 3: every attempt sees a 500
     with pytest.raises(HttpStatusError) as info:
         http_backend.generate(GenerationRequest("sft", "doomed", num_samples=1))
     assert info.value.status == 500
     server.fail_next(0)
+    # 0.5 s before the first retry, doubled before the next.
+    assert slept == [0.5, 1.0]
 
 
 def test_client_side_perplexity_recomputation(server, http_backend):
@@ -162,13 +173,14 @@ def test_client_side_perplexity_recomputation(server, http_backend):
     assert abs(ppl - 2.0) <= 1e-9
 
 
-def test_http_4xx_fails_without_retry(server, http_backend):
+def test_http_4xx_fails_without_retry(server, http_backend, slept):
     with pytest.raises(HttpStatusError) as info:
         http_backend._post("/generate", {"model": "sft"})  # missing required fields -> 400
     assert info.value.status == 400
     with pytest.raises(HttpStatusError) as info:
         http_backend._post("/nope", {})
     assert info.value.status == 404
+    assert slept == []
 
 
 def test_malformed_server_response():
@@ -230,10 +242,18 @@ def test_a_score_without_a_finite_perplexity_is_malformed(logprobs):
                 client.score("sft", "some text")
 
 
-def test_connection_refused_is_backend_failure():
-    client = HttpBackend("http://127.0.0.1:9", max_attempts=2, backoff_base=0.01, timeout=0.5)
+def test_connection_refused_is_backend_failure(slept):
+    client = HttpBackend("http://127.0.0.1:9", max_attempts=2, timeout=0.5)
     with pytest.raises(BackendFailure):
         client.score("m", "text")
+
+
+def set_token(monkeypatch, token: str | None) -> None:
+    """Give the client `token` through the environment, or no token for None."""
+    if token is None:
+        monkeypatch.delenv("TVFUSE_BACKEND_TOKEN", raising=False)
+    else:
+        monkeypatch.setenv("TVFUSE_BACKEND_TOKEN", token)
 
 
 def test_auth_token_comes_from_environment(monkeypatch):
@@ -242,7 +262,8 @@ def test_auth_token_comes_from_environment(monkeypatch):
     assert client.auth_token == "secret-token"
     monkeypatch.delenv("TVFUSE_BACKEND_TOKEN")
     assert HttpBackend("http://example.invalid").auth_token is None
-    assert HttpBackend("http://example.invalid", auth_token="inline").auth_token == "inline"
+    monkeypatch.setenv("TVFUSE_BACKEND_TOKEN", "another")
+    assert HttpBackend("http://example.invalid").auth_token == "another"
 
 
 @pytest.mark.parametrize(
@@ -250,17 +271,21 @@ def test_auth_token_comes_from_environment(monkeypatch):
     [("http://127.0.0.1:9/a b", None), ("http://127.0.0.1:9", "two\r\nX-Injected: 1")],
     ids=["space-in-path", "line-break-in-token"],
 )
-def test_a_path_or_token_that_cannot_go_in_a_request_head_is_refused_up_front(url, token):
+def test_a_path_or_token_that_cannot_go_in_a_request_head_is_refused_up_front(
+    monkeypatch, url, token
+):
+    set_token(monkeypatch, token)
     with pytest.raises(ValueError, match="printable ASCII"):
-        HttpBackend(url, auth_token=token)
+        HttpBackend(url)
 
 
-def test_unencodable_payload_fails_without_retry():
+def test_unencodable_payload_fails_without_retry(slept):
     # NaN is not JSON; nothing is sent and no backoff is slept.
-    client = HttpBackend("http://127.0.0.1:9", max_attempts=3, backoff_base=60.0)
+    client = HttpBackend("http://127.0.0.1:9", max_attempts=3)
     with pytest.raises(HttpStatusError) as info:
         client._post("/generate", {"temperature": float("nan")})
     assert info.value.status == 0
+    assert slept == []
 
 
 # --- keep-alive transport ---------------------------------------------------------
@@ -283,13 +308,13 @@ def test_requests_reuse_kept_alive_connections():
         client.close()
 
 
-def test_injected_500_keeps_the_connection_in_sync():
+def test_injected_500_keeps_the_connection_in_sync(slept):
     # The server must read the body of the request it fails; otherwise the
     # retry on the same connection is parsed after the unread JSON bytes.
     request = GenerationRequest(encode_model_ref(0.6, 1.1), "in sync", num_samples=3)
     expected = [s.text for s in MockBackend(LANDSCAPE, seed=5).generate(request)]
     with CountingServer(MockBackend(LANDSCAPE, seed=5)) as srv, contextlib.closing(
-        HttpBackend(srv.url, max_attempts=2, backoff_base=0.0)
+        HttpBackend(srv.url, max_attempts=2)
     ) as client:
         client.score("sft", "open the connection")
         srv.fail_next(1)
@@ -432,10 +457,10 @@ BAD_FRAMING = {
 
 
 @pytest.mark.parametrize("case", list(BAD_FRAMING))
-def test_malformed_framing_is_a_connection_failure(case):
+def test_malformed_framing_is_a_connection_failure(slept, case):
     handler = replying(BAD_FRAMING[case], False)
     with serve(handler) as url, contextlib.closing(
-        HttpBackend(url, max_attempts=2, backoff_base=0.0, timeout=5.0)
+        HttpBackend(url, max_attempts=2, timeout=5.0)
     ) as client:
         start = time.perf_counter()
         with pytest.raises(HttpStatusError) as info:
@@ -445,7 +470,7 @@ def test_malformed_framing_is_a_connection_failure(case):
     assert handler.requests == 2  # retried
 
 
-def test_body_cut_short_is_retried():
+def test_body_cut_short_is_retried(slept):
     class CutShort(QuietHandler):
         protocol_version = "HTTP/1.1"
         requests = 0
@@ -459,9 +484,7 @@ def test_body_cut_short_is_retried():
             else:
                 self.reply(SCORE_BODY)
 
-    with serve(CutShort) as url, contextlib.closing(
-        HttpBackend(url, max_attempts=2, backoff_base=0.0)
-    ) as client:
+    with serve(CutShort) as url, contextlib.closing(HttpBackend(url, max_attempts=2)) as client:
         assert client.score("m", "text").token_logprobs == (-0.5, -1.5)
     assert CutShort.requests == 2
 
@@ -470,7 +493,7 @@ def capture_request(monkeypatch, url: str, token: str | None) -> tuple[int, tupl
     """Send one score request to `url` with `{port}` filled in, connected to a
     local listener at that port whatever the host. Return the port, the
     address the client asked for, and the request's head and body."""
-    monkeypatch.delenv("TVFUSE_BACKEND_TOKEN", raising=False)
+    set_token(monkeypatch, token)
     received = []
     with socket.create_server(("127.0.0.1", 0)) as listener:
         port = listener.getsockname()[1]
@@ -491,7 +514,7 @@ def capture_request(monkeypatch, url: str, token: str | None) -> tuple[int, tupl
         thread.start()
         create_connection = socket.create_connection
         monkeypatch.setattr(socket, "create_connection", connect)
-        with contextlib.closing(HttpBackend(url.format(port=port), auth_token=token)) as client:
+        with contextlib.closing(HttpBackend(url.format(port=port))) as client:
             client.score("m", "text")
         thread.join(5.0)
     address, head, body = received

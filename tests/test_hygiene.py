@@ -21,6 +21,11 @@ Only `task_vector` references the select, the tie rule and the rescale, so
 pruning is implemented once; and only it reads a resident vector's
 `.tensors`, so every other module reads vectors through `VectorSource`.
 
+Every defaulted parameter of a top-level function, or of a top-level
+class's `__init__`, is set by some call in the program, or is listed here
+with why it stays: a default that no program call overrides doubles a
+configuration that no program runs, so it becomes a constant.
+
 Every leaf field of the pipeline config is type-checked by its annotation,
 and is either recorded by the stage files built from it (`pipeline._BUILT_FROM`)
 or listed here as a field a resume may change.
@@ -175,6 +180,93 @@ def test_every_returned_value_has_a_reader():
     assert not found, f"functions whose every caller drops the return value: {found}"
 
 
+# Defaulted parameters that no program call sets, each with why it stays.
+UNSET_ON_PURPOSE = {
+    # The console script calls `main()`, and argparse then reads `sys.argv`.
+    "cli.py:main(argv)",
+    # Where the mock server listens: the address a caller serves it on.
+    "evaluator/mock_server.py:MockInferenceServer(host)",
+    "evaluator/mock_server.py:MockInferenceServer(port)",
+}
+
+
+def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(callee, parameter, position) of each defaulted parameter of a top-level
+    function or a top-level class's `__init__`, whose callee is the class. The
+    position counts the arguments a call passes before it, and is None for a
+    keyword-only parameter."""
+    found = []
+    for node in tree.body:
+        function, skip = node, 0
+        if isinstance(node, ast.ClassDef):
+            inits = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+            if not inits:
+                continue
+            function, skip = inits[0], 1  # `self`
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = function.args
+        positional = [*args.posonlyargs, *args.args]
+        for index, arg in enumerate(positional[len(positional) - len(args.defaults) :]):
+            found.append((node.name, arg.arg, len(positional) - len(args.defaults) + index - skip))
+        found.extend(
+            (node.name, arg.arg, None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        )
+    return found
+
+
+def _set_parameters(tree: ast.Module) -> tuple[set[tuple[str, str]], Counter, set[str]]:
+    """What a module's calls set, by callee name: the parameters passed by
+    keyword, the most arguments passed by position, and the callees a `*` or
+    `**` argument may set anything of."""
+    keywords: set[tuple[str, str]] = set()
+    positions: Counter = Counter()
+    unpacked: set[str] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        if any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+            kw.arg is None for kw in node.keywords
+        ):
+            unpacked.add(name)
+        keywords.update((name, kw.arg) for kw in node.keywords if kw.arg is not None)
+        positions[name] = max(positions[name], len(node.args))
+    return keywords, positions, unpacked
+
+
+def unset_parameters() -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in _modules(PACKAGE)}
+    callers = [*trees.values()]
+    callers += [ast.parse(path.read_text(encoding="utf-8")) for path in _modules(BENCHMARK)]
+    keywords: set[tuple[str, str]] = set()
+    positions: Counter = Counter()
+    unpacked: set[str] = set()
+    for tree in callers:
+        module_keywords, module_positions, module_unpacked = _set_parameters(tree)
+        keywords |= module_keywords
+        positions |= module_positions  # the larger count of each callee
+        unpacked |= module_unpacked
+    return [
+        f"{path.relative_to(PACKAGE)}:{callee}({parameter})"
+        for path, tree in trees.items()
+        for callee, parameter, position in _defaulted_parameters(tree)
+        if callee not in unpacked
+        and (callee, parameter) not in keywords
+        and (position is None or positions[callee] <= position)
+    ]
+
+
+def test_every_defaulted_parameter_has_a_program_caller():
+    found = sorted(set(unset_parameters()) - UNSET_ON_PURPOSE)
+    assert not found, f"defaulted parameters that no program call sets: {found}"
+
+
 PRUNING = {"RadixSelect", "KeepMasks", "rescale_gamma"}
 
 
@@ -255,9 +347,6 @@ RESUME_MAY_CHANGE = {
     "search.selection_rule",
     # How many queries are in flight; their results are gathered in order.
     "search.concurrency",
-    # The final model's dtype. A backend that loads weights gets its candidates
-    # in it too, so a change there mixes dtypes in one trial log (ROADMAP item 5).
-    "output_dtype",
     # Takes these coefficients in place of the search, which logs nothing.
     "fixed_coefficients",
     # How the HTTP backend is reached and how long it is waited for.

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from reference import brute_force_frontier, parzen_log_pdf, pointwise_tpe_suggest
 from tvfuse.errors import (
+    BackendFailure,
     EmptyFrontierError,
     EmptySpaceError,
     NoSuccessfulTrialsError,
@@ -402,13 +403,14 @@ def small_config(seed=0, trials=30):
     return TpeConfig(n_trials=trials, n_startup=8, seed=seed)
 
 
-def test_search_finds_peak_region():
+def test_search_finds_peak_region(tmp_path):
     backend = MockBackend(quadratic_landscape(peak=PEAK, falloff=8.0))
     result = run_search(
         merge_builder=lambda coeffs: encode_model_ref(*coeffs),
         backend=backend,
         queries=QUERIES,
         config=TpeConfig(n_trials=100, n_startup=10, seed=11),
+        trial_log_path=tmp_path / "trials.jsonl",
         samples_per_query=5,
         concurrency=4,
     )
@@ -417,13 +419,14 @@ def test_search_finds_peak_region():
     assert distance(result.coefficients) < 0.15
 
 
-def test_constant_landscape_dedups_to_single_frontier_point():
+def test_constant_landscape_dedups_to_single_frontier_point(tmp_path):
     backend = MockBackend(lambda a, b: (0.6, 3.0))
     result = run_search(
         merge_builder=lambda coeffs: encode_model_ref(*coeffs),
         backend=backend,
         queries=QUERIES,
         config=small_config(),
+        trial_log_path=tmp_path / "trials.jsonl",
         samples_per_query=5,
     )
     assert len(result.frontier) == 1
@@ -442,13 +445,14 @@ def two_peak_landscape(a, b):
     return c, ppl
 
 
-def test_knee_and_max_consistency_disagree_on_two_peak_landscape():
+def test_knee_and_max_consistency_disagree_on_two_peak_landscape(tmp_path):
     backend = MockBackend(two_peak_landscape)
     kwargs = dict(
         merge_builder=lambda coeffs: encode_model_ref(*coeffs),
         backend=backend,
         queries=QUERIES,
         config=TpeConfig(n_trials=80, n_startup=10, seed=2),
+        trial_log_path=tmp_path / "trials.jsonl",
         samples_per_query=5,
     )
     by_consistency = run_search(selection_rule="max-consistency", **kwargs)
@@ -470,7 +474,7 @@ def test_knee_and_max_consistency_disagree_on_two_peak_landscape():
     assert by_knee.selected.index == best.index
 
 
-def test_search_is_deterministic():
+def test_search_is_deterministic(tmp_path):
     def run_once():
         backend = MockBackend(quadratic_landscape(peak=PEAK), seed=4)
         return run_search(
@@ -478,6 +482,7 @@ def test_search_is_deterministic():
             backend=backend,
             queries=QUERIES,
             config=small_config(seed=42),
+            trial_log_path=tmp_path / "trials.jsonl",
             samples_per_query=5,
             concurrency=8,
         )
@@ -586,7 +591,7 @@ def test_each_evaluated_trial_logs_one_progress_line_at_info(tmp_path, caplog):
     assert resumed.trials == reference.trials
 
 
-def test_search_runs_every_trial_on_one_pool_of_concurrency_threads():
+def test_search_runs_every_trial_on_one_pool_of_concurrency_threads(tmp_path):
     names = set()
 
     class Recording(MockBackend):
@@ -603,6 +608,7 @@ def test_search_runs_every_trial_on_one_pool_of_concurrency_threads():
         backend=Recording(quadratic_landscape(peak=PEAK), seed=9),
         queries=QUERIES,
         config=TpeConfig(n_trials=6, n_startup=3, seed=8),
+        trial_log_path=tmp_path / "trials.jsonl",
         samples_per_query=5,
         concurrency=2,
     )
@@ -663,7 +669,7 @@ def test_misnumbered_trial_record_raises(tmp_path):
         load_trial_log(log)
 
 
-def test_failed_queries_dropped_from_trial_mean():
+def test_failed_queries_dropped_from_trial_mean(tmp_path):
     class Flaky(MockBackend):
         def generate(self, request):
             if "question 2" in request.prompt:
@@ -678,6 +684,7 @@ def test_failed_queries_dropped_from_trial_mean():
         backend=backend,
         queries=QUERIES,
         config=small_config(trials=12, seed=1),
+        trial_log_path=tmp_path / "trials.jsonl",
         samples_per_query=5,
     )
     assert all(t.status == "ok" for t in result.trials)
@@ -685,7 +692,7 @@ def test_failed_queries_dropped_from_trial_mean():
     assert result.selected.consistency == 1.0
 
 
-def test_too_many_failed_trials_aborts():
+def test_too_many_failed_trials_aborts(tmp_path):
     class Broken(MockBackend):
         def generate(self, request):
             from tvfuse.errors import UnknownModelRefError
@@ -699,5 +706,47 @@ def test_too_many_failed_trials_aborts():
             backend=backend,
             queries=QUERIES,
             config=small_config(trials=20, seed=0),
+            trial_log_path=tmp_path / "trials.jsonl",
             samples_per_query=5,
         )
+
+
+# Each case: the trials that fail in a run of 10, whose cap is 2 failed
+# trials, so the run raises at the last of them.
+BROKEN_CAPS = {"complete-log": (7, 8, 9), "partial-log": (2, 3, 4)}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_CAPS))
+def test_resume_over_a_log_past_the_failed_trial_cap_raises_before_any_trial(tmp_path, case):
+    log = tmp_path / "trials.jsonl"
+    built = []
+
+    def builder(coeffs):
+        built.append(coeffs)
+        return encode_model_ref(*coeffs)
+
+    def failing_builder(coeffs):
+        if len(built) in BROKEN_CAPS[case]:
+            built.append(coeffs)
+            raise BackendFailure("injected")
+        return builder(coeffs)
+
+    kwargs = dict(
+        backend=MockBackend(quadratic_landscape(peak=PEAK), seed=9),
+        queries=QUERIES,
+        config=small_config(seed=8, trials=10),
+        trial_log_path=log,
+        samples_per_query=5,
+    )
+    with pytest.raises(TooManyFailedTrialsError) as first:
+        run_search(merge_builder=failing_builder, **kwargs)
+    assert len(built) == BROKEN_CAPS[case][-1] + 1
+    written = log.read_bytes()
+    assert len(written.splitlines()) == len(built)
+
+    built.clear()
+    with pytest.raises(TooManyFailedTrialsError) as resumed:
+        run_search(merge_builder=builder, resume=True, **kwargs)
+    assert str(resumed.value) == str(first.value)
+    assert built == []
+    assert log.read_bytes() == written

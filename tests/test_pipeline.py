@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -234,6 +235,42 @@ def test_pipeline_bitwise_reproducible(setup):
     assert results[0][0] == results[1][0]
     assert results[0][1] == results[1][1]
     assert results[0][2] == results[1][2]
+
+
+def test_the_pool_is_read_once_for_both_stages_that_use_it(setup, monkeypatch):
+    # The pool is rewritten, same ids and other texts, while stage 1 scores
+    # it. Under query jitter the texts move every score, so the search must
+    # score the texts stage 1 selected from, the ones the digest is of.
+    tmp_path, checkpoints, pool, _ = setup
+    original = pool.read_bytes()
+
+    def run(tag: str) -> WorkspacePaths:
+        config_path = make_config(tmp_path / tag, checkpoints, pool, tmp_path / f"ws_{tag}")
+        run_pipeline(load_config(config_path))
+        return WorkspacePaths(tmp_path / f"ws_{tag}")
+
+    undisturbed = run("undisturbed")
+    build = pipeline.build_backend
+    rewrite_once = threading.Lock()
+
+    def rewriting_backend(config):
+        backend = build(config)
+        generate = backend.generate
+
+        def generate_after_rewrite(request):
+            if rewrite_once.acquire(blocking=False):
+                pool.write_bytes(original.replace(b"Compute the value", b"Estimate the size"))
+            return generate(request)
+
+        backend.generate = generate_after_rewrite
+        return backend
+
+    monkeypatch.setattr(pipeline, "build_backend", rewriting_backend)
+    rewritten = run("rewritten")
+    assert pool.read_bytes() != original
+    assert rewritten.trial_log.read_bytes() == undisturbed.trial_log.read_bytes()
+    stage1 = json.loads(rewritten.adaptation_set.read_text())
+    assert stage1["pool_sha256"] == hashlib.sha256(original).hexdigest()
 
 
 def test_pipeline_resume_after_crash_matches_uninterrupted(setup, monkeypatch):
@@ -615,7 +652,7 @@ def test_stage_two_sparsifies_each_vector_once(setup, monkeypatch, retention):
     passes = {0.3: 4, 1.0: 1}[retention]
     _, _, _, config_path = setup
     config = load_config(config_path, {"retention_p": str(retention)})
-    digests = pipeline._input_digests(config)
+    digests = pipeline._checkpoint_digests(config)
     reads = count_reads(monkeypatch, [])
     summary = pipeline._stage_task_vectors(
         config, WorkspacePaths(Path(config.workspace)), digests, resume=False
@@ -659,7 +696,7 @@ def test_stage_two_takes_three_passes_when_each_cut_is_its_buckets_floor(tmp_pat
         )
     pool = make_query_pool(tmp_path / "pool.jsonl")
     config = load_config(make_config(tmp_path, checkpoints, pool, tmp_path / "ws"))
-    digests = pipeline._input_digests(config)
+    digests = pipeline._checkpoint_digests(config)
     reads = count_reads(monkeypatch, [])
     summary = pipeline._stage_task_vectors(
         config, WorkspacePaths(Path(config.workspace)), digests, resume=False
@@ -693,7 +730,7 @@ def test_stage_two_passes_reuse_one_readers_buffers(setup, monkeypatch):
 
     monkeypatch.setattr(pipeline, "deltas", recorded)
     paths = WorkspacePaths(Path(config.workspace))
-    pipeline._stage_task_vectors(config, paths, pipeline._input_digests(config), resume=False)
+    pipeline._stage_task_vectors(config, paths, pipeline._checkpoint_digests(config), resume=False)
     assert len(passes) == 4
     first, last = passes[0][0], passes[-1][0]
     assert len(first) == len(last) == 2
@@ -735,7 +772,7 @@ def test_stage_two_and_final_merge_hold_memory_bounded_by_the_largest_tensor(tmp
             make_config(directory, write_bf16_trio(directory, count, size), pool, directory / "ws")
         )
         paths = WorkspacePaths(Path(config.workspace))
-        digests = pipeline._input_digests(config)
+        digests = pipeline._checkpoint_digests(config)
         tracemalloc.start()
         try:
             pipeline._stage_task_vectors(config, paths, digests, resume=False)
