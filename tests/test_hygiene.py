@@ -207,51 +207,34 @@ def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]
             continue
         args = function.args
         positional = [*args.posonlyargs, *args.args]
-        for index, arg in enumerate(positional[len(positional) - len(args.defaults) :]):
-            found.append((node.name, arg.arg, len(positional) - len(args.defaults) + index - skip))
-        found.extend(
-            (node.name, arg.arg, None)
-            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        first = len(positional) - len(args.defaults)
+        found += [(node.name, a.arg, first + i - skip) for i, a in enumerate(positional[first:])]
+        found += [
+            (node.name, a.arg, None)
+            for a, default in zip(args.kwonlyargs, args.kw_defaults)
             if default is not None
-        )
+        ]
     return found
 
 
-def _set_parameters(tree: ast.Module) -> tuple[set[tuple[str, str]], Counter, set[str]]:
-    """What a module's calls set, by callee name: the parameters passed by
-    keyword, the most arguments passed by position, and the callees a `*` or
-    `**` argument may set anything of."""
-    keywords: set[tuple[str, str]] = set()
-    positions: Counter = Counter()
-    unpacked: set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name is None:
-            continue
-        if any(isinstance(arg, ast.Starred) for arg in node.args) or any(
-            kw.arg is None for kw in node.keywords
-        ):
-            unpacked.add(name)
-        keywords.update((name, kw.arg) for kw in node.keywords if kw.arg is not None)
-        positions[name] = max(positions[name], len(node.args))
-    return keywords, positions, unpacked
-
-
 def unset_parameters() -> list[str]:
+    """Each defaulted parameter that no call in the package or the benchmark
+    sets, by keyword, by position or through a `*` or `**` argument; a call
+    is matched to its callee by name."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in _modules(PACKAGE)}
     callers = [*trees.values()]
     callers += [ast.parse(path.read_text(encoding="utf-8")) for path in _modules(BENCHMARK)]
     keywords: set[tuple[str, str]] = set()
-    positions: Counter = Counter()
+    positions: Counter = Counter()  # the most arguments any call passes by position
     unpacked: set[str] = set()
-    for tree in callers:
-        module_keywords, module_positions, module_unpacked = _set_parameters(tree)
-        keywords |= module_keywords
-        positions |= module_positions  # the larger count of each callee
-        unpacked |= module_unpacked
+    for call in (node for tree in callers for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+        keywords.update((name, kw.arg) for kw in call.keywords if kw.arg is not None)
+        positions[name] = max(positions[name], len(call.args))
+        if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+            kw.arg is None for kw in call.keywords
+        ):
+            unpacked.add(name)
     return [
         f"{path.relative_to(PACKAGE)}:{callee}({parameter})"
         for path, tree in trees.items()
