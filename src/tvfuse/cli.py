@@ -103,7 +103,7 @@ def _load_config(args) -> PipelineConfig:
 def cmd_extract(args) -> int:
     base = open_archive(args.base)
     finetuned = open_archive(args.finetuned)
-    vector = deltas(base, [finetuned], allow_dtype_mismatch=args.allow_dtype_mismatch)([0])
+    vector = deltas(base, [finetuned], allow_dtype_mismatch=args.allow_dtype_mismatch)()
     shapes = base.shapes
     metadata = vector_metadata(args.base_id or str(base.path), args.ft_id or str(finetuned.path), None)
     write_vector(args.out, shapes, vector, metadata, dtype=args.dtype)

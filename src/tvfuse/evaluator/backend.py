@@ -73,8 +73,8 @@ class ScoreResult:
     @classmethod
     def from_logprobs(cls, logprobs: Sequence[float]) -> "ScoreResult":
         """The perplexity exp(-mean(logprobs)). No tokens, a non-finite
-        log-probability or a perplexity that overflows a float make a
-        malformed reply."""
+        log-probability or a perplexity that overflows a float or underflows
+        to 0 make a malformed reply."""
         if len(logprobs) == 0:
             raise MalformedResponseError("score returned an empty token list")
         try:
@@ -86,6 +86,8 @@ class ScoreResult:
         # Also catches a sum of finite values that overflows.
         if not math.isfinite(log_perplexity):
             raise MalformedResponseError("score returned a non-finite log-probability")
+        if perplexity == 0.0:
+            raise MalformedResponseError("score log-probabilities underflow the perplexity")
         return cls(token_logprobs=lp, perplexity=perplexity)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -28,12 +29,14 @@ class _KeepAliveServer(ThreadingHTTPServer):
     """Tracks open client connections so that closing the server ends them.
 
     A handler thread of a kept-alive connection waits for the client's next
-    request, and `server_close` joins those threads; shutting their sockets
-    down first wakes them.
+    request; `server_close` shuts its socket down, which wakes it. A read or
+    write of a socket shut so fails with a connection error that the
+    shutdown caused, which is not reported; every other handler error is.
     """
 
     def __init__(self, *args, **kwargs):
         self._live: set[socket.socket] = set()
+        self._shut: set[socket.socket] = set()
         self._live_lock = threading.Lock()
         super().__init__(*args, **kwargs)
 
@@ -49,13 +52,18 @@ class _KeepAliveServer(ThreadingHTTPServer):
 
     def server_close(self):
         with self._live_lock:
-            live = list(self._live)
-        for request in live:
+            self._shut = set(self._live)
+        for request in self._shut:
             try:
                 request.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
         super().server_close()
+
+    def handle_error(self, request, client_address):
+        if request in self._shut and isinstance(sys.exc_info()[1], OSError):
+            return
+        super().handle_error(request, client_address)
 
 
 class MockInferenceServer:

@@ -64,15 +64,38 @@ class TrialRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "TrialRecord":
+        """The record of one line `to_json` wrote. A line that is not a JSON
+        object with every field raises ValueError, KeyError or TypeError, and
+        so does a field that does not fit: replaying it could select a trial
+        that was never measured so."""
         obj = json.loads(line)
+        ok = obj["status"] == "ok"
+        c, p, n = obj["consistency"], obj["perplexity"], obj["failed_query_count"]
+        fits = {
+            "index": type(obj["index"]) is int,
+            "coeff_sft": _finite(obj["coeff_sft"]),
+            "coeff_rlvr": _finite(obj["coeff_rlvr"]),
+            "status": obj["status"] in ("ok", "failed"),
+            "consistency": (_finite(c) and 0.0 <= c <= 1.0) if ok else c is None,
+            "perplexity": (_finite(p) and p > 0.0) if ok else p is None,
+            "failed_query_count": type(n) is int and n >= 0,
+        }
+        for key, fit in fits.items():
+            if not fit:
+                raise ValueError(f"{obj['status']!r} record holds {key} {obj[key]!r}")
         return cls(
             index=obj["index"],
             coeffs=(obj["coeff_sft"], obj["coeff_rlvr"]),
-            consistency=obj["consistency"],
-            perplexity=obj["perplexity"],
+            consistency=c,
+            perplexity=p,
             status=obj["status"],
-            failed_query_count=obj.get("failed_query_count", 0),
+            failed_query_count=n,
         )
+
+
+def _finite(value: object) -> bool:
+    """A JSON number that is neither inf nor NaN; a bool is not a number."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 @dataclass
@@ -98,11 +121,12 @@ class SearchResult:
 
 
 def load_trial_log(path: str | Path) -> list[TrialRecord]:
-    """Read completed trials; a truncated trailing line (crash) is dropped.
+    """Read completed trials; a truncated trailing line (crash) is dropped,
+    and so is a last record whose fields do not fit (`TrialRecord.from_json`).
 
-    Raises TrialLogError for an unparseable line before the last one, or a
-    record whose index is not its position: replaying past either would
-    renumber every later trial.
+    Raises TrialLogError for such a line before the last one, or a record
+    whose index is not its position: replaying past either would renumber
+    every later trial.
     """
     records: list[TrialRecord] = []
     path = Path(path)
@@ -116,7 +140,7 @@ def load_trial_log(path: str | Path) -> list[TrialRecord]:
     for position, (lineno, line) in enumerate(numbered):
         try:
             record = TrialRecord.from_json(line)
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             if position == len(numbered) - 1:
                 logger.warning("dropping truncated last line %d of trial log %s", lineno, path)
                 break

@@ -23,12 +23,12 @@ stage-2 vectors one tensor at a time, so memory grows with the largest
 tensor, not with the model.
 
 Buffers: stage 2 makes one `deltas` reader and one `task_vector.Scratch`
-for all of its passes, and each merge owns its accumulator and term buffer
-for the length of the call. The reader's rule: a yielded delta is borrowed
-until the next item, and the stage masks, rescales and writes it in place
-before then; the buffers live as long as the reader; it runs one pass at a
-time. Nothing outlives its stage, so the search is not charged for stage
-2's buffers.
+for all of its passes, each pass reading both finetuned archives, and each
+merge owns its accumulator and term buffer for the length of the call. The
+reader's rule: a yielded delta is borrowed until the next item, and the
+stage masks, rescales and writes it in place before then; the buffers live
+as long as the reader; it runs one pass at a time. Nothing outlives its
+stage, so the search is not charged for stage 2's buffers.
 
 Only a backend that loads weights from a path (``loads_weights``, the HTTP
 backend) gets a candidate file per trial: the candidates share one path in
@@ -671,7 +671,7 @@ def _stage_task_vectors(
             scratch,
         )
     else:
-        vectors = read([0, 1])
+        vectors = read()
     specs = [(name, "F32", base.entries[name].shape) for name in byte_sorted(base.entries)]
     norms = Norms(origins, scratch)
     conflicts = denominator = 0

@@ -1,18 +1,17 @@
 """Task-vector extraction, sparsification, rescaling and linear merging.
 
 A task vector is the elementwise difference between a post-trained
-checkpoint and its base model. Every consumer reads a vector through one
-per-tensor source (`VectorSource`): float64 arrays, one tensor at a time in
-byte-wise name order. A source is a resident `TaskVector` or a stored
-archive read tensor by tensor (`StoredVector`). A `Lockstep` reader runs
-passes over several vectors, tensor by tensor: `lockstep(source)` over one
-source, and `deltas` over ft - base of one base and several finetuned
-archives, each archive once per tensor and one tensor ahead: while the
-caller works on one tensor set, one worker thread reads, widens and
-subtracts the next, so one more tensor set is in flight. A consumer walking
-a stored vector or the deltas holds one tensor of it at a time, so `merge`
-of stored vectors and stage 2 need memory bounded by the largest tensor,
-not by the model.
+checkpoint and its base model. A vector source (`VectorSource`) is a
+resident `TaskVector` or a stored archive read tensor by tensor
+(`StoredVector`). Every walk over vectors is a pass of a `Lockstep` reader,
+which reads every vector it was made over, tensor by tensor in byte-wise
+name order: `lockstep(source)` over one source, and `deltas` over ft - base
+of one base and several finetuned archives, each archive once per tensor and
+one tensor ahead: while the caller works on one tensor set, one worker
+thread reads, widens and subtracts the next, so one more tensor set is in
+flight. A consumer walking a stored vector or the deltas holds one tensor of
+it at a time, so `merge` of stored vectors, stage 2 and the diagnostics over
+stored vectors need memory bounded by the largest tensor, not by the model.
 
 Who owns the working memory: a job makes each reader once; the reader
 allocates its buffers, sized to the largest tensor, on the calling thread,
@@ -88,27 +87,8 @@ class SparsityInfo:
     epsilon: float | None = None
 
 
-class VectorSource:
-    """A task vector read as float64 arrays, one tensor at a time in
-    byte-wise name order. `shapes` names its tensors; a subclass says where
-    `read` gets one from."""
-
-    shapes: dict[str, tuple[int, ...]]
-    source_base_id: str
-    source_ft_id: str
-
-    def read(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
-        """Tensor `name`. A source that reads may read it into `out`, a flat
-        float64 array at least as large, and return a view of it."""
-        raise NotImplementedError
-
-    def arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        for name in byte_sorted(self.shapes):
-            yield name, self.read(name)
-
-
 @dataclass
-class TaskVector(VectorSource):
+class TaskVector:
     """Named flat float64 delta buffers plus provenance and sparsity state."""
 
     tensors: dict[str, np.ndarray]
@@ -121,7 +101,7 @@ class TaskVector(VectorSource):
         return self.tensors[name]
 
 
-class StoredVector(VectorSource):
+class StoredVector:
     """A vector archive, as `save_task_vector` writes it, read tensor by tensor.
     It is the one reader of vector archives."""
 
@@ -135,10 +115,16 @@ class StoredVector(VectorSource):
         return read_tensor(self.archive, name, out=out).values
 
 
-# Reads several vectors in lockstep: each call, with the indices of the
-# vectors to read, runs one pass that yields per tensor in name order its
-# name and one array per vector, under the module docstring's buffer rule.
-Lockstep = Callable[[Sequence[int]], Iterator[tuple[str, list[np.ndarray]]]]
+# A task vector as float64 arrays: `shapes` names its tensors, and
+# `read(name, out)` returns tensor `name`. A stored vector reads it into `out`,
+# a flat float64 array at least as large, and returns a view of it, a new
+# array when `out` is None; a resident one returns its own array.
+VectorSource = TaskVector | StoredVector
+
+# Reads several vectors in lockstep: each call runs one pass that yields per
+# tensor in name order its name and one array per vector, under the module
+# docstring's buffer rule.
+Lockstep = Callable[[], Iterator[tuple[str, list[np.ndarray]]]]
 
 
 def largest_size(shapes: Iterable[tuple[int, ...]]) -> int:
@@ -191,7 +177,7 @@ def deltas(
 ) -> Lockstep:
     """The `Lockstep` reader of ft - base for each finetuned archive: a pass
     yields per tensor in byte-wise name order the name and one float64 delta
-    per chosen archive, each archive read once. Names, shapes and dtypes are
+    per archive, each archive read once. Names, shapes and dtypes are
     checked before any read. A pass reads one tensor set ahead on one worker
     thread; a read error surfaces where a serial read would raise it, after
     the tensors before.
@@ -216,12 +202,12 @@ def deltas(
     base_buffer = np.empty(size)
     sets = [[np.empty(size) for _ in finetuned] for _ in range(2)]
 
-    def read(chosen: Sequence[int]) -> Iterator[tuple[str, list[np.ndarray]]]:
+    def read() -> Iterator[tuple[str, list[np.ndarray]]]:
         def tensors() -> Iterator[tuple[str, list[np.ndarray]]]:
             for index, name in enumerate(byte_sorted(base.entries)):
                 base_values = read_tensor(base, name, out=base_buffer).values
-                buffers = sets[index % 2]
-                vectors = [read_tensor(finetuned[i], name, out=buffers[i]).values for i in chosen]
+                buffers = zip(finetuned, sets[index % 2])
+                vectors = [read_tensor(ft, name, out=buffer).values for ft, buffer in buffers]
                 for values in vectors:
                     values -= base_values
                 yield name, vectors
@@ -242,12 +228,12 @@ def deltas(
 
 
 def lockstep(source: VectorSource) -> Lockstep:
-    """`source.arrays()` as the `Lockstep` reader of one vector. A stored
-    vector is read into one buffer, allocated here and sized to its largest
-    tensor; a resident one yields its own arrays."""
+    """The `Lockstep` reader of one vector. A stored vector is read into one
+    buffer, allocated here and sized to its largest tensor; a resident one
+    yields its own arrays."""
     buffer = None if isinstance(source, TaskVector) else np.empty(largest_size(source.shapes.values()))
 
-    def read(chosen: Sequence[int]) -> Iterator[tuple[str, list[np.ndarray]]]:
+    def read() -> Iterator[tuple[str, list[np.ndarray]]]:
         for name in byte_sorted(source.shapes):
             yield name, [source.read(name, out=buffer)]
 
@@ -257,7 +243,7 @@ def lockstep(source: VectorSource) -> Lockstep:
 def extract_task_vector(base: TensorArchive, finetuned: TensorArchive) -> TaskVector:
     """Per-tensor finetuned - base, read one tensor at a time."""
     read = deltas(base, [finetuned])
-    tensors = {name: delta.copy() for name, (delta,) in read([0])}
+    tensors = {name: delta.copy() for name, (delta,) in read()}
     return TaskVector(
         tensors=tensors,
         shapes={name: base.entries[name].shape for name in tensors},
@@ -276,7 +262,7 @@ def global_l2_norm(source: VectorSource, partials: dict[str, float] | None = Non
     """sqrt of the sum of squares over every parameter of every tensor.
     `partials`, when given, receives each tensor's `square_sum` by name."""
     total = 0.0
-    for name, values in source.arrays():
+    for name, (values,) in lockstep(source)():
         partial = square_sum(values)
         if partials is not None:
             partials[name] = partial
@@ -292,7 +278,7 @@ def non_finite(name: str, source_ft_id: str) -> NonFiniteVectorError:
 
 def require_finite(source: VectorSource) -> None:
     """Raise NonFiniteVectorError naming the first tensor holding inf or NaN."""
-    for name, values in source.arrays():
+    for name, (values,) in lockstep(source)():
         if not np.isfinite(values).all():
             raise non_finite(name, source.source_ft_id)
 
@@ -511,12 +497,14 @@ def _run_selects(
 ) -> None:
     """Run one select per vector `read` yields until each is done. Pass 1
     also hands each tensor to `first_pass(i, name, values)`, and then calls
-    `require_finite()`, which raises, if a vector holds inf or NaN; later
-    passes read only the vectors whose select is pending."""
+    `require_finite()`, which raises, if a vector holds inf or NaN; every
+    pass reads every vector, and later passes feed only the selects still
+    pending."""
     pending = list(range(len(selects)))
     while pending:
-        for name, vectors in read(pending):
-            for i, values in zip(pending, vectors):
+        for name, vectors in read():
+            for i in pending:
+                values = vectors[i]
                 if first_pass is not None:
                     first_pass(i, name, values)
                 selects[i].feed(values)
@@ -571,9 +559,9 @@ class KeepMasks:
 
 def keep_masks(source: VectorSource, cuts: Sequence[Cut], scratch: Scratch):
     """Per tensor in name order: (name, values, one keep mask per cut), the
-    masks valid until the next tensor."""
+    values and masks valid until the next tensor."""
     keep = KeepMasks(cuts, scratch)
-    for name, values in source.arrays():
+    for name, (values,) in lockstep(source)():
         yield name, values, keep(values)
 
 
@@ -604,8 +592,8 @@ def prune_and_rescale(
     it by `rescale_gamma`. Return each one's sparsity (`origins` name them in
     errors) and the last pass, which yields as `read` does. Pass 1 adds up
     the norms, checks finiteness and feeds the selects; further select passes
-    read only the vectors still pending; a mask pass gives gamma. Every pass
-    works in `scratch`.
+    read every vector and feed only the selects still pending; a mask pass
+    gives gamma. Every pass works in `scratch`.
 
     Unless `keep`, the mask passes mask in place the arrays `read` yields,
     which must be theirs to overwrite (borrowed from `deltas`, or from
@@ -626,7 +614,7 @@ def prune_and_rescale(
 
     def masked(gammas: Sequence[float] | None) -> Iterator[tuple[str, list[np.ndarray]]]:
         masks = [KeepMasks([cut], scratch) for cut in cuts]
-        for name, vectors in read(range(len(cuts))):
+        for name, vectors in read():
             for i, keep_mask in enumerate(masks):
                 values = vectors[i]
                 (mask,) = keep_mask(values)
@@ -764,14 +752,15 @@ def write_vector(
 def save_task_vector(tv: TaskVector, path: str | Path) -> None:
     """Persist a task vector as an F32 tensor archive with `vector_metadata`."""
     metadata = vector_metadata(tv.source_base_id, tv.source_ft_id, tv.sparsity)
-    write_vector(path, tv.shapes, lockstep(tv)([0]), metadata)
+    write_vector(path, tv.shapes, lockstep(tv)(), metadata)
 
 
 def load_task_vector(path: str | Path) -> TaskVector:
-    """A resident copy of the archive `save_task_vector` wrote, read through `StoredVector`."""
+    """A resident copy of the archive `save_task_vector` wrote, read through
+    `StoredVector`, a new array per tensor."""
     stored = StoredVector(path)
     return TaskVector(
-        tensors=dict(stored.arrays()),
+        tensors={name: stored.read(name) for name in byte_sorted(stored.shapes)},
         shapes=stored.shapes,
         source_base_id=stored.source_base_id,
         source_ft_id=stored.source_ft_id,

@@ -18,7 +18,7 @@ from tvfuse.errors import (
     TruncatedFileError,
     UnknownDtypeError,
 )
-from tvfuse.task_vector import StoredVector
+from tvfuse.task_vector import StoredVector, lockstep
 
 
 def build_raw(header: dict, data: bytes) -> bytes:
@@ -156,13 +156,13 @@ def test_iter_order_is_bytewise_lexicographic(tmp_path):
         ],
         path,
     )
-    assert [name for name, _ in StoredVector(path).arrays()] == ["a", "a.1", "b"]
+    assert [name for name, _ in lockstep(StoredVector(path))()] == ["a", "a.1", "b"]
 
 
 def test_empty_archive_iterates_nothing(tmp_path):
     path = tmp_path / "empty.safetensors"
     archive.write_archive([], path)
-    assert list(StoredVector(path).arrays()) == []
+    assert list(lockstep(StoredVector(path))()) == []
 
 
 def test_scalar_tensor(tmp_path):
@@ -261,7 +261,7 @@ def test_streaming_equals_individual_reads(tmp_path):
     path = tmp_path / "stream.safetensors"
     archive.write_archive(entries, path)
     arc = archive.open_archive(path)
-    streamed = dict(StoredVector(path).arrays())
+    streamed = {name: values.copy() for name, (values,) in lockstep(StoredVector(path))()}
     for name in arc.entries:
         assert np.array_equal(streamed[name], archive.read_tensor(arc, name).values)
 

@@ -477,6 +477,26 @@ def test_resume_refuses_a_trial_log_scored_on_another_selection(setup, capsys, c
     assert not [r for r in caplog.records if r.exc_info]
 
 
+def test_resume_over_a_trial_log_with_a_nan_consistency_ends_in_one_error_line(setup, capsys, caplog):
+    tmp_path, _, _, config_path = setup
+    run = ["run", "--config", str(config_path), "--set", "search.n_trials=12"]
+    run += ["--set", "search.n_startup=4"]
+    assert main(run) == 0
+    paths = WorkspacePaths(tmp_path / "ws")
+    lines = paths.trial_log.read_text().splitlines()
+    first = json.loads(lines[0])
+    first["consistency"] = float("nan")
+    paths.trial_log.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+    log = paths.trial_log.read_bytes()
+    capsys.readouterr()
+    assert main([*run, "--resume"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert f"{paths.trial_log} line 1" in lines[0] and "consistency nan" in lines[0], lines
+    assert paths.trial_log.read_bytes() == log
+    assert not [r for r in caplog.records if r.exc_info]
+
+
 # Settings that no stage file records: a resume honours a change to each.
 HONOURED_SETTINGS = {
     "more-trials": "search.n_trials=16",

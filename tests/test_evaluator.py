@@ -137,6 +137,12 @@ def test_score_result_rejects_logprobs_without_a_finite_perplexity(logprobs):
         ScoreResult.from_logprobs(logprobs)
 
 
+def test_score_result_rejects_a_perplexity_that_underflows_to_zero():
+    # A trial log refuses a perplexity of 0, so no reply may produce one.
+    with pytest.raises(MalformedResponseError, match="underflow"):
+        ScoreResult.from_logprobs([1000.0])
+
+
 def test_perplexity_of_empty_text():
     # Rejected before any request is made, so nothing listens on the port.
     with pytest.raises(EmptyTextError):

@@ -36,7 +36,6 @@ from tvfuse.evaluator import (
     encode_model_ref,
     quadratic_landscape,
 )
-from tvfuse.evaluator import http_backend as http_module
 from tvfuse.evaluator.backend import GenerationParams, QueryFanOut, sample_consistency
 
 LANDSCAPE = quadratic_landscape(peak=(0.8, 1.5), falloff=0.5, ppl_base=2.0, ppl_slope=3.0)
@@ -80,14 +79,6 @@ class QuietHandler(http.server.BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
-
-
-@pytest.fixture()
-def slept(monkeypatch):
-    """The client's backoff sleeps, recorded in place of being slept."""
-    calls: list[float] = []
-    monkeypatch.setattr(http_module.time, "sleep", calls.append)
-    return calls
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +361,39 @@ def test_stop_closes_kept_alive_connections():
     with pytest.raises(BackendFailure):
         client.score("sft", "after stop")
     client.close()
+
+
+def test_stop_with_a_kept_alive_connection_prints_nothing(capfd):
+    before = set(threading.enumerate())
+    srv = MockInferenceServer(MockBackend(LANDSCAPE, seed=5)).start()
+    client = HttpBackend(srv.url, max_attempts=1)
+    client.score("sft", "leave the connection open")
+    capfd.readouterr()
+    srv.stop()
+    # The request resets the connection whose handler `stop` woke.
+    with pytest.raises(BackendFailure):
+        client.score("sft", "after stop")
+    client.close()
+    # The server's threads end on their own; wait for them to print.
+    deadline = time.monotonic() + 5.0
+    while set(threading.enumerate()) - before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not set(threading.enumerate()) - before
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_failing_handler_still_prints_its_traceback(capfd):
+    class Failing(MockBackend):
+        def score(self, model_ref, text):
+            raise RuntimeError("the backend broke")
+
+    with MockInferenceServer(Failing(LANDSCAPE, seed=5)) as srv:
+        client = HttpBackend(srv.url, max_attempts=1)
+        with pytest.raises(BackendFailure):
+            client.score("sft", "text")
+        client.close()
+    err = capfd.readouterr().err
+    assert "Traceback" in err and "RuntimeError: the backend broke" in err, err
 
 
 SCORE_BODY = b'{"token_logprobs": [-0.5, -1.5]}'

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import logging
 import math
 import threading
@@ -660,6 +661,56 @@ def test_corrupt_middle_trial_log_line_raises(tmp_path):
     log.write_text("\n".join(lines) + "\n")
     with pytest.raises(TrialLogError, match=rf"{log.name} line 2: unparseable"):
         load_trial_log(log)
+
+
+# Records whose fields do not fit what `run_search` writes: each a change to
+# a valid record of trial 1 of the given status.
+MISSING = object()
+MISFITS = {
+    "index-bool": ("ok", {"index": True}),
+    "index-float": ("ok", {"index": 1.0}),
+    "coeff-nan": ("ok", {"coeff_sft": float("nan")}),
+    "coeff-inf": ("failed", {"coeff_rlvr": float("inf")}),
+    "coeff-string": ("ok", {"coeff_sft": "0.5"}),
+    "coeff-bool": ("ok", {"coeff_rlvr": True}),
+    "status-other": ("ok", {"status": "pending"}),
+    "consistency-nan": ("ok", {"consistency": float("nan")}),
+    "consistency-null": ("ok", {"consistency": None}),
+    "consistency-string": ("ok", {"consistency": "0.5"}),
+    "consistency-above-one": ("ok", {"consistency": 1.5}),
+    "consistency-below-zero": ("ok", {"consistency": -0.25}),
+    "perplexity-inf": ("ok", {"perplexity": float("inf")}),
+    "perplexity-zero": ("ok", {"perplexity": 0.0}),
+    "perplexity-null": ("ok", {"perplexity": None}),
+    "failed-with-consistency": ("failed", {"consistency": 0.5}),
+    "failed-with-perplexity": ("failed", {"perplexity": 2.0}),
+    "failed-queries-negative": ("ok", {"failed_query_count": -1}),
+    "failed-queries-float": ("ok", {"failed_query_count": 1.0}),
+    "failed-queries-bool": ("failed", {"failed_query_count": False}),
+    "failed-queries-missing": ("ok", {"failed_query_count": MISSING}),
+}
+
+
+def misfit_line(case):
+    status, changes = MISFITS[case]
+    record = json.loads(trial(1, 0.5, 2.0, status=status).to_json())
+    record.update(changes)
+    return json.dumps({key: value for key, value in record.items() if value is not MISSING})
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["mid-log", "last-line"])
+@pytest.mark.parametrize("case", list(MISFITS))
+def test_a_record_whose_fields_do_not_fit_is_refused_or_dropped_last(tmp_path, caplog, case, last):
+    log = tmp_path / "trials.jsonl"
+    lines = [trial(0, 0.5, 2.0).to_json(), misfit_line(case), trial(2, 0.5, 2.0).to_json()]
+    log.write_text("\n".join(lines[:2] if last else lines) + "\n")
+    if not last:
+        with pytest.raises(TrialLogError, match=rf"{log.name} line 2: unparseable"):
+            load_trial_log(log)
+        return
+    with caplog.at_level(logging.WARNING):
+        assert load_trial_log(log) == [trial(0, 0.5, 2.0)]
+    assert "dropping truncated last line 2" in caplog.text
 
 
 def test_misnumbered_trial_record_raises(tmp_path):

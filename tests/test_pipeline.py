@@ -719,10 +719,10 @@ def test_stage_two_passes_reuse_one_readers_buffers(setup, monkeypatch):
     def recorded(*args, **kwargs):
         read = original(*args, **kwargs)
 
-        def each_pass(chosen):
+        def each_pass():
             arrays = []
             passes.append(arrays)
-            for name, vectors in read(chosen):
+            for name, vectors in read():
                 arrays.append(list(vectors))
                 yield name, vectors
 
@@ -737,7 +737,7 @@ def test_stage_two_passes_reuse_one_readers_buffers(setup, monkeypatch):
     assert all(np.shares_memory(a, b) for a, b in zip(first, last))
     # Two passes of one stored vector's reader read into one buffer.
     read = task_vector.lockstep(task_vector.StoredVector(paths.tau_sft))
-    (_, (once,)), (_, (again,)) = next(read([0])), next(read([0]))
+    (_, (once,)), (_, (again,)) = next(read()), next(read())
     assert np.shares_memory(once, again)
 
 
