@@ -120,9 +120,6 @@ def score_difficulty(
     silently scored; if more than DEFAULT_FAILURE_CAP of the pool fails the
     whole scoring pass raises.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-
     def score_one(index: int, qid: str, text: str) -> DifficultyRecord:
         prompt = render_prompt(text, gen_params.prompt_preset)
         request_seed = seed * 1_000_003 + 2 * index
@@ -163,10 +160,6 @@ def build_adaptation_set(
     the n draws come from the low pool; a short pool backfills from the
     other and the backfill amount is recorded.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= easy_ratio <= 1.0:
-        raise ValueError("easy_ratio must be in [0, 1]")
     cutoff = default_threshold(m) if threshold is None else threshold
 
     survivors = sorted(

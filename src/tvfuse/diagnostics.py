@@ -187,8 +187,6 @@ def interference_sweep(
     select finds its cut at every retention, and one pass counts, per cut,
     the kept entries of `tv_a` that oppose the sign of sparsified `tv_b`.
     """
-    if not retentions_a:
-        raise ValueError("retention list must be non-empty")
     require_matching(tv_a.shapes, tv_b.shapes)
     sparse_b = sparsify(tv_b, retention_b)
     cuts = quantile_threshold(tv_a, retentions_a)

@@ -72,9 +72,9 @@ class ScoreResult:
 
     @classmethod
     def from_logprobs(cls, logprobs: Sequence[float]) -> "ScoreResult":
-        """The perplexity exp(-mean(logprobs)). No tokens, a non-finite
-        log-probability or a perplexity that overflows a float or underflows
-        to 0 make a malformed reply."""
+        """The perplexity exp(-mean(logprobs)), at least 1. No tokens, a
+        non-finite log-probability, a positive one (a probability above 1) or
+        a perplexity that overflows a float make a malformed reply."""
         if len(logprobs) == 0:
             raise MalformedResponseError("score returned an empty token list")
         try:
@@ -86,8 +86,8 @@ class ScoreResult:
         # Also catches a sum of finite values that overflows.
         if not math.isfinite(log_perplexity):
             raise MalformedResponseError("score returned a non-finite log-probability")
-        if perplexity == 0.0:
-            raise MalformedResponseError("score log-probabilities underflow the perplexity")
+        if max(lp) > 0.0:
+            raise MalformedResponseError("score returned a positive log-probability")
         return cls(token_logprobs=lp, perplexity=perplexity)
 
 

@@ -29,10 +29,14 @@ class _KeepAliveServer(ThreadingHTTPServer):
     """Tracks open client connections so that closing the server ends them.
 
     A handler thread of a kept-alive connection waits for the client's next
-    request; `server_close` shuts its socket down, which wakes it. A read or
-    write of a socket shut so fails with a connection error that the
-    shutdown caused, which is not reported; every other handler error is.
+    request; `server_close` shuts its socket down, which wakes it, and then
+    joins it. A read or write of a socket shut so fails with a connection
+    error that the shutdown caused, which is not reported; every other
+    handler error is.
     """
+
+    # `socketserver` joins only non-daemon handler threads on `server_close`.
+    daemon_threads = False
 
     def __init__(self, *args, **kwargs):
         self._live: set[socket.socket] = set()
@@ -156,8 +160,10 @@ class MockInferenceServer:
         return self
 
     def stop(self) -> None:
+        """Stop serving, close every connection and join every server thread."""
         self._server.shutdown()
         self._server.server_close()
+        self._thread.join()
 
     def __enter__(self) -> "MockInferenceServer":
         return self.start()

@@ -228,10 +228,6 @@ def run_search(
 ) -> SearchResult:
     """Run the trial budget sequentially, logging each trial to
     `trial_log_path`, and select from the Pareto frontier."""
-    if not queries:
-        raise ValueError("adaptation query list is empty")
-    if selection_rule not in SELECTION_RULES:
-        raise ValueError(f"unknown selection rule {selection_rule!r}")
     space = space or SearchSpace()
 
     history: list[TrialRecord] = []

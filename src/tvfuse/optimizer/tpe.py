@@ -84,14 +84,9 @@ class _ParzenMixture:
         silverman = 1.06 * spread * n ** (-0.2) if n > 0 else 0.0
         self.bandwidth = max(bandwidth_floor * (hi - lo), silverman)
         self.weight = 1.0 / (n + 1)
-        if n:
-            z_hi = (hi - self.centers) / self.bandwidth
-            z_lo = (lo - self.centers) / self.bandwidth
-            self.truncation = np.array(
-                [_norm_cdf(a) - _norm_cdf(b) for a, b in zip(z_hi, z_lo)]
-            )
-        else:
-            self.truncation = np.empty(0)
+        z_hi = (hi - self.centers) / self.bandwidth
+        z_lo = (lo - self.centers) / self.bandwidth
+        self.truncation = np.array([_norm_cdf(a) - _norm_cdf(b) for a, b in zip(z_hi, z_lo)])
 
     def log_densities(self, xs: Sequence[float]) -> list[float]:
         """Log density at each of `xs`: one kernel matrix of points x centres,

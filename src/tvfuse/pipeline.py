@@ -134,9 +134,7 @@ def _type_problems(value: Any, hint: Any, path: str) -> list[str]:
         return [] if check(value) else [f"{path} must be {expected}, got {value!r}"]
     if origin in (types.UnionType, Union) and args[1:] == (type(None),):  # X | None
         return [] if value is None else _type_problems(value, args[0], path)
-    if is_dataclass(hint):
-        if not isinstance(value, hint):
-            return [f"{path} must be a {hint.__name__}, got {value!r}"]
+    if is_dataclass(hint):  # `_build` made `value` an instance
         hints = get_type_hints(hint)
         children = [
             (getattr(value, f.name), hints[f.name], f"{path}.{f.name}".lstrip("."))
@@ -286,10 +284,11 @@ class PipelineConfig:
             problems.append(f"backend.kind must be mock or http, got {self.backend.kind!r}")
         if self.backend.kind == "http" and not self.backend.url:
             problems.append("backend.url is required for the http backend")
-        # The mock's perplexity, ppl_base + ppl_slope * d^2, must stay positive.
+        # The mock's perplexity, ppl_base + ppl_slope * d^2, must stay at least
+        # 1: its score replies log-probabilities -log(perplexity), none above 0.
         mock = self.backend.mock
-        if mock.ppl_base <= 0:
-            problems.append(f"backend.mock.ppl_base must be > 0, got {mock.ppl_base}")
+        if mock.ppl_base < 1:
+            problems.append(f"backend.mock.ppl_base must be >= 1, got {mock.ppl_base}")
         if mock.ppl_slope < 0:
             problems.append(f"backend.mock.ppl_slope must be >= 0, got {mock.ppl_slope}")
         try:
@@ -589,11 +588,21 @@ def _stage_select_data(
 ) -> AdaptationSet:
     """Score the difficulty of the `pool` queries and write the adaptation
     set with the record of what it is built from; a resume reuses it only
-    under the same record."""
+    under the same record, and only if it selects distinct pool queries."""
     record = _built_from(config, "select-data", digests)
     if resume and paths.adaptation_set.exists() and paths.difficulty_records.exists():
         logger.info("reusing stage1 artifacts")
         stored = _reuse(paths.adaptation_set, record, {f.name for f in fields(AdaptationSet)})
+        selected, ids = stored["selected"], {qid for qid, _ in pool.queries}
+        if not (
+            isinstance(selected, list)
+            and all(isinstance(qid, str) and qid in ids for qid in selected)
+            and 0 < len(set(selected)) == len(selected)
+        ):
+            raise ConfigError(
+                f"{paths.adaptation_set}: selected must be a non-empty list of distinct "
+                "ids of the pool's queries"
+            )
         return AdaptationSet(**{f.name: stored[f.name] for f in fields(AdaptationSet)})
     paths.stage1.mkdir(parents=True, exist_ok=True)
     records, failures = score_difficulty(

@@ -416,9 +416,6 @@ class RadixSelect:
     def __init__(
         self, shapes: Iterable[tuple[int, ...]], retentions: Sequence[float], scratch: Scratch
     ):
-        for p in retentions:
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"retention fraction must be in (0, 1], got {p}")
         sizes = [math.prod(shape) for shape in shapes]
         total = sum(sizes)
         if total == 0:
@@ -683,9 +680,7 @@ def merge(
     when the call ends, so with stored vectors it holds two tensors' worth;
     the output dtype defaults to each base tensor's own storage dtype.
     """
-    for source, coeff in terms:
-        if not math.isfinite(coeff):
-            raise ValueError(f"non-finite merge coefficient {coeff}")
+    for source, _ in terms:
         require_matching(base.shapes, source.shapes)
 
     # `write_archive` writes each combined tensor before it combines the next.

@@ -179,6 +179,20 @@ def test_backfill_from_medium_when_low_exhausted():
     assert built.backfill_count == 3
 
 
+def test_backfill_from_low_when_medium_exhausted():
+    records = records_from_difficulties([0.0, 0.1, 0.2, 0.5, 0.5, 0.5])
+    built = ad.build_adaptation_set(records, m=5, n=6, seed=2, easy_ratio=0.0)
+    assert (built.drawn_from_low, built.drawn_from_medium, built.backfill_count) == (3, 3, 3)
+    assert sorted(built.selected) == [r.query_id for r in records]
+
+
+def test_easy_ratio_one_draws_from_the_low_pool_alone():
+    records = records_from_difficulties([0.0, 0.1, 0.2, 0.3, 0.5, 0.5, 0.5, 0.5])
+    built = ad.build_adaptation_set(records, m=5, n=4, seed=2, easy_ratio=1.0)
+    assert (built.drawn_from_low, built.drawn_from_medium, built.backfill_count) == (4, 0, 0)
+    assert sorted(built.selected) == built.low_pool_ids
+
+
 def test_ratio_controls_pool_counts():
     records = records_from_difficulties(list(np.linspace(0.0, 0.7, 64)))
     built = ad.build_adaptation_set(records, m=5, n=16, seed=9, easy_ratio=0.25)

@@ -12,9 +12,11 @@ from reference import archive_bytes, read_tensor_bytes, stored_patterns, widen
 from tvfuse import archive
 from tvfuse.errors import (
     DuplicateNameError,
+    IoFailureError,
     MalformedHeaderError,
     NameNotFoundError,
     OverlappingRegionsError,
+    ShapeMismatchError,
     TruncatedFileError,
     UnknownDtypeError,
 )
@@ -119,6 +121,90 @@ def test_byte_length_mismatch_rejected(tmp_path):
     path.write_bytes(build_raw(header, b"\x00" * 8))
     with pytest.raises(MalformedHeaderError):
         archive.open_archive(path)
+
+
+def _entry(**fields) -> dict:
+    return {"dtype": "F32", "shape": [1], "data_offsets": [0, 4], **fields}
+
+
+# Each case: the file's bytes, the error and the text its message holds.
+BAD_FILES = {
+    "short-prefix": (b"\x00" * 3, TruncatedFileError, "8-byte length prefix"),
+    "header-array": (build_raw([1], b""), MalformedHeaderError, "not a JSON object"),
+    "metadata-number-value": (
+        build_raw({"__metadata__": {"k": 1}, "a": _entry()}, b"\x00" * 4),
+        MalformedHeaderError,
+        "string-to-string map",
+    ),
+    "empty-name": (build_raw({"": _entry()}, b"\x00" * 4), MalformedHeaderError, "empty tensor name"),
+    "entry-array": (build_raw({"a": [1]}, b""), MalformedHeaderError, "not an object"),
+    "entry-without-offsets": (
+        build_raw({"a": {"dtype": "F32", "shape": [1]}}, b"\x00" * 4), MalformedHeaderError, "missing"
+    ),
+    "negative-dimension": (
+        build_raw({"a": _entry(shape=[-1])}, b"\x00" * 4), MalformedHeaderError, "invalid shape"
+    ),
+    "bool-dimension": (
+        build_raw({"a": _entry(shape=[True])}, b"\x00" * 4), MalformedHeaderError, "invalid shape"
+    ),
+    "offsets-reversed": (
+        build_raw({"a": _entry(data_offsets=[4, 0])}, b"\x00" * 4),
+        MalformedHeaderError,
+        "invalid data_offsets",
+    ),
+    "offsets-three": (
+        build_raw({"a": _entry(data_offsets=[0, 4, 8])}, b"\x00" * 4),
+        MalformedHeaderError,
+        "invalid data_offsets",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FILES))
+def test_malformed_file_rejected(tmp_path, case):
+    raw, error, needle = BAD_FILES[case]
+    path = tmp_path / "bad.safetensors"
+    path.write_bytes(raw)
+    with pytest.raises(error, match=needle):
+        archive.open_archive(path)
+
+
+def test_read_of_a_removed_file_is_an_io_failure(tmp_path):
+    path = tmp_path / "gone.safetensors"
+    archive.write_archive([("w", "F32", [1], np.array([1.0]))], path)
+    arc = archive.open_archive(path)
+    path.unlink()
+    with pytest.raises(IoFailureError, match="cannot read"):
+        archive.read_tensor(arc, "w")
+
+
+def _write_too_many(write):
+    write(np.zeros(2))
+    write(np.zeros(2))
+
+
+# Each case: the specs, what is written, the error and the text its message holds.
+BAD_WRITES = {
+    "empty-name": ([("", "F32", [2])], lambda write: None, ValueError, "empty tensor name"),
+    "unknown-dtype": ([("w", "F64", [2])], lambda write: None, UnknownDtypeError, "F64"),
+    "past-the-last": ([("w", "F32", [2])], _write_too_many, ValueError, "already written"),
+    "short-tensor": ([("w", "F32", [2])], lambda write: write(np.zeros(1)), ShapeMismatchError, "do not fill"),
+    "never-written": (
+        [("w", "F32", [2]), ("v", "F32", [1])],
+        lambda write: write(np.zeros(2)),
+        ValueError,
+        r"\['v'\] were not written",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_WRITES))
+def test_write_that_does_not_fit_its_specs_leaves_no_file(tmp_path, case):
+    specs, writes, error, needle = BAD_WRITES[case]
+    with pytest.raises(error, match=needle):
+        with archive.archive_writer(specs, tmp_path / "out.safetensors") as write:
+            writes(write)
+    assert not list(tmp_path.iterdir())  # neither the archive nor its .tmp sibling
 
 
 def test_write_rejects_duplicate_names(tmp_path):

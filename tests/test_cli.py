@@ -52,7 +52,8 @@ def test_sparsify_and_merge_subcommands(setup, capsys):
     tau = tmp_path / "tau.safetensors"
     main(["extract", "--base", str(checkpoints["base"]), "--finetuned", str(checkpoints["sft"]), "--out", str(tau)])
     sparse = tmp_path / "tau_sparse.safetensors"
-    assert main(["sparsify", "--vector", str(tau), "--out", str(sparse), "--retention", "0.3"]) == 0
+    argv = ["sparsify", "--vector", str(tau), "--out", str(sparse), "--retention", "0.3"]
+    assert main([*argv, "--epsilon", "1e-6"]) == 0
     assert "gamma" in archive.open_archive(sparse).metadata
 
     merged = tmp_path / "merged.safetensors"
@@ -168,12 +169,14 @@ def test_analyze_subcommands(setup, capsys, tmp_path):
     assert payload["global_norm"] > 0
     assert norms_csv.exists()
 
+    interference_csv = tmp_path / "interference.csv"
     assert (
         main(
             [
                 "analyze", "sign-interference",
                 "--a", str(tau_sft), "--b", str(tau_rlvr),
                 "--retain-a", "1.0", "--retain-b", "0.1",
+                "--out-csv", str(interference_csv),
             ]
         )
         == 0
@@ -181,6 +184,8 @@ def test_analyze_subcommands(setup, capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert 0.0 <= report["conflict_ratio"] <= 1.0
     assert report["denominator_count"] > 0
+    rows = interference_csv.read_text().splitlines()
+    assert len(rows) == 2 and rows[1].endswith(str(report["denominator_count"]))
 
     sweep_csv = tmp_path / "sweep.csv"
     assert (
@@ -197,9 +202,12 @@ def test_analyze_subcommands(setup, capsys, tmp_path):
     assert len(sweep_csv.read_text().splitlines()) == 3  # header + 2 rows
     capsys.readouterr()
 
-    assert main(["analyze", "modules", "--vector", str(tau_sft), "--retention", "0.1"]) == 0
+    modules_csv = tmp_path / "modules.csv"
+    argv = ["analyze", "modules", "--vector", str(tau_sft), "--retention", "0.1"]
+    assert main([*argv, "--out-csv", str(modules_csv)]) == 0
     ratios = json.loads(capsys.readouterr().out)
     assert "MLP" in ratios
+    assert len(modules_csv.read_text().splitlines()) == 1 + len(ratios)
 
 
 def test_analyze_norms_reads_each_tensor_once(tmp_path, capsys, monkeypatch):
@@ -359,6 +367,26 @@ BAD_RESUME_FILES = {
     "summary-truncated": ("stage2/summary.json", None),
     "summary-unknown-key": ("stage2/summary.json", b'{"bogus": 1}'),
 }
+
+
+@pytest.mark.parametrize(
+    "selected",
+    [[], ["nope"], "q001", ["q001", "q001"]],
+    ids=["empty", "unknown-id", "string", "repeated-id"],
+)
+def test_resume_over_a_selection_that_does_not_fit_the_pool_ends_in_one_error_line(
+    setup, capsys, caplog, selected
+):
+    tmp_path, _, _, config_path = setup
+    args = ["--config", str(config_path), "--set", "search.n_trials=12"]
+    assert main(["select-data", *args]) == 0
+    path = WorkspacePaths(tmp_path / "ws").adaptation_set
+    path.write_text(json.dumps({**json.loads(path.read_text()), "selected": selected}))
+    capsys.readouterr()
+    assert main(["run", *args, "--resume"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(path) in lines[0], lines
+    assert not [r for r in caplog.records if r.exc_info]
 
 
 @pytest.mark.parametrize("case", list(BAD_RESUME_FILES))
@@ -636,8 +664,36 @@ BAD_INPUTS = {
     "config-seed-fraction": (None, [*_RUN, "--set", "seed=1.5"], 2, "seed must be an integer"),
     "config-seed-negative": (None, [*_RUN, "--set", "seed=-1"], 2, "seed must be >= 0"),
     "config-mock-ppl-base-zero": (
-        None, [*_RUN, "--set", "backend.mock.ppl_base=0"], 2, "backend.mock.ppl_base must be > 0"
+        None, [*_RUN, "--set", "backend.mock.ppl_base=0"], 2, "backend.mock.ppl_base must be >= 1"
     ),
+    "config-mock-ppl-base-below-one": (
+        None, [*_RUN, "--set", "backend.mock.ppl_base=0.5"], 2, "backend.mock.ppl_base must be >= 1"
+    ),
+    "config-base-path-empty": (None, [*_RUN, "--set", "base_path="], 2, "base_path is required"),
+    "config-workspace-empty": (None, [*_RUN, "--set", "workspace="], 2, "workspace is required"),
+    "config-epsilon-zero": (None, [*_RUN, "--set", "epsilon=0"], 2, "epsilon must be positive"),
+    "config-m-one": (None, [*_RUN, "--set", "m=1"], 2, "m must be >= 2"),
+    "config-n-zero": (None, [*_RUN, "--set", "n=0"], 2, "n must be >= 1"),
+    "config-easy-ratio-above-one": (
+        None, [*_RUN, "--set", "easy_medium_ratio=1.5"], 2, "easy_medium_ratio must be in [0, 1]"
+    ),
+    "config-selection-rule-unknown": (
+        None, [*_RUN, "--set", "search.selection_rule=best"], 2, "unknown selection_rule 'best'"
+    ),
+    "config-backend-kind-unknown": (
+        None, [*_RUN, "--set", "backend.kind=grpc"], 2, "backend.kind must be mock or http"
+    ),
+    "config-http-without-url": (
+        None, [*_RUN, "--set", "backend.kind=http"], 2, "backend.url is required"
+    ),
+    "config-http-max-attempts-zero": (
+        None, [*_HTTP, "--set", "backend.max_attempts=0"], 2, "max_attempts must be >= 1"
+    ),
+    "config-override-into-a-number": (
+        None, [*_RUN, "--set", "seed.x=1"], 2, "cannot override seed.x: seed is not an object"
+    ),
+    "config-checkpoint-directory": (DIRECTORY, [*_RUN, "--set", "base_path={file}"], 2, "cannot read"),
+    "set-without-equals": (None, [*_RUN, "--set", "seed"], 1, "--set expects DOTTED.PATH=VALUE"),
     "config-mock-ppl-slope-negative": (
         None, [*_RUN, "--set", "backend.mock.ppl_slope=-1"], 2, "backend.mock.ppl_slope must be >= 0"
     ),

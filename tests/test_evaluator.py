@@ -137,10 +137,12 @@ def test_score_result_rejects_logprobs_without_a_finite_perplexity(logprobs):
         ScoreResult.from_logprobs(logprobs)
 
 
-def test_score_result_rejects_a_perplexity_that_underflows_to_zero():
-    # A trial log refuses a perplexity of 0, so no reply may produce one.
-    with pytest.raises(MalformedResponseError, match="underflow"):
-        ScoreResult.from_logprobs([1000.0])
+@pytest.mark.parametrize("logprobs", [[0.5, 0.7], [-1.0, 5e-324], [1000.0]])
+def test_score_result_rejects_a_positive_log_probability(logprobs):
+    # No model gives a token a probability above 1, so every perplexity is at
+    # least 1; [1000.0]'s would underflow to 0, which a trial log refuses.
+    with pytest.raises(MalformedResponseError, match="positive log-probability"):
+        ScoreResult.from_logprobs(logprobs)
 
 
 def test_perplexity_of_empty_text():
@@ -202,12 +204,20 @@ def test_mock_score_matches_landscape_perplexity():
     assert ppl == pytest.approx(3.0, rel=1e-12)
 
 
-def test_mock_unknown_ref():
+@pytest.mark.parametrize("ref", ["mystery-model", "merged:abc:1"])
+def test_mock_unknown_ref(ref):
     from tvfuse.errors import UnknownModelRefError
 
     backend = MockBackend(quadratic_landscape())
     with pytest.raises(UnknownModelRefError):
-        backend.generate(GenerationRequest("mystery-model", "q", num_samples=2))
+        backend.generate(GenerationRequest(ref, "q", num_samples=2))
+
+
+def test_evaluator_package_has_no_other_lazy_name():
+    import tvfuse.evaluator
+
+    with pytest.raises(AttributeError, match="no attribute 'Nope'"):
+        tvfuse.evaluator.Nope
 
 
 # --- prompt presets ------------------------------------------------------------------

@@ -115,6 +115,12 @@ def test_widening_into_a_buffer_matches_the_plain_cast_bit_for_bit(dtype, count)
         assert same_bits(out, want)
 
 
+@pytest.mark.parametrize("convert", [lambda: widen_to_f64(b"", "F64"), lambda: narrow_from_f64(np.zeros(1), "F64")])
+def test_an_unsupported_dtype_is_refused(convert):
+    with pytest.raises(ValueError, match="unsupported dtype 'F64'"):
+        convert()
+
+
 def test_widening_rejects_an_output_of_another_size():
     with pytest.raises(ValueError, match="do not fill"):
         widen_to_f64(b"\x00\x00\x80\x3f", "F32", out=np.empty(2))

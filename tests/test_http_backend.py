@@ -11,6 +11,7 @@ import os
 import shutil
 import socket
 import ssl
+import struct
 import subprocess
 import sys
 import threading
@@ -174,16 +175,64 @@ def test_http_4xx_fails_without_retry(server, http_backend, slept):
     assert slept == []
 
 
-def test_malformed_server_response():
-    # A server answering non-JSON must raise MalformedResponseError.
+# Each case: the call, a 200 reply's body, and the text the error holds.
+MALFORMED_REPLIES = {
+    "not-json": ("generate", b"definitely not json", "not JSON"),
+    "array": ("generate", b"[1]", "not a JSON object"),
+    "samples-not-a-list": ("generate", b'{"samples": 1}', "missing 'samples' list"),
+    "sample-without-text": ("generate", b'{"samples": [{"txt": "a"}]}', "sample without 'text'"),
+    "logprobs-strings": ("score", b'{"token_logprobs": ["a"]}', "missing numeric"),
+    "logprobs-missing": ("score", b"{}", "missing numeric"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_REPLIES))
+def test_malformed_server_response(case):
+    call, body, needle = MALFORMED_REPLIES[case]
+
     class BadHandler(QuietHandler):
         def do_POST(self):
-            self.reply(b"definitely not json")
+            self.reply(body)
 
-    with serve(BadHandler) as url:
-        client = HttpBackend(url, max_attempts=1)
-        with pytest.raises(MalformedResponseError):
-            client.generate(GenerationRequest("m", "p", num_samples=1))
+    with serve(BadHandler) as url, contextlib.closing(HttpBackend(url, max_attempts=1)) as client:
+        with pytest.raises(MalformedResponseError, match=needle):
+            if call == "generate":
+                client.generate(GenerationRequest("m", "p", num_samples=1))
+            else:
+                client.score("m", "text")
+
+
+# Each case: a request's Content-Length header and body, and the error the
+# mock server answers with status 400.
+BAD_REQUESTS = {
+    "length-not-a-number": (b"abc", b"", "bad Content-Length"),
+    "length-negative": (b"-1", b"", "bad Content-Length"),
+    "body-not-json": (b"1", b"{", "bad json"),
+    "max-tokens-zero": (
+        None,
+        json.dumps({"model": "sft", "prompt": "p", "n": 1, "temperature": 0.6, "max_tokens": 0}).encode(),
+        "max_tokens must be >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_REQUESTS))
+def test_mock_server_answers_a_bad_request_with_400(case):
+    length, body, needle = BAD_REQUESTS[case]
+    length = str(len(body)).encode() if length is None else length
+    with MockInferenceServer(MockBackend(LANDSCAPE, seed=5)) as srv:
+        port = int(srv.url.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+            sock.sendall(b"POST /generate HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n" + body)
+            with sock.makefile("rb") as reply:
+                status_line = reply.readline()
+                headers = {}
+                while (line := reply.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    headers[name.strip().lower()] = value.strip()
+                error = json.loads(reply.read(int(headers[b"content-length"])))["error"]
+    assert status_line.split()[1] == b"400", status_line
+    assert needle in error, error
 
 
 class FaultyBackend(MockBackend):
@@ -370,15 +419,47 @@ def test_stop_with_a_kept_alive_connection_prints_nothing(capfd):
     client.score("sft", "leave the connection open")
     capfd.readouterr()
     srv.stop()
+    # `stop` joins the handler thread it woke.
+    assert not set(threading.enumerate()) - before
     # The request resets the connection whose handler `stop` woke.
     with pytest.raises(BackendFailure):
         client.score("sft", "after stop")
     client.close()
-    # The server's threads end on their own; wait for them to print.
-    deadline = time.monotonic() + 5.0
-    while set(threading.enumerate()) - before and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert not set(threading.enumerate()) - before
+    assert capfd.readouterr() == ("", "")
+
+
+def test_stop_joins_a_handler_with_a_request_in_flight(capfd):
+    started = threading.Event()
+
+    class Slow(MockBackend):
+        def score(self, model_ref, text):
+            started.set()
+            # Reply once `stop` has shut the sockets, before it joins the handlers.
+            deadline = time.monotonic() + 5.0
+            while not srv._server._shut and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return super().score(model_ref, text)
+
+    before = set(threading.enumerate())
+    srv = MockInferenceServer(Slow(LANDSCAPE, seed=5)).start()
+    client = HttpBackend(srv.url, max_attempts=1)
+    failures = []
+
+    def call():
+        try:
+            client.score("sft", "in flight")
+        except BackendFailure as exc:
+            failures.append(exc)
+
+    caller = threading.Thread(target=call)
+    caller.start()
+    assert started.wait(5.0)
+    srv.stop()
+    # The handler has written its reply to the socket `stop` shut, and ended.
+    assert set(threading.enumerate()) - before <= {caller}
+    caller.join(5.0)
+    client.close()
+    assert not caller.is_alive() and len(failures) == 1
     assert capfd.readouterr() == ("", "")
 
 
@@ -477,6 +558,8 @@ BAD_FRAMING = {
     ),
     "100-header-lines": framed(b"HTTP/1.1 200 OK", *[b"X-Filler-%d: 1" % i for i in range(100)]),
     "bad-status-line": framed(b"HTTP/1.1 OK", b"Content-Length: 32"),
+    "bad-content-length": framed(b"HTTP/1.1 200 OK", b"Content-Length: 3x"),
+    "bad-chunk-size": framed(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked", body=b"zz\r\n"),
 }
 
 
@@ -492,6 +575,35 @@ def test_malformed_framing_is_a_connection_failure(slept, case):
         assert time.perf_counter() - start < 2.0
     assert info.value.status == 0 and "connection failed" in str(info.value)
     assert handler.requests == 2  # retried
+
+
+def test_a_204_reply_has_no_body():
+    # Read as a body, the kept-open connection would wait out the timeout.
+    handler = replying(b"HTTP/1.1 204 No Content\r\n\r\n", False)
+    with serve(handler) as url, contextlib.closing(
+        HttpBackend(url, max_attempts=1, timeout=5.0)
+    ) as client:
+        start = time.perf_counter()
+        with pytest.raises(MalformedResponseError, match="not JSON"):
+            client.score("m", "text")
+        assert time.perf_counter() - start < 2.0
+
+
+def test_a_reset_before_the_reply_is_a_connection_failure(slept):
+    class Resetting(QuietHandler):
+        connections = 0
+
+        def handle(self):
+            type(self).connections += 1
+            # Closed with a zero linger time, the socket sends a reset, not an end of file.
+            self.request.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            self.request.close()
+
+    with serve(Resetting) as url, contextlib.closing(HttpBackend(url, max_attempts=2)) as client:
+        with pytest.raises(HttpStatusError, match="connection failed") as info:
+            client.score("m", "text")
+    assert isinstance(info.value.__cause__, ConnectionResetError)
+    assert Resetting.connections == 2  # retried on a new connection
 
 
 def test_body_cut_short_is_retried(slept):

@@ -170,6 +170,15 @@ def test_config_validation():
         TpeConfig(n_candidates=0)
 
 
+def test_a_draw_rejected_every_time_falls_back_to_its_clamped_centre():
+    # A bandwidth 1e9 times the range accepts a draw about once in 2.5e9, so
+    # the kernel draws end at the centre; the prior's draws are uniform.
+    mixture = _ParzenMixture([0.75], 0.0, 1.0, bandwidth_floor=1e9)
+    rng = np.random.default_rng(0)
+    draws = [mixture.sample(rng) for _ in range(20)]
+    assert 0.75 in draws and all(0.0 <= x <= 1.0 for x in draws)
+
+
 @st.composite
 def tpe_cases(draw):
     """A history with tied objectives and failed trials, a 1-3 dimensional
