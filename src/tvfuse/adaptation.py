@@ -109,9 +109,9 @@ def score_difficulty(
     sft_ref: str,
     rlvr_ref: str,
     m: int,
-    gen_params: GenerationParams = GenerationParams(),
-    seed: int = 0,
-    concurrency: int = 8,
+    gen_params: GenerationParams,
+    seed: int,
+    concurrency: int,
 ) -> tuple[list[DifficultyRecord], list[str]]:
     """Score every query's difficulty from both source models' consistency;
     return the records and the ids of the queries that failed.
@@ -149,12 +149,12 @@ def build_adaptation_set(
     m: int,
     n: int,
     seed: int,
-    threshold: float | None = None,
-    easy_ratio: float = 0.5,
+    threshold: float | None,
+    easy_ratio: float,
 ) -> AdaptationSet:
     """Filter, median-split and stratified-sample the adaptation set.
 
-    Records with difficulty strictly above the threshold (default 1 - 1/m)
+    Records with difficulty strictly above the threshold (None: 1 - 1/m)
     are dropped; survivors sorted by (difficulty, query_id) are split at the
     median (odd count: the median joins the medium pool). `easy_ratio` of
     the n draws come from the low pool; a short pool backfills from the

@@ -25,7 +25,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DtypeOverflowError,
     DuplicateNameError,
     IoFailureError,
     MalformedHeaderError,
@@ -42,7 +43,7 @@ from .errors import (
     TruncatedFileError,
     UnknownDtypeError,
 )
-from .floats import DTYPE_SIZES, DTYPES, narrow_from_f64, widen_to_f64
+from .floats import DTYPE_SIZES, DTYPES, narrow_from_f64, overflows, widen_to_f64
 
 _HEADER_LEN_BYTES = 8
 _METADATA_KEY = "__metadata__"
@@ -83,8 +84,8 @@ class TensorArchive:
 
     path: Path
     entries: dict[str, TensorMeta]
-    metadata: dict[str, str] = field(default_factory=dict)
-    data_start: int = 0
+    metadata: dict[str, str]
+    data_start: int
 
     @property
     def shapes(self) -> dict[str, tuple[int, ...]]:
@@ -212,7 +213,7 @@ def open_archive(path: str | Path) -> TensorArchive:
     )
 
 
-def read_tensor(archive: TensorArchive, name: str, out: np.ndarray | None = None) -> TensorData:
+def read_tensor(archive: TensorArchive, name: str, out: np.ndarray | None) -> TensorData:
     """Read one tensor and widen it exactly to float64: into a new array, or
     into the front of `out`, a flat float64 array at least as large as the
     tensor, whose values are then a view of `out`.
@@ -276,7 +277,8 @@ def archive_writer(
 
     The data block is laid out in spec order with no padding; values are
     narrowed to the storage dtype with round-to-nearest-even, one block of
-    `_WRITE_BLOCK` values at a time. Offsets come
+    `_WRITE_BLOCK` values at a time. A finite value that would round to inf
+    raises DtypeOverflowError; inf and NaN are written as they are. Offsets come
     from shape and dtype alone, so the header is written first and each
     tensor can be dropped once written. The file is written to a temp
     sibling and renamed when the block ends with every tensor written, so
@@ -325,7 +327,12 @@ def archive_writer(
                     f"tensor {name!r}: {flat.size} values do not fill shape {shape}"
                 )
             for start in range(0, flat.size, _WRITE_BLOCK):
-                fh.write(narrow_from_f64(flat[start : start + _WRITE_BLOCK], dtype))
+                block = flat[start : start + _WRITE_BLOCK]
+                if overflows(block, dtype):
+                    raise DtypeOverflowError(
+                        f"{path}: tensor {name!r} holds a finite value beyond the {dtype} range"
+                    )
+                fh.write(narrow_from_f64(block, dtype))
 
         yield write
         unwritten = [name for name, _, _ in pending]

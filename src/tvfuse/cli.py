@@ -262,11 +262,12 @@ def build_parser() -> _Parser:
     p.add_argument("--allow-dtype-mismatch", action="store_true")
     p.set_defaults(handler=cmd_extract)
 
+    defaults = PipelineConfig()
     p = sub.add_parser("sparsify", help="prune a task vector and restore its norm")
     p.add_argument("--vector", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--retention", type=_fraction, default=0.30)
-    p.add_argument("--epsilon", type=_positive, default=1e-8)
+    p.add_argument("--retention", type=_fraction, default=defaults.retention_p)
+    p.add_argument("--epsilon", type=_positive, default=defaults.epsilon)
     p.add_argument("--no-rescale", action="store_true")
     p.set_defaults(handler=cmd_sparsify)
 

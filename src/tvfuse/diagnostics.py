@@ -206,9 +206,7 @@ def interference_sweep(
     ]
 
 
-def classify_module(
-    tensor_name: str, rules: Sequence[ModuleRule] = DEFAULT_MODULE_RULES
-) -> ModuleClass:
+def classify_module(tensor_name: str, rules: Sequence[ModuleRule]) -> ModuleClass:
     """First matching rule wins; unmatched names classify as Other."""
     for rule in rules:
         if rule.matches(tensor_name):

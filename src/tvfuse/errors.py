@@ -47,6 +47,10 @@ class IoFailureError(ArchiveError):
     """Underlying filesystem operation failed."""
 
 
+class DtypeOverflowError(TvfuseError):
+    """A finite value to be written rounds to inf in its storage dtype."""
+
+
 # --- task vectors ------------------------------------------------------------
 
 
@@ -99,8 +103,8 @@ class BackendTimeoutError(BackendFailure):
 class HttpStatusError(BackendFailure):
     """Backend answered with a non-success HTTP status."""
 
-    def __init__(self, status: int, message: str = ""):
-        super().__init__(message or f"HTTP status {status}")
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
         self.status = status
 
 

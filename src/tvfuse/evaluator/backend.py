@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, TypeVar
 
 from ..errors import BackendFailure, MalformedResponseError
@@ -30,9 +30,9 @@ T = TypeVar("T")
 class GenerationParams:
     """Sampling settings shared by difficulty scoring and trial evaluation."""
 
-    temperature: float = 0.6
-    max_tokens: int = 8192
-    prompt_preset: str = "qwen-structured"
+    temperature: float
+    max_tokens: int
+    prompt_preset: str
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,10 @@ class GenerationRequest:
 
     model_ref: str
     prompt: str
-    num_samples: int = 1
-    temperature: float = 0.6
-    max_tokens: int = 8192
-    seed: int | None = None
+    num_samples: int
+    temperature: float
+    max_tokens: int
+    seed: int | None
 
     def __post_init__(self):
         if self.num_samples < 1:
@@ -60,7 +60,7 @@ class GenerationSample:
     """One generated text plus its extracted, normalized final answer."""
 
     text: str
-    extracted_answer: str | None = None
+    extracted_answer: str | None
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class ScoreResult:
     """Token log-probabilities (natural log) and derived perplexity."""
 
     token_logprobs: tuple[float, ...]
-    perplexity: float = field(default=0.0)
+    perplexity: float
 
     @classmethod
     def from_logprobs(cls, logprobs: Sequence[float]) -> "ScoreResult":

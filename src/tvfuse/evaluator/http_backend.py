@@ -156,7 +156,7 @@ class HttpBackend:
     # The serving side loads the model named by a request's `model` path.
     loads_weights = True
 
-    def __init__(self, base_url: str, max_attempts: int = 3, timeout: float = 60.0):
+    def __init__(self, base_url: str, max_attempts: int, timeout: float):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if not (math.isfinite(timeout) and timeout > 0):

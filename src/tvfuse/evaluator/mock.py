@@ -50,10 +50,7 @@ def decode_model_ref(model_ref: str) -> tuple[float, float] | None:
 
 
 def quadratic_landscape(
-    peak: tuple[float, float] = (0.8, 1.5),
-    falloff: float = 8.0,
-    ppl_base: float = 2.0,
-    ppl_slope: float = 1.0,
+    peak: tuple[float, float], falloff: float, ppl_base: float, ppl_slope: float
 ) -> Landscape:
     """Consistency 1 - falloff * d^2 (clamped to [0, 1]) around a single peak;
     perplexity grows linearly in d^2, so the peak is also the perplexity floor."""
@@ -82,9 +79,9 @@ class MockBackend:
     def __init__(
         self,
         landscape: Landscape,
-        seed: int = 0,
-        aliases: dict[str, tuple[float, float]] | None = None,
-        query_jitter: float = 0.0,
+        seed: int,
+        aliases: dict[str, tuple[float, float]] | None,
+        query_jitter: float,
     ):
         self.landscape = landscape
         self.seed = seed

@@ -24,6 +24,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from ..errors import BackendFailure
 from .backend import EvaluationBackend, GenerationRequest
 
+# How often the serve loop looks for a `stop()`, which waits up to this long
+# for it; `socketserver`'s default is 0.5 s.
+_POLL_INTERVAL_S = 0.02
+
 
 class _KeepAliveServer(ThreadingHTTPServer):
     """Tracks open client connections so that closing the server ends them.
@@ -136,7 +140,9 @@ class MockInferenceServer:
                     self._reply(400, {"error": str(exc)})
 
         self._server = _KeepAliveServer((host, port), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(_POLL_INTERVAL_S,), daemon=True
+        )
 
     def _consume_failure(self) -> bool:
         with self._fail_lock:

@@ -33,10 +33,7 @@ PROMPT_PRESETS: dict[str, str] = {
     "plain": "{QUESTION}",
 }
 
-DEFAULT_PRESET = "qwen-structured"
-
-
-def render_prompt(question: str, preset_or_template: str = DEFAULT_PRESET) -> str:
+def render_prompt(question: str, preset_or_template: str) -> str:
     """Fill a preset (by name) or a raw template with the question text."""
     template = PROMPT_PRESETS.get(preset_or_template, preset_or_template)
     return template.replace("{QUESTION}", question)

@@ -30,11 +30,16 @@ _WIDEN_BLOCK = 1 << 14
 # Largest finite BF16: (2 - 2**-7) * 2**127.
 _BF16_MAX = float(np.ldexp(255.0, 120))
 
+# The least magnitude that rounds to inf in each dtype: halfway from its
+# largest finite value, whose last significand bit is odd, to the next power
+# of two, a tie that rounds to the even inf.
+_OVERFLOW_AT = {"F32": 2.0**128 - 2.0**103, "F16": 65520.0, "BF16": 2.0**128 - 2.0**119}
 
-def widen_to_f64(raw: bytes | np.ndarray, dtype: str, out: np.ndarray | None = None) -> np.ndarray:
+
+def widen_to_f64(raw: bytes | np.ndarray, dtype: str, out: np.ndarray | None) -> np.ndarray:
     """Decode little-endian storage bytes (any buffer) into a flat float64
-    array: `out` when given, which must hold exactly one value per stored
-    one, else a new array.
+    array: `out`, which must hold exactly one value per stored one, or a new
+    array when `out` is None.
 
     `raw` may be the tail of `out`'s own memory. F32 and F16 widen in one
     copy, which numpy makes exact over overlapping memory. BF16 widens block
@@ -65,16 +70,28 @@ def widen_to_f64(raw: bytes | np.ndarray, dtype: str, out: np.ndarray | None = N
 def narrow_from_f64(values: np.ndarray, dtype: str) -> bytes:
     """Encode a float64 array as little-endian storage bytes of `dtype`."""
     v = np.ascontiguousarray(values, dtype=np.float64)
+    # numpy's casts round once, ties to even; out-of-range values overflow to
+    # inf as IEEE prescribes, without a warning in any dtype.
     if dtype == "F32":
-        return v.astype("<f4").tobytes()
+        with np.errstate(over="ignore"):
+            return v.astype("<f4").tobytes()
     if dtype == "F16":
-        # numpy's double->half cast rounds once, ties to even; out-of-range
-        # values overflow to inf as IEEE prescribes.
         with np.errstate(over="ignore"):
             return v.astype(np.float16).astype("<f2").tobytes()
     if dtype == "BF16":
         return _bf16_bits(v).tobytes()
     raise ValueError(f"unsupported dtype {dtype!r}")
+
+
+def overflows(values: np.ndarray, dtype: str) -> bool:
+    """Whether a finite value of the float64 array `values` rounds to inf in
+    `dtype`. A value that is already inf or NaN does not count."""
+    limit = _OVERFLOW_AT[dtype]
+    # One pass each for the extremes, which compare False to a limit if NaN.
+    if -limit < values.min() and values.max() < limit:
+        return False
+    magnitudes = np.abs(values)
+    return bool(np.any((magnitudes >= limit) & (magnitudes < np.inf)))
 
 
 def _bf16_bits(v: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ class TrialRecord:
     coeffs: tuple[float, float]
     consistency: float | None
     perplexity: float | None
-    status: str = "ok"  # ok | failed
+    status: str  # ok | failed
     failed_query_count: int = 0
 
     def to_json(self) -> str:
@@ -105,7 +105,7 @@ class SearchResult:
     selected: TrialRecord
     selection_rule: str
     coefficients: tuple[float, float]
-    failed_trial_count: int = 0
+    failed_trial_count: int
 
     def to_dict(self) -> dict:
         return {
@@ -219,17 +219,15 @@ def run_search(
     queries: Sequence[tuple[str, str]],
     config: TpeConfig,
     trial_log_path: str | Path,
-    space: SearchSpace | None = None,
-    samples_per_query: int = 5,
-    gen_params: GenerationParams = GenerationParams(),
-    selection_rule: str = "max-consistency",
-    concurrency: int = 8,
-    resume: bool = False,
+    space: SearchSpace,
+    samples_per_query: int,
+    gen_params: GenerationParams,
+    selection_rule: str,
+    concurrency: int,
+    resume: bool,
 ) -> SearchResult:
     """Run the trial budget sequentially, logging each trial to
     `trial_log_path`, and select from the Pareto frontier."""
-    space = space or SearchSpace()
-
     history: list[TrialRecord] = []
     trial_log_path = Path(trial_log_path)
     trial_log_path.parent.mkdir(parents=True, exist_ok=True)

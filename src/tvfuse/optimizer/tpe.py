@@ -31,9 +31,9 @@ _MAX_REJECTION_DRAWS = 100
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Closed interval per dimension; defaults to two coefficients in [0, 2]."""
+    """Closed interval per dimension."""
 
-    bounds: tuple[tuple[float, float], ...] = ((0.0, 2.0), (0.0, 2.0))
+    bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         if len(self.bounds) == 0:
@@ -45,15 +45,15 @@ class SearchSpace:
 
 @dataclass
 class TpeConfig:
-    n_trials: int = 100
-    n_startup: int = 10
-    gamma_split: float = 0.25
-    n_candidates: int = 24
-    bandwidth_floor: float = 0.05  # per unit of dimension range
-    seed: int = 0
+    n_trials: int
+    n_startup: int
+    gamma_split: float
+    n_candidates: int
+    bandwidth_floor: float  # per unit of dimension range
+    seed: int
     # 0 keeps the objective at consistency alone; positive values blend in
     # -w * log(perplexity) when ranking trials for the good/bad split.
-    scalarize_ppl_weight: float = 0.0
+    scalarize_ppl_weight: float
 
     def __post_init__(self):
         if not 0 < self.n_startup < self.n_trials:

@@ -338,12 +338,12 @@ class PipelineConfig:
         return GenerationParams(s.temperature, s.max_tokens, s.prompt_preset)
 
 
-def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> PipelineConfig:
+def load_config(path: str | Path, overrides: dict[str, str]) -> PipelineConfig:
     """Read a JSON config file and apply dotted-path `overrides` (see `apply_overrides`)."""
     raw = read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    return PipelineConfig.from_dict(apply_overrides(raw, overrides or {}))
+    return PipelineConfig.from_dict(apply_overrides(raw, overrides))
 
 
 def apply_overrides(raw: dict[str, Any], overrides: dict[str, str]) -> dict[str, Any]:
@@ -529,6 +529,8 @@ class WorkspacePaths:
 @dataclass
 class RunReport:
     tool_version: str
+    # Its casts and sums decide the stored bits (tests/test_numpy_dependencies.py).
+    numpy_version: str
     config: dict[str, Any]
     input_digests: dict[str, str]
     stage_seconds: dict[str, float]
@@ -832,7 +834,7 @@ def _open_workspace(config: PipelineConfig) -> Iterator[tuple[WorkspacePaths, Ev
             backend.close()
 
 
-def select_data(config: PipelineConfig, resume: bool = False) -> AdaptationSet:
+def select_data(config: PipelineConfig, resume: bool) -> AdaptationSet:
     """Run stage 1 alone: score query difficulty and write the adaptation set."""
     with _open_workspace(config) as (paths, backend):
         pool, pool_sha256 = load_query_pool(config.pool_path)
@@ -870,6 +872,7 @@ def run_pipeline(
 
         report = RunReport(
             tool_version=__version__,
+            numpy_version=np.__version__,
             config=asdict(config),
             input_digests=digests,
             stage_seconds=stage_seconds,

@@ -68,8 +68,6 @@ from .errors import (
     ShapeMismatchError,
 )
 
-DEFAULT_EPSILON = 1e-8
-
 # Slack absorbing the binary representation error of decimal retention
 # fractions, so e.g. ceil(0.1 * 70) is 7 rather than 8.
 _CEIL_SLACK = 1e-9
@@ -93,8 +91,8 @@ class TaskVector:
 
     tensors: dict[str, np.ndarray]
     shapes: dict[str, tuple[int, ...]]
-    source_base_id: str = ""
-    source_ft_id: str = ""
+    source_base_id: str
+    source_ft_id: str
     sparsity: SparsityInfo | None = None
 
     def read(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
@@ -258,15 +256,13 @@ def square_sum(values: np.ndarray, out: np.ndarray | None = None) -> float:
     return float(np.sum(np.square(values, out=out)))
 
 
-def global_l2_norm(source: VectorSource, partials: dict[str, float] | None = None) -> float:
-    """sqrt of the sum of squares over every parameter of every tensor.
-    `partials`, when given, receives each tensor's `square_sum` by name."""
+def global_l2_norm(source: VectorSource, partials: dict[str, float]) -> float:
+    """sqrt of the sum of squares over every parameter of every tensor;
+    `partials` receives each tensor's `square_sum` by name."""
     total = 0.0
     for name, (values,) in lockstep(source)():
-        partial = square_sum(values)
-        if partials is not None:
-            partials[name] = partial
-        total += partial
+        partials[name] = square_sum(values)
+        total += partials[name]
     return math.sqrt(total)
 
 
@@ -642,9 +638,7 @@ def sparsify(source: VectorSource, p: float) -> TaskVector:
     return sparsify_and_rescale(source, p, None)
 
 
-def sparsify_and_rescale(
-    source: VectorSource, p: float, epsilon: float | None = DEFAULT_EPSILON
-) -> TaskVector:
+def sparsify_and_rescale(source: VectorSource, p: float, epsilon: float | None) -> TaskVector:
     """`sparsify`, then multiply every entry by `rescale_gamma`, so the pruned
     vector keeps the unpruned norm; `epsilon` None skips the rescale."""
     if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
@@ -671,14 +665,14 @@ def merge(
     base: TensorArchive,
     terms: list[tuple[VectorSource, float]],
     out_path: str | Path,
-    out_dtype: str | None = None,
+    out_dtype: str | None,
 ) -> None:
     """Write base + sum(coefficient * vector) narrowed to the output dtype.
 
     Reads the base and every vector one tensor at a time into one
     accumulator and one term buffer, sized to the largest tensor and freed
     when the call ends, so with stored vectors it holds two tensors' worth;
-    the output dtype defaults to each base tensor's own storage dtype.
+    an `out_dtype` of None keeps each base tensor's own storage dtype.
     """
     for source, _ in terms:
         require_matching(base.shapes, source.shapes)

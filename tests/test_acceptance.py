@@ -18,16 +18,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from defaults import (
+    default_search,
+    default_selection,
+    gen_request,
+    http_client,
+    mock_backend,
+    mock_landscape,
+    tpe_config,
+)
 from reference import brute_force_frontier, read_tensor_bytes, topk_indices
 from synth import make_checkpoint_trio, make_config, make_query_pool
 from test_diagnostics import MODULE_FIXTURE
 from tvfuse import archive
 from tvfuse import task_vector as tvec
-from tvfuse.adaptation import DifficultyRecord, build_adaptation_set, default_threshold
-from tvfuse.diagnostics import ModuleClass, classify_module, interference_sweep, sign_interference
+from tvfuse.adaptation import DifficultyRecord, default_threshold
+from tvfuse.diagnostics import (
+    DEFAULT_MODULE_RULES,
+    ModuleClass,
+    classify_module,
+    interference_sweep,
+    sign_interference,
+)
 from tvfuse.evaluator import (
-    GenerationRequest,
-    HttpBackend,
     MockBackend,
     MockInferenceServer,
     consistency,
@@ -37,7 +50,7 @@ from tvfuse.evaluator import (
 from tvfuse.errors import HttpStatusError
 from tvfuse.evaluator.answers import extract_answer
 from tvfuse.floats import narrow_from_f64, widen_to_f64
-from tvfuse.optimizer import TpeConfig, TrialRecord, pareto_frontier, run_search, select_knee
+from tvfuse.optimizer import TrialRecord, pareto_frontier, select_knee
 from tvfuse.optimizer.tpe import trial_rng
 from tvfuse.pipeline import WorkspacePaths, load_config, run_pipeline
 from tvfuse.task_vector import TaskVector
@@ -60,7 +73,9 @@ def criterion(number: int, name: str):
 
 
 def make_vector(values: np.ndarray, name: str = "w") -> TaskVector:
-    return TaskVector(tensors={name: values}, shapes={name: values.shape})
+    return TaskVector(
+        tensors={name: values}, shapes={name: values.shape}, source_base_id="", source_ft_id=""
+    )
 
 
 def exact_ceil_fraction(numerator: int, denominator: int, total: int) -> int:
@@ -83,7 +98,7 @@ def test_criterion_01_archive_round_trip(tmp_path):
             dtype = dtypes[int(rng.integers(0, 3))]
             raw_values = rng.standard_normal(size) * 10 ** rng.uniform(-3, 3)
             # Pre-quantize to the storage grid so the round trip is bit-exact.
-            values = widen_to_f64(narrow_from_f64(raw_values, dtype), dtype)
+            values = widen_to_f64(narrow_from_f64(raw_values, dtype), dtype, out=None)
             entries.append((f"tensor.{t}", dtype, [size], values))
         path = tmp_path / f"case_{case}.safetensors"
         archive.write_archive(entries, path)
@@ -92,7 +107,7 @@ def test_criterion_01_archive_round_trip(tmp_path):
         for name, dtype, shape, values in entries:
             meta = arc.entries[name]
             assert meta.dtype == dtype and list(meta.shape) == shape
-            got = archive.read_tensor(arc, name).values
+            got = archive.read_tensor(arc, name, out=None).values
             assert np.array_equal(got, values, equal_nan=True)
             assert read_tensor_bytes(arc, name) == narrow_from_f64(values, dtype)
         path.unlink()
@@ -120,7 +135,7 @@ def test_criterion_02_reconstruction(tmp_path):
         tv = tvec.extract_task_vector(base, ft)
         # Elementwise identity in float64, before any narrowing.
         assert np.array_equal(base_values + tv.tensors["w"], ft_values)
-        tvec.merge(base, [(tv, 1.0)], tmp_path / "merged.safetensors")
+        tvec.merge(base, [(tv, 1.0)], tmp_path / "merged.safetensors", out_dtype=None)
         merged = archive.open_archive(tmp_path / "merged.safetensors")
         assert read_tensor_bytes(merged, "w") == read_tensor_bytes(ft, "w")
     elapsed = time.monotonic() - started
@@ -158,9 +173,9 @@ def test_criterion_04_norm_preservation():
             size = int(rng.integers(20, 1500))
             values = rng.standard_normal(size) * 10 ** rng.uniform(-2, 2)
             tv = make_vector(values)
-            original = tvec.global_l2_norm(tv)
+            original = tvec.global_l2_norm(tv, {})
             restored = tvec.sparsify_and_rescale(tv, p, epsilon=1e-8)
-            deviation = abs(tvec.global_l2_norm(restored) - original) / original
+            deviation = abs(tvec.global_l2_norm(restored, {}) - original) / original
             assert deviation <= 1e-6, (p, size, deviation)
 
 
@@ -229,12 +244,13 @@ def test_criterion_06_sign_interference():
 def test_criterion_07_module_classification():
     assert len(MODULE_FIXTURE) == 40
     mismatches = [
-        (name, expected, classify_module(name))
+        (name, expected, classify_module(name, DEFAULT_MODULE_RULES))
         for name, expected in MODULE_FIXTURE
-        if classify_module(name) != expected
+        if classify_module(name, DEFAULT_MODULE_RULES) != expected
     ]
     assert mismatches == []
-    assert classify_module("model.layers.0.post_attention_layernorm.weight") == ModuleClass.LAYER_NORM
+    norm = "model.layers.0.post_attention_layernorm.weight"
+    assert classify_module(norm, DEFAULT_MODULE_RULES) == ModuleClass.LAYER_NORM
 
 
 # --- 8. consistency and difficulty ----------------------------------------------------------------
@@ -267,7 +283,7 @@ def test_criterion_08_consistency_difficulty():
         DifficultyRecord("keep", 0.2, 0.2, 1.0 - (0.2 + 0.2) / 2.0),  # exactly 0.8
         DifficultyRecord("drop", 0.2, 0.2, 0.80001),
     ] + [DifficultyRecord(f"f{i}", 1.0, 1.0, 0.0) for i in range(4)]
-    built = build_adaptation_set(borderline, m=5, n=4, seed=0)
+    built = default_selection(borderline, m=5, n=4, seed=0)
     survivors = set(built.low_pool_ids) | set(built.medium_pool_ids)
     assert "keep" in survivors and "drop" not in survivors
 
@@ -282,9 +298,9 @@ def test_criterion_09_adaptation_determinism():
         DifficultyRecord(f"q{i:04d}", 0.0, 0.0, float(d))
         for i, d in enumerate(rng.uniform(0.0, 0.8, 120))
     ]
-    reference = build_adaptation_set(records, m=5, n=64, seed=31)
+    reference = default_selection(records, m=5, n=64, seed=31)
     for _ in range(100):
-        assert build_adaptation_set(records, m=5, n=64, seed=31).selected == reference.selected
+        assert default_selection(records, m=5, n=64, seed=31).selected == reference.selected
 
     low, medium = set(reference.low_pool_ids), set(reference.medium_pool_ids)
     assert low.isdisjoint(medium)
@@ -324,6 +340,7 @@ def test_criterion_10_pareto_and_knee():
                 coeffs=(0.0, 0.0),
                 consistency=float(rng.choice([0.1, 0.25, 0.5, 0.75, 0.9])),
                 perplexity=float(rng.choice([1.5, 2.0, 3.0, 5.0, 8.0])),
+                status="ok",
             )
             for i in range(size)
         ]
@@ -332,9 +349,9 @@ def test_criterion_10_pareto_and_knee():
         assert got == want
 
     worked = [
-        TrialRecord(index=0, coeffs=(0, 0), consistency=0.9, perplexity=10.0),
-        TrialRecord(index=1, coeffs=(0, 0), consistency=0.7, perplexity=4.0),
-        TrialRecord(index=2, coeffs=(0, 0), consistency=0.5, perplexity=3.0),
+        TrialRecord(index=0, coeffs=(0, 0), consistency=0.9, perplexity=10.0, status="ok"),
+        TrialRecord(index=1, coeffs=(0, 0), consistency=0.7, perplexity=4.0, status="ok"),
+        TrialRecord(index=2, coeffs=(0, 0), consistency=0.5, perplexity=3.0, status="ok"),
     ]
     knee = select_knee(worked)
     assert (knee.consistency, knee.perplexity) == (0.7, 4.0)
@@ -347,6 +364,7 @@ def test_criterion_10_pareto_and_knee():
                 coeffs=(0.0, 0.0),
                 consistency=float(rng.uniform(0, 1)),
                 perplexity=float(rng.uniform(1, 100)),
+                status="ok",
             )
             for i in range(size)
         ]
@@ -360,6 +378,7 @@ def test_criterion_10_pareto_and_knee():
                 coeffs=t.coeffs,
                 consistency=t.consistency,
                 perplexity=scale * t.perplexity + shift,
+                status="ok",
             )
             for t in frontier
         ]
@@ -390,7 +409,7 @@ def test_criterion_11_tpe_efficacy(tmp_path):
     def measured_consistency(backend, coeffs, trial_seed):
         shares = []
         for qi, (qid, text) in enumerate(queries):
-            request = GenerationRequest(
+            request = gen_request(
                 model_ref=encode_model_ref(*coeffs),
                 prompt=text,
                 num_samples=samples_per_query,
@@ -406,12 +425,12 @@ def test_criterion_11_tpe_efficacy(tmp_path):
     tpe_best: list[float] = []
     random_best: list[float] = []
     for seed in range(20):
-        backend = MockBackend(landscape, seed=seed)
-        result = run_search(
+        backend = mock_backend(landscape, seed=seed)
+        result = default_search(
             merge_builder=lambda coeffs: encode_model_ref(*coeffs),
             backend=backend,
             queries=queries,
-            config=TpeConfig(n_trials=100, n_startup=10, seed=seed),
+            config=tpe_config(n_trials=100, n_startup=10, seed=seed),
             samples_per_query=samples_per_query,
             concurrency=4,
             trial_log_path=tmp_path / "trials.jsonl",
@@ -448,14 +467,16 @@ def test_criterion_12_end_to_end(tmp_path, monkeypatch):
 
     started = time.monotonic()
     config_a = load_config(
-        make_config(tmp_path / "a", checkpoints, pool, tmp_path / "ws_a", **overrides)
+        make_config(tmp_path / "a", checkpoints, pool, tmp_path / "ws_a", **overrides),
+        {},
     )
     report_a = run_pipeline(config_a)
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"pipeline took {elapsed:.1f}s"
 
     config_b = load_config(
-        make_config(tmp_path / "b", checkpoints, pool, tmp_path / "ws_b", **overrides)
+        make_config(tmp_path / "b", checkpoints, pool, tmp_path / "ws_b", **overrides),
+        {},
     )
     report_b = run_pipeline(config_b)
     paths_a, paths_b = WorkspacePaths(Path(config_a.workspace)), WorkspacePaths(Path(config_b.workspace))
@@ -465,7 +486,8 @@ def test_criterion_12_end_to_end(tmp_path, monkeypatch):
 
     # Kill mid-search, then resume; the final search result must be identical.
     config_c = load_config(
-        make_config(tmp_path / "c", checkpoints, pool, tmp_path / "ws_c", **overrides)
+        make_config(tmp_path / "c", checkpoints, pool, tmp_path / "ws_c", **overrides),
+        {},
     )
     calls = {"n": 0}
     original_generate = MockBackend.generate
@@ -500,13 +522,13 @@ def test_criterion_12_end_to_end(tmp_path, monkeypatch):
 
 @criterion(13, "protocol-conformance")
 def test_criterion_13_protocol_conformance():
-    landscape = quadratic_landscape(peak=(0.8, 1.5), ppl_base=2.0, ppl_slope=3.0)
-    with MockInferenceServer(MockBackend(landscape, seed=13)) as server, HttpBackend(
+    landscape = mock_landscape(peak=(0.8, 1.5), ppl_base=2.0, ppl_slope=3.0)
+    with MockInferenceServer(mock_backend(landscape, seed=13)) as server, http_client(
         server.url, max_attempts=3
     ) as remote:
-        local = MockBackend(landscape, seed=13)
+        local = mock_backend(landscape, seed=13)
 
-        request = GenerationRequest(encode_model_ref(0.8, 1.5), "conformance probe", num_samples=5)
+        request = gen_request(encode_model_ref(0.8, 1.5), "conformance probe", num_samples=5)
         assert [s.text for s in remote.generate(request)] == [
             s.text for s in local.generate(request)
         ]
@@ -526,5 +548,5 @@ def test_criterion_13_protocol_conformance():
             remote.generate(request)
         assert info.value.status == 500
 
-        sample = remote.generate(GenerationRequest("sft", "boxed check", num_samples=1))[0]
+        sample = remote.generate(gen_request("sft", "boxed check", num_samples=1))[0]
         assert sample.extracted_answer == extract_answer(sample.text)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from reference import archive_bytes, read_tensor_bytes, stored_patterns, widen
 from tvfuse import archive
 from tvfuse.errors import (
+    DtypeOverflowError,
     DuplicateNameError,
     IoFailureError,
     MalformedHeaderError,
@@ -35,7 +36,7 @@ def test_minimal_single_tensor(tmp_path):
     assert list(arc.entries) == ["w"]
     meta = arc.entries["w"]
     assert meta.dtype == "F32" and meta.shape == (1,) and meta.num_bytes == 4
-    assert archive.read_tensor(arc, "w").values.tolist() == [1.0]
+    assert archive.read_tensor(arc, "w", out=None).values.tolist() == [1.0]
 
 
 def test_metadata_round_trip(tmp_path):
@@ -175,7 +176,7 @@ def test_read_of_a_removed_file_is_an_io_failure(tmp_path):
     arc = archive.open_archive(path)
     path.unlink()
     with pytest.raises(IoFailureError, match="cannot read"):
-        archive.read_tensor(arc, "w")
+        archive.read_tensor(arc, "w", out=None)
 
 
 def _write_too_many(write):
@@ -207,6 +208,39 @@ def test_write_that_does_not_fit_its_specs_leaves_no_file(tmp_path, case):
     assert not list(tmp_path.iterdir())  # neither the archive nor its .tmp sibling
 
 
+# Per dtype: its largest finite value, and the least magnitude that rounds to inf.
+RANGE_EDGES = {
+    "F32": (float(np.finfo(np.float32).max), 2.0**128 - 2.0**103),
+    "F16": (65504.0, 65520.0),
+    "BF16": ((2.0 - 2.0**-7) * 2.0**127, 2.0**128 - 2.0**119),
+}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+@pytest.mark.parametrize("dtype", list(RANGE_EDGES))
+def test_write_rounds_up_to_the_edge_of_the_dtype_range(tmp_path, dtype, sign):
+    largest, overflow = RANGE_EDGES[dtype]
+    values = sign * np.array([np.nextafter(overflow, 0.0), largest, np.inf, np.nan])
+    path = tmp_path / "edge.safetensors"
+    archive.write_archive([("w", dtype, [4], values)], path)
+    got = archive.read_tensor(archive.open_archive(path), "w", out=None).values
+    assert got[:3].tolist() == [sign * largest, sign * largest, sign * np.inf]
+    assert np.isnan(got[3])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+@pytest.mark.parametrize("dtype", list(RANGE_EDGES))
+def test_write_refuses_a_finite_value_that_rounds_to_inf(tmp_path, dtype, sign):
+    # In the third write block, after two blocks went to the file.
+    values = np.zeros(3 << 14)
+    values[-1] = sign * RANGE_EDGES[dtype][1]
+    specs = [("v", dtype, [1], np.array([1.0])), ("w", dtype, [values.size], values)]
+    needle = rf"out\.safetensors: tensor 'w' holds a finite value beyond the {dtype} range"
+    with pytest.raises(DtypeOverflowError, match=needle):
+        archive.write_archive(specs, tmp_path / "out.safetensors")
+    assert not list(tmp_path.iterdir())  # neither the archive nor its .tmp sibling
+
+
 def test_write_rejects_duplicate_names(tmp_path):
     with pytest.raises(DuplicateNameError):
         archive.write_archive(
@@ -229,7 +263,7 @@ def test_missing_tensor_name(tmp_path):
     archive.write_archive([("w", "F32", [1], np.array([1.0]))], path)
     arc = archive.open_archive(path)
     with pytest.raises(NameNotFoundError):
-        archive.read_tensor(arc, "nope")
+        archive.read_tensor(arc, "nope", out=None)
 
 
 def test_iter_order_is_bytewise_lexicographic(tmp_path):
@@ -257,7 +291,7 @@ def test_scalar_tensor(tmp_path):
     arc = archive.open_archive(path)
     meta = arc.entries["s"]
     assert meta.shape == () and meta.num_bytes == 4
-    assert archive.read_tensor(arc, "s").values.tolist() == [4.5]
+    assert archive.read_tensor(arc, "s", out=None).values.tolist() == [4.5]
 
 
 def test_f32_write_read_bitwise(tmp_path):
@@ -267,7 +301,7 @@ def test_f32_write_read_bitwise(tmp_path):
     archive.write_archive([("w", "F32", [10_000], values)], path)
     arc = archive.open_archive(path)
     assert read_tensor_bytes(arc, "w") == values.astype("<f4").tobytes()
-    assert np.array_equal(archive.read_tensor(arc, "w").values, values)
+    assert np.array_equal(archive.read_tensor(arc, "w", out=None).values, values)
 
 
 names_st = st.lists(
@@ -300,7 +334,7 @@ def test_round_trip_property(tmp_path_factory, names, seed):
     assert set(arc.entries) == set(names)
     # Re-write what was read: the second file must be byte-identical content-wise.
     reread = [
-        (m.name, m.dtype, list(m.shape), archive.read_tensor(arc, m.name).values)
+        (m.name, m.dtype, list(m.shape), archive.read_tensor(arc, m.name, out=None).values)
         for m in arc.entries.values()
     ]
     path2 = path.with_name("arc2.safetensors")
@@ -324,10 +358,10 @@ def test_interop_with_reference_library(tmp_path):
     st.save_file(theirs, str(their_path), metadata={"source": "external"})
     arc = archive.open_archive(their_path)
     assert arc.metadata == {"source": "external"}
-    got = archive.read_tensor(arc, "layer.w").values.reshape(4, 3)
+    got = archive.read_tensor(arc, "layer.w", out=None).values.reshape(4, 3)
     assert np.array_equal(got.astype(np.float32), theirs["layer.w"])
     assert np.array_equal(
-        archive.read_tensor(arc, "layer.b").values.astype(np.float16), theirs["layer.b"]
+        archive.read_tensor(arc, "layer.b", out=None).values.astype(np.float16), theirs["layer.b"]
     )
 
     values = np.random.default_rng(2).standard_normal(10).astype(np.float32).astype(np.float64)
@@ -349,7 +383,7 @@ def test_streaming_equals_individual_reads(tmp_path):
     arc = archive.open_archive(path)
     streamed = {name: values.copy() for name, (values,) in lockstep(StoredVector(path))()}
     for name in arc.entries:
-        assert np.array_equal(streamed[name], archive.read_tensor(arc, name).values)
+        assert np.array_equal(streamed[name], archive.read_tensor(arc, name, out=None).values)
 
 
 @pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
@@ -365,7 +399,7 @@ def test_read_into_a_buffer_matches_a_fresh_read_bit_for_bit(tmp_path, dtype):
     with np.errstate(invalid="ignore"):  # casting a signalling NaN quiets it
         for name, raw in stored.items():
             want = widen(raw, dtype).view(np.uint64)
-            fresh = archive.read_tensor(arc, name).values
+            fresh = archive.read_tensor(arc, name, out=None).values
             into = archive.read_tensor(arc, name, out=buffer).values
             assert into.size == 0 or np.shares_memory(into, buffer)
             assert np.array_equal(fresh.view(np.uint64), want)

@@ -230,7 +230,7 @@ def test_analyze_norms_reads_each_tensor_once(tmp_path, capsys, monkeypatch):
     # The global norm from the layer partials has the bits of a second pass.
     payload = json.loads(out_json.read_text())
     monkeypatch.undo()
-    assert payload["global_norm"] == task_vector.global_l2_norm(task_vector.StoredVector(path))
+    assert payload["global_norm"] == task_vector.global_l2_norm(task_vector.StoredVector(path), {})
     assert json.loads(capsys.readouterr().out) == payload
 
 
@@ -284,6 +284,20 @@ def test_run_and_report_subcommands(setup, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["tool_version"]
     assert len(json.loads(WorkspacePaths(Path(workspace)).trial_log.read_text().splitlines()[0])) >= 6
+
+
+def test_integer_search_bounds_write_the_bytes_of_float_ones(setup, capsys):
+    tmp_path, _, _, config_path = setup
+    written = []
+    for index, space in enumerate(["[[0, 2], [0, 2]]", "[[0.0, 2.0], [0.0, 2.0]]"]):
+        workspace = tmp_path / f"ws-{index}"
+        sets = [f"workspace={workspace}", f"search.space={space}", "search.n_trials=12"]
+        assert main(["search", "--config", str(config_path), *(f"--set={s}" for s in sets)]) == 0
+        paths = WorkspacePaths(workspace)
+        result = json.loads(paths.search_result.read_text())
+        result.pop("recipe")  # the workspace's own paths
+        written.append((paths.trial_log.read_bytes(), json.dumps(result, indent=2)))
+    assert written[0] == written[1]
 
 
 def test_search_then_resume_run(setup, capsys):
@@ -791,7 +805,7 @@ def _poison(source: Path, target: Path, value: float) -> None:
     names = archive.byte_sorted(arc.entries)
     entries = []
     for name in names:
-        values = archive.read_tensor(arc, name).values.copy()
+        values = archive.read_tensor(arc, name, out=None).values.copy()
         if name == names[-1]:
             values[-1] = value
         entries.append((name, arc.entries[name].dtype, list(arc.entries[name].shape), values))
@@ -820,6 +834,20 @@ def test_non_finite_vector_ends_in_one_error_line(setup, capsys, caplog, value):
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and tensor in lines[0], lines
     assert not (tmp_path / "out.safetensors").exists()
+    assert not [r for r in caplog.records if r.exc_info]
+
+
+@pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
+def test_a_merge_past_the_output_dtype_range_ends_in_one_error_line(tmp_path, capsys, caplog, dtype):
+    base, tau, out = (tmp_path / f"{name}.safetensors" for name in ("base", "tau", "merged"))
+    archive.write_archive([("w", "F32", [3], np.array([1.0, 2.0, 3.0]))], base)
+    archive.write_archive([("w", "F32", [3], np.array([1.0, -1.0, 0.0]))], tau)
+    argv = ["merge", "--base", str(base), "--term", f"{tau}=1e39", "--out", str(out)]
+    assert main([*argv, "--dtype", dtype]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert f"tensor 'w' holds a finite value beyond the {dtype} range" in lines[0], lines
+    assert sorted(path.name for path in tmp_path.iterdir()) == [base.name, tau.name]
     assert not [r for r in caplog.records if r.exc_info]
 
 

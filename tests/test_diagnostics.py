@@ -27,12 +27,19 @@ from tvfuse.task_vector import (
 
 def vec(values, name="w") -> TaskVector:
     arr = np.asarray(values, dtype=np.float64)
-    return TaskVector(tensors={name: arr}, shapes={name: arr.shape})
+    return TaskVector(
+        tensors={name: arr}, shapes={name: arr.shape}, source_base_id="", source_ft_id=""
+    )
 
 
 def multi(named: dict) -> TaskVector:
     tensors = {k: np.asarray(v, dtype=np.float64) for k, v in named.items()}
-    return TaskVector(tensors=tensors, shapes={k: v.shape for k, v in tensors.items()})
+    return TaskVector(
+        tensors=tensors,
+        shapes={k: v.shape for k, v in tensors.items()},
+        source_base_id="",
+        source_ft_id="",
+    )
 
 
 @pytest.fixture(params=["resident", "stored"])
@@ -67,7 +74,7 @@ def test_layer_norms_consistent_with_global_norm(source):
     tv = source(multi({"model.layers.0.w": np.array([3.0]), "model.layers.1.w": np.array([4.0])}))
     profile = diag.layerwise_norms(tv)
     assert profile.per_layer == {0: 3.0, 1: 4.0}
-    total = global_l2_norm(tv)
+    total = global_l2_norm(tv, {})
     summed = math.sqrt(sum(n * n for n in profile.per_layer.values()) + profile.non_layer**2)
     assert abs(summed - total) / total <= 1e-9
     assert total == 5.0
@@ -264,11 +271,12 @@ def test_module_fixture_has_forty_names_and_five_classes():
 
 @pytest.mark.parametrize("name,expected", MODULE_FIXTURE)
 def test_default_rules_classify_fixture(name, expected):
-    assert diag.classify_module(name) == expected
+    assert diag.classify_module(name, diag.DEFAULT_MODULE_RULES) == expected
 
 
 def test_unmatched_name_is_other():
-    assert diag.classify_module("model.layers.9.router.weight") == ModuleClass.OTHER
+    router = "model.layers.9.router.weight"
+    assert diag.classify_module(router, diag.DEFAULT_MODULE_RULES) == ModuleClass.OTHER
 
 
 def test_rule_file_round_trip(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from defaults import CONFIG, gen_request, http_client, mock_backend, mock_landscape
 from tvfuse.errors import (
     EmptyTextError,
     LengthMismatchError,
@@ -17,14 +18,10 @@ from tvfuse.errors import (
     UnknownModelRefError,
 )
 from tvfuse.evaluator import (
-    GenerationRequest,
-    HttpBackend,
-    MockBackend,
     ScoreResult,
     consistency,
     encode_model_ref,
     extract_answer,
-    quadratic_landscape,
     render_prompt,
 )
 from tvfuse.evaluator.backend import QueryFanOut
@@ -148,7 +145,7 @@ def test_score_result_rejects_a_positive_log_probability(logprobs):
 def test_perplexity_of_empty_text():
     # Rejected before any request is made, so nothing listens on the port.
     with pytest.raises(EmptyTextError):
-        HttpBackend("http://127.0.0.1:9").score("sft", "")
+        http_client("http://127.0.0.1:9").score("sft", "")
 
 
 def test_perplexity_at_least_one_for_nonpositive_logprobs():
@@ -160,16 +157,16 @@ def test_perplexity_at_least_one_for_nonpositive_logprobs():
 
 
 def test_mock_constant_full_consistency():
-    backend = MockBackend(lambda a, b: (1.0, 2.0))
-    samples = backend.generate(GenerationRequest("sft", "q1", num_samples=5))
+    backend = mock_backend(lambda a, b: (1.0, 2.0))
+    samples = backend.generate(gen_request("sft", "q1", num_samples=5))
     answers = [s.extracted_answer for s in samples]
     assert len(set(answers)) == 1
     assert consistency(answers, 5) == 1.0
 
 
 def test_mock_quantizes_to_sample_count():
-    backend = MockBackend(lambda a, b: (0.6, 2.0))
-    samples = backend.generate(GenerationRequest("rlvr", "q2", num_samples=5))
+    backend = mock_backend(lambda a, b: (0.6, 2.0))
+    samples = backend.generate(gen_request("rlvr", "q2", num_samples=5))
     answers = [s.extracted_answer for s in samples]
     assert consistency(answers, 5) == 0.6
     counts = {a: answers.count(a) for a in answers}
@@ -177,12 +174,12 @@ def test_mock_quantizes_to_sample_count():
 
 
 def test_mock_landscape_peak_beats_origin():
-    landscape = quadratic_landscape(peak=(0.8, 1.5), falloff=0.3)
-    backend = MockBackend(landscape)
+    landscape = mock_landscape(peak=(0.8, 1.5), falloff=0.3)
+    backend = mock_backend(landscape)
     m = 5
 
     def measured(ref):
-        samples = backend.generate(GenerationRequest(ref, "probe", num_samples=m))
+        samples = backend.generate(gen_request(ref, "probe", num_samples=m))
         return consistency([s.extracted_answer for s in samples], m)
 
     at_peak = measured(encode_model_ref(0.8, 1.5))
@@ -191,15 +188,15 @@ def test_mock_landscape_peak_beats_origin():
 
 
 def test_mock_deterministic_under_seed():
-    backend_a = MockBackend(quadratic_landscape(), seed=11, query_jitter=0.2)
-    backend_b = MockBackend(quadratic_landscape(), seed=11, query_jitter=0.2)
-    req = GenerationRequest("sft", "some question", num_samples=5)
+    backend_a = mock_backend(mock_landscape(), seed=11, query_jitter=0.2)
+    backend_b = mock_backend(mock_landscape(), seed=11, query_jitter=0.2)
+    req = gen_request("sft", "some question", num_samples=5)
     assert backend_a.generate(req) == backend_b.generate(req)
     assert backend_a.score("sft", "text") == backend_b.score("sft", "text")
 
 
 def test_mock_score_matches_landscape_perplexity():
-    backend = MockBackend(quadratic_landscape(peak=(0.8, 1.5), ppl_base=3.0, ppl_slope=2.0))
+    backend = mock_backend(mock_landscape(peak=(0.8, 1.5), ppl_base=3.0, ppl_slope=2.0))
     ppl = backend.score(encode_model_ref(0.8, 1.5), "anything").perplexity
     assert ppl == pytest.approx(3.0, rel=1e-12)
 
@@ -208,9 +205,9 @@ def test_mock_score_matches_landscape_perplexity():
 def test_mock_unknown_ref(ref):
     from tvfuse.errors import UnknownModelRefError
 
-    backend = MockBackend(quadratic_landscape())
+    backend = mock_backend(mock_landscape())
     with pytest.raises(UnknownModelRefError):
-        backend.generate(GenerationRequest(ref, "q", num_samples=2))
+        backend.generate(gen_request(ref, "q", num_samples=2))
 
 
 def test_evaluator_package_has_no_other_lazy_name():
@@ -240,11 +237,11 @@ def test_render_accepts_raw_template():
 
 def test_generation_request_validation():
     with pytest.raises(ValueError):
-        GenerationRequest("m", "p", num_samples=0)
+        gen_request("m", "p", num_samples=0)
     with pytest.raises(ValueError):
-        GenerationRequest("m", "p", temperature=-0.1)
+        gen_request("m", "p", CONFIG.search.k, temperature=-0.1)
     with pytest.raises(ValueError):
-        GenerationRequest("m", "p", temperature=math.nan)
+        gen_request("m", "p", CONFIG.search.k, temperature=math.nan)
 
 
 # --- query fan-out -------------------------------------------------------------------

@@ -105,7 +105,7 @@ def served(inputs, monkeypatch):
 
     def run(tag: str, storms: dict[str, int]) -> tuple[int, WorkspacePaths]:
         config_path, paths = inputs(tag)
-        backend = build_backend(load_config(config_path))
+        backend = build_backend(load_config(config_path, {}))
         backend.aliases = {**backend.aliases, str(paths.candidate): (0.8, 1.45)}
         with MockInferenceServer(backend) as server:
             for stage, count in storms.items():

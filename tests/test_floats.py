@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ def bf16_narrow_widen(x: float) -> float:
 
 
 def test_known_bit_patterns():
-    assert widen_to_f64(b"\x00\x00\x80\x3f", "F32")[0] == 1.0
-    assert widen_to_f64(b"\x80\x3f", "BF16")[0] == 1.0
-    assert widen_to_f64(b"\x00\x3c", "F16")[0] == 1.0
+    assert widen_to_f64(b"\x00\x00\x80\x3f", "F32", out=None)[0] == 1.0
+    assert widen_to_f64(b"\x80\x3f", "BF16", out=None)[0] == 1.0
+    assert widen_to_f64(b"\x00\x3c", "F16", out=None)[0] == 1.0
 
 
 def test_bf16_one_round_trips_exactly():
@@ -55,15 +56,23 @@ def test_narrowing_matches_rational_oracle(dtype):
         ]
     )
     raw = narrow_from_f64(values, dtype)
-    widened = widen_to_f64(raw, dtype)
+    widened = widen_to_f64(raw, dtype, out=None)
     for x, got in zip(values, widened):
         want = round_to_format(float(x), dtype)
         assert got == want or (math.isnan(got) and math.isnan(want)), (x, got, want)
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_narrowing_overflows_to_inf_without_a_warning(dtype):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        raw = narrow_from_f64(np.array([1e39, -1e39]), dtype)
+    assert widen_to_f64(raw, dtype, out=None).tolist() == [math.inf, -math.inf]
+
+
 def test_bf16_nan_stays_nan():
     raw = narrow_from_f64(np.array([math.nan]), "BF16")
-    assert math.isnan(widen_to_f64(raw, "BF16")[0])
+    assert math.isnan(widen_to_f64(raw, "BF16", out=None)[0])
 
 
 @pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
@@ -72,14 +81,14 @@ def test_widening_then_narrowing_is_identity_on_storage_values(dtype):
     rng = np.random.default_rng(11)
     values = rng.standard_normal(2000) * np.exp(rng.uniform(-20, 20, 2000))
     once = narrow_from_f64(values, dtype)
-    twice = narrow_from_f64(widen_to_f64(once, dtype), dtype)
+    twice = narrow_from_f64(widen_to_f64(once, dtype, out=None), dtype)
     assert once == twice
 
 
 def test_f32_round_trip_is_exact():
     rng = np.random.default_rng(3)
     values = rng.standard_normal(1000).astype(np.float32).astype(np.float64)
-    assert np.array_equal(widen_to_f64(narrow_from_f64(values, "F32"), "F32"), values)
+    assert np.array_equal(widen_to_f64(narrow_from_f64(values, "F32"), "F32", out=None), values)
 
 
 def test_negative_zero_keeps_sign():
@@ -102,7 +111,7 @@ def test_widening_into_a_buffer_matches_the_plain_cast_bit_for_bit(dtype, count)
     raw = stored_patterns(dtype, count)
     with np.errstate(invalid="ignore"):  # casting a signalling NaN quiets it
         want = widen(raw, dtype)
-        assert same_bits(widen_to_f64(raw, dtype), want)
+        assert same_bits(widen_to_f64(raw, dtype, out=None), want)
         out = np.full(count, math.pi)
         assert widen_to_f64(raw, dtype, out=out) is out
         assert same_bits(out, want)
@@ -115,7 +124,10 @@ def test_widening_into_a_buffer_matches_the_plain_cast_bit_for_bit(dtype, count)
         assert same_bits(out, want)
 
 
-@pytest.mark.parametrize("convert", [lambda: widen_to_f64(b"", "F64"), lambda: narrow_from_f64(np.zeros(1), "F64")])
+@pytest.mark.parametrize(
+    "convert",
+    [lambda: widen_to_f64(b"", "F64", out=None), lambda: narrow_from_f64(np.zeros(1), "F64")],
+)
 def test_an_unsupported_dtype_is_refused(convert):
     with pytest.raises(ValueError, match="unsupported dtype 'F64'"):
         convert()

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from defaults import CONFIG, GEN_PARAMS, gen_request, http_client, mock_backend
 from tvfuse.errors import (
     BackendFailure,
     BackendTimeoutError,
@@ -28,8 +29,6 @@ from tvfuse.errors import (
     MalformedResponseError,
 )
 from tvfuse.evaluator import (
-    GenerationRequest,
-    HttpBackend,
     MockBackend,
     MockInferenceServer,
     ScoreResult,
@@ -37,7 +36,7 @@ from tvfuse.evaluator import (
     encode_model_ref,
     quadratic_landscape,
 )
-from tvfuse.evaluator.backend import GenerationParams, QueryFanOut, sample_consistency
+from tvfuse.evaluator.backend import QueryFanOut, sample_consistency
 
 LANDSCAPE = quadratic_landscape(peak=(0.8, 1.5), falloff=0.5, ppl_base=2.0, ppl_slope=3.0)
 
@@ -84,37 +83,37 @@ class QuietHandler(http.server.BaseHTTPRequestHandler):
 
 @pytest.fixture(scope="module")
 def server():
-    with MockInferenceServer(MockBackend(LANDSCAPE, seed=5)) as srv:
+    with MockInferenceServer(mock_backend(LANDSCAPE, seed=5)) as srv:
         yield srv
 
 
 @pytest.fixture(scope="module")
 def http_backend(server):
-    with contextlib.closing(HttpBackend(server.url, max_attempts=3)) as client:
+    with contextlib.closing(http_client(server.url, max_attempts=3)) as client:
         yield client
 
 
 @pytest.fixture(scope="module")
-def mock_backend():
-    return MockBackend(LANDSCAPE, seed=5)
+def local_backend():
+    return mock_backend(LANDSCAPE, seed=5)
 
 
 @pytest.fixture(scope="module", params=["mock", "http"])
-def backend(request, mock_backend, http_backend):
-    return mock_backend if request.param == "mock" else http_backend
+def backend(request, local_backend, http_backend):
+    return local_backend if request.param == "mock" else http_backend
 
 
 # --- the shared contract suite, run against both implementations ---
 
 
 def test_contract_generate_sample_count(backend):
-    samples = backend.generate(GenerationRequest("sft", "q-alpha", num_samples=4))
+    samples = backend.generate(gen_request("sft", "q-alpha", num_samples=4))
     assert len(samples) == 4
     assert all(s.extracted_answer is not None for s in samples)
 
 
 def test_contract_consistency_quantized(backend):
-    samples = backend.generate(GenerationRequest(encode_model_ref(0.8, 1.5), "q-beta", num_samples=5))
+    samples = backend.generate(gen_request(encode_model_ref(0.8, 1.5), "q-beta", num_samples=5))
     answers = [s.extracted_answer for s in samples]
     value = consistency(answers, 5)
     assert value in {0.2, 0.4, 0.6, 0.8, 1.0}
@@ -130,15 +129,15 @@ def test_contract_score_perplexity_definition(backend):
 
 def test_contract_unknown_model_is_backend_failure(backend):
     with pytest.raises(BackendFailure):
-        backend.generate(GenerationRequest("not-a-model", "q", num_samples=1))
+        backend.generate(gen_request("not-a-model", "q", num_samples=1))
 
 
-def test_contract_same_results_both_transports(mock_backend, http_backend):
-    req = GenerationRequest(encode_model_ref(0.6, 1.1), "identical question", num_samples=5)
-    local = [(s.text, s.extracted_answer) for s in mock_backend.generate(req)]
+def test_contract_same_results_both_transports(local_backend, http_backend):
+    req = gen_request(encode_model_ref(0.6, 1.1), "identical question", num_samples=5)
+    local = [(s.text, s.extracted_answer) for s in local_backend.generate(req)]
     remote = [(s.text, s.extracted_answer) for s in http_backend.generate(req)]
     assert local == remote
-    assert mock_backend.score("sft", "t").token_logprobs == http_backend.score("sft", "t").token_logprobs
+    assert local_backend.score("sft", "t").token_logprobs == http_backend.score("sft", "t").token_logprobs
 
 
 # --- retry behaviour -------------------------------------------------------------
@@ -146,14 +145,14 @@ def test_contract_same_results_both_transports(mock_backend, http_backend):
 
 def test_two_failures_then_success_is_retried(server, http_backend, slept):
     server.fail_next(2)
-    samples = http_backend.generate(GenerationRequest("sft", "retry-me", num_samples=2))
+    samples = http_backend.generate(gen_request("sft", "retry-me", num_samples=2))
     assert len(samples) == 2
 
 
 def test_persistent_500s_exhaust_retries(server, http_backend, slept):
     server.fail_next(3)  # max_attempts is 3: every attempt sees a 500
     with pytest.raises(HttpStatusError) as info:
-        http_backend.generate(GenerationRequest("sft", "doomed", num_samples=1))
+        http_backend.generate(gen_request("sft", "doomed", num_samples=1))
     assert info.value.status == 500
     server.fail_next(0)
     # 0.5 s before the first retry, doubled before the next.
@@ -194,10 +193,10 @@ def test_malformed_server_response(case):
         def do_POST(self):
             self.reply(body)
 
-    with serve(BadHandler) as url, contextlib.closing(HttpBackend(url, max_attempts=1)) as client:
+    with serve(BadHandler) as url, contextlib.closing(http_client(url, max_attempts=1)) as client:
         with pytest.raises(MalformedResponseError, match=needle):
             if call == "generate":
-                client.generate(GenerationRequest("m", "p", num_samples=1))
+                client.generate(gen_request("m", "p", num_samples=1))
             else:
                 client.score("m", "text")
 
@@ -220,7 +219,7 @@ BAD_REQUESTS = {
 def test_mock_server_answers_a_bad_request_with_400(case):
     length, body, needle = BAD_REQUESTS[case]
     length = str(len(body)).encode() if length is None else length
-    with MockInferenceServer(MockBackend(LANDSCAPE, seed=5)) as srv:
+    with MockInferenceServer(mock_backend(LANDSCAPE, seed=5)) as srv:
         port = int(srv.url.rsplit(":", 1)[1])
         with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
             sock.sendall(b"POST /generate HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n" + body)
@@ -241,7 +240,8 @@ class FaultyBackend(MockBackend):
     log-probabilities for every text."""
 
     def __init__(self, extra: int, logprobs: tuple[float, ...] = (-1.0,)):
-        super().__init__(LANDSCAPE, seed=5)
+        mock = CONFIG.backend.mock
+        super().__init__(LANDSCAPE, 5, mock.aliases, mock.query_jitter)
         self.extra = extra
         self.logprobs = logprobs
 
@@ -250,17 +250,18 @@ class FaultyBackend(MockBackend):
         return (samples * 2)[: len(samples) + self.extra]
 
     def score(self, model_ref, text):
-        # Built directly, as a remote server would send them, unchecked.
-        return ScoreResult(token_logprobs=self.logprobs)
+        # Built directly, as a remote server would send them, unchecked; the
+        # server sends no perplexity.
+        return ScoreResult(token_logprobs=self.logprobs, perplexity=math.nan)
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_a_reply_with_the_wrong_sample_count_fails_its_query(extra):
     with MockInferenceServer(FaultyBackend(extra)) as srv:
-        with contextlib.closing(HttpBackend(srv.url, max_attempts=1)) as client:
+        with contextlib.closing(http_client(srv.url, max_attempts=1)) as client:
             with pytest.raises(MalformedResponseError, match="samples for n=5"):
-                client.generate(GenerationRequest("sft", "q", num_samples=5))
-            params = GenerationParams()
+                client.generate(gen_request("sft", "q", num_samples=5))
+            params = GEN_PARAMS
             with QueryFanOut(2) as fan_out:
                 results, failures = fan_out.map(
                     lambda i, qid, text: sample_consistency(client, "sft", text, 5, params, seed=i),
@@ -277,13 +278,13 @@ def test_a_reply_with_the_wrong_sample_count_fails_its_query(extra):
 def test_a_score_without_a_finite_perplexity_is_malformed(logprobs):
     # JSON's reader accepts NaN and Infinity, so they arrive over the wire.
     with MockInferenceServer(FaultyBackend(0, logprobs)) as srv:
-        with contextlib.closing(HttpBackend(srv.url, max_attempts=1)) as client:
+        with contextlib.closing(http_client(srv.url, max_attempts=1)) as client:
             with pytest.raises(MalformedResponseError):
                 client.score("sft", "some text")
 
 
 def test_connection_refused_is_backend_failure(slept):
-    client = HttpBackend("http://127.0.0.1:9", max_attempts=2, timeout=0.5)
+    client = http_client("http://127.0.0.1:9", max_attempts=2, timeout=0.5)
     with pytest.raises(BackendFailure):
         client.score("m", "text")
 
@@ -298,12 +299,12 @@ def set_token(monkeypatch, token: str | None) -> None:
 
 def test_auth_token_comes_from_environment(monkeypatch):
     monkeypatch.setenv("TVFUSE_BACKEND_TOKEN", "secret-token")
-    client = HttpBackend("http://example.invalid")
+    client = http_client("http://example.invalid")
     assert client.auth_token == "secret-token"
     monkeypatch.delenv("TVFUSE_BACKEND_TOKEN")
-    assert HttpBackend("http://example.invalid").auth_token is None
+    assert http_client("http://example.invalid").auth_token is None
     monkeypatch.setenv("TVFUSE_BACKEND_TOKEN", "another")
-    assert HttpBackend("http://example.invalid").auth_token == "another"
+    assert http_client("http://example.invalid").auth_token == "another"
 
 
 @pytest.mark.parametrize(
@@ -316,12 +317,12 @@ def test_a_path_or_token_that_cannot_go_in_a_request_head_is_refused_up_front(
 ):
     set_token(monkeypatch, token)
     with pytest.raises(ValueError, match="printable ASCII"):
-        HttpBackend(url)
+        http_client(url)
 
 
 def test_unencodable_payload_fails_without_retry(slept):
     # NaN is not JSON; nothing is sent and no backoff is slept.
-    client = HttpBackend("http://127.0.0.1:9", max_attempts=3)
+    client = http_client("http://127.0.0.1:9", max_attempts=3)
     with pytest.raises(HttpStatusError) as info:
         client._post("/generate", {"temperature": float("nan")})
     assert info.value.status == 0
@@ -332,8 +333,8 @@ def test_unencodable_payload_fails_without_retry(slept):
 
 
 def test_requests_reuse_kept_alive_connections():
-    with CountingServer(MockBackend(LANDSCAPE, seed=5)) as srv:
-        client = HttpBackend(srv.url)
+    with CountingServer(mock_backend(LANDSCAPE, seed=5)) as srv:
+        client = http_client(srv.url)
         for i in range(200):
             client.score("sft", f"sequential {i}")
         assert srv.accepted == 1
@@ -351,10 +352,10 @@ def test_requests_reuse_kept_alive_connections():
 def test_injected_500_keeps_the_connection_in_sync(slept):
     # The server must read the body of the request it fails; otherwise the
     # retry on the same connection is parsed after the unread JSON bytes.
-    request = GenerationRequest(encode_model_ref(0.6, 1.1), "in sync", num_samples=3)
-    expected = [s.text for s in MockBackend(LANDSCAPE, seed=5).generate(request)]
-    with CountingServer(MockBackend(LANDSCAPE, seed=5)) as srv, contextlib.closing(
-        HttpBackend(srv.url, max_attempts=2)
+    request = gen_request(encode_model_ref(0.6, 1.1), "in sync", num_samples=3)
+    expected = [s.text for s in mock_backend(LANDSCAPE, seed=5).generate(request)]
+    with CountingServer(mock_backend(LANDSCAPE, seed=5)) as srv, contextlib.closing(
+        http_client(srv.url, max_attempts=2)
     ) as client:
         client.score("sft", "open the connection")
         srv.fail_next(1)
@@ -373,7 +374,7 @@ def test_connection_closed_by_server_is_reopened_without_an_attempt():
             self.reply(b'{"token_logprobs": [-0.5, -1.5]}')
             self.close_connection = True
 
-    with serve(CloseAfterReply) as url, contextlib.closing(HttpBackend(url, max_attempts=1)) as client:
+    with serve(CloseAfterReply) as url, contextlib.closing(http_client(url, max_attempts=1)) as client:
         for _ in range(3):
             assert client.score("m", "text").perplexity == pytest.approx(math.exp(1.0))
 
@@ -384,7 +385,7 @@ def test_slow_server_raises_timeout():
             time.sleep(0.5)
 
     with serve(SlowHandler) as url:
-        client = HttpBackend(url, max_attempts=1, timeout=0.1)
+        client = http_client(url, max_attempts=1, timeout=0.1)
         with pytest.raises(BackendTimeoutError):
             client.score("m", "text")
 
@@ -401,8 +402,8 @@ def test_kept_alive_round_trips_do_not_wait_for_delayed_acks(http_backend):
 
 
 def test_stop_closes_kept_alive_connections():
-    srv = MockInferenceServer(MockBackend(LANDSCAPE, seed=5)).start()
-    client = HttpBackend(srv.url, max_attempts=1)
+    srv = MockInferenceServer(mock_backend(LANDSCAPE, seed=5)).start()
+    client = http_client(srv.url, max_attempts=1)
     client.score("sft", "leave the connection open")
     start = time.perf_counter()
     srv.stop()
@@ -412,10 +413,23 @@ def test_stop_closes_kept_alive_connections():
     client.close()
 
 
+@pytest.mark.parametrize("connected", [False, True], ids=["just-started", "kept-alive"])
+def test_stop_returns_without_waiting_out_a_half_second_poll(connected):
+    srv = MockInferenceServer(mock_backend(LANDSCAPE, seed=5)).start()
+    client = http_client(srv.url, max_attempts=1)
+    if connected:
+        client.score("sft", "leave the connection open")
+    start = time.perf_counter()
+    srv.stop()
+    elapsed = time.perf_counter() - start
+    client.close()
+    assert elapsed < 0.25
+
+
 def test_stop_with_a_kept_alive_connection_prints_nothing(capfd):
     before = set(threading.enumerate())
-    srv = MockInferenceServer(MockBackend(LANDSCAPE, seed=5)).start()
-    client = HttpBackend(srv.url, max_attempts=1)
+    srv = MockInferenceServer(mock_backend(LANDSCAPE, seed=5)).start()
+    client = http_client(srv.url, max_attempts=1)
     client.score("sft", "leave the connection open")
     capfd.readouterr()
     srv.stop()
@@ -441,8 +455,8 @@ def test_stop_joins_a_handler_with_a_request_in_flight(capfd):
             return super().score(model_ref, text)
 
     before = set(threading.enumerate())
-    srv = MockInferenceServer(Slow(LANDSCAPE, seed=5)).start()
-    client = HttpBackend(srv.url, max_attempts=1)
+    srv = MockInferenceServer(mock_backend(LANDSCAPE, Slow, seed=5)).start()
+    client = http_client(srv.url, max_attempts=1)
     failures = []
 
     def call():
@@ -468,8 +482,8 @@ def test_a_failing_handler_still_prints_its_traceback(capfd):
         def score(self, model_ref, text):
             raise RuntimeError("the backend broke")
 
-    with MockInferenceServer(Failing(LANDSCAPE, seed=5)) as srv:
-        client = HttpBackend(srv.url, max_attempts=1)
+    with MockInferenceServer(mock_backend(LANDSCAPE, Failing, seed=5)) as srv:
+        client = http_client(srv.url, max_attempts=1)
         with pytest.raises(BackendFailure):
             client.score("sft", "text")
         client.close()
@@ -544,7 +558,7 @@ REPLIES = {
 def test_reply_framing_and_connection_reuse(case):
     reply, close, connections = REPLIES[case]
     handler = replying(reply, close)
-    with serve(handler) as url, contextlib.closing(HttpBackend(url, max_attempts=1)) as client:
+    with serve(handler) as url, contextlib.closing(http_client(url, max_attempts=1)) as client:
         for _ in range(3):
             assert client.score("m", "text").token_logprobs == (-0.5, -1.5)
     assert (handler.requests, handler.connections) == (3, connections)
@@ -567,7 +581,7 @@ BAD_FRAMING = {
 def test_malformed_framing_is_a_connection_failure(slept, case):
     handler = replying(BAD_FRAMING[case], False)
     with serve(handler) as url, contextlib.closing(
-        HttpBackend(url, max_attempts=2, timeout=5.0)
+        http_client(url, max_attempts=2, timeout=5.0)
     ) as client:
         start = time.perf_counter()
         with pytest.raises(HttpStatusError) as info:
@@ -581,7 +595,7 @@ def test_a_204_reply_has_no_body():
     # Read as a body, the kept-open connection would wait out the timeout.
     handler = replying(b"HTTP/1.1 204 No Content\r\n\r\n", False)
     with serve(handler) as url, contextlib.closing(
-        HttpBackend(url, max_attempts=1, timeout=5.0)
+        http_client(url, max_attempts=1, timeout=5.0)
     ) as client:
         start = time.perf_counter()
         with pytest.raises(MalformedResponseError, match="not JSON"):
@@ -599,7 +613,7 @@ def test_a_reset_before_the_reply_is_a_connection_failure(slept):
             self.request.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
             self.request.close()
 
-    with serve(Resetting) as url, contextlib.closing(HttpBackend(url, max_attempts=2)) as client:
+    with serve(Resetting) as url, contextlib.closing(http_client(url, max_attempts=2)) as client:
         with pytest.raises(HttpStatusError, match="connection failed") as info:
             client.score("m", "text")
     assert isinstance(info.value.__cause__, ConnectionResetError)
@@ -620,7 +634,7 @@ def test_body_cut_short_is_retried(slept):
             else:
                 self.reply(SCORE_BODY)
 
-    with serve(CutShort) as url, contextlib.closing(HttpBackend(url, max_attempts=2)) as client:
+    with serve(CutShort) as url, contextlib.closing(http_client(url, max_attempts=2)) as client:
         assert client.score("m", "text").token_logprobs == (-0.5, -1.5)
     assert CutShort.requests == 2
 
@@ -650,7 +664,7 @@ def capture_request(monkeypatch, url: str, token: str | None) -> tuple[int, tupl
         thread.start()
         create_connection = socket.create_connection
         monkeypatch.setattr(socket, "create_connection", connect)
-        with contextlib.closing(HttpBackend(url.format(port=port))) as client:
+        with contextlib.closing(http_client(url.format(port=port))) as client:
             client.score("m", "text")
         thread.join(5.0)
     address, head, body = received
@@ -702,21 +716,21 @@ def test_https_url_speaks_tls_on_kept_alive_connections(tmp_path, monkeypatch):
     )
     context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     context.load_cert_chain(cert, key)
-    srv = CountingServer(MockBackend(LANDSCAPE, seed=5))
+    srv = CountingServer(mock_backend(LANDSCAPE, seed=5))
     srv._server.socket = context.wrap_socket(srv._server.socket, server_side=True)
     url = srv.url.replace("http://", "https://")
-    local = MockBackend(LANDSCAPE, seed=5)
-    request = GenerationRequest(encode_model_ref(0.6, 1.1), "over tls", num_samples=3)
+    local = mock_backend(LANDSCAPE, seed=5)
+    request = gen_request(encode_model_ref(0.6, 1.1), "over tls", num_samples=3)
     with srv:
         # The certificate is not trusted unless SSL_CERT_FILE names it.
         monkeypatch.delenv("SSL_CERT_FILE", raising=False)
-        with contextlib.closing(HttpBackend(url, max_attempts=1)) as client:
+        with contextlib.closing(http_client(url, max_attempts=1)) as client:
             with pytest.raises(HttpStatusError) as info:
                 client.score("sft", "untrusted")
         assert info.value.status == 0
         monkeypatch.setenv("SSL_CERT_FILE", str(cert))
         accepted = srv.accepted
-        with contextlib.closing(HttpBackend(url, max_attempts=1)) as client:
+        with contextlib.closing(http_client(url, max_attempts=1)) as client:
             for _ in range(3):
                 assert client.generate(request) == local.generate(request)
             assert client.score("sft", "t").token_logprobs == local.score("sft", "t").token_logprobs

@@ -21,10 +21,13 @@ Only `task_vector` references the select, the tie rule and the rescale, so
 pruning is implemented once; and only it reads a resident vector's
 `.tensors`, so every other module reads vectors through `VectorSource`.
 
-Every defaulted parameter of a top-level function, or of a top-level
-class's `__init__`, is set by some call in the program, or is listed here
-with why it stays: a default that no program call overrides doubles a
-configuration that no program runs, so it becomes a constant.
+Every default of a top-level function, of a top-level class's `__init__` and
+of a field of a dataclass outside the config is both set and used by some call
+in the program. A default that no program call sets doubles a configuration
+that no program runs, so it becomes a constant, unless it is listed here with
+why it stays. A default that no program call uses repeats a setting whose one
+default lives in the config, or serves only the tests, so the parameter
+becomes required.
 
 Every leaf field of the pipeline config is type-checked by its annotation,
 and is either recorded by the stage files built from it (`pipeline._BUILT_FROM`)
@@ -180,24 +183,45 @@ def test_every_returned_value_has_a_reader():
     assert not found, f"functions whose every caller drops the return value: {found}"
 
 
-# Defaulted parameters that no program call sets, each with why it stays.
+# Defaults that no program call sets, each with why it stays.
 UNSET_ON_PURPOSE = {
     # The console script calls `main()`, and argparse then reads `sys.argv`.
     "cli.py:main(argv)",
     # Where the mock server listens: the address a caller serves it on.
     "evaluator/mock_server.py:MockInferenceServer(host)",
     "evaluator/mock_server.py:MockInferenceServer(port)",
+    # `prune_and_rescale` sets them on the record once the rescale is known.
+    "task_vector.py:SparsityInfo(rescale_gamma)",
+    "task_vector.py:SparsityInfo(epsilon)",
 }
 
+# `_build` fills these from a JSON object that may omit any key, so their
+# fields hold the one default of each setting.
+CONFIG_DATACLASSES = {"PipelineConfig", "SearchSettings", "BackendSettings", "MockSettings"}
 
-def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
-    """(callee, parameter, position) of each defaulted parameter of a top-level
-    function or a top-level class's `__init__`, whose callee is the class. The
-    position counts the arguments a call passes before it, and is None for a
-    keyword-only parameter."""
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _defaults(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(callee, parameter, position) of each default of a top-level function,
+    of a top-level class's `__init__` or of a field of a top-level dataclass
+    outside the config; the callee of the last two is the class. The
+    position counts the arguments a call passes before it, and is None for
+    a keyword-only parameter."""
     found = []
     for node in tree.body:
         function, skip = node, 0
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            if node.name not in CONFIG_DATACLASSES:
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                found += [(node.name, f.target.id, i) for i, f in enumerate(fields) if f.value]
+            continue
         if isinstance(node, ast.ClassDef):
             inits = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
             if not inits:
@@ -217,37 +241,88 @@ def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]
     return found
 
 
-def unset_parameters() -> list[str]:
-    """Each defaulted parameter that no call in the package or the benchmark
-    sets, by keyword, by position or through a `*` or `**` argument; a call
-    is matched to its callee by name."""
+def _not_handed_on(tree: ast.Module) -> set[int]:
+    """Ids of the nodes in which a name is read without being handed on to
+    someone who may call it: a callee, an annotation, an `except` clause, an
+    `isinstance` or `issubclass` check, a `|` union and the object of an
+    attribute read (`TrialRecord.from_json`)."""
+    subtrees = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            subtrees.append(node.func)
+            if getattr(node.func, "id", None) in ("isinstance", "issubclass"):
+                subtrees += node.args[1:]
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            subtrees.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            subtrees.append(node.returns)
+        elif isinstance(node, ast.ExceptHandler):
+            subtrees.append(node.type)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            subtrees += [node.left, node.right]
+        elif isinstance(node, ast.Attribute):
+            subtrees.append(node.value)
+    return {id(n) for subtree in subtrees if subtree is not None for n in ast.walk(subtree)}
+
+
+def default_uses() -> tuple[list[str], list[str]]:
+    """The defaults that no call in the package or the benchmark sets, and
+    those that none uses. A call sets a default when it passes its argument
+    by keyword, by position or through a `*` or `**` argument, and uses it
+    when it omits the argument or unpacks one. A reference that is not a
+    call uses every default of its callee, as whoever it hands the callee on
+    to may omit any argument (`perfbench/worker.py` wraps
+    `pipeline.run_pipeline`). A call is matched to its callee by name, and
+    `cls(...)` in a class to the class."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in _modules(PACKAGE)}
     callers = [*trees.values()]
     callers += [ast.parse(path.read_text(encoding="utf-8")) for path in _modules(BENCHMARK)]
-    keywords: set[tuple[str, str]] = set()
-    positions: Counter = Counter()  # the most arguments any call passes by position
-    unpacked: set[str] = set()
-    for call in (node for tree in callers for node in ast.walk(tree) if isinstance(node, ast.Call)):
-        name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
-        keywords.update((name, kw.arg) for kw in call.keywords if kw.arg is not None)
-        positions[name] = max(positions[name], len(call.args))
-        if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
-            kw.arg is None for kw in call.keywords
-        ):
-            unpacked.add(name)
-    return [
-        f"{path.relative_to(PACKAGE)}:{callee}({parameter})"
-        for path, tree in trees.items()
-        for callee, parameter, position in _defaulted_parameters(tree)
-        if callee not in unpacked
-        and (callee, parameter) not in keywords
-        and (position is None or positions[callee] <= position)
-    ]
+    # Per callee: (arguments passed by position, keywords passed, unpacks) of each call.
+    calls: dict[str, list[tuple[int, set[str], bool]]] = {}
+    references: Counter = Counter()
+    for tree in callers:
+        skipped = _not_handed_on(tree)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name == "cls" and isinstance(top, ast.ClassDef):
+                        name = top.name
+                    keywords = {kw.arg for kw in node.keywords}
+                    unpacks = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+                    calls.setdefault(name, []).append((len(node.args), keywords, unpacks))
+                elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in skipped:
+                    if isinstance(node.ctx, ast.Load):
+                        references[getattr(node, "id", getattr(node, "attr", None))] += 1
+    unset, unused = [], []
+    for path, tree in trees.items():
+        for callee, parameter, position in _defaults(tree):
+            passed = [
+                unpacks or parameter in keywords or (position is not None and count > position)
+                for count, keywords, unpacks in calls.get(callee, [])
+            ]
+            omitted = [
+                unpacks or parameter not in keywords and (position is None or count <= position)
+                for count, keywords, unpacks in calls.get(callee, [])
+            ]
+            label = f"{path.relative_to(PACKAGE)}:{callee}({parameter})"
+            if not any(passed):
+                unset.append(label)
+            if not (references[callee] or any(omitted)):
+                unused.append(label)
+    return unset, unused
 
 
 def test_every_defaulted_parameter_has_a_program_caller():
-    found = sorted(set(unset_parameters()) - UNSET_ON_PURPOSE)
-    assert not found, f"defaulted parameters that no program call sets: {found}"
+    found = sorted(set(default_uses()[0]) - UNSET_ON_PURPOSE)
+    assert not found, f"defaults that no program call sets: {found}"
+
+
+def test_every_default_is_used_by_a_program_call():
+    """A default that every program call overrides doubles a setting whose
+    default lives elsewhere, in the config, or serves only the tests."""
+    found = default_uses()[1]
+    assert not found, f"defaults that no program call uses: {found}"
 
 
 PRUNING = {"RadixSelect", "KeepMasks", "rescale_gamma"}

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defaults import SPACE, default_search, mock_backend, mock_landscape, tpe_config
 from reference import brute_force_frontier, parzen_log_pdf, pointwise_tpe_suggest
 from tvfuse.errors import (
     BackendFailure,
@@ -19,14 +20,13 @@ from tvfuse.errors import (
     TooManyFailedTrialsError,
     TrialLogError,
 )
-from tvfuse.evaluator import MockBackend, encode_model_ref, quadratic_landscape
+from tvfuse.evaluator import MockBackend, encode_model_ref
 from tvfuse.optimizer import (
     SearchSpace,
     TpeConfig,
     TrialRecord,
     load_trial_log,
     pareto_frontier,
-    run_search,
     select_knee,
     select_max_consistency,
     tpe_suggest,
@@ -66,27 +66,27 @@ def quadratic_history(n, seed=0):
 
 
 def test_startup_is_uniform_and_reproducible():
-    config = TpeConfig(n_trials=50, n_startup=10, seed=123)
-    space = SearchSpace()
+    config = tpe_config(n_trials=50, n_startup=10, seed=123)
+    space = SPACE
     a = tpe_suggest([], space, config)
     b = tpe_suggest([], space, config)
     assert a == b
     assert all(0.0 <= x <= 2.0 for x in a)
-    other = tpe_suggest([], space, TpeConfig(n_trials=50, n_startup=10, seed=124))
+    other = tpe_suggest([], space, tpe_config(n_trials=50, n_startup=10, seed=124))
     assert other != a
 
 
 def test_suggestions_depend_on_history_length_not_content_order():
-    config = TpeConfig(n_trials=100, n_startup=10, seed=1)
+    config = tpe_config(n_trials=100, n_startup=10, seed=1)
     history = quadratic_history(30)
-    assert tpe_suggest(history, SearchSpace(), config) == tpe_suggest(
-        list(history), SearchSpace(), config
+    assert tpe_suggest(history, SPACE, config) == tpe_suggest(
+        list(history), SPACE, config
     )
 
 
 def test_tpe_concentrates_near_optimum():
-    config = TpeConfig(n_trials=200, n_startup=10, seed=7)
-    space = SearchSpace()
+    config = tpe_config(n_trials=200, n_startup=10, seed=7)
+    space = SPACE
     history = quadratic_history(50, seed=7)
 
     tpe_points = []
@@ -107,16 +107,16 @@ def test_tpe_concentrates_near_optimum():
 
 
 def test_degenerate_identical_consistency_stays_bounded():
-    config = TpeConfig(n_trials=100, n_startup=5, seed=3)
+    config = tpe_config(n_trials=100, n_startup=5, seed=3)
     history = [trial(i, 0.5, 2.0, coeffs=(0.1 * i, 0.1 * i)) for i in range(20)]
-    point = tpe_suggest(history, SearchSpace(), config)
+    point = tpe_suggest(history, SPACE, config)
     assert all(math.isfinite(x) for x in point)
     assert all(0.0 <= x <= 2.0 for x in point)
 
 
 def test_suggestions_always_in_bounds():
     space = SearchSpace(bounds=((-1.0, 0.5), (10.0, 11.0)))
-    config = TpeConfig(n_trials=100, n_startup=4, seed=17)
+    config = tpe_config(n_trials=100, n_startup=4, seed=17)
     rng = np.random.default_rng(17)
     history = []
     for i in range(40):
@@ -128,11 +128,11 @@ def test_suggestions_always_in_bounds():
 
 
 def test_failed_trials_excluded_from_fit_but_advance_stream():
-    config = TpeConfig(n_trials=100, n_startup=3, seed=5)
+    config = tpe_config(n_trials=100, n_startup=3, seed=5)
     ok_history = quadratic_history(8, seed=5)
     with_failures = ok_history + [trial(8, None, None, status="failed")]
-    a = tpe_suggest(ok_history, SearchSpace(), config)
-    b = tpe_suggest(with_failures, SearchSpace(), config)
+    a = tpe_suggest(ok_history, SPACE, config)
+    b = tpe_suggest(with_failures, SPACE, config)
     assert a != b  # stream key advanced by the failed trial
 
 
@@ -151,8 +151,8 @@ def test_perplexity_weight_ranks_tied_trials_by_perplexity():
     assert good_set(0.0) == set(range(5))
     assert good_set(0.5) == set(range(10, 15))
     for weight, near, far in ((0.0, early, late), (0.5, late, early)):
-        config = TpeConfig(n_trials=100, n_startup=5, seed=11, scalarize_ppl_weight=weight)
-        point = tpe_suggest(history, SearchSpace(), config)
+        config = tpe_config(n_trials=100, n_startup=5, seed=11, scalarize_ppl_weight=weight)
+        point = tpe_suggest(history, SPACE, config)
         assert distance(point, near) < distance(point, far)
 
 
@@ -163,11 +163,11 @@ def test_empty_space_rejected():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TpeConfig(n_trials=10, n_startup=10)
+        tpe_config(n_trials=10, n_startup=10)
     with pytest.raises(ValueError):
-        TpeConfig(gamma_split=1.0)
+        tpe_config(gamma_split=1.0)
     with pytest.raises(ValueError):
-        TpeConfig(n_candidates=0)
+        tpe_config(n_candidates=0)
 
 
 def test_a_draw_rejected_every_time_falls_back_to_its_clamped_centre():
@@ -280,7 +280,7 @@ def seeded_history(seed, n, bounds):
 )
 def test_suggestions_hold_their_bits(seed, n, bounds, config, expected):
     history = seeded_history(seed, n, bounds)
-    assert repr(tpe_suggest(history, SearchSpace(bounds), TpeConfig(**config))) == expected
+    assert repr(tpe_suggest(history, SearchSpace(bounds), tpe_config(**config))) == expected
 
 
 def test_row_sums_along_an_axis_equal_one_row_summed_alone():
@@ -410,16 +410,16 @@ QUERIES = [(f"q{i}", f"adaptation question {i}") for i in range(4)]
 
 
 def small_config(seed=0, trials=30):
-    return TpeConfig(n_trials=trials, n_startup=8, seed=seed)
+    return tpe_config(n_trials=trials, n_startup=8, seed=seed)
 
 
 def test_search_finds_peak_region(tmp_path):
-    backend = MockBackend(quadratic_landscape(peak=PEAK, falloff=8.0))
-    result = run_search(
+    backend = mock_backend(mock_landscape(peak=PEAK, falloff=8.0))
+    result = default_search(
         merge_builder=lambda coeffs: encode_model_ref(*coeffs),
         backend=backend,
         queries=QUERIES,
-        config=TpeConfig(n_trials=100, n_startup=10, seed=11),
+        config=tpe_config(n_trials=100, n_startup=10, seed=11),
         trial_log_path=tmp_path / "trials.jsonl",
         samples_per_query=5,
         concurrency=4,
@@ -430,8 +430,8 @@ def test_search_finds_peak_region(tmp_path):
 
 
 def test_constant_landscape_dedups_to_single_frontier_point(tmp_path):
-    backend = MockBackend(lambda a, b: (0.6, 3.0))
-    result = run_search(
+    backend = mock_backend(lambda a, b: (0.6, 3.0))
+    result = default_search(
         merge_builder=lambda coeffs: encode_model_ref(*coeffs),
         backend=backend,
         queries=QUERIES,
@@ -456,17 +456,17 @@ def two_peak_landscape(a, b):
 
 
 def test_knee_and_max_consistency_disagree_on_two_peak_landscape(tmp_path):
-    backend = MockBackend(two_peak_landscape)
+    backend = mock_backend(two_peak_landscape)
     kwargs = dict(
         merge_builder=lambda coeffs: encode_model_ref(*coeffs),
         backend=backend,
         queries=QUERIES,
-        config=TpeConfig(n_trials=80, n_startup=10, seed=2),
+        config=tpe_config(n_trials=80, n_startup=10, seed=2),
         trial_log_path=tmp_path / "trials.jsonl",
         samples_per_query=5,
     )
-    by_consistency = run_search(selection_rule="max-consistency", **kwargs)
-    by_knee = run_search(selection_rule="knee", **kwargs)
+    by_consistency = default_search(selection_rule="max-consistency", **kwargs)
+    by_knee = default_search(selection_rule="knee", **kwargs)
     assert by_consistency.selected.index != by_knee.selected.index
     assert by_consistency.selected.consistency > by_knee.selected.consistency
     assert by_knee.selected.perplexity < by_consistency.selected.perplexity
@@ -486,8 +486,8 @@ def test_knee_and_max_consistency_disagree_on_two_peak_landscape(tmp_path):
 
 def test_search_is_deterministic(tmp_path):
     def run_once():
-        backend = MockBackend(quadratic_landscape(peak=PEAK), seed=4)
-        return run_search(
+        backend = mock_backend(mock_landscape(peak=PEAK), seed=4)
+        return default_search(
             merge_builder=lambda coeffs: encode_model_ref(*coeffs),
             backend=backend,
             queries=QUERIES,
@@ -506,7 +506,7 @@ def test_search_resume_matches_uninterrupted(tmp_path):
     def make_kwargs(log):
         return dict(
             merge_builder=lambda coeffs: encode_model_ref(*coeffs),
-            backend=MockBackend(quadratic_landscape(peak=PEAK), seed=9),
+            backend=mock_backend(mock_landscape(peak=PEAK), seed=9),
             queries=QUERIES,
             config=small_config(seed=8),
             samples_per_query=5,
@@ -514,12 +514,12 @@ def test_search_resume_matches_uninterrupted(tmp_path):
         )
 
     full_log = tmp_path / "full.jsonl"
-    reference = run_search(**make_kwargs(full_log))
+    reference = default_search(**make_kwargs(full_log))
 
     partial_log = tmp_path / "partial.jsonl"
     lines = full_log.read_text().splitlines()
     partial_log.write_text("\n".join(lines[:12]) + "\n")
-    resumed = run_search(resume=True, **make_kwargs(partial_log))
+    resumed = default_search(resume=True, **make_kwargs(partial_log))
     assert resumed.trials == reference.trials
     assert resumed.coefficients == reference.coefficients
     assert partial_log.read_text() == full_log.read_text()
@@ -529,16 +529,16 @@ def test_resume_tolerates_truncated_last_line(tmp_path):
     log = tmp_path / "trunc.jsonl"
     kwargs = dict(
         merge_builder=lambda coeffs: encode_model_ref(*coeffs),
-        backend=MockBackend(quadratic_landscape(peak=PEAK), seed=9),
+        backend=mock_backend(mock_landscape(peak=PEAK), seed=9),
         queries=QUERIES,
         config=small_config(seed=8),
         samples_per_query=5,
         trial_log_path=log,
     )
-    reference = run_search(**kwargs)
+    reference = default_search(**kwargs)
     lines = log.read_text().splitlines()
     log.write_text("\n".join(lines[:10]) + "\n" + lines[10][: len(lines[10]) // 2])
-    resumed = run_search(resume=True, **kwargs)
+    resumed = default_search(resume=True, **kwargs)
     assert resumed.trials == reference.trials
 
 
@@ -548,26 +548,26 @@ def test_resume_twice_after_truncated_last_line(tmp_path):
     log = tmp_path / "trunc.jsonl"
     kwargs = dict(
         merge_builder=lambda coeffs: encode_model_ref(*coeffs),
-        backend=MockBackend(quadratic_landscape(peak=PEAK), seed=9),
+        backend=mock_backend(mock_landscape(peak=PEAK), seed=9),
         queries=QUERIES,
         config=small_config(seed=8),
         samples_per_query=5,
         trial_log_path=log,
     )
-    reference = run_search(**kwargs)
+    reference = default_search(**kwargs)
     full_log = log.read_text()
     lines = full_log.splitlines()
     log.write_text("\n".join(lines[:10]) + "\n" + lines[10][: len(lines[10]) // 2])
-    run_search(resume=True, **kwargs)
+    default_search(resume=True, **kwargs)
     assert log.read_text() == full_log
-    assert run_search(resume=True, **kwargs).trials == reference.trials
+    assert default_search(resume=True, **kwargs).trials == reference.trials
 
 
 def test_each_evaluated_trial_logs_one_progress_line_at_info(tmp_path, caplog):
     def search(log, resume=False):
-        return run_search(
+        return default_search(
             merge_builder=lambda coeffs: encode_model_ref(*coeffs),
-            backend=MockBackend(quadratic_landscape(peak=PEAK), seed=9),
+            backend=mock_backend(mock_landscape(peak=PEAK), seed=9),
             queries=QUERIES,
             config=small_config(seed=8, trials=20),
             samples_per_query=5,
@@ -613,11 +613,11 @@ def test_search_runs_every_trial_on_one_pool_of_concurrency_threads(tmp_path):
             names.add(threading.current_thread().name)
             return super().score(model_ref, text)
 
-    result = run_search(
+    result = default_search(
         merge_builder=lambda coeffs: encode_model_ref(*coeffs),
-        backend=Recording(quadratic_landscape(peak=PEAK), seed=9),
+        backend=mock_backend(mock_landscape(peak=PEAK), Recording, seed=9),
         queries=QUERIES,
-        config=TpeConfig(n_trials=6, n_startup=3, seed=8),
+        config=tpe_config(n_trials=6, n_startup=3, seed=8),
         trial_log_path=tmp_path / "trials.jsonl",
         samples_per_query=5,
         concurrency=2,
@@ -640,18 +640,18 @@ def test_resume_refuses_a_log_from_another_search(tmp_path, case):
     log = tmp_path / "trials.jsonl"
     kwargs = dict(
         merge_builder=lambda coeffs: encode_model_ref(*coeffs),
-        backend=MockBackend(quadratic_landscape(peak=PEAK), seed=9),
+        backend=mock_backend(mock_landscape(peak=PEAK), seed=9),
         queries=QUERIES,
         samples_per_query=5,
         trial_log_path=log,
     )
-    first = run_search(config=small_config(seed=8, trials=12), **kwargs)
+    first = default_search(config=small_config(seed=8, trials=12), **kwargs)
     written = log.read_bytes()
     changes, space, index = OTHER_SEARCHES[case]
-    config = TpeConfig(**{"n_trials": 12, "n_startup": 8, "seed": 8, **changes})
-    expected = tpe_suggest(first.trials[:index], space or SearchSpace(), config)
+    config = tpe_config(**{"n_trials": 12, "n_startup": 8, "seed": 8, **changes})
+    expected = tpe_suggest(first.trials[:index], space or SPACE, config)
     with pytest.raises(TrialLogError) as caught:
-        run_search(config=config, space=space, resume=True, **kwargs)
+        default_search(config=config, space=space or SPACE, resume=True, **kwargs)
     message = str(caught.value)
     assert str(log) in message and f"trial {index} " in message
     assert str(first.trials[index].coeffs) in message and str(expected) in message
@@ -738,8 +738,8 @@ def test_failed_queries_dropped_from_trial_mean(tmp_path):
                 raise UnknownModelRefError("injected")
             return super().generate(request)
 
-    backend = Flaky(lambda a, b: (1.0, 2.0))
-    result = run_search(
+    backend = mock_backend(lambda a, b: (1.0, 2.0), Flaky)
+    result = default_search(
         merge_builder=lambda coeffs: encode_model_ref(*coeffs),
         backend=backend,
         queries=QUERIES,
@@ -759,9 +759,9 @@ def test_too_many_failed_trials_aborts(tmp_path):
 
             raise UnknownModelRefError("down")
 
-    backend = Broken(quadratic_landscape())
+    backend = mock_backend(mock_landscape(), Broken)
     with pytest.raises(TooManyFailedTrialsError):
-        run_search(
+        default_search(
             merge_builder=lambda coeffs: encode_model_ref(*coeffs),
             backend=backend,
             queries=QUERIES,
@@ -792,21 +792,21 @@ def test_resume_over_a_log_past_the_failed_trial_cap_raises_before_any_trial(tmp
         return builder(coeffs)
 
     kwargs = dict(
-        backend=MockBackend(quadratic_landscape(peak=PEAK), seed=9),
+        backend=mock_backend(mock_landscape(peak=PEAK), seed=9),
         queries=QUERIES,
         config=small_config(seed=8, trials=10),
         trial_log_path=log,
         samples_per_query=5,
     )
     with pytest.raises(TooManyFailedTrialsError) as first:
-        run_search(merge_builder=failing_builder, **kwargs)
+        default_search(merge_builder=failing_builder, **kwargs)
     assert len(built) == BROKEN_CAPS[case][-1] + 1
     written = log.read_bytes()
     assert len(written.splitlines()) == len(built)
 
     built.clear()
     with pytest.raises(TooManyFailedTrialsError) as resumed:
-        run_search(merge_builder=builder, resume=True, **kwargs)
+        default_search(merge_builder=builder, resume=True, **kwargs)
     assert str(resumed.value) == str(first.value)
     assert built == []
     assert log.read_bytes() == written

@@ -46,7 +46,7 @@ def setup(tmp_path):
 
 def test_config_round_trip_and_overrides(setup):
     _, _, _, config_path = setup
-    config = load_config(config_path)
+    config = load_config(config_path, {})
     assert config.retention_p == 0.3
     raw = json.loads(config_path.read_text())
     raw = apply_overrides(raw, {"search.n_trials": "13", "retention_p": "0.5"})
@@ -57,7 +57,7 @@ def test_config_round_trip_and_overrides(setup):
 
 def test_missing_checkpoint_fails_validation_before_work(setup):
     tmp_path, _, _, config_path = setup
-    config = load_config(config_path)
+    config = load_config(config_path, {})
     config.base_path = str(tmp_path / "nope.safetensors")
     with pytest.raises(ConfigError):
         run_pipeline(config)
@@ -99,7 +99,7 @@ def test_unknown_config_field_rejected():
 
 # Each JSON file reader, and the prefix of its refusal of a file that is not JSON.
 JSON_READERS = {
-    "config": (load_config, "cannot load config "),
+    "config": (lambda path: load_config(path, {}), "cannot load config "),
     "rule-file": (diagnostics.load_module_rules, "cannot load rule file "),
     "stage-file": (lambda path: pipeline._read_json_object(path, set()), "cannot load "),
 }
@@ -118,7 +118,7 @@ def test_json_readers_name_the_file_they_cannot_load(tmp_path, case, content):
 
 def test_full_pipeline_completes_and_finds_peak(setup):
     _, _, _, config_path = setup
-    config = load_config(config_path)
+    config = load_config(config_path, {})
     report = run_pipeline(config)
     paths = WorkspacePaths(Path(config.workspace))
     assert paths.difficulty_records.exists()
@@ -162,7 +162,7 @@ def count_reads(monkeypatch, merges: list) -> list[tuple[Path, str, int]]:
 
 def test_mock_backend_search_merges_and_loads_nothing(setup, monkeypatch):
     _, _, _, config_path = setup
-    config = load_config(config_path)
+    config = load_config(config_path, {})
     paths = WorkspacePaths(Path(config.workspace))
     merges = count_calls(monkeypatch, pipeline, "merge")
     reads = count_reads(monkeypatch, merges)
@@ -223,7 +223,7 @@ def test_pipeline_bitwise_reproducible(setup):
     results = []
     for tag in ("a", "b"):
         config_path = make_config(tmp_path / tag, checkpoints, pool, tmp_path / f"ws_{tag}")
-        report = run_pipeline(load_config(config_path))
+        report = run_pipeline(load_config(config_path, {}))
         paths = WorkspacePaths(Path(tmp_path / f"ws_{tag}"))
         results.append(
             (
@@ -246,7 +246,7 @@ def test_the_pool_is_read_once_for_both_stages_that_use_it(setup, monkeypatch):
 
     def run(tag: str) -> WorkspacePaths:
         config_path = make_config(tmp_path / tag, checkpoints, pool, tmp_path / f"ws_{tag}")
-        run_pipeline(load_config(config_path))
+        run_pipeline(load_config(config_path, {}))
         return WorkspacePaths(tmp_path / f"ws_{tag}")
 
     undisturbed = run("undisturbed")
@@ -276,12 +276,15 @@ def test_the_pool_is_read_once_for_both_stages_that_use_it(setup, monkeypatch):
 def test_pipeline_resume_after_crash_matches_uninterrupted(setup, monkeypatch):
     tmp_path, checkpoints, pool, _ = setup
 
-    ref_config = load_config(make_config(tmp_path / "ref", checkpoints, pool, tmp_path / "ws_ref"))
+    ref_config = load_config(
+        make_config(tmp_path / "ref", checkpoints, pool, tmp_path / "ws_ref"),
+        {},
+    )
     reference = run_pipeline(ref_config)
     ref_paths = WorkspacePaths(Path(ref_config.workspace))
 
     crash_config_path = make_config(tmp_path / "crash", checkpoints, pool, tmp_path / "ws_crash")
-    crash_config = load_config(crash_config_path)
+    crash_config = load_config(crash_config_path, {})
     crash_paths = WorkspacePaths(Path(crash_config.workspace))
 
     calls = {"generate": 0}
@@ -319,7 +322,7 @@ def test_pipeline_resume_after_crash_matches_uninterrupted(setup, monkeypatch):
 
 def test_resume_skips_completed_stages(setup, monkeypatch):
     _, _, _, config_path = setup
-    config = load_config(config_path)
+    config = load_config(config_path, {})
     run_pipeline(config)
     paths = WorkspacePaths(Path(config.workspace))
     outputs = [
@@ -392,7 +395,7 @@ def test_fixed_coefficients_with_full_retention_is_linear(setup):
         retention_p=1.0,
         fixed_coefficients=[1.0, 1.0],
     )
-    config = load_config(config_path)
+    config = load_config(config_path, {})
     report = run_pipeline(config)
     assert report.selection_rule == "fixed"
     paths = WorkspacePaths(Path(config.workspace))
@@ -402,16 +405,16 @@ def test_fixed_coefficients_with_full_retention_is_linear(setup):
     rlvr = archive.open_archive(checkpoints["rlvr"])
     merged = archive.open_archive(paths.merged_model)
     for name in base.entries:
-        b = archive.read_tensor(base, name).values
-        tau_sft = archive.read_tensor(sft, name).values - b
-        tau_rlvr = archive.read_tensor(rlvr, name).values - b
+        b = archive.read_tensor(base, name, out=None).values
+        tau_sft = archive.read_tensor(sft, name, out=None).values - b
+        tau_rlvr = archive.read_tensor(rlvr, name, out=None).values - b
         expected = narrow_from_f64(b + tau_sft + tau_rlvr, "F32")
         assert read_tensor_bytes(merged, name) == expected
 
 
 def test_lock_blocks_concurrent_runs(setup):
     tmp_path, _, _, config_path = setup
-    config = load_config(config_path)
+    config = load_config(config_path, {})
     workspace = Path(config.workspace)
     with WorkspaceLock(workspace):
         with pytest.raises(PipelineLockedError):
@@ -508,7 +511,7 @@ def test_fixed_coefficients_write_the_same_search_result_bytes(setup):
     config_path = make_config(
         tmp_path / "fixed", checkpoints, pool, tmp_path / "ws_fixed", fixed_coefficients=[0.5, 1.25]
     )
-    config = load_config(config_path)
+    config = load_config(config_path, {})
     report = run_pipeline(config, final_merge=False)
     assert (report.coefficients, report.selection_rule) == ([0.5, 1.25], "fixed")
     expected = '{\n  "selection_rule": "fixed",\n  "coefficients": [\n    0.5,\n    1.25\n  ]\n}'
@@ -517,7 +520,7 @@ def test_fixed_coefficients_write_the_same_search_result_bytes(setup):
 
 def test_fresh_stage_one_leaves_no_stale_scoring_failures(setup, monkeypatch):
     _, _, _, config_path = setup
-    config = load_config(config_path)
+    config = load_config(config_path, {})
     paths = WorkspacePaths(Path(config.workspace))
     original_generate = MockBackend.generate
     failing_prompt: list[str] = []
@@ -530,10 +533,10 @@ def test_fresh_stage_one_leaves_no_stale_scoring_failures(setup, monkeypatch):
         return original_generate(self, request)
 
     monkeypatch.setattr(MockBackend, "generate", flaky_generate)
-    select_data(config)
+    select_data(config, resume=False)
     assert len(json.loads(paths.scoring_failures.read_text())) == 1
     monkeypatch.setattr(MockBackend, "generate", original_generate)
-    select_data(config)
+    select_data(config, resume=False)
     assert not paths.scoring_failures.exists()
 
 
@@ -548,10 +551,11 @@ def test_stale_lock_is_reclaimed(tmp_path):
 
 def test_report_round_trip_and_revalidation(setup):
     _, _, _, config_path = setup
-    config = load_config(config_path)
+    config = load_config(config_path, {})
     run_pipeline(config)
     report = load_report(config.workspace)
     assert report.tool_version
+    assert report.numpy_version == np.__version__
     assert report.coefficients is not None
     assert PipelineConfig.from_dict(report.config).seed == config.seed
 
@@ -572,12 +576,13 @@ def report_bytes(drop: str | None = None, **changes) -> bytes:
         b"{not json",
         b"[1, 2]",
         report_bytes(drop="coefficients"),
+        report_bytes(drop="numpy_version"),
         report_bytes(bogus=1),
         report_bytes(config="abc"),
         report_bytes(config={"bogus": 1}),
     ],
     ids=[
-        "missing-file", "not-utf8", "invalid-json", "non-object", "missing-key",
+        "missing-file", "not-utf8", "invalid-json", "non-object", "missing-key", "no-numpy-version",
         "unexpected-key", "non-object-config", "invalid-config",
     ],
 )
@@ -604,7 +609,7 @@ def test_report_with_mistyped_config_raises_config_error(tmp_path):
 
 def test_search_without_final_merge(setup):
     _, _, _, config_path = setup
-    config = load_config(config_path)
+    config = load_config(config_path, {})
     report = run_pipeline(config, final_merge=True)
     # A fresh workspace searched without the final merge leaves no model.
     config.workspace = str(Path(config.workspace).parent / "ws_search_only")
@@ -616,7 +621,7 @@ def test_search_without_final_merge(setup):
 
 def test_stage_error_names_the_stage(setup, monkeypatch):
     _, _, _, config_path = setup
-    config = load_config(config_path)
+    config = load_config(config_path, {})
     from tvfuse import pipeline as pl
     from tvfuse.errors import BackendFailure, StageError
 
@@ -632,7 +637,7 @@ def test_stage_error_names_the_stage(setup, monkeypatch):
 
 def test_difficulty_spread_produces_two_pools(setup):
     _, _, _, config_path = setup
-    config = load_config(config_path)
+    config = load_config(config_path, {})
     run_pipeline(config, final_merge=False)
     payload = json.loads(WorkspacePaths(Path(config.workspace)).adaptation_set.read_text())
     assert payload["drawn_from_low"] + payload["drawn_from_medium"] == config.n
@@ -669,7 +674,7 @@ def test_stage_two_sparsifies_each_vector_once(setup, monkeypatch, retention):
         for path in (config.sft_path, config.rlvr_path)
     ]
     for label, tv in zip(("sft", "rlvr"), raw):
-        assert summary[label]["original_norm"] == task_vector.global_l2_norm(tv)
+        assert summary[label]["original_norm"] == task_vector.global_l2_norm(tv, {})
     expected = diagnostics.sign_interference(raw[0], raw[1], retention, retention)
     assert summary["sign_interference"] == {
         "retention_a": retention,
@@ -695,7 +700,7 @@ def test_stage_two_takes_three_passes_when_each_cut_is_its_buckets_floor(tmp_pat
             checkpoints[label],
         )
     pool = make_query_pool(tmp_path / "pool.jsonl")
-    config = load_config(make_config(tmp_path, checkpoints, pool, tmp_path / "ws"))
+    config = load_config(make_config(tmp_path, checkpoints, pool, tmp_path / "ws"), {})
     digests = pipeline._checkpoint_digests(config)
     reads = count_reads(monkeypatch, [])
     summary = pipeline._stage_task_vectors(
@@ -712,7 +717,7 @@ def test_stage_two_passes_reuse_one_readers_buffers(setup, monkeypatch):
     # One `deltas` reader serves all four passes at 0.3, so the last pass
     # reads into the pages the first one faulted in.
     _, _, _, config_path = setup
-    config = load_config(config_path)
+    config = load_config(config_path, {})
     passes = []
     original = pipeline.deltas
 
@@ -769,7 +774,8 @@ def test_stage_two_and_final_merge_hold_memory_bounded_by_the_largest_tensor(tmp
     for count in (16, 64):
         directory = tmp_path / str(count)
         config = load_config(
-            make_config(directory, write_bf16_trio(directory, count, size), pool, directory / "ws")
+            make_config(directory, write_bf16_trio(directory, count, size), pool, directory / "ws"),
+            {},
         )
         paths = WorkspacePaths(Path(config.workspace))
         digests = pipeline._checkpoint_digests(config)

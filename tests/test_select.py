@@ -57,7 +57,12 @@ def build(tensors: list[list[float]]) -> TaskVector:
         f"{NAMES[i % len(NAMES)]}.{i:02d}": np.asarray(v, dtype=np.float64)
         for i, v in enumerate(tensors)
     }
-    return TaskVector(tensors=named, shapes={k: v.shape for k, v in named.items()})
+    return TaskVector(
+        tensors=named,
+        shapes={k: v.shape for k, v in named.items()},
+        source_base_id="",
+        source_ft_id="",
+    )
 
 
 def flat(tv: TaskVector) -> np.ndarray:
@@ -95,7 +100,7 @@ def test_sparsify_keeps_the_full_sort_top_k(tensors, retention):
     assert got.tobytes() == expected.tobytes()
     # The retained count follows from the cut, without counting the result.
     assert result.sparsity.retained_count == np.count_nonzero(got)
-    assert result.sparsity.original_norm == tvec.global_l2_norm(tv)
+    assert result.sparsity.original_norm == tvec.global_l2_norm(tv, {})
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -118,7 +123,7 @@ def test_sweep_and_module_ratios_equal_full_sort(data, tensors, retentions, rete
     offset = 0
     for name in sorted(tv_a.tensors):
         size = tv_a.tensors[name].size
-        cls = diag.classify_module(name)
+        cls = diag.classify_module(name, diag.DEFAULT_MODULE_RULES)
         chunk = slice(offset, offset + size)
         retained[cls] = retained.get(cls, 0) + int(np.count_nonzero(keep[chunk] & (a[chunk] != 0.0)))
         totals[cls] = totals.get(cls, 0) + size
@@ -138,7 +143,12 @@ def test_select_memory_is_bounded_by_one_tensor():
         values = rng.standard_normal(size)
         values[rng.random(size) < 0.6] = 0.0
         tensors[f"t{i:02d}"] = values
-    tv = TaskVector(tensors=tensors, shapes={k: v.shape for k, v in tensors.items()})
+    tv = TaskVector(
+        tensors=tensors,
+        shapes={k: v.shape for k, v in tensors.items()},
+        source_base_id="",
+        source_ft_id="",
+    )
     tracemalloc.start()
     try:
         cuts = tvec.quantile_threshold(tv, [0.5, 0.2])

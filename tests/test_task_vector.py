@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from defaults import CONFIG
 from reference import read_tensor_bytes, topk_indices
 from tvfuse import archive
 from tvfuse import task_vector as tvec
@@ -23,12 +24,19 @@ from tvfuse.task_vector import TaskVector
 
 def vec(values, name="w") -> TaskVector:
     arr = np.asarray(values, dtype=np.float64)
-    return TaskVector(tensors={name: arr}, shapes={name: arr.shape})
+    return TaskVector(
+        tensors={name: arr}, shapes={name: arr.shape}, source_base_id="", source_ft_id=""
+    )
 
 
 def multi(**named) -> TaskVector:
     tensors = {k: np.asarray(v, dtype=np.float64) for k, v in named.items()}
-    return TaskVector(tensors=tensors, shapes={k: v.shape for k, v in tensors.items()})
+    return TaskVector(
+        tensors=tensors,
+        shapes={k: v.shape for k, v in tensors.items()},
+        source_base_id="",
+        source_ft_id="",
+    )
 
 
 def write_checkpoint(path, named, dtype="F32"):
@@ -53,7 +61,7 @@ def test_extract_identity_is_zero(tmp_path):
     base = write_checkpoint(tmp_path / "b.safetensors", {"w": [0.5, -0.5, 2.0]})
     ft = write_checkpoint(tmp_path / "f.safetensors", {"w": [0.5, -0.5, 2.0]})
     tv = tvec.extract_task_vector(base, ft)
-    assert tvec.global_l2_norm(tv) == 0.0
+    assert tvec.global_l2_norm(tv, {}) == 0.0
 
 
 def test_extract_matches_elementwise_oracle(tmp_path):
@@ -63,8 +71,8 @@ def test_extract_matches_elementwise_oracle(tmp_path):
     base = write_checkpoint(tmp_path / "b.safetensors", {"w": b})
     ft = write_checkpoint(tmp_path / "f.safetensors", {"w": f})
     tv = tvec.extract_task_vector(base, ft)
-    b_stored = archive.read_tensor(base, "w").values
-    f_stored = archive.read_tensor(ft, "w").values
+    b_stored = archive.read_tensor(base, "w", out=None).values
+    f_stored = archive.read_tensor(ft, "w", out=None).values
     expected = np.array([f_stored[i] - b_stored[i] for i in range(1000)])
     assert np.array_equal(tv.tensors["w"], expected)
 
@@ -104,7 +112,7 @@ def test_deltas_over_a_truncated_archive_fail_as_a_serial_read_does(tmp_path):
     os.truncate(ft.path, ft.data_start + b.data_offsets[0] + b.num_bytes // 2)
     with pytest.raises(TruncatedFileError) as serial:
         for name in names:
-            archive.read_tensor(ft, name)
+            archive.read_tensor(ft, name, out=None)
     yielded = []
     with pytest.raises(TruncatedFileError) as ahead:
         for name, _ in tvec.deltas(base, [ft])():
@@ -172,7 +180,9 @@ def test_resident_collectors_return_arrays_of_their_own(tmp_path):
         "load": tvec.load_task_vector(path),
         "sparsify stored": tvec.sparsify(tvec.StoredVector(path), 0.5),
         "sparsify resident": tvec.sparsify(extracted, 0.5),
-        "rescale stored": tvec.sparsify_and_rescale(tvec.StoredVector(path), 0.5),
+        "rescale stored": tvec.sparsify_and_rescale(
+            tvec.StoredVector(path), 0.5, epsilon=CONFIG.epsilon
+        ),
     }
     arrays = [(label, name, values) for label, tv in collected.items() for name, values in tv.tensors.items()]
     for i, (label, name, values) in enumerate(arrays):
@@ -219,18 +229,18 @@ def test_a_pass_that_fails_or_stops_early_joins_its_worker(tmp_path):
 
 
 def test_norm_three_four_five():
-    assert tvec.global_l2_norm(vec([3.0, 4.0])) == 5.0
+    assert tvec.global_l2_norm(vec([3.0, 4.0]), {}) == 5.0
 
 
 def test_norm_zero():
-    assert tvec.global_l2_norm(vec([0.0, 0.0])) == 0.0
+    assert tvec.global_l2_norm(vec([0.0, 0.0]), {}) == 0.0
 
 
 def test_norm_across_tensors_matches_flat_pass():
     tv = multi(a=[1.0, 2.0], b=[2.0])
-    assert tvec.global_l2_norm(tv) == 3.0
+    assert tvec.global_l2_norm(tv, {}) == 3.0
     flat = np.concatenate([tv.tensors["a"], tv.tensors["b"]])
-    assert tvec.global_l2_norm(tv) == math.sqrt(float(np.sum(flat * flat)))
+    assert tvec.global_l2_norm(tv, {}) == math.sqrt(float(np.sum(flat * flat)))
 
 
 # --- quantile threshold -----------------------------------------------------------
@@ -345,9 +355,9 @@ def test_norm_preservation_property():
     for p in [0.1, 0.3, 0.7, 1.0]:
         values = rng.standard_normal(2000)
         tv = vec(values)
-        original = tvec.global_l2_norm(tv)
+        original = tvec.global_l2_norm(tv, {})
         out = tvec.sparsify_and_rescale(tv, p, epsilon=1e-8)
-        assert abs(tvec.global_l2_norm(out) - original) / original <= 1e-6
+        assert abs(tvec.global_l2_norm(out, {}) - original) / original <= 1e-6
 
 
 def test_sparsify_and_rescale_allocates_one_array_per_tensor():
@@ -359,7 +369,7 @@ def test_sparsify_and_rescale_allocates_one_array_per_tensor():
     tensor_bytes = (1 << 14) * 8
     tracemalloc.start()
     try:
-        out = tvec.sparsify_and_rescale(tv, 0.3)
+        out = tvec.sparsify_and_rescale(tv, 0.3, epsilon=CONFIG.epsilon)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -377,16 +387,17 @@ def test_merge_direct_arithmetic(tmp_path):
     base = write_checkpoint(tmp_path / "b.safetensors", {"w": [1.0, 1.0]})
     t1 = vec([1.0, 0.0])
     t2 = vec([0.0, 2.0])
-    tvec.merge(base, [(t1, 0.5), (t2, 0.25)], tmp_path / "m.safetensors")
+    tvec.merge(base, [(t1, 0.5), (t2, 0.25)], tmp_path / "m.safetensors", out_dtype=None)
     merged = archive.open_archive(tmp_path / "m.safetensors")
-    assert archive.read_tensor(merged, "w").values.tolist() == [1.5, 1.5]
+    assert archive.read_tensor(merged, "w", out=None).values.tolist() == [1.5, 1.5]
 
 
 def test_merge_zero_coefficients_is_base(tmp_path):
     rng = np.random.default_rng(4)
     values = rng.standard_normal(64)
     base = write_checkpoint(tmp_path / "b.safetensors", {"w": values})
-    tvec.merge(base, [(vec(rng.standard_normal(64)), 0.0)], tmp_path / "m.safetensors")
+    terms = [(vec(rng.standard_normal(64)), 0.0)]
+    tvec.merge(base, terms, tmp_path / "m.safetensors", out_dtype=None)
     merged = archive.open_archive(tmp_path / "m.safetensors")
     assert read_tensor_bytes(merged, "w") == read_tensor_bytes(base, "w")
 
@@ -398,7 +409,7 @@ def test_merge_reconstructs_finetuned(tmp_path):
     base = write_checkpoint(tmp_path / "b.safetensors", {"w": b})
     ft = write_checkpoint(tmp_path / "f.safetensors", {"w": f})
     tv = tvec.extract_task_vector(base, ft)
-    tvec.merge(base, [(tv, 1.0)], tmp_path / "m.safetensors")
+    tvec.merge(base, [(tv, 1.0)], tmp_path / "m.safetensors", out_dtype=None)
     merged = archive.open_archive(tmp_path / "m.safetensors")
     assert read_tensor_bytes(merged, "w") == read_tensor_bytes(ft, "w")
 
@@ -407,12 +418,12 @@ def test_merge_linearity(tmp_path):
     rng = np.random.default_rng(8)
     base = write_checkpoint(tmp_path / "b.safetensors", {"w": rng.standard_normal(50)})
     tv = vec(rng.standard_normal(50))
-    tvec.merge(base, [(tv, 0.75)], tmp_path / "m1.safetensors")
-    tvec.merge(base, [(tv, 0.5), (tv, 0.25)], tmp_path / "m2.safetensors")
+    tvec.merge(base, [(tv, 0.75)], tmp_path / "m1.safetensors", out_dtype=None)
+    tvec.merge(base, [(tv, 0.5), (tv, 0.25)], tmp_path / "m2.safetensors", out_dtype=None)
     once = archive.open_archive(tmp_path / "m1.safetensors")
     twice = archive.open_archive(tmp_path / "m2.safetensors")
-    a = archive.read_tensor(once, "w").values
-    b = archive.read_tensor(twice, "w").values
+    a = archive.read_tensor(once, "w", out=None).values
+    b = archive.read_tensor(twice, "w", out=None).values
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
@@ -443,9 +454,9 @@ def test_merge_combines_in_place_with_the_bits_of_the_plain_sum(tmp_path, monkey
     monkeypatch.setattr(tvec, "write_archive", capture)
     for coeffs in [(0.0, 0.0), (-0.0, 1.0), (-1.5, 0.7), (3.0e-5, -2.25), (1e10, -1e-10)]:
         terms = [(resident, coeffs[0]), (stored, coeffs[1])]
-        tvec.merge(base, terms, tmp_path / "m.safetensors")
+        tvec.merge(base, terms, tmp_path / "m.safetensors", out_dtype=None)
         for name in sizes:
-            want = archive.read_tensor(base, name).values
+            want = archive.read_tensor(base, name, out=None).values
             for source, coeff in terms:
                 want = want + coeff * source.read(name)
             assert np.array_equal(combined[name].view(np.uint64), want.view(np.uint64)), (coeffs, name)
@@ -455,11 +466,11 @@ def test_merge_shape_mismatch(tmp_path):
     base = write_checkpoint(tmp_path / "b.safetensors", {"w": [1.0, 1.0]})
     out = tmp_path / "m.safetensors"
     with pytest.raises(ShapeMismatchError, match=r"'w': shape \(2,\) vs \(3,\)"):
-        tvec.merge(base, [(vec([1.0, 2.0, 3.0]), 1.0)], out)
+        tvec.merge(base, [(vec([1.0, 2.0, 3.0]), 1.0)], out, out_dtype=None)
     # A name mismatch lists the first five differing names.
     base = write_checkpoint(tmp_path / "b7.safetensors", {name: [1.0] for name in "gfedcba"})
     with pytest.raises(NameSetMismatchError, match=r"\['a', 'b', 'c', 'd', 'e'\]$"):
-        tvec.merge(base, [(vec([1.0], name="w"), 1.0)], out)
+        tvec.merge(base, [(vec([1.0], name="w"), 1.0)], out, out_dtype=None)
     assert not out.exists()
 
 
