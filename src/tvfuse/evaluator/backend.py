@@ -1,7 +1,12 @@
-"""Backend contract: sampling generations and scoring text.
+"""Backend contract and the one query evaluator.
 
 Any object with `generate` and `score` methods satisfying these signatures,
 and a `loads_weights` flag, can drive data selection and coefficient search.
+A backend returns raw model outputs: the sampled texts, and the token
+log-probabilities of a text. The query evaluator here derives both
+objectives from them: `sample_consistency` extracts each text's final
+answer and takes the majority share, and `score_perplexity` passes the
+log-probabilities to `perplexity`, which refuses malformed ones.
 Backends must be safe for concurrent requests; callers bound in-flight
 requests themselves.
 Difficulty scoring and trial evaluation both measure queries with
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, TypeVar
 
 from ..errors import BackendFailure, MalformedResponseError
-from .answers import consistency
+from .answers import consistency, extract_answer
 
 T = TypeVar("T")
 
@@ -55,42 +60,6 @@ class GenerationRequest:
             raise ValueError("max_tokens must be >= 1")
 
 
-@dataclass(frozen=True)
-class GenerationSample:
-    """One generated text plus its extracted, normalized final answer."""
-
-    text: str
-    extracted_answer: str | None
-
-
-@dataclass(frozen=True)
-class ScoreResult:
-    """Token log-probabilities (natural log) and derived perplexity."""
-
-    token_logprobs: tuple[float, ...]
-    perplexity: float
-
-    @classmethod
-    def from_logprobs(cls, logprobs: Sequence[float]) -> "ScoreResult":
-        """The perplexity exp(-mean(logprobs)), at least 1. No tokens, a
-        non-finite log-probability, a positive one (a probability above 1) or
-        a perplexity that overflows a float make a malformed reply."""
-        if len(logprobs) == 0:
-            raise MalformedResponseError("score returned an empty token list")
-        try:
-            lp = tuple(float(x) for x in logprobs)
-            log_perplexity = -sum(lp) / len(lp)
-            perplexity = math.exp(log_perplexity)
-        except OverflowError:
-            raise MalformedResponseError("score log-probabilities overflow the perplexity") from None
-        # Also catches a sum of finite values that overflows.
-        if not math.isfinite(log_perplexity):
-            raise MalformedResponseError("score returned a non-finite log-probability")
-        if max(lp) > 0.0:
-            raise MalformedResponseError("score returned a positive log-probability")
-        return cls(token_logprobs=lp, perplexity=perplexity)
-
-
 class EvaluationBackend(Protocol):
     """Contract shared by the HTTP client and the in-process mock."""
 
@@ -98,9 +67,9 @@ class EvaluationBackend(Protocol):
     # False when the backend resolves `encode_model_ref` coefficient refs.
     loads_weights: bool
 
-    def generate(self, request: GenerationRequest) -> list[GenerationSample]: ...
+    def generate(self, request: GenerationRequest) -> list[str]: ...
 
-    def score(self, model_ref: str, text: str) -> ScoreResult: ...
+    def score(self, model_ref: str, text: str) -> list[float]: ...
 
 
 def sample_consistency(
@@ -120,8 +89,32 @@ def sample_consistency(
         max_tokens=params.max_tokens,
         seed=seed,
     )
-    samples = backend.generate(request)
-    return consistency([s.extracted_answer for s in samples], k)
+    return consistency([extract_answer(text) for text in backend.generate(request)], k)
+
+
+def perplexity(logprobs: Sequence[float]) -> float:
+    """The perplexity exp(-mean(logprobs)), at least 1. No tokens, a
+    non-finite log-probability, a positive one (a probability above 1) or
+    a perplexity that overflows a float make a malformed reply."""
+    if len(logprobs) == 0:
+        raise MalformedResponseError("score returned an empty token list")
+    try:
+        lp = [float(x) for x in logprobs]
+        log_perplexity = -sum(lp) / len(lp)
+        value = math.exp(log_perplexity)
+    except OverflowError:
+        raise MalformedResponseError("score log-probabilities overflow the perplexity") from None
+    # Also catches a sum of finite values that overflows.
+    if not math.isfinite(log_perplexity):
+        raise MalformedResponseError("score returned a non-finite log-probability")
+    if max(lp) > 0.0:
+        raise MalformedResponseError("score returned a positive log-probability")
+    return value
+
+
+def score_perplexity(backend: EvaluationBackend, model_ref: str, text: str) -> float:
+    """Perplexity of one rendered prompt under a model."""
+    return perplexity(backend.score(model_ref, text))
 
 
 class QueryFanOut:

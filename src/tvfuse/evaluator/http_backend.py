@@ -30,8 +30,9 @@ Transient failures (5xx, connection errors, timeouts) are retried up to
 the configured attempt count, sleeping 0.5 s before the first retry and
 twice as long before each next one; 4xx responses fail immediately.
 Requests are idempotent, so retries never duplicate effects. The bearer
-token, if any, is read only from `TVFUSE_BACKEND_TOKEN`. Perplexity is
-always recomputed client-side from the returned logprobs.
+token, if any, is read only from `TVFUSE_BACKEND_TOKEN`. The client checks
+only the shape of a reply and returns its texts and log-probabilities as
+sent; the query evaluator in `backend` derives answers and perplexity.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ from ..errors import (
     HttpStatusError,
     MalformedResponseError,
 )
-from .answers import extract_answer
-from .backend import GenerationRequest, GenerationSample, ScoreResult
+from .backend import GenerationRequest
 
 TOKEN_ENV_VAR = "TVFUSE_BACKEND_TOKEN"
 # The sleep before the first retry, and its factor before each next one.
@@ -280,7 +280,7 @@ class HttpBackend:
         assert last_error is not None
         raise last_error
 
-    def generate(self, request: GenerationRequest) -> list[GenerationSample]:
+    def generate(self, request: GenerationRequest) -> list[str]:
         payload = {
             "model": request.model_ref,
             "prompt": request.prompt,
@@ -296,14 +296,11 @@ class HttpBackend:
             raise MalformedResponseError("/generate: missing 'samples' list")
         if len(samples) != request.num_samples:
             raise MalformedResponseError(f"/generate: {len(samples)} samples for n={request.num_samples}")
-        out: list[GenerationSample] = []
-        for item in samples:
-            if not isinstance(item, dict) or not isinstance(item.get("text"), str):
-                raise MalformedResponseError("/generate: sample without 'text'")
-            out.append(GenerationSample(text=item["text"], extracted_answer=extract_answer(item["text"])))
-        return out
+        if not all(isinstance(item, dict) and isinstance(item.get("text"), str) for item in samples):
+            raise MalformedResponseError("/generate: sample without 'text'")
+        return [item["text"] for item in samples]
 
-    def score(self, model_ref: str, text: str) -> ScoreResult:
+    def score(self, model_ref: str, text: str) -> list[float]:
         if not text:
             raise EmptyTextError("cannot score empty text")
         body = self._post("/score", {"model": model_ref, "text": text})
@@ -312,4 +309,4 @@ class HttpBackend:
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in logprobs
         ):
             raise MalformedResponseError("/score: missing numeric 'token_logprobs'")
-        return ScoreResult.from_logprobs(logprobs)
+        return logprobs

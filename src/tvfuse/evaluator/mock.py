@@ -2,11 +2,11 @@
 
 A landscape maps a coefficient pair to (consistency, perplexity), two
 numbers; per-query variation comes from `query_jitter`, a deterministic
-offset to the consistency keyed on the prompt. The mock fabricates answer
-multisets whose majority fraction equals that consistency quantized to
-multiples of 1/num_samples, so the query evaluator in `backend`
-(`sample_consistency`) and the search above it can be tested against a
-known optimum without any model inference.
+offset to the consistency keyed on the prompt. The mock fabricates texts
+whose boxed answers' majority fraction equals that consistency quantized to
+multiples of 1/num_samples, and log-probabilities whose perplexity is the
+landscape's, so the query evaluator in `backend` and the search above it
+can be tested against a known optimum without any model inference.
 
 Everything is derived from SHA-256 of (seed, model_ref, prompt); outputs
 are reproducible across runs, platforms and thread schedules.
@@ -20,8 +20,7 @@ import re
 from typing import Callable
 
 from ..errors import UnknownModelRefError
-from .answers import extract_answer
-from .backend import GenerationRequest, GenerationSample, ScoreResult
+from .backend import GenerationRequest
 
 Landscape = Callable[[float, float], tuple[float, float]]
 
@@ -104,7 +103,7 @@ class MockBackend:
             value += self.query_jitter * (2.0 * unit - 1.0)
         return max(0.0, min(1.0, value))
 
-    def generate(self, request: GenerationRequest) -> list[GenerationSample]:
+    def generate(self, request: GenerationRequest) -> list[str]:
         k = request.num_samples
         target = self._consistency_at(request.model_ref, request.prompt)
         # Quantize to multiples of 1/k; a majority answer always exists, so
@@ -112,16 +111,13 @@ class MockBackend:
         agree = min(k, max(1, round(target * k)))
         token = _digest(self.seed, request.prompt).hex()[:8]
         majority = str(100 + int(token, 16) % 900)
-        samples: list[GenerationSample] = []
-        for i in range(k):
-            if i < agree:
-                text = f"Working through it, the final answer is \\boxed{{{majority}}}."
-            else:
-                text = f"An alternative path gives \\boxed{{alt-{i}-{token}}}."
-            samples.append(GenerationSample(text=text, extracted_answer=extract_answer(text)))
-        return samples
+        return [
+            f"Working through it, the final answer is \\boxed{{{majority}}}."
+            if i < agree
+            else f"An alternative path gives \\boxed{{alt-{i}-{token}}}."
+            for i in range(k)
+        ]
 
-    def score(self, model_ref: str, text: str) -> ScoreResult:
+    def score(self, model_ref: str, text: str) -> list[float]:
         _, ppl = self.landscape(*self._resolve(model_ref))
-        logprob = -math.log(ppl)
-        return ScoreResult.from_logprobs([logprob] * 8)
+        return [-math.log(ppl)] * 8

@@ -125,13 +125,13 @@ class MockInferenceServer:
                             max_tokens=int(payload["max_tokens"]),
                             seed=payload.get("seed"),
                         )
-                        samples = server_ref.backend.generate(request)
-                        self._reply(200, {"samples": [{"text": s.text} for s in samples]})
+                        texts = server_ref.backend.generate(request)
+                        self._reply(200, {"samples": [{"text": text} for text in texts]})
                     elif self.path == "/score":
-                        result = server_ref.backend.score(
+                        logprobs = server_ref.backend.score(
                             str(payload["model"]), str(payload["text"])
                         )
-                        self._reply(200, {"token_logprobs": list(result.token_logprobs)})
+                        self._reply(200, {"token_logprobs": logprobs})
                     else:
                         self._reply(404, {"error": f"no route {self.path}"})
                 except (KeyError, TypeError, ValueError) as exc:

@@ -28,7 +28,13 @@ from typing import Callable, Sequence
 
 from ..archive import atomic_write_text
 from ..errors import BackendFailure, TooManyFailedTrialsError, TrialLogError
-from ..evaluator.backend import EvaluationBackend, GenerationParams, QueryFanOut, sample_consistency
+from ..evaluator.backend import (
+    EvaluationBackend,
+    GenerationParams,
+    QueryFanOut,
+    sample_consistency,
+    score_perplexity,
+)
 from ..evaluator.prompts import render_prompt
 from .pareto import SELECTION_RULES, pareto_frontier
 from .tpe import SearchSpace, TpeConfig, tpe_suggest
@@ -200,8 +206,7 @@ def _evaluate_trial(
         answer_share = sample_consistency(
             backend, model_ref, prompt, samples_per_query, gen_params, seed
         )
-        perplexity = backend.score(model_ref, prompt).perplexity
-        return answer_share, perplexity
+        return answer_share, score_perplexity(backend, model_ref, prompt)
 
     scored, failures = fan_out.map(eval_query, queries)
     for qid, exc in failures:

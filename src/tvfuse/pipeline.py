@@ -331,7 +331,7 @@ class PipelineConfig:
         )
 
     def search_space(self) -> SearchSpace:
-        return SearchSpace(bounds=tuple((float(lo), float(hi)) for lo, hi in self.search.space))
+        return SearchSpace(bounds=tuple((lo, hi) for lo, hi in self.search.space))
 
     def gen_params(self) -> GenerationParams:
         s = self.search

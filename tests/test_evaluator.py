@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import math
 import sys
 import threading
@@ -10,22 +11,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from defaults import CONFIG, gen_request, http_client, mock_backend, mock_landscape
+from defaults import CONFIG, GEN_PARAMS, gen_request, http_client, mock_backend, mock_landscape
 from tvfuse.errors import (
     EmptyTextError,
     LengthMismatchError,
     MalformedResponseError,
     UnknownModelRefError,
 )
-from tvfuse.evaluator import (
-    ScoreResult,
-    consistency,
-    encode_model_ref,
-    extract_answer,
-    render_prompt,
-)
-from tvfuse.evaluator.backend import QueryFanOut
+from tvfuse.evaluator import consistency, encode_model_ref, extract_answer, render_prompt
+from tvfuse.evaluator.backend import QueryFanOut, perplexity
 from tvfuse.evaluator.prompts import PROMPT_PRESETS
+from tvfuse.optimizer.search import _evaluate_trial
 
 
 # --- answer extraction -----------------------------------------------------------
@@ -110,17 +106,17 @@ def test_consistency_is_quantized_and_permutation_invariant(answers):
 # --- perplexity -------------------------------------------------------------------
 
 
-def test_score_result_closed_forms():
-    assert ScoreResult.from_logprobs([-1.0, -1.0, -1.0]).perplexity == pytest.approx(math.e)
-    assert ScoreResult.from_logprobs([0.0, 0.0]).perplexity == 1.0
+def test_perplexity_closed_forms():
+    assert perplexity([-1.0, -1.0, -1.0]) == pytest.approx(math.e)
+    assert perplexity([0.0, 0.0]) == 1.0
     # exp(mean(ln2, ln8)) = exp(ln4) = 4
-    got = ScoreResult.from_logprobs([-math.log(2), -math.log(8)]).perplexity
+    got = perplexity([-math.log(2), -math.log(8)])
     assert got == pytest.approx(4.0, rel=1e-12)
 
 
-def test_score_result_rejects_empty():
+def test_perplexity_rejects_empty():
     with pytest.raises(MalformedResponseError):
-        ScoreResult.from_logprobs([])
+        perplexity([])
 
 
 # Log-probabilities with no finite perplexity: a non-finite value, a mean
@@ -129,17 +125,17 @@ def test_score_result_rejects_empty():
     "logprobs",
     [[float("nan")], [float("inf")], [-float("inf")], [-1.0, float("nan")], [-1000.0], [-1e308, -1e308]],
 )
-def test_score_result_rejects_logprobs_without_a_finite_perplexity(logprobs):
+def test_perplexity_rejects_logprobs_without_a_finite_perplexity(logprobs):
     with pytest.raises(MalformedResponseError):
-        ScoreResult.from_logprobs(logprobs)
+        perplexity(logprobs)
 
 
 @pytest.mark.parametrize("logprobs", [[0.5, 0.7], [-1.0, 5e-324], [1000.0]])
-def test_score_result_rejects_a_positive_log_probability(logprobs):
+def test_perplexity_rejects_a_positive_log_probability(logprobs):
     # No model gives a token a probability above 1, so every perplexity is at
     # least 1; [1000.0]'s would underflow to 0, which a trial log refuses.
     with pytest.raises(MalformedResponseError, match="positive log-probability"):
-        ScoreResult.from_logprobs(logprobs)
+        perplexity(logprobs)
 
 
 def test_perplexity_of_empty_text():
@@ -149,8 +145,67 @@ def test_perplexity_of_empty_text():
 
 
 def test_perplexity_at_least_one_for_nonpositive_logprobs():
-    assert ScoreResult.from_logprobs([-0.5, -2.0]).perplexity > 1.0
-    assert ScoreResult.from_logprobs([0.0, 0.0, 0.0]).perplexity == 1.0
+    assert perplexity([-0.5, -2.0]) > 1.0
+    assert perplexity([0.0, 0.0, 0.0]) == 1.0
+
+
+# --- the query evaluator over a bare backend ---------------------------------------
+
+
+class RawBackend:
+    """A backend that returns raw outputs and derives nothing: the texts it
+    is given, the first `num_samples` of them, and the log-probabilities of
+    `bad` for a text that names it, of `logprobs` for any other."""
+
+    loads_weights = False
+
+    def __init__(self, texts: list[str], logprobs: list[float], bad: list[float]):
+        self.texts, self.logprobs, self.bad = texts, logprobs, bad
+
+    def generate(self, request):
+        return self.texts[: request.num_samples]
+
+    def score(self, model_ref, text):
+        return self.bad if "bad" in text else self.logprobs
+
+
+def evaluate_trial(backend, queries):
+    with QueryFanOut(2) as fan_out:
+        return _evaluate_trial(backend, "any", queries, 4, GEN_PARAMS, 0, fan_out)
+
+
+def test_the_query_evaluator_reads_a_bare_backends_texts_and_logprobs():
+    texts = ["so \\boxed{7}.", "\\boxed{ 7 }", "a long road to \\boxed{7}", "\\boxed{9}"]
+    backend = RawBackend(texts, [-math.log(2.0)] * 3, [])
+    mean_consistency, mean_perplexity, failed = evaluate_trial(
+        backend, [("q1", "first"), ("q2", "second")]
+    )
+    assert (mean_consistency, failed) == (0.75, 0)
+    assert mean_perplexity == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "bad, needle",
+    [
+        ([], "empty token list"),
+        ([-1.0, 0.5], "positive log-probability"),
+        ([-1.0, float("nan")], "non-finite log-probability"),
+        ([float("inf")], "non-finite log-probability"),
+        ([-1000.0], "overflow the perplexity"),
+    ],
+)
+def test_a_bare_backends_malformed_logprobs_fail_their_query(caplog, bad, needle):
+    backend = RawBackend(["\\boxed{7}"] * 4, [-1.0], bad)
+    with caplog.at_level(logging.WARNING):
+        mean_consistency, mean_perplexity, failed = evaluate_trial(
+            backend, [("q1", "fine"), ("q2", "bad"), ("q3", "also fine")]
+        )
+    assert (mean_consistency, failed) == (1.0, 1)
+    assert mean_perplexity == pytest.approx(math.e, rel=1e-12)
+    [record] = caplog.records
+    qid, exc = record.args
+    assert qid == "q2" and isinstance(exc, MalformedResponseError)
+    assert needle in str(exc)
 
 
 # --- mock backend -----------------------------------------------------------------
@@ -159,7 +214,7 @@ def test_perplexity_at_least_one_for_nonpositive_logprobs():
 def test_mock_constant_full_consistency():
     backend = mock_backend(lambda a, b: (1.0, 2.0))
     samples = backend.generate(gen_request("sft", "q1", num_samples=5))
-    answers = [s.extracted_answer for s in samples]
+    answers = [extract_answer(s) for s in samples]
     assert len(set(answers)) == 1
     assert consistency(answers, 5) == 1.0
 
@@ -167,7 +222,7 @@ def test_mock_constant_full_consistency():
 def test_mock_quantizes_to_sample_count():
     backend = mock_backend(lambda a, b: (0.6, 2.0))
     samples = backend.generate(gen_request("rlvr", "q2", num_samples=5))
-    answers = [s.extracted_answer for s in samples]
+    answers = [extract_answer(s) for s in samples]
     assert consistency(answers, 5) == 0.6
     counts = {a: answers.count(a) for a in answers}
     assert sorted(counts.values(), reverse=True) == [3, 1, 1]
@@ -180,7 +235,7 @@ def test_mock_landscape_peak_beats_origin():
 
     def measured(ref):
         samples = backend.generate(gen_request(ref, "probe", num_samples=m))
-        return consistency([s.extracted_answer for s in samples], m)
+        return consistency([extract_answer(s) for s in samples], m)
 
     at_peak = measured(encode_model_ref(0.8, 1.5))
     at_origin = measured(encode_model_ref(0.0, 0.0))
@@ -197,7 +252,7 @@ def test_mock_deterministic_under_seed():
 
 def test_mock_score_matches_landscape_perplexity():
     backend = mock_backend(mock_landscape(peak=(0.8, 1.5), ppl_base=3.0, ppl_slope=2.0))
-    ppl = backend.score(encode_model_ref(0.8, 1.5), "anything").perplexity
+    ppl = perplexity(backend.score(encode_model_ref(0.8, 1.5), "anything"))
     assert ppl == pytest.approx(3.0, rel=1e-12)
 
 

@@ -31,12 +31,13 @@ from tvfuse.errors import (
 from tvfuse.evaluator import (
     MockBackend,
     MockInferenceServer,
-    ScoreResult,
     consistency,
     encode_model_ref,
+    extract_answer,
     quadratic_landscape,
 )
-from tvfuse.evaluator.backend import QueryFanOut, sample_consistency
+from tvfuse.evaluator.backend import QueryFanOut, perplexity, sample_consistency, score_perplexity
+from tvfuse.evaluator.mock_server import _POLL_INTERVAL_S
 
 LANDSCAPE = quadratic_landscape(peak=(0.8, 1.5), falloff=0.5, ppl_base=2.0, ppl_slope=3.0)
 
@@ -61,7 +62,8 @@ class CountingServer(MockInferenceServer):
 def serve(handler_class):
     """Run a bare stdlib HTTP server with `handler_class`; yield its URL."""
     srv = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler_class)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    # A short poll, as the mock server's, so `shutdown` does not wait 0.5 s.
+    thread = threading.Thread(target=srv.serve_forever, args=(_POLL_INTERVAL_S,), daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{srv.server_address[1]}"
@@ -109,22 +111,22 @@ def backend(request, local_backend, http_backend):
 def test_contract_generate_sample_count(backend):
     samples = backend.generate(gen_request("sft", "q-alpha", num_samples=4))
     assert len(samples) == 4
-    assert all(s.extracted_answer is not None for s in samples)
+    assert all(extract_answer(s) is not None for s in samples)
 
 
 def test_contract_consistency_quantized(backend):
     samples = backend.generate(gen_request(encode_model_ref(0.8, 1.5), "q-beta", num_samples=5))
-    answers = [s.extracted_answer for s in samples]
+    answers = [extract_answer(s) for s in samples]
     value = consistency(answers, 5)
     assert value in {0.2, 0.4, 0.6, 0.8, 1.0}
     assert value == 1.0  # at the peak every sample agrees
 
 
 def test_contract_score_perplexity_definition(backend):
-    result = backend.score(encode_model_ref(0.8, 1.5), "some query text")
-    recomputed = math.exp(-sum(result.token_logprobs) / len(result.token_logprobs))
-    assert abs(result.perplexity - recomputed) <= 1e-9
-    assert result.perplexity == pytest.approx(2.0, rel=1e-9)
+    logprobs = backend.score(encode_model_ref(0.8, 1.5), "some query text")
+    recomputed = math.exp(-sum(logprobs) / len(logprobs))
+    assert abs(perplexity(logprobs) - recomputed) <= 1e-9
+    assert perplexity(logprobs) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_contract_unknown_model_is_backend_failure(backend):
@@ -134,10 +136,8 @@ def test_contract_unknown_model_is_backend_failure(backend):
 
 def test_contract_same_results_both_transports(local_backend, http_backend):
     req = gen_request(encode_model_ref(0.6, 1.1), "identical question", num_samples=5)
-    local = [(s.text, s.extracted_answer) for s in local_backend.generate(req)]
-    remote = [(s.text, s.extracted_answer) for s in http_backend.generate(req)]
-    assert local == remote
-    assert local_backend.score("sft", "t").token_logprobs == http_backend.score("sft", "t").token_logprobs
+    assert local_backend.generate(req) == http_backend.generate(req)
+    assert local_backend.score("sft", "t") == http_backend.score("sft", "t")
 
 
 # --- retry behaviour -------------------------------------------------------------
@@ -160,7 +160,7 @@ def test_persistent_500s_exhaust_retries(server, http_backend, slept):
 
 
 def test_client_side_perplexity_recomputation(server, http_backend):
-    ppl = http_backend.score(encode_model_ref(0.8, 1.5), "query text").perplexity
+    ppl = score_perplexity(http_backend, encode_model_ref(0.8, 1.5), "query text")
     assert abs(ppl - 2.0) <= 1e-9
 
 
@@ -236,8 +236,8 @@ def test_mock_server_answers_a_bad_request_with_400(case):
 
 class FaultyBackend(MockBackend):
     """A mock whose replies a remote server could send: `extra` samples more
-    than asked for (fewer when negative), and fixed, unchecked
-    log-probabilities for every text."""
+    than asked for (fewer when negative), and the list `logprobs` for every
+    text, as a backend returns it, unchecked."""
 
     def __init__(self, extra: int, logprobs: tuple[float, ...] = (-1.0,)):
         mock = CONFIG.backend.mock
@@ -250,9 +250,7 @@ class FaultyBackend(MockBackend):
         return (samples * 2)[: len(samples) + self.extra]
 
     def score(self, model_ref, text):
-        # Built directly, as a remote server would send them, unchecked; the
-        # server sends no perplexity.
-        return ScoreResult(token_logprobs=self.logprobs, perplexity=math.nan)
+        return list(self.logprobs)
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
@@ -273,14 +271,16 @@ def test_a_reply_with_the_wrong_sample_count_fails_its_query(extra):
 
 
 @pytest.mark.parametrize(
-    "logprobs", [(float("nan"),), (float("inf"),), (-1000.0,)], ids=["nan", "inf", "overflow"]
+    "logprobs", [[float("nan")], [float("inf")], [-1000.0]], ids=["nan", "inf", "overflow"]
 )
 def test_a_score_without_a_finite_perplexity_is_malformed(logprobs):
     # JSON's reader accepts NaN and Infinity, so they arrive over the wire.
+    # The client returns them as sent; the query evaluator refuses them.
     with MockInferenceServer(FaultyBackend(0, logprobs)) as srv:
         with contextlib.closing(http_client(srv.url, max_attempts=1)) as client:
+            assert repr(client.score("sft", "some text")) == repr(logprobs)
             with pytest.raises(MalformedResponseError):
-                client.score("sft", "some text")
+                score_perplexity(client, "sft", "some text")
 
 
 def test_connection_refused_is_backend_failure(slept):
@@ -353,13 +353,13 @@ def test_injected_500_keeps_the_connection_in_sync(slept):
     # The server must read the body of the request it fails; otherwise the
     # retry on the same connection is parsed after the unread JSON bytes.
     request = gen_request(encode_model_ref(0.6, 1.1), "in sync", num_samples=3)
-    expected = [s.text for s in mock_backend(LANDSCAPE, seed=5).generate(request)]
+    expected = mock_backend(LANDSCAPE, seed=5).generate(request)
     with CountingServer(mock_backend(LANDSCAPE, seed=5)) as srv, contextlib.closing(
         http_client(srv.url, max_attempts=2)
     ) as client:
         client.score("sft", "open the connection")
         srv.fail_next(1)
-        assert [s.text for s in client.generate(request)] == expected
+        assert client.generate(request) == expected
         assert srv.accepted == 1
 
 
@@ -376,7 +376,7 @@ def test_connection_closed_by_server_is_reopened_without_an_attempt():
 
     with serve(CloseAfterReply) as url, contextlib.closing(http_client(url, max_attempts=1)) as client:
         for _ in range(3):
-            assert client.score("m", "text").perplexity == pytest.approx(math.exp(1.0))
+            assert perplexity(client.score("m", "text")) == pytest.approx(math.exp(1.0))
 
 
 def test_slow_server_raises_timeout():
@@ -560,7 +560,7 @@ def test_reply_framing_and_connection_reuse(case):
     handler = replying(reply, close)
     with serve(handler) as url, contextlib.closing(http_client(url, max_attempts=1)) as client:
         for _ in range(3):
-            assert client.score("m", "text").token_logprobs == (-0.5, -1.5)
+            assert client.score("m", "text") == [-0.5, -1.5]
     assert (handler.requests, handler.connections) == (3, connections)
 
 
@@ -635,7 +635,7 @@ def test_body_cut_short_is_retried(slept):
                 self.reply(SCORE_BODY)
 
     with serve(CutShort) as url, contextlib.closing(http_client(url, max_attempts=2)) as client:
-        assert client.score("m", "text").token_logprobs == (-0.5, -1.5)
+        assert client.score("m", "text") == [-0.5, -1.5]
     assert CutShort.requests == 2
 
 
@@ -733,7 +733,7 @@ def test_https_url_speaks_tls_on_kept_alive_connections(tmp_path, monkeypatch):
         with contextlib.closing(http_client(url, max_attempts=1)) as client:
             for _ in range(3):
                 assert client.generate(request) == local.generate(request)
-            assert client.score("sft", "t").token_logprobs == local.score("sft", "t").token_logprobs
+            assert client.score("sft", "t") == local.score("sft", "t")
         assert srv.accepted == accepted + 1
 
 

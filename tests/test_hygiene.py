@@ -350,6 +350,32 @@ def test_only_task_vector_selects_masks_and_rescales():
     assert not found, f"pruning outside task_vector: {found}"
 
 
+# The query evaluator's derivations of the two objectives from raw outputs.
+OBJECTIVES = {"extract_answer", "perplexity"}
+
+
+def _imports_and_loads(tree: ast.Module) -> set[str]:
+    """Names a module imports or reads; a field or a local that is only
+    assigned, such as `TrialRecord.perplexity`, is left out."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_only_the_query_evaluator_derives_answers_and_perplexity():
+    found = [
+        f"{path.relative_to(PACKAGE)}: {name}"
+        for path in _modules(PACKAGE)
+        if path.relative_to(PACKAGE).as_posix() not in ("evaluator/backend.py", "evaluator/answers.py")
+        for name in sorted(OBJECTIVES & _imports_and_loads(ast.parse(path.read_text("utf-8"))))
+    ]
+    assert not found, f"answers or perplexity derived outside the query evaluator: {found}"
+
+
 def test_only_task_vector_reads_resident_tensors():
     found = [
         f"{path.relative_to(PACKAGE)}:{node.lineno}"
