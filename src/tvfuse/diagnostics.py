@@ -6,9 +6,9 @@ them, sign interference counts opposing update directions over the support
 of one sparsified vector, and module-wise activation shows where each
 vector concentrates its largest entries.
 
-Each reads any `VectorSource` one tensor at a time; only the sweep holds a
-vector, its second one pruned. All functions are pure; identical inputs
-produce bitwise identical outputs.
+Each reads any `VectorSource` one tensor at a time and holds one tensor of
+each vector it reads, never a whole vector. All functions are pure;
+identical inputs produce bitwise identical outputs.
 """
 
 from __future__ import annotations
@@ -34,8 +34,11 @@ from .task_vector import (
     quantile_threshold,
     require_finite,
     require_matching,
-    sparsify,
 )
+
+# Not called here any more: perfbench/worker.py's tracer wraps this name at
+# this import site.
+from .task_vector import sparsify  # noqa: F401
 
 DEFAULT_LAYER_PATTERN = r"layers\.(\d+)"
 
@@ -110,15 +113,21 @@ class InterferenceReport:
         return cls(retention_a, retention_b, ratio, denominator)
 
 
-def opposite_signs(a: np.ndarray, b: np.ndarray, scratch: Scratch) -> tuple[np.ndarray, int]:
+def opposite_signs(
+    a: np.ndarray, b: np.ndarray, scratch: Scratch, keep_b: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
     """For one tensor of each vector: a mask of the entries where both are
-    non-zero with opposite signs, and the size of `b`'s support. The mask
-    lies in `scratch`, valid until its next user."""
+    non-zero with opposite signs, and the size of `b`'s support. Given
+    `keep_b`, a keep mask of `b`, its dropped entries count as zeros, as if
+    `b` were pruned by it. The mask lies in `scratch`, valid until its next
+    user."""
     opposite, other = scratch.flags[:, : a.size]
     np.signbit(a, out=opposite)
     opposite ^= np.signbit(b, out=other)
     opposite &= np.not_equal(a, 0, out=other)
     support = np.not_equal(b, 0, out=other)
+    if keep_b is not None:
+        support &= keep_b
     opposite &= support
     return opposite, int(np.count_nonzero(support))
 
@@ -183,18 +192,22 @@ def interference_sweep(
 ) -> list[InterferenceReport]:
     """One interference report per retention of the first vector.
 
-    `tv_b` is sparsified once, into a resident copy; `tv_a` is never: one
-    select finds its cut at every retention, and one pass counts, per cut,
-    the kept entries of `tv_a` that oppose the sign of sparsified `tv_b`.
+    Neither vector is pruned into a copy. One select finds `tv_b`'s cut and
+    one finds `tv_a`'s cut at every retention; then one pass reads both
+    vectors in lockstep, one tensor of each at a time, and counts, per cut,
+    the kept entries of `tv_a` that oppose the sign of a kept entry of
+    `tv_b`.
     """
     require_matching(tv_a.shapes, tv_b.shapes)
-    sparse_b = sparsify(tv_b, retention_b)
+    cuts_b = quantile_threshold(tv_b, [retention_b])
     cuts = quantile_threshold(tv_a, retentions_a)
     conflicts = [0] * len(cuts)
     denominator = 0
+    # Each `KeepMasks` keeps its masks in its own array, so both can share a scratch.
     scratch = Scratch(tv_a.shapes.values())
-    for name, a, masks in keep_masks(tv_a, cuts, scratch):
-        opposite, support = opposite_signs(a, sparse_b.read(name), scratch)
+    pairs = zip(keep_masks(tv_a, cuts, scratch), keep_masks(tv_b, cuts_b, scratch))
+    for (_, a, masks), (_, b, (keep_b,)) in pairs:
+        opposite, support = opposite_signs(a, b, scratch, keep_b)
         denominator += support
         # Kept entries of `tv_a` at these positions conflict; dropped ones have sign 0.
         positions = np.flatnonzero(opposite)
@@ -227,10 +240,17 @@ def modulewise_activation(
     cuts = quantile_threshold(tv, [retention])
     totals: dict[ModuleClass, int] = {}
     retained: dict[ModuleClass, int] = {}
-    for name, v, (mask,) in keep_masks(tv, cuts, Scratch(tv.shapes.values())):
+    scratch = Scratch(tv.shapes.values())
+    for name, v, (mask,) in keep_masks(tv, cuts, scratch):
         cls = classify_module(name, rules)
         totals[cls] = totals.get(cls, 0) + v.size
-        retained[cls] = retained.get(cls, 0) + int(np.count_nonzero(v[mask]))
+        kept = mask
+        if cuts[0].threshold == 0:
+            # A cut at 0 keeps zeros too, which are not retained; a cut above
+            # 0 keeps only non-zero entries.
+            kept = np.not_equal(v, 0, out=scratch.flags[0, : v.size])
+            kept &= mask
+        retained[cls] = retained.get(cls, 0) + int(np.count_nonzero(kept))
     return {cls: retained[cls] / totals[cls] for cls in totals if totals[cls] > 0}
 
 

@@ -2,26 +2,35 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tvfuse import diagnostics as diag
+from tvfuse import task_vector as tvec
+from tvfuse.archive import byte_sorted
 from tvfuse.diagnostics import ModuleClass
 from tvfuse.errors import (
     ConfigError,
     EmptyVectorError,
     InvalidPatternError,
     NameSetMismatchError,
+    NonFiniteVectorError,
     ShapeMismatchError,
 )
 from tvfuse.task_vector import (
+    Cut,
     StoredVector,
     TaskVector,
     global_l2_norm,
     load_task_vector,
+    quantile_threshold,
     save_task_vector,
     sparsify,
+    write_vector,
 )
 
 
@@ -183,22 +192,132 @@ def test_sweep_monotone_on_adversarial_vector():
         assert r.conflict_ratio == want_ratio and r.denominator_count == want_den
 
 
-def test_sweep_sparsifies_only_the_second_vector(monkeypatch):
-    calls = []
-
-    def counting_sparsify(tv, p):
-        calls.append((id(tv), p))
-        return sparsify(tv, p)
-
-    monkeypatch.setattr(diag, "sparsify", counting_sparsify)
+def test_diagnostics_make_no_pruned_copy(monkeypatch):
     rng = np.random.default_rng(29)
-    a, b = vec(rng.standard_normal(50)), vec(rng.standard_normal(50))
+    a_values, b_values = rng.standard_normal(50), rng.standard_normal(50)
+    a, b = vec(a_values), vec(b_values)
     retentions = [1.0, 0.7, 0.4, 0.1]
-    diag.interference_sweep(a, b, retentions, 0.1)
-    assert calls == [(id(b), 0.1)]
-    calls.clear()
-    diag.modulewise_activation(a, 0.1)
-    assert calls == []
+    want = [brute_force_interference(a_values, b_values, r, 0.1) for r in retentions]
+
+    def refuse(tv, p):
+        raise AssertionError("a diagnostic pruned a vector into a copy")
+
+    monkeypatch.setattr(diag, "sparsify", refuse)
+    monkeypatch.setattr(tvec, "sparsify", refuse)
+    reports = diag.interference_sweep(a, b, retentions, 0.1)
+    assert [(r.conflict_ratio, r.denominator_count) for r in reports] == want
+    assert diag.sign_interference(a, b, 0.4, 0.1) == reports[2]
+    assert diag.modulewise_activation(a, 0.1) == {ModuleClass.OTHER: 0.1}
+
+
+def test_sweep_holds_memory_bounded_by_the_largest_tensor(tmp_path):
+    # Tensors large enough that the headers parsed per tensor, which do grow
+    # with the count, stay small next to the data.
+    size = 65_536
+    peaks = {}
+    for count in (16, 64):
+        rng = np.random.default_rng(count)
+        shapes = {f"model.layers.{i:02d}.mlp.w": (size,) for i in range(count)}
+        stored = []
+        for label in ("a", "b"):
+            path = tmp_path / f"{label}{count}.safetensors"
+            tensors = ((name, [rng.standard_normal(size)]) for name in byte_sorted(shapes))
+            write_vector(path, shapes, tensors, {})
+            stored.append(StoredVector(path))
+        # tracemalloc counts every thread's allocations: a thread that an
+        # earlier test left running would show up as a higher peak.
+        assert threading.enumerate() == [threading.main_thread()], threading.enumerate()
+        tracemalloc.start()
+        try:
+            diag.interference_sweep(*stored, [1.0, 0.5, 0.1], 0.1)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] <= 1.5 * peaks[16], peaks
+
+
+def sweep_over_pruned_copies(tv_a, tv_b, retentions_a, retention_b):
+    """The sweep as counted over resident copies of both vectors pruned by
+    `sparsify`: sign conflicts over the support of pruned `tv_b`."""
+    sparse_b = sparsify(tv_b, retention_b)
+    reports = []
+    for retention in retentions_a:
+        sparse_a = sparsify(tv_a, retention)
+        conflicts = denominator = 0
+        for name in tv_a.shapes:
+            a, b = sparse_a.tensors[name], sparse_b.tensors[name]
+            support = b != 0
+            opposite = support & (a != 0) & (np.signbit(a) != np.signbit(b))
+            conflicts += int(np.count_nonzero(opposite))
+            denominator += int(np.count_nonzero(support))
+        reports.append(diag.InterferenceReport.of(retention, retention_b, conflicts, denominator))
+    return reports
+
+
+# Tensors in byte-wise name order, so their concatenation is the order the
+# tie rule keeps ties in.
+EXACTNESS_CASES = {
+    # At 0.6, b's cut keeps 3 and 2, then 5 of the 8 ties at 1: the two in
+    # t0 and three of t1's four.
+    "ties-across-tensors": (
+        {"t0": [1.0, -1.0, 1.0], "t1": [-1.0, -1.0, 1.0, 1.0], "t2": [1.0, 1.0, -1.0, -1.0]},
+        {"t0": [3.0, 1.0, -1.0], "t1": [1.0, -1.0, 1.0, -1.0], "t2": [-1.0, 1.0, 0.5, 2.0]},
+        0.6,
+        Cut(1.0, 7, 2),
+    ),
+    "signed-zeros": (
+        {"t0": [-0.0, 0.0, 1.0, -1.0, -0.0], "t1": [0.0, -2.0, 0.0, 3.0]},
+        {"t0": [0.0, -0.0, -0.0, 0.0, 1.0], "t1": [-0.0, 2.0, -1.0, -0.0]},
+        0.3,
+        Cut(1.0, 3, 1),
+    ),
+    # b's cut at 0 keeps two of its zeros as ties, neither of them support.
+    "signed-zeros-kept-as-ties": (
+        {"t0": [-0.0, 0.0, 1.0, -1.0, -0.0], "t1": [0.0, -2.0, 0.0, 3.0]},
+        {"t0": [0.0, -0.0, -0.0, 0.0, 1.0], "t1": [-0.0, 2.0, -1.0, -0.0]},
+        0.5,
+        Cut(0.0, 5, 3),
+    ),
+    # A cut at 0 keeps every entry of b, and its zeros are not its support.
+    "full-retention-of-b": (
+        {"t0": [-1.0, 2.0, 0.0, -0.0], "t1": [1.0, -0.5, 4.0]},
+        {"t0": [1.0, -0.0, 0.0, -3.0], "t1": [0.0, 0.5, -2.0]},
+        1.0,
+        Cut(0.0, 7, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EXACTNESS_CASES)
+def test_sweep_matches_pruned_copies_and_brute_force(source, case):
+    named_a, named_b, retention_b, cut_b = EXACTNESS_CASES[case]
+    tv_a, tv_b = multi(named_a), multi(named_b)
+    assert quantile_threshold(tv_b, [retention_b]) == [cut_b]
+    retentions = [1.0, 0.7, 0.5, 0.3, 0.1]
+    reports = diag.interference_sweep(source(tv_a), source(tv_b), retentions, retention_b)
+    assert reports == sweep_over_pruned_copies(tv_a, tv_b, retentions, retention_b)
+    a, b = (np.concatenate([named[name] for name in sorted(named)]) for named in (named_a, named_b))
+    for retention, report in zip(retentions, reports):
+        want = brute_force_interference(a, b, retention, retention_b)
+        assert (report.conflict_ratio, report.denominator_count) == want
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_sweep_over_a_non_finite_vector_raises_as_sparsify_does(source, bad):
+    def named(origin, values):
+        tensors = {name: np.asarray(v, dtype=np.float64) for name, v in values.items()}
+        shapes = {name: v.shape for name, v in tensors.items()}
+        return TaskVector(tensors, shapes, source_base_id="", source_ft_id=origin)
+
+    a = named("sft.safetensors", {"t0": [1.0, np.nan], "t1": [1.0, 2.0], "t2": [1.0, 2.0]})
+    b = named("rlvr.safetensors", {"t0": [1.0, 2.0], "t1": [3.0, bad], "t2": [np.nan, 1.0]})
+    with pytest.raises(NonFiniteVectorError) as pruning:
+        sparsify(b, 0.5)
+    message = "tensor 't1' of rlvr.safetensors holds inf or NaN"
+    assert str(pruning.value) == message
+    # The second vector is checked first, as it was pruned first.
+    with pytest.raises(NonFiniteVectorError, match=re.escape(message)):
+        diag.interference_sweep(source(a), source(b), [1.0, 0.5], 0.5)
 
 
 def test_sweep_points_equal_independent_calls(source):
@@ -324,6 +443,28 @@ def test_top_entries_concentrate_in_one_class(source):
 def test_module_activation_of_an_empty_vector_raises(named):
     with pytest.raises(EmptyVectorError, match="task vector has no parameters"):
         diag.modulewise_activation(multi(named), 0.1)
+
+
+@pytest.mark.parametrize("retention", [1.0, 0.6, 0.3])
+def test_module_activation_counts_the_entries_sparsify_keeps(source, retention):
+    # Zeros of both signs; at 1.0 and 0.6 the cut is 0 and keeps zeros, at 0.3
+    # it is 1, and its ties run out inside the attention tensor.
+    tv = multi(
+        {
+            "lm_head.weight": [0.0, 0.0, -0.0],
+            "model.layers.0.mlp.w": [0.0, -0.0, 1.0, -1.0, 2.0, 0.0],
+            "model.layers.0.self_attn.q_proj.w": [-0.0, 3.0, 1.0, 0.0],
+        }
+    )
+    sparse = sparsify(tv, retention)
+    totals: dict = {}
+    kept: dict = {}
+    for name, values in sparse.tensors.items():
+        cls = diag.classify_module(name, diag.DEFAULT_MODULE_RULES)
+        totals[cls] = totals.get(cls, 0) + values.size
+        kept[cls] = kept.get(cls, 0) + int(np.count_nonzero(values))
+    want = {cls: kept[cls] / totals[cls] for cls in totals}
+    assert diag.modulewise_activation(source(tv), retention) == want
 
 
 def test_full_retention_activates_everything():

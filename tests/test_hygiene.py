@@ -15,7 +15,8 @@ package imports it.
 
 A top-level function whose own body returns a value has a caller in the
 program that uses that value: at least one reference to it is not a call
-whose result is dropped as a bare statement.
+whose result is dropped as a bare statement, unless it is listed here with
+why it stays.
 
 Only `task_vector` references the select, the tie rule and the rescale, so
 pruning is implemented once; and only it reads a resident vector's
@@ -178,9 +179,22 @@ def discarded_returns() -> list[str]:
     ]
 
 
+# Functions whose value no program code reads, each with why it stays.
+UNREAD_ON_PURPOSE = {
+    # perfbench/worker.py wraps `task_vector.sparsify` and `diagnostics.sparsify`
+    # by name (a `getattr` that must resolve), and acceptance criteria 3 and 6
+    # call it. Once perfbench reads in-program spans (ROADMAP item 3(b)), it
+    # needs no such name.
+    "task_vector.py:sparsify",
+}
+
+
 def test_every_returned_value_has_a_reader():
     found = discarded_returns()
-    assert not found, f"functions whose every caller drops the return value: {found}"
+    unexpected = sorted(set(found) - UNREAD_ON_PURPOSE)
+    assert not unexpected, f"functions whose every caller drops the return value: {unexpected}"
+    stale = sorted(UNREAD_ON_PURPOSE - set(found))
+    assert not stale, f"listed as unread, but a program caller reads them: {stale}"
 
 
 # Defaults that no program call sets, each with why it stays.
