@@ -14,8 +14,10 @@ Data regions must be contiguous, non-overlapping and in ascending offset
 order. The layout matches the de-facto checkpoint interchange format, so
 real model checkpoints restricted to the three dtypes load unmodified.
 
-Archives are immutable after open; reading never materializes more than one
-tensor at a time.
+Archives are immutable after open. A pass reads an archive in blocks
+(`read_blocks`), each one at most `blocks.BLOCK` values, opening the file once
+and reading each block's bytes by a positional read; writing takes a tensor
+as one array or as consecutive blocks (`archive_writer`).
 """
 
 from __future__ import annotations
@@ -43,13 +45,11 @@ from .errors import (
     TruncatedFileError,
     UnknownDtypeError,
 )
-from .floats import DTYPE_SIZES, DTYPES, narrow_from_f64, overflows, widen_to_f64
+from .blocks import BLOCK, Block, blocks
+from .floats import DTYPE_SIZES, DTYPES, narrow_from_f64, overflows, stored_non_finite, widen_to_f64
 
 _HEADER_LEN_BYTES = 8
 _METADATA_KEY = "__metadata__"
-# Values narrowed and written at a time: narrowing holds one block's
-# storage bytes, not a whole tensor's.
-_WRITE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -213,38 +213,72 @@ def open_archive(path: str | Path) -> TensorArchive:
     )
 
 
-def read_tensor(archive: TensorArchive, name: str, out: np.ndarray | None) -> TensorData:
-    """Read one tensor and widen it exactly to float64: into a new array, or
-    into the front of `out`, a flat float64 array at least as large as the
-    tensor, whose values are then a view of `out`.
+@contextmanager
+def _reading(archive: TensorArchive) -> Iterator[Callable[[Block, np.ndarray | None], np.ndarray]]:
+    """Open `archive` once and yield a function that reads one block of a
+    tensor and widens it exactly to float64: into a new array, or into the
+    front of `out`, a flat float64 array at least as large, returning that
+    view of `out`.
 
-    Into `out`, the stored bytes are read into the tail of the values' own
-    memory and widened in place (`widen_to_f64`), so a read needs no other
-    buffer.
-    """
+    Into `out`, the block's stored bytes are read by a positional read into
+    the tail of the values' own memory and widened in place
+    (`widen_to_f64`), so a read needs no other buffer."""
+    try:
+        fd = os.open(archive.path, os.O_RDONLY)
+    except OSError as exc:
+        raise IoFailureError(f"cannot read {archive.path}: {exc}") from exc
+
+    def read(block: Block, out: np.ndarray | None) -> np.ndarray:
+        meta = archive.entries[block.name]
+        width = DTYPE_SIZES[meta.dtype]
+        size = block.stop - block.start
+        if out is None:
+            values, raw = None, np.empty(size * width, np.uint8)
+        else:
+            values = out[:size]
+            raw = values.view(np.uint8)[values.nbytes - size * width :]
+        offset = archive.data_start + meta.data_offsets[0] + block.start * width
+        got = 0
+        try:
+            while got < raw.size and (count := os.preadv(fd, [raw[got:]], offset + got)):
+                got += count
+        except OSError as exc:
+            raise IoFailureError(f"cannot read {archive.path}: {exc}") from exc
+        if got != raw.size:
+            raise TruncatedFileError(f"{archive.path}: tensor {block.name!r} data is truncated")
+        return widen_to_f64(raw, meta.dtype, out=values)
+
+    try:
+        yield read
+    finally:
+        os.close(fd)
+
+
+def read_tensor(archive: TensorArchive, name: str, out: np.ndarray | None) -> TensorData:
+    """Read one whole tensor and widen it exactly to float64: into a new
+    array, or into the front of `out`, a flat float64 array at least as
+    large as the tensor, whose values are then a view of `out`."""
     try:
         meta = archive.entries[name]
     except KeyError:
         raise NameNotFoundError(f"tensor {name!r} not in {archive.path}") from None
-    values = None
-    if out is not None:
-        values = out[: meta.num_elements]
-        if values.size != meta.num_elements:
-            raise ValueError(f"tensor {name!r} has {meta.num_elements} values, more than its buffer holds")
-    try:
-        with open(archive.path, "rb") as fh:
-            fh.seek(archive.data_start + meta.data_offsets[0])
-            if values is None:
-                raw = fh.read(meta.num_bytes)
-                got = len(raw)
-            else:
-                raw = values.view(np.uint8)[values.nbytes - meta.num_bytes :]
-                got = fh.readinto(raw)
-    except OSError as exc:
-        raise IoFailureError(f"cannot read {archive.path}: {exc}") from exc
-    if got != meta.num_bytes:
-        raise TruncatedFileError(f"{archive.path}: tensor {name!r} data is truncated")
-    return TensorData(meta=meta, values=widen_to_f64(raw, meta.dtype, out=values))
+    size = meta.num_elements
+    if out is not None and out.size < size:
+        raise ValueError(f"tensor {name!r} has {size} values, more than its buffer holds")
+    with _reading(archive) as read:
+        return TensorData(meta=meta, values=read(Block(name, 0, size, size), out))
+
+
+def read_blocks(archive: TensorArchive, out: np.ndarray) -> Iterator[tuple[Block, np.ndarray]]:
+    """One pass over `archive`, opened once: per tensor in byte-wise name
+    order, each of its blocks (`blocks.blocks`) widened to float64 into the
+    front of `out`, a flat float64 array at least as large as its largest
+    block. A yielded array is a view of `out`, overwritten by the next
+    block."""
+    with _reading(archive) as read:
+        for name in byte_sorted(archive.entries):
+            for block in blocks(name, archive.entries[name].num_elements):
+                yield block, read(block, out)
 
 
 def byte_sorted(names: Iterable[str]) -> list[str]:
@@ -254,16 +288,18 @@ def byte_sorted(names: Iterable[str]) -> list[str]:
 
 
 def write_archive(
-    entries: Iterable[tuple[str, str, Sequence[int], "np.ndarray | Callable[[], np.ndarray]"]],
+    entries: Iterable[tuple[str, str, Sequence[int], "np.ndarray | Callable[[], Iterable[np.ndarray]]"]],
     path: str | Path,
 ) -> None:
     """Write (name, dtype, shape, float64 values) entries to a new archive,
     without metadata, through `archive_writer`. Values may be zero-argument
-    callables, which are materialized one tensor at a time while writing."""
+    callables returning the tensor's consecutive blocks, which are called
+    one tensor at a time while writing."""
     entries = list(entries)
     with archive_writer([entry[:3] for entry in entries], path) as write:
         for *_, values in entries:
-            write(values() if callable(values) else values)
+            for block in values() if callable(values) else [values]:
+                write(block)
 
 
 @contextmanager
@@ -273,14 +309,15 @@ def archive_writer(
     metadata: dict[str, str] | None = None,
 ) -> Iterator[Callable[[np.ndarray], None]]:
     """Open a new archive of (name, dtype, shape) tensors and yield a function
-    that writes the next tensor's float64 values, in spec order.
+    that writes float64 values of the tensors in spec order: each tensor as
+    one array, or as consecutive blocks in as many calls.
 
     The data block is laid out in spec order with no padding; values are
-    narrowed to the storage dtype with round-to-nearest-even, one block of
-    `_WRITE_BLOCK` values at a time. A finite value that would round to inf
-    raises DtypeOverflowError; inf and NaN are written as they are. Offsets come
+    narrowed to the storage dtype with round-to-nearest-even, at most
+    `BLOCK` values at a time. A finite value that would round to inf raises
+    DtypeOverflowError; inf and NaN are written as they are. Offsets come
     from shape and dtype alone, so the header is written first and each
-    tensor can be dropped once written. The file is written to a temp
+    block can be dropped once written. The file is written to a temp
     sibling and renamed when the block ends with every tensor written, so
     readers never see a partial archive; on any exception it is removed.
     """
@@ -311,31 +348,41 @@ def archive_writer(
         cursor += num_bytes
 
     header_bytes = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-    pending = iter(layout)
+    # The tensor being written, and how many of its values are written.
+    index = filled = 0
     with _replacing(path) as fh:
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
 
         def write(values: np.ndarray) -> None:
-            spec = next(pending, None)
-            if spec is None:
+            nonlocal index, filled
+            if index == len(layout):
                 raise ValueError(f"{path}: every tensor is already written")
-            name, dtype, shape = spec
+            name, dtype, shape = layout[index]
             flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-            if flat.size != math.prod(shape):
+            size = math.prod(shape)
+            if filled + flat.size > size:
                 raise ShapeMismatchError(
-                    f"tensor {name!r}: {flat.size} values do not fill shape {shape}"
+                    f"tensor {name!r}: {filled + flat.size} values overrun shape {shape}"
                 )
-            for start in range(0, flat.size, _WRITE_BLOCK):
-                block = flat[start : start + _WRITE_BLOCK]
-                if overflows(block, dtype):
+            for start in range(0, flat.size, BLOCK):
+                block = flat[start : start + BLOCK]
+                raw = narrow_from_f64(block, dtype)
+                # Only a narrowed inf or NaN can come from a finite value.
+                if stored_non_finite(raw, dtype) and overflows(block, dtype):
                     raise DtypeOverflowError(
                         f"{path}: tensor {name!r} holds a finite value beyond the {dtype} range"
                     )
-                fh.write(narrow_from_f64(block, dtype))
+                fh.write(raw)
+            filled += flat.size
+            if filled == size:
+                index, filled = index + 1, 0
 
         yield write
-        unwritten = [name for name, _, _ in pending]
+        if filled:
+            name, _, shape = layout[index]
+            raise ShapeMismatchError(f"tensor {name!r}: {filled} values do not fill shape {shape}")
+        unwritten = [name for name, _, _ in layout[index:]]
         if unwritten:
             raise ValueError(f"{path}: tensors {unwritten[:5]} were not written")
 

@@ -6,8 +6,8 @@ them, sign interference counts opposing update directions over the support
 of one sparsified vector, and module-wise activation shows where each
 vector concentrates its largest entries.
 
-Each reads any `VectorSource` one tensor at a time and holds one tensor of
-each vector it reads, never a whole vector. All functions are pure;
+Each reads any `VectorSource` one block at a time and holds one block of
+each vector it reads, never a whole tensor. All functions are pure;
 identical inputs produce bitwise identical outputs.
 """
 
@@ -30,6 +30,7 @@ from .task_vector import (
     Scratch,
     VectorSource,
     global_l2_norm,
+    keep_counts,
     keep_masks,
     quantile_threshold,
     require_finite,
@@ -116,7 +117,7 @@ class InterferenceReport:
 def opposite_signs(
     a: np.ndarray, b: np.ndarray, scratch: Scratch, keep_b: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:
-    """For one tensor of each vector: a mask of the entries where both are
+    """For one block of each vector: a mask of the entries where both are
     non-zero with opposite signs, and the size of `b`'s support. Given
     `keep_b`, a keep mask of `b`, its dropped entries count as zeros, as if
     `b` were pruned by it. The mask lies in `scratch`, valid until its next
@@ -194,25 +195,25 @@ def interference_sweep(
 
     Neither vector is pruned into a copy. One select finds `tv_b`'s cut and
     one finds `tv_a`'s cut at every retention; then one pass reads both
-    vectors in lockstep, one tensor of each at a time, and counts, per cut,
-    the kept entries of `tv_a` that oppose the sign of a kept entry of
-    `tv_b`.
+    vectors in lockstep, one block of each at a time, finds the positions
+    where `tv_a` opposes the sign of a kept entry of `tv_b`, and counts, per
+    cut, the kept entries of `tv_a` at those positions only.
     """
     require_matching(tv_a.shapes, tv_b.shapes)
     cuts_b = quantile_threshold(tv_b, [retention_b])
     cuts = quantile_threshold(tv_a, retentions_a)
     conflicts = [0] * len(cuts)
     denominator = 0
-    # Each `KeepMasks` keeps its masks in its own array, so both can share a scratch.
+    # `tv_b`'s keep mask lies in its own array, and each block's positions
+    # are taken before `tv_a`'s count reuses the scratch.
     scratch = Scratch(tv_a.shapes.values())
-    pairs = zip(keep_masks(tv_a, cuts, scratch), keep_masks(tv_b, cuts_b, scratch))
-    for (_, a, masks), (_, b, (keep_b,)) in pairs:
+    pairs = zip(keep_counts(tv_a, cuts, scratch), keep_masks(tv_b, cuts_b, scratch))
+    for (_, a, count), (_, b, (keep_b,)) in pairs:
         opposite, support = opposite_signs(a, b, scratch, keep_b)
         denominator += support
         # Kept entries of `tv_a` at these positions conflict; dropped ones have sign 0.
-        positions = np.flatnonzero(opposite)
-        for i, mask in enumerate(masks):
-            conflicts[i] += int(np.count_nonzero(mask[positions]))
+        for i, kept in enumerate(count(np.flatnonzero(opposite))):
+            conflicts[i] += kept
     return [
         InterferenceReport.of(r, retention_b, c, denominator)
         for r, c in zip(retentions_a, conflicts)
@@ -241,8 +242,8 @@ def modulewise_activation(
     totals: dict[ModuleClass, int] = {}
     retained: dict[ModuleClass, int] = {}
     scratch = Scratch(tv.shapes.values())
-    for name, v, (mask,) in keep_masks(tv, cuts, scratch):
-        cls = classify_module(name, rules)
+    for block, v, (mask,) in keep_masks(tv, cuts, scratch):
+        cls = classify_module(block.name, rules)
         totals[cls] = totals.get(cls, 0) + v.size
         kept = mask
         if cuts[0].threshold == 0:

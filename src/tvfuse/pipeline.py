@@ -11,24 +11,25 @@ Every stage persists its artifacts and what they are built from, so a run can
 be resumed (``resume=True`` reuses what is on disk if built the same way,
 including a partial trial log) or individual stages re-used by the CLI subcommands.
 
-Stage 2 never holds a whole vector: it runs `task_vector.prune_and_rescale`,
-the one prune-and-rescale implementation, over lockstep passes of the base
-and both finetuned archives, one tensor of each at a time, and its last
-pass also counts sign conflicts and writes both archives. At full retention
-that pass alone runs, unpruned. Each pass reads one tensor ahead
-(`task_vector.deltas`): one worker thread reads, widens and subtracts the
-next tensor of each archive while the stage works on the current one, so
-one more tensor set is in flight. Every merge reads the base and the stored
-stage-2 vectors one tensor at a time, so memory grows with the largest
-tensor, not with the model.
+Stage 2 never holds a whole vector, nor a whole tensor: it runs
+`task_vector.prune_and_rescale`, the one prune-and-rescale implementation,
+over lockstep passes of the base and both finetuned archives, one block of
+at most `blocks.BLOCK` values of each at a time, and its last pass also
+counts sign conflicts and writes both archives. At full retention that pass
+alone runs, unpruned. Each pass (`task_vector.deltas`) opens each archive
+once and reads, widens and subtracts each block on the calling thread; no
+read-ahead thread runs. Every merge reads the base and the stored stage-2
+vectors one block at a time, so memory is bounded by a few blocks, not by
+the largest tensor or the model.
 
-Buffers: stage 2 makes one `deltas` reader and one `task_vector.Scratch`
-for all of its passes, each pass reading both finetuned archives, and each
-merge owns its accumulator and term buffer for the length of the call. The
-reader's rule: a yielded delta is borrowed until the next item, and the
-stage masks, rescales and writes it in place before then; the buffers live
-as long as the reader; it runs one pass at a time. Nothing outlives its
-stage, so the search is not charged for stage 2's buffers.
+Buffers, one block each: stage 2 makes one `deltas` reader and one
+`task_vector.Scratch` for all of its passes, each pass reading both
+finetuned archives, and each merge owns its accumulator, term buffer and
+readers for the length of the call. The reader's rule: a yielded delta is
+borrowed until the next item, and the stage masks, rescales and writes it
+in place before then; the buffers live as long as the reader; it runs one
+pass at a time. Nothing outlives its stage, so the search is not charged
+for stage 2's buffers.
 
 Only a backend that loads weights from a path (``loads_weights``, the HTTP
 backend) gets a candidate file per trial: the candidates share one path in
@@ -420,10 +421,12 @@ def _reuse(path: Path, settings: dict[str, Any], other_keys: set[str]) -> dict[s
 
 def _sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
+    # One buffer, read into again for every chunk.
+    buffer = memoryview(bytearray(1 << 20))
     try:
         with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
+            while count := fh.readinto(buffer):
+                digest.update(buffer[:count])
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     return digest.hexdigest()
@@ -693,9 +696,9 @@ def _stage_task_vectors(
             )
             for origin, info, out in zip(origins, infos, (paths.tau_sft, paths.tau_rlvr))
         ]
-        for name, processed in vectors:
+        for block, processed in vectors:
             for i, values in enumerate(processed):
-                norms.add(i, name, values)
+                norms.add(i, block, values)
                 writers[i](values)
             opposite, support = opposite_signs(*processed, scratch)
             conflicts += int(np.count_nonzero(opposite))
@@ -722,7 +725,7 @@ def _stage2_merger(
 ) -> Callable[[tuple[float, float], Path], None]:
     """Open the base archive and both stage-2 vectors; return a function
     that writes base + c_sft * tau_sft + c_rlvr * tau_rlvr to a path, reading
-    the three archives one tensor at a time.
+    the three archives one block at a time.
 
     The vectors come from the stage-2 archives (the canonical post-narrowing
     values), so search-time candidates and the final model are built from

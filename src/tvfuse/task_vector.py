@@ -2,50 +2,56 @@
 
 A task vector is the elementwise difference between a post-trained
 checkpoint and its base model. A vector source (`VectorSource`) is a
-resident `TaskVector` or a stored archive read tensor by tensor
+resident `TaskVector` or a stored archive read block by block
 (`StoredVector`). Every walk over vectors is a pass of a `Lockstep` reader,
-which reads every vector it was made over, tensor by tensor in byte-wise
-name order: `lockstep(source)` over one source, and `deltas` over ft - base
-of one base and several finetuned archives, each archive once per tensor and
-one tensor ahead: while the caller works on one tensor set, one worker
-thread reads, widens and subtracts the next, so one more tensor set is in
-flight. A consumer walking a stored vector or the deltas holds one tensor of
-it at a time, so `merge` of stored vectors, stage 2 and the diagnostics over
-stored vectors need memory bounded by the largest tensor, not by the model.
+which reads every vector it was made over, per tensor in byte-wise name
+order, in blocks of at most `BLOCK` values cut at the leaves of numpy's
+pairwise-sum tree (`blocks`): `lockstep(source)` over one source, and
+`deltas` over ft - base of one base and several finetuned archives. A pass
+opens each archive once and reads each block by a positional read, on the
+calling thread: there is no read-ahead thread, since handing every block
+to one would cost more than it overlaps. A consumer holds one block of
+each vector at a time, so `merge`, stage 2 and the diagnostics over stored
+vectors need memory bounded by one block, not by a tensor or the model.
 
 Who owns the working memory: a job makes each reader once; the reader
-allocates its buffers, sized to the largest tensor, on the calling thread,
-and every pass reuses their pages. The one rule: a yielded array is
-borrowed until the next item; the buffers live as long as the reader; a
-reader runs one pass at a time. A `Scratch` holds one stage's magnitudes,
-squares, select keys and masks, and `merge` one accumulator and one term
-buffer. What keeps every tensor (`extract_task_vector`, `sparsify`,
-`sparsify_and_rescale`, `load_task_vector`) gets a new array per tensor.
+allocates its buffers, each the size of the largest block, on the
+calling thread, and every
+pass reuses their pages. The one rule: a yielded array is borrowed until
+the next item; the buffers live as long as the reader; a reader runs one
+pass at a time. A `Scratch` holds one stage's magnitudes, squares, select
+keys and masks, and `merge` one accumulator and one term buffer. What
+keeps every tensor (`extract_task_vector`, `sparsify`,
+`sparsify_and_rescale`, `load_task_vector`) gets a new array per tensor;
+all but `load_task_vector`, which reads each tensor whole, build it from
+its blocks.
 
 `prune_and_rescale` is the one prune-and-rescale implementation. Over
-vectors read in lockstep, one tensor of each at a time, it keeps each
+vectors read in lockstep, one block of each at a time, it keeps each
 vector's top fraction of entries by absolute magnitude against one global
 cut, and can rescale the pruned vector to its original global L2 norm.
 Stage 2 runs it over `deltas`; `sparsify`, `sparsify_and_rescale` and
 `tvfuse sparsify` over one source. There is one threshold algorithm, the
 exact k-th largest magnitude found for several ranks at once by a radix
-select over the bits of |v| (`RadixSelect`), fed one tensor at a time per
-pass; and one tie rule (`KeepMasks`). The select settles a rank as soon as
-it falls among the entries equal to its bucket's floor value, so a cut on a
-value with a short significand (common among BF16 deltas) is found in one
-pass. A vector holding inf or NaN has no magnitude order and is rejected.
+select over the bits of |v| (`RadixSelect`), fed one block at a time per
+pass; and one tie rule (`KeepMasks`), which masks or counts. The select
+settles a rank as soon as it falls among the entries equal to its bucket's
+floor value, so a cut on a value with a short significand (common among
+BF16 deltas) is found in one pass. A vector holding inf or NaN has no
+magnitude order and is rejected.
 
 All arithmetic runs in float64 and all cross-tensor reductions add
-per-tensor `np.sum` partials (`square_sum`) in byte-wise lexicographic
-tensor-name order, so results are bitwise reproducible whatever the source.
+per-tensor `np.sum` partials (`square_sum`, folded from the blocks by
+`TensorSum`) in byte-wise lexicographic tensor-name order, so results are
+bitwise reproducible whatever the source.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -57,9 +63,11 @@ from .archive import (
     archive_writer,
     byte_sorted,
     open_archive,
+    read_blocks,
     read_tensor,
     write_archive,
 )
+from .blocks import BLOCK, Block, TensorSum, blocks
 from .errors import (
     DegenerateRescaleWarning,
     EmptyVectorError,
@@ -95,12 +103,15 @@ class TaskVector:
     source_ft_id: str
     sparsity: SparsityInfo | None = None
 
-    def read(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
-        return self.tensors[name]
+    def blocks(self, out: np.ndarray | None) -> Iterator[tuple[Block, np.ndarray]]:
+        for name in byte_sorted(self.shapes):
+            values = self.tensors[name]
+            for block in blocks(name, values.size):
+                yield block, values[block.start : block.stop]
 
 
 class StoredVector:
-    """A vector archive, as `save_task_vector` writes it, read tensor by tensor.
+    """A vector archive, as `save_task_vector` writes it, read block by block.
     It is the one reader of vector archives."""
 
     def __init__(self, path: str | Path):
@@ -109,32 +120,35 @@ class StoredVector:
         self.source_base_id = self.archive.metadata.get("source_base_id", "")
         self.source_ft_id = self.archive.metadata.get("source_ft_id", "")
 
-    def read(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
-        return read_tensor(self.archive, name, out=out).values
+    def blocks(self, out: np.ndarray | None) -> Iterator[tuple[Block, np.ndarray]]:
+        return read_blocks(self.archive, out)
 
 
 # A task vector as float64 arrays: `shapes` names its tensors, and
-# `read(name, out)` returns tensor `name`. A stored vector reads it into `out`,
-# a flat float64 array at least as large, and returns a view of it, a new
-# array when `out` is None; a resident one returns its own array.
+# `blocks(out)` runs one pass that yields per tensor in byte-wise name order
+# each of its blocks and the block's values. A stored vector reads them into
+# `out`, a flat float64 array at least as large as its largest block
+# (`largest_block`), and yields views of it; a resident one yields views of
+# its own arrays and takes None.
 VectorSource = TaskVector | StoredVector
 
 # Reads several vectors in lockstep: each call runs one pass that yields per
-# tensor in name order its name and one array per vector, under the module
-# docstring's buffer rule.
-Lockstep = Callable[[], Iterator[tuple[str, list[np.ndarray]]]]
+# tensor in name order each of its blocks and one array of the block's values
+# per vector, under the module docstring's buffer rule.
+Lockstep = Callable[[], Iterator[tuple[Block, list[np.ndarray]]]]
 
 
-def largest_size(shapes: Iterable[tuple[int, ...]]) -> int:
-    """The number of values of the largest of tensors of `shapes`, 0 if none."""
-    return max((math.prod(shape) for shape in shapes), default=0)
+def largest_block(shapes: Iterable[tuple[int, ...]]) -> int:
+    """The number of values of the largest block of tensors of `shapes`: at
+    most `BLOCK`, 0 if none."""
+    return min(BLOCK, max((math.prod(shape) for shape in shapes), default=0))
 
 
 class Scratch:
-    """The working arrays of one streamed job, sized to its largest tensor
-    and allocated on the thread that makes it: every tensor reuses the same
-    pages instead of faulting in fresh ones. Each user takes prefix views
-    and is done with them before the next user takes them.
+    """The working arrays of one streamed job, each the size of its largest
+    block, allocated on the thread that makes it: every block reuses the
+    same pages instead of faulting in fresh ones. Each user takes prefix
+    views and is done with them before the next user takes them.
 
     - `floats` and `ints`, two views of one array: magnitudes (`KeepMasks`)
       and squares (`Norms`); the select's digit keys (`RadixSelect`) and a
@@ -144,7 +158,7 @@ class Scratch:
     """
 
     def __init__(self, shapes: Iterable[tuple[int, ...]]):
-        size = largest_size(shapes)
+        size = largest_block(shapes)
         self.floats = np.empty(size)
         self.ints = self.floats.view(np.int64)
         self.flags = np.empty((2, size), dtype=bool)
@@ -174,17 +188,15 @@ def deltas(
     allow_dtype_mismatch: bool = False,
 ) -> Lockstep:
     """The `Lockstep` reader of ft - base for each finetuned archive: a pass
-    yields per tensor in byte-wise name order the name and one float64 delta
-    per archive, each archive read once. Names, shapes and dtypes are
-    checked before any read. A pass reads one tensor set ahead on one worker
-    thread; a read error surfaces where a serial read would raise it, after
-    the tensors before.
+    yields per tensor in byte-wise name order each block and one float64
+    delta per archive, opening each archive once and reading each block
+    once. Names, shapes and dtypes are checked before any read.
 
-    The reader owns a base buffer and two sets of delta buffers, sized to
-    the largest tensor and allocated here, on the calling thread; every pass
-    reads into them, the sets in turn. An item's arrays are the caller's to
-    overwrite until it asks for the next item; the worker then reads the
-    item after that into them, so they are overwritten two items later."""
+    The reader owns a base buffer and one delta buffer per finetuned
+    archive, each the size of the largest block and allocated here; every
+    pass reads into them.
+    An item's arrays are the caller's to overwrite until it asks for the
+    next item."""
     for ft in finetuned:
         require_matching(base.shapes, ft.shapes)
         for name in byte_sorted(base.entries):
@@ -195,53 +207,52 @@ def deltas(
                     "(pass allow_dtype_mismatch=True to override)"
                 )
 
-    size = largest_size(base.shapes.values())
-    # Only the worker touches the base buffer.
+    size = largest_block(base.shapes.values())
     base_buffer = np.empty(size)
-    sets = [[np.empty(size) for _ in finetuned] for _ in range(2)]
+    buffers = [np.empty(size) for _ in finetuned]
 
-    def read() -> Iterator[tuple[str, list[np.ndarray]]]:
-        def tensors() -> Iterator[tuple[str, list[np.ndarray]]]:
-            for index, name in enumerate(byte_sorted(base.entries)):
-                base_values = read_tensor(base, name, out=base_buffer).values
-                buffers = zip(finetuned, sets[index % 2])
-                vectors = [read_tensor(ft, name, out=buffer).values for ft, buffer in buffers]
+    def read() -> Iterator[tuple[Block, list[np.ndarray]]]:
+        passes = [read_blocks(base, base_buffer)]
+        passes += [read_blocks(ft, buffer) for ft, buffer in zip(finetuned, buffers)]
+        try:
+            for (block, base_values), *items in zip(*passes):
+                vectors = [values for _, values in items]
                 for values in vectors:
                     values -= base_values
-                yield name, vectors
-
-        # One tensor ahead: the worker reads the next tensor set while the
-        # caller works on this one. Leaving the `with` joins the worker. Its
-        # errors surface from `result()` in tensor order; the error of the
-        # one read past where the caller stopped is dropped, since a serial
-        # reader would not have made that read.
-        ahead = tensors()
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            pending = worker.submit(next, ahead, None)
-            while (item := pending.result()) is not None:
-                pending = worker.submit(next, ahead, None)
-                yield item
+                yield block, vectors
+        finally:
+            for archive_pass in passes:
+                archive_pass.close()
 
     return read
 
 
 def lockstep(source: VectorSource) -> Lockstep:
     """The `Lockstep` reader of one vector. A stored vector is read into one
-    buffer, allocated here and sized to its largest tensor; a resident one
-    yields its own arrays."""
-    buffer = None if isinstance(source, TaskVector) else np.empty(largest_size(source.shapes.values()))
+    buffer the size of its largest block, allocated here; a resident one
+    yields views of its own arrays."""
+    buffer = None if isinstance(source, TaskVector) else np.empty(largest_block(source.shapes.values()))
 
-    def read() -> Iterator[tuple[str, list[np.ndarray]]]:
-        for name in byte_sorted(source.shapes):
-            yield name, [source.read(name, out=buffer)]
+    def read() -> Iterator[tuple[Block, list[np.ndarray]]]:
+        for block, values in source.blocks(buffer):
+            yield block, [values]
 
     return read
 
 
+def resident(items: Iterable[tuple[Block, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Per tensor, a new flat array built from its blocks' values."""
+    tensors: dict[str, np.ndarray] = {}
+    for block, values in items:
+        if block.start == 0:
+            tensors[block.name] = np.empty(block.size)
+        tensors[block.name][block.start : block.stop] = values
+    return tensors
+
+
 def extract_task_vector(base: TensorArchive, finetuned: TensorArchive) -> TaskVector:
-    """Per-tensor finetuned - base, read one tensor at a time."""
-    read = deltas(base, [finetuned])
-    tensors = {name: delta.copy() for name, (delta,) in read()}
+    """Per-tensor finetuned - base, read one block at a time."""
+    tensors = resident((block, delta) for block, (delta,) in deltas(base, [finetuned])())
     return TaskVector(
         tensors=tensors,
         shapes={name: base.entries[name].shape for name in tensors},
@@ -251,18 +262,23 @@ def extract_task_vector(base: TensorArchive, finetuned: TensorArchive) -> TaskVe
 
 
 def square_sum(values: np.ndarray, out: np.ndarray | None = None) -> float:
-    """One tensor's partial of a squared L2 norm; a vector's partials add up
-    in byte-wise name order. The squares go to `out` when it is given."""
+    """One block's partial of a squared L2 norm: a tensor's partial is its
+    blocks' folded by `TensorSum`, and a vector's partials add up in
+    byte-wise name order. The squares go to `out` when it is given."""
     return float(np.sum(np.square(values, out=out)))
 
 
 def global_l2_norm(source: VectorSource, partials: dict[str, float]) -> float:
     """sqrt of the sum of squares over every parameter of every tensor;
-    `partials` receives each tensor's `square_sum` by name."""
+    `partials` receives each tensor's sum of squares by name, with the bits
+    of one `square_sum` over the whole tensor."""
     total = 0.0
-    for name, (values,) in lockstep(source)():
-        partials[name] = square_sum(values)
-        total += partials[name]
+    tensor_sum = TensorSum()
+    for block, (values,) in lockstep(source)():
+        partial = tensor_sum.add(block, square_sum(values))
+        if partial is not None:
+            partials[block.name] = partial
+            total += partial
     return math.sqrt(total)
 
 
@@ -274,28 +290,32 @@ def non_finite(name: str, source_ft_id: str) -> NonFiniteVectorError:
 
 def require_finite(source: VectorSource) -> None:
     """Raise NonFiniteVectorError naming the first tensor holding inf or NaN."""
-    for name, (values,) in lockstep(source)():
+    for block, (values,) in lockstep(source)():
         if not np.isfinite(values).all():
-            raise non_finite(name, source.source_ft_id)
+            raise non_finite(block.name, source.source_ft_id)
 
 
 class Norms:
     """Several vectors' L2 norms, from per-tensor partials added in name
-    order, and each one's first tensor holding inf or NaN."""
+    order, and each one's first tensor holding inf or NaN; fed one block of
+    each vector at a time."""
 
     def __init__(self, origins: Sequence[str], scratch: Scratch):
         self.origins = list(origins)
         self.squares = [0.0] * len(self.origins)
         self.first_bad: list[str | None] = [None] * len(self.origins)
+        self.sums = [TensorSum() for _ in self.origins]
         self.scratch = scratch
 
-    def add(self, i: int, name: str, values: np.ndarray) -> None:
+    def add(self, i: int, block: Block, values: np.ndarray) -> None:
         partial = square_sum(values, out=self.scratch.floats[: values.size])
         # Finite squares can overflow too, so only then look for inf or NaN.
         if not math.isfinite(partial) and self.first_bad[i] is None:
             if not np.isfinite(values).all():
-                self.first_bad[i] = name
-        self.squares[i] += partial
+                self.first_bad[i] = block.name
+        tensor_partial = self.sums[i].add(block, partial)
+        if tensor_partial is not None:
+            self.squares[i] += tensor_partial
 
     def require_finite(self) -> None:
         """Raise for the first vector, in index order, that holds inf or NaN."""
@@ -309,12 +329,13 @@ class Norms:
 
 @dataclass(frozen=True)
 class Cut:
-    """The exact k-th largest magnitude of a vector, k, and how many entries
-    lie strictly above it."""
+    """The exact k-th largest magnitude of a vector, k, how many entries lie
+    strictly above it and how many equal it."""
 
     threshold: float
     k: int
     count_above: int
+    ties: int
 
 
 # Non-negative doubles order like their bit patterns read as integers, so the
@@ -393,7 +414,7 @@ def _count(
 
 class RadixSelect:
     """One exact cut per retention p, the k-th largest magnitude with
-    k = ceil(p*N), for a vector of tensors of `shapes` fed one tensor at a
+    k = ceil(p*N), for a vector of tensors of `shapes` fed one block at a
     time, in name order, one pass over the vector at a time (`_run_selects`).
 
     Pass 1 counts the top 16 bits of every entry's magnitude bits in one
@@ -401,22 +422,23 @@ class RadixSelect:
     bucket; it also counts, per digit, the entries whose lower bits are all
     0, so a rank that falls among the entries equal to its bucket's floor
     value settles at once. A bucket holding more entries than the largest
-    tensor is refined by the next 16-bit digit the same way, one pass per
-    digit, until it settles or is small (it settles after 4 digits), so a
-    bucket of ties is never gathered. One last pass gathers each remaining
-    bucket, which is then sorted. Memory is the counters, one tensor's
-    temporaries and the gathered buckets, none larger than the largest
-    tensor.
+    block is refined by the next 16-bit digit the same way, one pass per
+    digit, until it settles or fits in one block (it settles after 4
+    digits), so a bucket of ties is never gathered. One last pass gathers
+    each remaining bucket, which is then sorted. Memory is the counters, one
+    block's temporaries and the gathered buckets, none larger than the
+    largest block. A settled bucket's size is the number of entries equal
+    to its cut.
     """
 
     def __init__(
         self, shapes: Iterable[tuple[int, ...]], retentions: Sequence[float], scratch: Scratch
     ):
-        sizes = [math.prod(shape) for shape in shapes]
-        total = sum(sizes)
+        shapes = list(shapes)
+        total = sum(math.prod(shape) for shape in shapes)
         if total == 0:
             raise EmptyVectorError("task vector has no parameters")
-        self.largest = max(sizes)
+        self.largest = largest_block(shapes)
         self.ranks = [retained_target(p, total) for p in retentions]
         self.non_finite = False
         self.scratch = scratch
@@ -435,7 +457,7 @@ class RadixSelect:
         return not (self._counting or self._gathering)
 
     def feed(self, values: np.ndarray) -> None:
-        """Count or gather one tensor's entries for the current pass."""
+        """Count or gather one block's entries for the current pass."""
         raw = values.view(np.int64)
         if _ROOT in self._counting:
             # Pass 1 counts the root alone, whose members are every entry; its
@@ -468,8 +490,10 @@ class RadixSelect:
             elif key in gathered:
                 values = gathered[key]
                 bits = int(values[values.size - bucket.rank])
-                above = values.size - int(np.searchsorted(values, bits, side="right"))
-                self._buckets[i] = _Bucket(0, bits, 0, 0, bucket.above + above)
+                below = int(np.searchsorted(values, bits, side="left"))
+                not_above = int(np.searchsorted(values, bits, side="right"))
+                ties, above = not_above - below, values.size - not_above
+                self._buckets[i] = _Bucket(0, bits, ties, 0, bucket.above + above)
         unsettled = [b for b in self._buckets if b.shift > 0]
         large = {(b.shift, b.prefix) for b in unsettled if b.size > self.largest}
         self._counting = {key: self._counters() for key in large}
@@ -477,7 +501,7 @@ class RadixSelect:
 
     def cuts(self) -> list[Cut]:
         return [
-            Cut(float(np.int64(bucket.prefix).view(np.float64)), k, bucket.above)
+            Cut(float(np.int64(bucket.prefix).view(np.float64)), k, bucket.above, bucket.size)
             for k, bucket in zip(self.ranks, self._buckets)
         ]
 
@@ -485,21 +509,21 @@ class RadixSelect:
 def _run_selects(
     read: Lockstep,
     selects: Sequence[RadixSelect],
-    first_pass: Callable[[int, str, np.ndarray], None] | None,
+    first_pass: Callable[[int, Block, np.ndarray], None] | None,
     require_finite: Callable[[], None],
 ) -> None:
     """Run one select per vector `read` yields until each is done. Pass 1
-    also hands each tensor to `first_pass(i, name, values)`, and then calls
+    also hands each block to `first_pass(i, block, values)`, and then calls
     `require_finite()`, which raises, if a vector holds inf or NaN; every
     pass reads every vector, and later passes feed only the selects still
     pending."""
     pending = list(range(len(selects)))
     while pending:
-        for name, vectors in read():
+        for block, vectors in read():
             for i in pending:
                 values = vectors[i]
                 if first_pass is not None:
-                    first_pass(i, name, values)
+                    first_pass(i, block, values)
                 selects[i].feed(values)
         for i in pending:
             selects[i].end_pass()
@@ -518,44 +542,96 @@ def quantile_threshold(source: VectorSource, retentions: Sequence[float]) -> lis
 
 
 class KeepMasks:
-    """The one tie rule, fed one tensor at a time in name order: a cut keeps
+    """The one tie rule, fed one block at a time in name order: a cut keeps
     |v| > threshold, then the first k - count_above ties |v| == threshold in
-    (name, flat index) order, so exactly k entries."""
+    (name, flat index) order, so exactly k entries. It masks each block's
+    kept entries (`__call__`) or counts them at given positions (`count`).
+
+    While a cut has as many ties left to keep as ties still to come, which
+    is where most cuts start, it keeps every tie without counting them, and
+    once it has none left it keeps none."""
 
     def __init__(self, cuts: Sequence[Cut], scratch: Scratch):
         self.cuts = list(cuts)
         self.ties_left = [cut.k - cut.count_above for cut in cuts]
+        self.ties_unseen = [cut.ties for cut in cuts]
         self.scratch = scratch
         self.masks = np.empty((len(self.cuts), scratch.floats.size), dtype=bool)
 
+    def _tie_limits(self, values: np.ndarray, magnitude: np.ndarray | None) -> list[int]:
+        """Per cut, how far into the block `values` it keeps ties: those at a
+        flat index below the limit. Moves the rule past the block. The
+        block's magnitudes go to scratch unless given."""
+        limits = []
+        for i, cut in enumerate(self.cuts):
+            left = self.ties_left[i]
+            if left in (0, self.ties_unseen[i]):
+                limits.append(values.size if left else 0)
+                continue
+            if magnitude is None:
+                magnitude = np.abs(values, out=self.scratch.floats[: values.size])
+            ties = np.equal(magnitude, cut.threshold, out=self.scratch.flags[0, : values.size])
+            count = int(np.count_nonzero(ties))
+            if count <= left:
+                self.ties_left[i] -= count
+                self.ties_unseen[i] -= count
+                limits.append(values.size)
+            else:
+                # The ties run out inside this block.
+                self.ties_left[i] = 0
+                limits.append(int(np.flatnonzero(ties)[left - 1]) + 1)
+        return limits
+
     def __call__(self, values: np.ndarray) -> list[np.ndarray]:
-        """One keep mask per cut for the next tensor's values, valid until
+        """One keep mask per cut for the next block's values, valid until
         the next call."""
         n = values.size
         magnitude = np.abs(values, out=self.scratch.floats[:n])
         masks = []
-        for i, cut in enumerate(self.cuts):
-            mask = np.greater(magnitude, cut.threshold, out=self.masks[i, :n])
-            if self.ties_left[i]:
-                ties = np.equal(magnitude, cut.threshold, out=self.scratch.flags[0, :n])
-                count = int(np.count_nonzero(ties))
-                if count <= self.ties_left[i]:
-                    mask |= ties
-                    self.ties_left[i] -= count
-                else:
-                    # The ties run out inside this tensor.
-                    mask[np.flatnonzero(ties)[: self.ties_left[i]]] = True
-                    self.ties_left[i] = 0
+        for i, (cut, limit) in enumerate(zip(self.cuts, self._tie_limits(values, magnitude))):
+            mask = self.masks[i, :n]
+            if limit == n:
+                np.greater_equal(magnitude, cut.threshold, out=mask)
+            else:
+                np.greater(magnitude, cut.threshold, out=mask)
+                ties = np.equal(magnitude[:limit], cut.threshold, out=self.scratch.flags[0, :limit])
+                mask[:limit] |= ties
             masks.append(mask)
         return masks
 
+    def count(self, values: np.ndarray, positions: np.ndarray) -> list[int]:
+        """Per cut, how many of the ascending flat `positions` of the next
+        block's values it keeps, as its mask would count there."""
+        picked = np.abs(values[positions])
+        counts = []
+        for cut, limit in zip(self.cuts, self._tie_limits(values, None)):
+            if limit == values.size:
+                counts.append(int(np.count_nonzero(picked >= cut.threshold)))
+                continue
+            kept = int(np.count_nonzero(picked > cut.threshold))
+            if limit:
+                tied = picked[: np.searchsorted(positions, limit)] == cut.threshold
+                kept += int(np.count_nonzero(tied))
+            counts.append(kept)
+        return counts
+
 
 def keep_masks(source: VectorSource, cuts: Sequence[Cut], scratch: Scratch):
-    """Per tensor in name order: (name, values, one keep mask per cut), the
-    values and masks valid until the next tensor."""
+    """Per block in name order: (block, values, one keep mask per cut), the
+    values and masks valid until the next block."""
     keep = KeepMasks(cuts, scratch)
-    for name, (values,) in lockstep(source)():
-        yield name, values, keep(values)
+    for block, (values,) in lockstep(source)():
+        yield block, values, keep(values)
+
+
+def keep_counts(source: VectorSource, cuts: Sequence[Cut], scratch: Scratch):
+    """Per block in name order: (block, values, count), where
+    `count(positions)` gives per cut how many of the block's ascending flat
+    `positions` it keeps. Call `count` once per block, before the next: it
+    moves the tie rule past the block."""
+    keep = KeepMasks(cuts, scratch)
+    for block, (values,) in lockstep(source)():
+        yield block, values, functools.partial(keep.count, values)
 
 
 def rescale_gamma(original_norm: float, sparse_norm: float, epsilon: float) -> float:
@@ -579,7 +655,7 @@ def prune_and_rescale(
     scratch: Scratch,
     *,
     keep: bool = False,
-) -> tuple[list[SparsityInfo], Iterator[tuple[str, list[np.ndarray]]]]:
+) -> tuple[list[SparsityInfo], Iterator[tuple[Block, list[np.ndarray]]]]:
     """Prune each vector `read` yields over tensors of `shapes` to its top
     retention_p fraction by magnitude and, unless `epsilon` is None, rescale
     it by `rescale_gamma`. Return each one's sparsity (`origins` name them in
@@ -590,8 +666,9 @@ def prune_and_rescale(
 
     Unless `keep`, the mask passes mask in place the arrays `read` yields,
     which must be theirs to overwrite (borrowed from `deltas`, or from
-    `lockstep` of a stored vector), and the last pass yields them. A caller that keeps every
-    tensor passes `keep`, and each pruned tensor is a new array."""
+    `lockstep` of a stored vector), and the last pass yields them. A caller
+    that reads a resident vector passes `keep`, and each pruned block goes
+    to a buffer per vector the size of `scratch`'s, owned by the call."""
     selects = [RadixSelect(shapes.values(), [retention_p], scratch) for _ in origins]
     norms = Norms(origins, scratch)
     _run_selects(read, selects, norms.add, norms.require_finite)
@@ -605,28 +682,30 @@ def prune_and_rescale(
         for cut, norm in zip(cuts, norms.norms())
     ]
 
-    def masked(gammas: Sequence[float] | None) -> Iterator[tuple[str, list[np.ndarray]]]:
+    outputs = [np.empty_like(scratch.floats) for _ in origins] if keep else None
+
+    def masked(gammas: Sequence[float] | None) -> Iterator[tuple[Block, list[np.ndarray]]]:
         masks = [KeepMasks([cut], scratch) for cut in cuts]
-        for name, vectors in read():
+        for block, vectors in read():
             for i, keep_mask in enumerate(masks):
                 values = vectors[i]
                 (mask,) = keep_mask(values)
                 # A dropped entry's bits AND 0 to +0.0; a kept one's AND -1.
                 bits = np.negative(mask.view(np.int8), out=scratch.ints[: values.size])
-                pruned = np.empty_like(values) if keep else values
+                pruned = values if outputs is None else outputs[i][: values.size]
                 np.bitwise_and(bits, values.view(np.int64), out=pruned.view(np.int64))
                 if gammas is not None:
                     pruned *= gammas[i]
-                # Replaced in the list, so no raw tensor outlives its masking.
+                # Replaced in the list, so no raw block outlives its masking.
                 vectors[i] = pruned
-            yield name, vectors
+            yield block, vectors
 
     if epsilon is None:
         return infos, masked(None)
     pruned = Norms(origins, scratch)
-    for name, vectors in masked(None):
+    for block, vectors in masked(None):
         for i, values in enumerate(vectors):
-            pruned.add(i, name, values)
+            pruned.add(i, block, values)
     for info, sparse_norm in zip(infos, pruned.norms()):
         info.rescale_gamma = rescale_gamma(info.original_norm, sparse_norm, epsilon)
         info.epsilon = epsilon
@@ -653,7 +732,7 @@ def sparsify_and_rescale(source: VectorSource, p: float, epsilon: float | None) 
         keep=True,
     )
     return TaskVector(
-        tensors={name: values for name, (values,) in vectors},
+        tensors=resident((block, values) for block, (values,) in vectors),
         shapes=dict(source.shapes),
         source_base_id=source.source_base_id,
         source_ft_id=source.source_ft_id,
@@ -669,33 +748,42 @@ def merge(
 ) -> None:
     """Write base + sum(coefficient * vector) narrowed to the output dtype.
 
-    Reads the base and every vector one tensor at a time into one
-    accumulator and one term buffer, sized to the largest tensor and freed
-    when the call ends, so with stored vectors it holds two tensors' worth;
+    Reads the base and every vector in one lockstep pass, one block at a
+    time, into one accumulator and one term buffer the size of the largest
+    block, freed when the call ends, so with stored vectors it holds a few
+    blocks' worth;
     an `out_dtype` of None keeps each base tensor's own storage dtype.
     """
     for source, _ in terms:
         require_matching(base.shapes, source.shapes)
 
-    # `write_archive` writes each combined tensor before it combines the next.
-    size = largest_size(base.shapes.values())
+    size = largest_block(base.shapes.values())
     acc_buffer, term_buffer = np.empty(size), np.empty(size)
+    readers = [lockstep(source) for source, _ in terms]
 
-    def combine(name: str) -> np.ndarray:
-        acc = read_tensor(base, name, out=acc_buffer).values
-        term = term_buffer[: acc.size]
-        for source, coeff in terms:
-            # The same bits as `acc + coeff * v`: IEEE products commute.
-            acc += np.multiply(source.read(name, out=term), coeff, out=term)
-        return acc
+    def combined() -> Iterator[tuple[Block, np.ndarray]]:
+        passes = [read_blocks(base, acc_buffer), *(read() for read in readers)]
+        try:
+            for (block, acc), *items in zip(*passes):
+                term = term_buffer[: acc.size]
+                for (_, (values,)), (_, coeff) in zip(items, terms):
+                    # The same bits as `acc + coeff * v`: IEEE products commute.
+                    acc += np.multiply(values, coeff, out=term)
+                yield block, acc
+        finally:
+            for each in passes:
+                each.close()
+
+    # `write_archive` writes each combined block before it combines the next,
+    # taking the tensors' blocks one tensor at a time.
+    tensors = itertools.groupby(combined(), key=lambda item: item[0].name)
+
+    def next_tensor() -> Iterator[np.ndarray]:
+        _, items = next(tensors)
+        return (acc for _, acc in items)
 
     entries = [
-        (
-            name,
-            out_dtype or base.entries[name].dtype,
-            list(base.entries[name].shape),
-            functools.partial(combine, name),
-        )
+        (name, out_dtype or base.entries[name].dtype, list(base.entries[name].shape), next_tensor)
         for name in byte_sorted(base.entries)
     ]
     write_archive(entries, out_path)
@@ -730,7 +818,7 @@ def write_vector(
     metadata: dict[str, str],
     dtype: str = "F32",
 ) -> None:
-    """Write one vector, yielded tensor by tensor in name order as a
+    """Write one vector, yielded block by block in name order as a
     `Lockstep` reader yields it, to an archive."""
     specs = [(name, dtype, shapes[name]) for name in byte_sorted(shapes)]
     with archive_writer(specs, path, metadata) as write:
@@ -745,11 +833,12 @@ def save_task_vector(tv: TaskVector, path: str | Path) -> None:
 
 
 def load_task_vector(path: str | Path) -> TaskVector:
-    """A resident copy of the archive `save_task_vector` wrote, read through
-    `StoredVector`, a new array per tensor."""
+    """A resident copy of the archive `save_task_vector` wrote, opened as a
+    `StoredVector` and read whole, a new array per tensor."""
     stored = StoredVector(path)
+    names = byte_sorted(stored.shapes)
     return TaskVector(
-        tensors={name: stored.read(name) for name in byte_sorted(stored.shapes)},
+        tensors={name: read_tensor(stored.archive, name, out=None).values for name in names},
         shapes=stored.shapes,
         source_base_id=stored.source_base_id,
         source_ft_id=stored.source_ft_id,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import struct
 from fractions import Fraction
 from pathlib import Path
@@ -111,6 +112,47 @@ def interference(a: np.ndarray, b: np.ndarray, retention_a: float, retention_b: 
     conflicts = int(np.count_nonzero((np.sign(sparse_a) * np.sign(sparse_b))[support] < 0))
     denominator = int(np.count_nonzero(support))
     return (conflicts / denominator if denominator else 0.0), denominator
+
+
+def _byte_order(named: dict[str, np.ndarray]) -> list[str]:
+    return sorted(named, key=lambda s: s.encode("utf-8"))
+
+
+def layer_norms(named: dict[str, np.ndarray], pattern: str) -> tuple[dict[int, float], float, float]:
+    """(L2 norm per layer index captured by `pattern`, norm of the tensors
+    without one, global norm) from one whole-tensor `np.sum` of squares per
+    tensor, added in byte-wise name order."""
+    per_layer: dict[int, float] = {}
+    non_layer = total = 0.0
+    for name in _byte_order(named):
+        square = float(np.sum(np.square(named[name])))
+        total += square
+        match = re.search(pattern, name)
+        if match is None:
+            non_layer += square
+        else:
+            per_layer[int(match.group(1))] = per_layer.get(int(match.group(1)), 0.0) + square
+    norms = {index: math.sqrt(square) for index, square in sorted(per_layer.items())}
+    return norms, math.sqrt(non_layer), math.sqrt(total)
+
+
+def module_activation(named: dict[str, np.ndarray], retention: float, classify) -> dict:
+    """Per class `classify(name)` gives: the entries of its tensors that the
+    top `retention` of the name-ordered vector keeps (`keep_top`) and that
+    are non-zero, over its parameters."""
+    names = _byte_order(named)
+    flat = np.concatenate([named[name].ravel() for name in names])
+    keep = keep_top(flat, retained_count(retention, flat.size)) & (flat != 0.0)
+    retained: dict = {}
+    totals: dict = {}
+    offset = 0
+    for name in names:
+        size = named[name].size
+        cls = classify(name)
+        retained[cls] = retained.get(cls, 0) + int(np.count_nonzero(keep[offset : offset + size]))
+        totals[cls] = totals.get(cls, 0) + size
+        offset += size
+    return {cls: retained[cls] / totals[cls] for cls in totals if totals[cls]}
 
 
 # --- stage 2 and the merge, dense and from scratch ------------------------------

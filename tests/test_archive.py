@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from reference import archive_bytes, read_tensor_bytes, stored_patterns, widen
 from tvfuse import archive
+from tvfuse.blocks import BLOCK
 from tvfuse.errors import (
     DtypeOverflowError,
     DuplicateNameError,
@@ -179,6 +180,17 @@ def test_read_of_a_removed_file_is_an_io_failure(tmp_path):
         archive.read_tensor(arc, "w", out=None)
 
 
+def test_read_of_a_file_replaced_by_a_directory_is_an_io_failure(tmp_path):
+    # Opening succeeds; the positional read of the block fails.
+    path = tmp_path / "gone.safetensors"
+    archive.write_archive([("w", "F32", [1], np.array([1.0]))], path)
+    arc = archive.open_archive(path)
+    path.unlink()
+    path.mkdir()
+    with pytest.raises(IoFailureError, match="cannot read"):
+        archive.read_tensor(arc, "w", out=None)
+
+
 def _write_too_many(write):
     write(np.zeros(2))
     write(np.zeros(2))
@@ -190,6 +202,12 @@ BAD_WRITES = {
     "unknown-dtype": ([("w", "F64", [2])], lambda write: None, UnknownDtypeError, "F64"),
     "past-the-last": ([("w", "F32", [2])], _write_too_many, ValueError, "already written"),
     "short-tensor": ([("w", "F32", [2])], lambda write: write(np.zeros(1)), ShapeMismatchError, "do not fill"),
+    "overrun-in-blocks": (
+        [("w", "F32", [3])],
+        lambda write: [write(np.zeros(2)), write(np.zeros(2))],
+        ShapeMismatchError,
+        r"'w': 4 values overrun shape \(3,\)",
+    ),
     "never-written": (
         [("w", "F32", [2]), ("v", "F32", [1])],
         lambda write: write(np.zeros(2)),
@@ -231,8 +249,8 @@ def test_write_rounds_up_to_the_edge_of_the_dtype_range(tmp_path, dtype, sign):
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
 @pytest.mark.parametrize("dtype", list(RANGE_EDGES))
 def test_write_refuses_a_finite_value_that_rounds_to_inf(tmp_path, dtype, sign):
-    # In the third write block, after two blocks went to the file.
-    values = np.zeros(3 << 14)
+    # In the third narrowed block, after two blocks went to the file.
+    values = np.zeros(2 * BLOCK + 1)
     values[-1] = sign * RANGE_EDGES[dtype][1]
     specs = [("v", dtype, [1], np.array([1.0])), ("w", dtype, [values.size], values)]
     needle = rf"out\.safetensors: tensor 'w' holds a finite value beyond the {dtype} range"
@@ -276,7 +294,7 @@ def test_iter_order_is_bytewise_lexicographic(tmp_path):
         ],
         path,
     )
-    assert [name for name, _ in lockstep(StoredVector(path))()] == ["a", "a.1", "b"]
+    assert [block.name for block, _ in lockstep(StoredVector(path))()] == ["a", "a.1", "b"]
 
 
 def test_empty_archive_iterates_nothing(tmp_path):
@@ -381,7 +399,7 @@ def test_streaming_equals_individual_reads(tmp_path):
     path = tmp_path / "stream.safetensors"
     archive.write_archive(entries, path)
     arc = archive.open_archive(path)
-    streamed = {name: values.copy() for name, (values,) in lockstep(StoredVector(path))()}
+    streamed = {block.name: values.copy() for block, (values,) in lockstep(StoredVector(path))()}
     for name in arc.entries:
         assert np.array_equal(streamed[name], archive.read_tensor(arc, name, out=None).values)
 

@@ -100,7 +100,7 @@ def test_extract_and_sparsify_hold_memory_bounded_by_the_largest_tensor(tmp_path
     size = 65_536
 
     def values(seed: int, scale: float):
-        return lambda: np.random.default_rng(seed).standard_normal(size) * scale
+        return np.random.default_rng(seed).standard_normal(size) * scale
 
     peaks = {}
     for count in (16, 64):
@@ -111,11 +111,11 @@ def test_extract_and_sparsify_hold_memory_bounded_by_the_largest_tensor(tmp_path
         )
         names = [f"model.layers.{i}.mlp.up_proj.weight" for i in range(count)]
         archive.write_archive(
-            [(name, "BF16", [size], values(i, 0.02)) for i, name in enumerate(names)], base
+            [(name, "BF16", [size], lambda i=i: [values(i, 0.02)]) for i, name in enumerate(names)], base
         )
         archive.write_archive(
             [
-                (name, "BF16", [size], lambda i=i: values(i, 0.02)() + values(count + i, 2e-3)())
+                (name, "BF16", [size], lambda i=i: [values(i, 0.02) + values(count + i, 2e-3)])
                 for i, name in enumerate(names)
             ],
             ft,
@@ -216,17 +216,19 @@ def test_analyze_norms_reads_each_tensor_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "tau.safetensors"
     archive.write_archive([(name, "F32", [50], rng.standard_normal(50)) for name in names], path)
     reads = []
-    original = task_vector.read_tensor
+    original = task_vector.read_blocks
 
-    def counted(arc, name, *args, **kwargs):
-        reads.append(name)
-        return original(arc, name, *args, **kwargs)
+    def counted(arc, out):
+        for block, values in original(arc, out):
+            reads.append(block.name)
+            yield block, values
 
-    monkeypatch.setattr(task_vector, "read_tensor", counted)
+    monkeypatch.setattr(task_vector, "read_blocks", counted)
     out_json, out_csv = tmp_path / "norms.json", tmp_path / "norms.csv"
     argv = ["analyze", "norms", "--vector", str(path), "--out-json", str(out_json), "--out-csv", str(out_csv)]
     assert main(argv) == 0
-    assert sorted(reads) == sorted(names)
+    # One pass, one block per tensor.
+    assert reads == archive.byte_sorted(names)
     # The global norm from the layer partials has the bits of a second pass.
     payload = json.loads(out_json.read_text())
     monkeypatch.undo()

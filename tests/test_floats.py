@@ -225,3 +225,38 @@ def test_bf16_narrowing_does_not_call_the_oracle(monkeypatch):
 
     monkeypatch.setattr(tvfuse.floats, "f64_to_bf16_bits", oracle_called)
     assert narrow_from_f64(values, "BF16") == before
+
+
+def test_bf16_fast_path_matches_oracle_on_random_bits():
+    # Every class of float64 at random, NaN and inf payloads of both signs
+    # included.
+    bits = np.random.default_rng(16).integers(0, 1 << 64, 400_000, dtype=np.uint64, endpoint=False)
+    assert_bf16_matches_oracle(bits.view(np.float64))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 2.0**-40, 1.0 - 2.0**-40], ids=["exact", "above", "below"])
+def test_bf16_fast_path_matches_oracle_near_float32_patterns(scale):
+    # Float32 patterns in a stride over all of them, and every BF16 midpoint
+    # pattern (low half 0x8000) of a stride of high halves: scaled off a
+    # midpoint, a value rounds to float32 onto it, and only its side decides.
+    strided = np.arange(0, 1 << 32, 4099, dtype=np.uint64).astype(np.uint32)
+    midpoints = (np.arange(0, 1 << 16, 3, dtype=np.uint32) << np.uint32(16)) | np.uint32(0x8000)
+    with np.errstate(invalid="ignore"):  # casting a signalling NaN quiets it
+        values = np.concatenate([strided, midpoints]).view(np.float32).astype(np.float64)
+    assert_bf16_matches_oracle(values * scale)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_stored_non_finite_finds_an_all_ones_exponent(dtype):
+    # Every class of stored value: only inf and NaN have an all-ones exponent.
+    raw = stored_patterns(dtype, 4000)
+    with np.errstate(invalid="ignore"):
+        values = widen(raw, dtype)
+    finite = np.isfinite(values)
+    assert not finite.all() and finite.any()
+    width = 4 if dtype == "F32" else 2
+    for i in range(values.size):
+        one = raw[i * width : (i + 1) * width]
+        assert tvfuse.floats.stored_non_finite(one, dtype) == (not finite[i])
+    assert tvfuse.floats.stored_non_finite(raw, dtype)
+    assert not tvfuse.floats.stored_non_finite(b"", dtype)

@@ -609,6 +609,9 @@ def test_a_reset_before_the_reply_is_a_connection_failure(slept):
 
         def handle(self):
             type(self).connections += 1
+            # Once the request has arrived, so the reset reaches the client
+            # while it waits for the reply, never while it connects.
+            self.rfile.readline()
             # Closed with a zero linger time, the socket sends a reset, not an end of file.
             self.request.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
             self.request.close()

@@ -13,6 +13,7 @@ import operator
 import numpy as np
 import pytest
 
+from tvfuse.blocks import BLOCK, TensorSum, blocks
 from tvfuse.floats import narrow_from_f64
 
 # --- np.sum's pairwise tree -----------------------------------------------------------
@@ -51,8 +52,8 @@ SUM_SIZES = [*range(1, 300), 1000, 8191, 8193, 65539, 200_003]
 
 
 def test_np_sum_follows_the_pairwise_tree():
-    # `task_vector.square_sum` is one np.sum per tensor; its bits fix gamma
-    # and so the stage-2 archives.
+    # `task_vector.square_sum` is one np.sum per block, folded up this tree
+    # per tensor; its bits fix gamma and so the stage-2 archives.
     rng = np.random.default_rng(20)
     order_matters = 0
     for n in SUM_SIZES:
@@ -66,6 +67,34 @@ def test_np_sum_follows_the_pairwise_tree():
         order_matters += want != functools.reduce(operator.add, values)
     # The sizes are ones where the tree and a running sum differ.
     assert order_matters > len(SUM_SIZES) // 2
+
+
+# Sizes around multiples of a block, where the cuts fall.
+BLOCK_SIZES = [
+    1, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 8, 2 * BLOCK - 8, 2 * BLOCK, 2 * BLOCK + 8,
+    3 * BLOCK + 5, 4 * BLOCK + 1, 7 * BLOCK - 3,
+]
+
+
+def test_block_sums_folded_up_the_tree_equal_np_sum():
+    # Streamed passes sum squares block by block; `TensorSum` must give the
+    # bits of one np.sum over the tensor.
+    rng = np.random.default_rng(21)
+    order_matters = 0
+    for n in BLOCK_SIZES:
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        cuts = list(blocks("t", n))
+        assert [cut.start for cut in cuts[1:]] == [cut.stop for cut in cuts[:-1]]
+        assert cuts[0].start == 0 and cuts[-1].stop == n
+        assert all(0 < cut.stop - cut.start <= BLOCK for cut in cuts)
+        partials = [float(np.sum(x[cut.start : cut.stop])) for cut in cuts]
+        tensor_sum = TensorSum()
+        folded = [tensor_sum.add(cut, partial) for cut, partial in zip(cuts, partials)]
+        assert folded[:-1] == [None] * (len(cuts) - 1)
+        assert folded[-1].hex() == float(np.sum(x)).hex(), n
+        order_matters += folded[-1] != functools.reduce(operator.add, partials)
+    # A running sum of the partials would have differed.
+    assert order_matters > 0
 
 
 # --- float64 -> F32 / F16 casts ---------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 from reference import read_tensor_bytes
 from synth import make_checkpoint_trio, make_config, make_query_pool
 from tvfuse import archive, diagnostics, pipeline, task_vector
+from tvfuse.blocks import Block, blocks
 from tvfuse.errors import BackendFailure, ConfigError, PipelineLockedError, StageError
 from tvfuse.evaluator import MockBackend, MockInferenceServer
 from tvfuse.floats import narrow_from_f64
@@ -134,6 +135,15 @@ def test_full_pipeline_completes_and_finds_peak(setup):
     assert len(report.input_digests) == 4
 
 
+@pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, (3 << 20) + 5])
+def test_file_digest_equals_the_sha256_of_the_whole_file(tmp_path, size):
+    # Chunks read into one reused buffer: a short last chunk must not carry
+    # bytes of the chunk before it.
+    path = tmp_path / "input.bin"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert pipeline._sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def count_calls(monkeypatch, module, name: str) -> list:
     calls = []
     original = getattr(module, name)
@@ -146,18 +156,25 @@ def count_calls(monkeypatch, module, name: str) -> list:
     return calls
 
 
-def count_reads(monkeypatch, merges: list) -> list[tuple[Path, str, int]]:
-    """Every tensor the task-vector layer reads, as (archive path, tensor
-    name, merges begun before the read)."""
+def count_reads(monkeypatch, merges: list) -> list[tuple[Path, Block, int]]:
+    """Every block the task-vector layer reads, as (archive path, block,
+    merges begun before the read)."""
     reads = []
-    original = task_vector.read_tensor
+    original = task_vector.read_blocks
 
-    def counted(arc, name, *args, **kwargs):
-        reads.append((Path(arc.path), name, len(merges)))
-        return original(arc, name, *args, **kwargs)
+    def counted(arc, out):
+        for block, values in original(arc, out):
+            reads.append((Path(arc.path), block, len(merges)))
+            yield block, values
 
-    monkeypatch.setattr(task_vector, "read_tensor", counted)
+    monkeypatch.setattr(task_vector, "read_blocks", counted)
     return reads
+
+
+def all_blocks(arc: archive.TensorArchive) -> list[Block]:
+    return [
+        block for name in archive.byte_sorted(arc.entries) for block in blocks(name, arc.entries[name].num_elements)
+    ]
 
 
 def test_mock_backend_search_merges_and_loads_nothing(setup, monkeypatch):
@@ -176,12 +193,12 @@ def test_mock_backend_search_merges_and_loads_nothing(setup, monkeypatch):
     monkeypatch.setattr(MockBackend, "generate", generate)
     run_pipeline(config)
     assert len(merges) == 1 and merges[0][2] == paths.merged_model  # the final merge alone
-    stored = [(path, name, merged) for path, name, merged in reads if path.parent == paths.stage2]
-    # The search reads no stage-2 tensor; the final merge reads each one once.
+    stored = [(path, block, merged) for path, block, merged in reads if path.parent == paths.stage2]
+    # The search reads no stage-2 block; the final merge reads each one once.
     assert all(merged == 1 for _, _, merged in stored)
-    names = archive.open_archive(config.base_path).entries
-    assert sorted((path, name) for path, name, _ in stored) == sorted(
-        (path, name) for path in (paths.tau_sft, paths.tau_rlvr) for name in names
+    every = all_blocks(archive.open_archive(config.base_path))
+    assert sorted((path, block) for path, block, _ in stored) == sorted(
+        (path, block) for path in (paths.tau_sft, paths.tau_rlvr) for block in every
     )
     assert candidate_dir_seen and not any(candidate_dir_seen)
     assert not paths.candidate.parent.exists()
@@ -648,10 +665,11 @@ def test_difficulty_spread_produces_two_pools(setup):
     assert all(0.0 <= d <= 1.0 for d in difficulties)
 
 
-# Lockstep passes of stage 2 over the inputs. At 0.3: pass 1 (norms and the
-# select's top digit), one gather pass (this trio's cuts lie in buckets no
-# larger than a tensor and not on their floor), the mask pass and the write
-# pass. At full retention the write pass alone.
+# Lockstep passes of stage 2 over the inputs, each reading every block once.
+# At 0.3: pass 1 (norms and the select's top digit), one gather pass (this
+# trio's cuts lie in buckets no larger than its largest block and not on
+# their floor), the mask pass and the write pass. At full retention the
+# write pass alone.
 @pytest.mark.parametrize("retention", [0.3, 1.0])
 def test_stage_two_sparsifies_each_vector_once(setup, monkeypatch, retention):
     passes = {0.3: 4, 1.0: 1}[retention]
@@ -662,9 +680,9 @@ def test_stage_two_sparsifies_each_vector_once(setup, monkeypatch, retention):
     summary = pipeline._stage_task_vectors(
         config, WorkspacePaths(Path(config.workspace)), digests, resume=False
     )
-    tensors = len(archive.open_archive(config.base_path).entries)
-    assert Counter(path.name for path, _, _ in reads) == {
-        f"{label}.safetensors": passes * tensors for label in ("base", "sft", "rlvr")
+    every = all_blocks(archive.open_archive(config.base_path))
+    assert Counter((path.name, block) for path, block, _ in reads) == {
+        (f"{label}.safetensors", block): passes for label in ("base", "sft", "rlvr") for block in every
     }
     monkeypatch.undo()
     # The count on the processed vectors equals the interference of the raw ones.
@@ -706,8 +724,8 @@ def test_stage_two_takes_three_passes_when_each_cut_is_its_buckets_floor(tmp_pat
     summary = pipeline._stage_task_vectors(
         config, WorkspacePaths(Path(config.workspace)), digests, resume=False
     )
-    assert Counter(path.name for path, _, _ in reads) == {
-        f"{label}.safetensors": 3 * len(shapes) for label in ("base", "sft", "rlvr")
+    assert Counter((path.name, block.name) for path, block, _ in reads) == {
+        (f"{label}.safetensors", name): 3 for label in ("base", "sft", "rlvr") for name in shapes
     }
     # ceil(0.3 * 76) entries, all non-zero since both cuts are above 0.
     assert summary["sft"]["retained_count"] == summary["rlvr"]["retained_count"] == 23
@@ -727,9 +745,9 @@ def test_stage_two_passes_reuse_one_readers_buffers(setup, monkeypatch):
         def each_pass():
             arrays = []
             passes.append(arrays)
-            for name, vectors in read():
+            for block, vectors in read():
                 arrays.append(list(vectors))
-                yield name, vectors
+                yield block, vectors
 
         return each_pass
 
@@ -792,7 +810,8 @@ def test_stage_two_and_final_merge_hold_memory_bounded_by_the_largest_tensor(tmp
     tensor_bytes = size * 8
     for stage_two, final_merge in peaks.values():
         # Stage 2 also holds each vector's select counters, 2^17 integers.
-        assert stage_two <= 16 * tensor_bytes and final_merge <= 6 * tensor_bytes
+        # With no read-ahead it holds one buffer set of one block.
+        assert stage_two <= 11 * tensor_bytes and final_merge <= 6 * tensor_bytes
     for few, many in zip(peaks[16], peaks[64]):
         assert many <= 1.1 * few
 

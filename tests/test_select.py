@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import interference, keep_top, retained_count
+from reference import interference, keep_top, module_activation, retained_count
 from tvfuse import diagnostics as diag
 from tvfuse import task_vector as tvec
 from tvfuse.errors import NonFiniteVectorError
@@ -103,6 +103,10 @@ def test_sparsify_keeps_the_full_sort_top_k(tensors, retention):
     assert result.sparsity.original_norm == tvec.global_l2_norm(tv, {})
 
 
+def classify(name: str) -> diag.ModuleClass:
+    return diag.classify_module(name, diag.DEFAULT_MODULE_RULES)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(st.data(), TENSORS, RETENTIONS, st.floats(0.0, 1.0, exclude_min=True))
@@ -117,18 +121,7 @@ def test_sweep_and_module_ratios_equal_full_sort(data, tensors, retentions, rete
         assert (report.conflict_ratio, report.denominator_count) == (ratio, denominator)
 
     retention = retentions[0]
-    keep = keep_top(a, retained_count(retention, a.size))
-    retained: dict = {}
-    totals: dict = {}
-    offset = 0
-    for name in sorted(tv_a.tensors):
-        size = tv_a.tensors[name].size
-        cls = diag.classify_module(name, diag.DEFAULT_MODULE_RULES)
-        chunk = slice(offset, offset + size)
-        retained[cls] = retained.get(cls, 0) + int(np.count_nonzero(keep[chunk] & (a[chunk] != 0.0)))
-        totals[cls] = totals.get(cls, 0) + size
-        offset += size
-    expected = {cls: retained[cls] / totals[cls] for cls in totals if totals[cls]}
+    expected = module_activation(tv_a.tensors, retention, classify)
     assert diag.modulewise_activation(tv_a, retention) == expected
 
 

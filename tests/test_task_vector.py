@@ -19,6 +19,7 @@ from tvfuse.errors import (
     ShapeMismatchError,
     TruncatedFileError,
 )
+from tvfuse.blocks import BLOCK
 from tvfuse.task_vector import TaskVector
 
 
@@ -93,7 +94,7 @@ def test_extract_dtype_mismatch_policy(tmp_path):
     with pytest.raises(ShapeMismatchError):
         tvec.extract_task_vector(base, ft)
     read = tvec.deltas(base, [ft], allow_dtype_mismatch=True)
-    assert [(name, delta.tolist()) for name, (delta,) in read()] == [("w", [1.0])]
+    assert [(block.name, delta.tolist()) for block, (delta,) in read()] == [("w", [1.0])]
 
 
 def reading_trio(tmp_path):
@@ -114,30 +115,34 @@ def test_deltas_over_a_truncated_archive_fail_as_a_serial_read_does(tmp_path):
         for name in names:
             archive.read_tensor(ft, name, out=None)
     yielded = []
-    with pytest.raises(TruncatedFileError) as ahead:
-        for name, _ in tvec.deltas(base, [ft])():
-            yielded.append(name)
+    with pytest.raises(TruncatedFileError) as passing:
+        for block, _ in tvec.deltas(base, [ft])():
+            yielded.append(block.name)
     assert "'b'" in str(serial.value)
-    assert str(ahead.value) == str(serial.value)
+    assert str(passing.value) == str(serial.value)
     assert yielded == ["a"]
 
 
-def test_deltas_read_ahead_ends_its_worker_when_the_consumer_stops(tmp_path):
+def open_files() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_deltas_read_on_the_calling_thread_and_close_their_files_when_the_consumer_stops(tmp_path):
     base, ft, _ = reading_trio(tmp_path)
-    before = threading.active_count()
+    threads, files = threading.active_count(), open_files()
     for _ in tvec.deltas(base, [ft])():
-        # One worker reads the next tensor meanwhile.
-        assert threading.active_count() == before + 1
+        # The pass holds each archive open once, and starts no thread.
+        assert threading.active_count() == threads and open_files() == files + 2
         break
-    assert threading.active_count() == before
+    assert open_files() == files
     with pytest.raises(RuntimeError):
         for _ in tvec.deltas(base, [ft])():
             raise RuntimeError("consumer failed")
-    assert threading.active_count() == before
+    assert open_files() == files
     reader = tvec.deltas(base, [ft])()
     next(reader)
     reader.close()
-    assert threading.active_count() == before
+    assert threading.active_count() == threads and open_files() == files
 
 
 def stepped_trio(tmp_path, sizes=(1000, 1000, 1000, 1000)):
@@ -151,16 +156,15 @@ def stepped_trio(tmp_path, sizes=(1000, 1000, 1000, 1000)):
     return base, ft, names
 
 
-def test_deltas_lend_two_buffer_sets_in_turn(tmp_path):
+def test_deltas_lend_one_buffer_set(tmp_path):
     base, ft, names = stepped_trio(tmp_path)
     held = []
-    for i, (name, (delta,)) in enumerate(tvec.deltas(base, [ft])()):
-        assert name == names[i] and np.all(delta == i + 1)
+    for i, (block, (delta,)) in enumerate(tvec.deltas(base, [ft])()):
+        assert block.name == names[i] and np.all(delta == i + 1)
         held.append(delta)
-    # An item's buffers are read into again two items later.
-    assert [np.shares_memory(held[0], other) for other in held[1:]] == [False, True, False]
-    assert np.shares_memory(held[1], held[3])
-    assert np.all(held[0] == 3.0) and np.all(held[1] == 4.0)
+    # Every item is read into the same buffer.
+    assert all(np.shares_memory(held[0], other) for other in held[1:])
+    assert np.all(held[0] == 4.0)
     # A stored vector's lockstep reader lends one buffer.
     path = tmp_path / "tau.safetensors"
     tvec.save_task_vector(tvec.extract_task_vector(base, ft), path)
@@ -170,7 +174,7 @@ def test_deltas_lend_two_buffer_sets_in_turn(tmp_path):
 
 
 def test_resident_collectors_return_arrays_of_their_own(tmp_path):
-    base, ft, names = stepped_trio(tmp_path, sizes=(1000, 700, 1000, 300))
+    base, ft, names = stepped_trio(tmp_path, sizes=(1000, 700, 2 * BLOCK + 8, 300))
     extracted = tvec.extract_task_vector(base, ft)
     path = tmp_path / "tau.safetensors"
     tvec.save_task_vector(extracted, path)
@@ -192,11 +196,13 @@ def test_resident_collectors_return_arrays_of_their_own(tmp_path):
     assert all(np.array_equal(extracted.tensors[n], before[n]) for n in names)
     for label in ("extract", "load"):
         assert [float(collected[label].tensors[n][0]) for n in names] == [1.0, 2.0, 3.0, 4.0]
+        # A tensor of several blocks is whole.
+        assert np.all(collected[label].tensors["t2"] == 3.0)
 
 
-def test_a_pass_that_fails_or_stops_early_joins_its_worker(tmp_path):
+def test_a_pass_that_fails_or_stops_early_closes_its_files(tmp_path):
     base, ft, names = stepped_trio(tmp_path)
-    before = threading.active_count()
+    files = open_files()
     shapes = base.shapes
 
     def prune(epsilon):
@@ -207,22 +213,22 @@ def test_a_pass_that_fails_or_stops_early_joins_its_worker(tmp_path):
 
     # Stopping the last pass early.
     _, vectors = prune(1e-8)
-    name, (values,) = next(vectors)
-    assert name == names[0]
+    block, (values,) = next(vectors)
+    assert block.name == names[0]
     vectors.close()
-    assert threading.active_count() == before
+    assert open_files() == files
     # A read error inside tensor t2 of the select pass, after t0 and t1.
     t2 = ft.entries["t2"]
     os.truncate(ft.path, ft.data_start + t2.data_offsets[0] + t2.num_bytes // 2)
     with pytest.raises(TruncatedFileError, match="'t2'"):
         prune(None)
-    assert threading.active_count() == before
+    assert open_files() == files
     yielded = []
     with pytest.raises(TruncatedFileError, match="'t2'"):
-        for name, _ in tvec.deltas(base, [ft])():
-            yielded.append(name)
+        for block, _ in tvec.deltas(base, [ft])():
+            yielded.append(block.name)
     assert yielded == names[:2]
-    assert threading.active_count() == before
+    assert open_files() == files
 
 
 # --- norms ----------------------------------------------------------------------
@@ -430,7 +436,8 @@ def test_merge_linearity(tmp_path):
 def test_merge_combines_in_place_with_the_bits_of_the_plain_sum(tmp_path, monkeypatch):
     # Values across many binades, with signed zeros and subnormals; one
     # resident and one stored term; tensors smaller and larger than the
-    # first, so each reuses the accumulator and term buffers.
+    # first, and one of three blocks, so each reuses the accumulator and term
+    # buffers.
     rng = np.random.default_rng(5)
 
     def spread(size):
@@ -438,17 +445,25 @@ def test_merge_combines_in_place_with_the_bits_of_the_plain_sum(tmp_path, monkey
         values[:4] = [0.0, -0.0, 5e-324, -2.2e-308]
         return values
 
-    sizes = {"a": 3000, "b": 17, "c": 40_000}
+    sizes = {"a": 3000, "b": 17, "c": 2 * BLOCK + 8}
     base = write_checkpoint(tmp_path / "b.safetensors", {n: spread(s) for n, s in sizes.items()})
     resident = multi(**{n: spread(s) for n, s in sizes.items()})
     tvec.save_task_vector(multi(**{n: spread(s) for n, s in sizes.items()}), tmp_path / "t.safetensors")
     stored = tvec.StoredVector(tmp_path / "t.safetensors")
+    reloaded = tvec.load_task_vector(tmp_path / "t.safetensors")
     combined = {}
     original = tvec.write_archive
 
     def capture(entries, path, *args):
-        entries = list(entries)
-        combined.update((name, values().copy()) for name, _, _, values in entries)
+        def recorded(name, values):
+            def blocks():
+                parts = [block.copy() for block in values()]
+                combined[name] = np.concatenate(parts)
+                return parts
+
+            return blocks
+
+        entries = [(name, dtype, shape, recorded(name, values)) for name, dtype, shape, values in entries]
         return original(entries, path, *args)
 
     monkeypatch.setattr(tvec, "write_archive", capture)
@@ -457,8 +472,8 @@ def test_merge_combines_in_place_with_the_bits_of_the_plain_sum(tmp_path, monkey
         tvec.merge(base, terms, tmp_path / "m.safetensors", out_dtype=None)
         for name in sizes:
             want = archive.read_tensor(base, name, out=None).values
-            for source, coeff in terms:
-                want = want + coeff * source.read(name)
+            for tensor, coeff in ((resident.tensors[name], coeffs[0]), (reloaded.tensors[name], coeffs[1])):
+                want = want + coeff * tensor
             assert np.array_equal(combined[name].view(np.uint64), want.view(np.uint64)), (coeffs, name)
 
 
