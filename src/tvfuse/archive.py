@@ -45,11 +45,14 @@ from .errors import (
     TruncatedFileError,
     UnknownDtypeError,
 )
-from .blocks import BLOCK, Block, blocks
-from .floats import DTYPE_SIZES, DTYPES, narrow_from_f64, overflows, stored_non_finite, widen_to_f64
+from .blocks import Block, blocks
+from .floats import DTYPE_SIZES, DTYPES, narrow_from_f64, overflows, widen_to_f64
 
 _HEADER_LEN_BYTES = 8
 _METADATA_KEY = "__metadata__"
+# Values narrowed and written at a time: narrowing holds one block's
+# storage bytes, not a whole tensor's.
+_WRITE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -313,9 +316,9 @@ def archive_writer(
     one array, or as consecutive blocks in as many calls.
 
     The data block is laid out in spec order with no padding; values are
-    narrowed to the storage dtype with round-to-nearest-even, at most
-    `BLOCK` values at a time. A finite value that would round to inf raises
-    DtypeOverflowError; inf and NaN are written as they are. Offsets come
+    narrowed to the storage dtype with round-to-nearest-even, one block of
+    `_WRITE_BLOCK` values at a time. A finite value that would round to inf
+    raises DtypeOverflowError; inf and NaN are written as they are. Offsets come
     from shape and dtype alone, so the header is written first and each
     block can be dropped once written. The file is written to a temp
     sibling and renamed when the block ends with every tensor written, so
@@ -365,15 +368,13 @@ def archive_writer(
                 raise ShapeMismatchError(
                     f"tensor {name!r}: {filled + flat.size} values overrun shape {shape}"
                 )
-            for start in range(0, flat.size, BLOCK):
-                block = flat[start : start + BLOCK]
-                raw = narrow_from_f64(block, dtype)
-                # Only a narrowed inf or NaN can come from a finite value.
-                if stored_non_finite(raw, dtype) and overflows(block, dtype):
+            for start in range(0, flat.size, _WRITE_BLOCK):
+                block = flat[start : start + _WRITE_BLOCK]
+                if overflows(block, dtype):
                     raise DtypeOverflowError(
                         f"{path}: tensor {name!r} holds a finite value beyond the {dtype} range"
                     )
-                fh.write(raw)
+                fh.write(narrow_from_f64(block, dtype))
             filled += flat.size
             if filled == size:
                 index, filled = index + 1, 0

@@ -30,7 +30,6 @@ from .task_vector import (
     Scratch,
     VectorSource,
     global_l2_norm,
-    keep_counts,
     keep_masks,
     quantile_threshold,
     require_finite,
@@ -195,25 +194,25 @@ def interference_sweep(
 
     Neither vector is pruned into a copy. One select finds `tv_b`'s cut and
     one finds `tv_a`'s cut at every retention; then one pass reads both
-    vectors in lockstep, one block of each at a time, finds the positions
-    where `tv_a` opposes the sign of a kept entry of `tv_b`, and counts, per
-    cut, the kept entries of `tv_a` at those positions only.
+    vectors in lockstep, one block of each at a time, and counts, per cut,
+    the kept entries of `tv_a` that oppose the sign of a kept entry of
+    `tv_b`.
     """
     require_matching(tv_a.shapes, tv_b.shapes)
     cuts_b = quantile_threshold(tv_b, [retention_b])
     cuts = quantile_threshold(tv_a, retentions_a)
     conflicts = [0] * len(cuts)
     denominator = 0
-    # `tv_b`'s keep mask lies in its own array, and each block's positions
-    # are taken before `tv_a`'s count reuses the scratch.
+    # Each `KeepMasks` keeps its masks in its own array, so both can share a scratch.
     scratch = Scratch(tv_a.shapes.values())
-    pairs = zip(keep_counts(tv_a, cuts, scratch), keep_masks(tv_b, cuts_b, scratch))
-    for (_, a, count), (_, b, (keep_b,)) in pairs:
+    pairs = zip(keep_masks(tv_a, cuts, scratch), keep_masks(tv_b, cuts_b, scratch))
+    for (_, a, masks), (_, b, (keep_b,)) in pairs:
         opposite, support = opposite_signs(a, b, scratch, keep_b)
         denominator += support
         # Kept entries of `tv_a` at these positions conflict; dropped ones have sign 0.
-        for i, kept in enumerate(count(np.flatnonzero(opposite))):
-            conflicts[i] += kept
+        positions = np.flatnonzero(opposite)
+        for i, mask in enumerate(masks):
+            conflicts[i] += int(np.count_nonzero(mask[positions]))
     return [
         InterferenceReport.of(r, retention_b, c, denominator)
         for r, c in zip(retentions_a, conflicts)

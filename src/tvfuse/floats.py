@@ -3,19 +3,14 @@
 Widening any storage dtype to float64 is exact, so all arithmetic can run at
 64-bit precision regardless of how a checkpoint stores its tensors.
 Narrowing rounds each float64 value once, ties to even. F32 and F16 use
-numpy's direct casts. BF16 goes through float32, rounded to nearest even,
-and then rounds the float32 bits to nearest even at bit 16, repairing the
-one case where that double rounding can go wrong. The grids nest: every
-BF16 value and every midpoint between two neighbouring BF16 values (9
-significant bits, in F32's exponent range, subnormals included) is a
-float32. Rounding to float32 is monotonic and leaves each float32 where it
-is, so it can land on a BF16 midpoint but never cross one: a float32 that
-is not on a midpoint rounds to BF16 as the float64 does. A float32 that is
-exactly on a midpoint (low half 0x8000) keeps the float64's side of it by
-comparing the two magnitudes: the larger float64 rounds away from zero, the
-smaller towards it, and an equal one ties to even. F32 shares BF16's
-exponent range, so overflow and underflow round the same way too: a
-magnitude past F32's range is inf in both.
+numpy's direct casts. BF16 goes through float32 with rounding to odd, then
+rounds the float32 bits to nearest even: by Boldo & Melquiond, "Emulation of
+FMA and correctly rounded sums: proved algorithms using rounding to odd"
+(IEEE TC 2008), rounding to odd into a format with at least two more
+significand bits (F32 has 24 >= 8 + 2) followed by a nearest-even rounding
+equals one correct rounding, and F32 shares BF16's exponent range, so
+subnormals, overflow and underflow round the same way too. A plain
+nearest-even float32 intermediate would double-round.
 """
 
 from __future__ import annotations
@@ -90,54 +85,35 @@ def narrow_from_f64(values: np.ndarray, dtype: str) -> bytes:
 
 def overflows(values: np.ndarray, dtype: str) -> bool:
     """Whether a finite value of the float64 array `values` rounds to inf in
-    `dtype`. A value that is already inf or NaN does not count. Only a block
-    whose narrowed bits hold inf or NaN (`stored_non_finite`) can overflow,
-    so a writer asks this of no other."""
+    `dtype`. A value that is already inf or NaN does not count."""
     limit = _OVERFLOW_AT[dtype]
+    # One pass each for the extremes, which compare False to a limit if NaN.
+    if -limit < values.min() and values.max() < limit:
+        return False
     magnitudes = np.abs(values)
     return bool(np.any((magnitudes >= limit) & (magnitudes < np.inf)))
-
-
-# Per dtype: its storage read as unsigned integers, the bits below the sign
-# bit, and the exponent field, all ones in inf and NaN.
-_EXPONENT_BITS = {
-    "F32": ("<u4", 0x7FFF_FFFF, 0x7F80_0000),
-    "F16": ("<u2", 0x7FFF, 0x7C00),
-    "BF16": ("<u2", 0x7FFF, 0x7F80),
-}
-
-
-def stored_non_finite(raw: bytes | np.ndarray, dtype: str) -> bool:
-    """Whether a value of the storage bytes `raw` of `dtype` (any buffer) has
-    an all-ones exponent, so is inf or NaN."""
-    uint, magnitude, exponent = _EXPONENT_BITS[dtype]
-    bits = np.frombuffer(raw, dtype=uint)
-    # With the sign bit cleared, inf and NaN are the patterns from the exponent field up.
-    return bits.size > 0 and int((bits & np.array(magnitude, uint)).max()) >= exponent
 
 
 def _bf16_bits(v: np.ndarray) -> np.ndarray:
     """Round a contiguous float64 array to little-endian BF16 bit patterns."""
     with np.errstate(over="ignore", invalid="ignore"):
         f = v.astype(np.float32)  # nearest even; |v| past FLT_MAX becomes inf
-    b = f.view(np.uint32)
-    non_finite = stored_non_finite(b, "F32")
-    midpoints = np.flatnonzero(np.equal(b & np.uint32(0xFFFF), 0x8000))
-    # Each midpoint's magnitudes and lower neighbour, before `b` is rounded.
-    exact = np.abs(v[midpoints])
-    rounded = np.abs(f[midpoints].astype(np.float64))
-    truncated = (b[midpoints] >> np.uint32(16)).astype("<u2")
+        back = f.astype(np.float64)
+        inexact = back != v
+        # Round to odd: step a rounded-up magnitude back down to the
+        # truncation, then set the sticky low bit if anything was dropped.
+        # This maps overflow to FLT_MAX and underflow to the smallest
+        # subnormal, which the nearest-even step below sends to inf or 0.
+        b = f.view(np.uint32)
+        b -= np.abs(back, out=back) > np.abs(v)
+        b |= inexact
     b += np.uint32(0x7FFF) + ((b >> np.uint32(16)) & np.uint32(1))
     out = (b >> np.uint32(16)).astype("<u2")
-    # On a midpoint, the float64's side of it decides; an exact tie stays even.
-    out[midpoints[exact > rounded]] = truncated[exact > rounded] + np.uint16(1)
-    out[midpoints[exact < rounded]] = truncated[exact < rounded]
-    if non_finite:
-        # NaNs become the quiet NaN 0x7FC0 with the input's sign.
-        nan_mask = np.isnan(v)
-        if nan_mask.any():
-            sign = (v.view(np.uint64)[nan_mask] >> np.uint64(48)).astype(np.uint16)
-            out[nan_mask] = (sign & np.uint16(0x8000)) | np.uint16(0x7FC0)
+    # NaNs become the quiet NaN 0x7FC0 with the input's sign.
+    nan_mask = np.isnan(v)
+    if nan_mask.any():
+        sign = (v.view(np.uint64)[nan_mask] >> np.uint64(48)).astype(np.uint16)
+        out[nan_mask] = (sign & np.uint16(0x8000)) | np.uint16(0x7FC0)
     return out
 
 

@@ -421,12 +421,10 @@ def _reuse(path: Path, settings: dict[str, Any], other_keys: set[str]) -> dict[s
 
 def _sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
-    # One buffer, read into again for every chunk.
-    buffer = memoryview(bytearray(1 << 20))
     try:
         with open(path, "rb") as fh:
-            while count := fh.readinto(buffer):
-                digest.update(buffer[:count])
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     return digest.hexdigest()

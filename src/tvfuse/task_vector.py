@@ -16,15 +16,14 @@ vectors need memory bounded by one block, not by a tensor or the model.
 
 Who owns the working memory: a job makes each reader once; the reader
 allocates its buffers, each the size of the largest block, on the
-calling thread, and every
-pass reuses their pages. The one rule: a yielded array is borrowed until
-the next item; the buffers live as long as the reader; a reader runs one
-pass at a time. A `Scratch` holds one stage's magnitudes, squares, select
-keys and masks, and `merge` one accumulator and one term buffer. What
-keeps every tensor (`extract_task_vector`, `sparsify`,
-`sparsify_and_rescale`, `load_task_vector`) gets a new array per tensor;
-all but `load_task_vector`, which reads each tensor whole, build it from
-its blocks.
+calling thread, and every pass reuses their pages. The one rule: a yielded
+array is borrowed until the next item; the buffers live as long as the
+reader; a reader runs one pass at a time. A `Scratch` holds one stage's
+magnitudes, squares, select keys and masks, and `merge` one accumulator
+and one term buffer. What keeps every tensor (`extract_task_vector`,
+`sparsify`, `sparsify_and_rescale`, `load_task_vector`) gets a new array
+per tensor; all but `load_task_vector`, which reads each tensor whole,
+build it from its blocks.
 
 `prune_and_rescale` is the one prune-and-rescale implementation. Over
 vectors read in lockstep, one block of each at a time, it keeps each
@@ -34,11 +33,10 @@ Stage 2 runs it over `deltas`; `sparsify`, `sparsify_and_rescale` and
 `tvfuse sparsify` over one source. There is one threshold algorithm, the
 exact k-th largest magnitude found for several ranks at once by a radix
 select over the bits of |v| (`RadixSelect`), fed one block at a time per
-pass; and one tie rule (`KeepMasks`), which masks or counts. The select
-settles a rank as soon as it falls among the entries equal to its bucket's
-floor value, so a cut on a value with a short significand (common among
-BF16 deltas) is found in one pass. A vector holding inf or NaN has no
-magnitude order and is rejected.
+pass; and one tie rule (`KeepMasks`). The select settles a rank as soon as
+it falls among the entries equal to its bucket's floor value, so a cut on a
+value with a short significand (common among BF16 deltas) is found in one
+pass. A vector holding inf or NaN has no magnitude order and is rejected.
 
 All arithmetic runs in float64 and all cross-tensor reductions add
 per-tensor `np.sum` partials (`square_sum`, folded from the blocks by
@@ -48,7 +46,6 @@ bitwise reproducible whatever the source.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -104,6 +101,7 @@ class TaskVector:
     sparsity: SparsityInfo | None = None
 
     def blocks(self, out: np.ndarray | None) -> Iterator[tuple[Block, np.ndarray]]:
+        """Views of its own arrays, block by block; `out` is ignored."""
         for name in byte_sorted(self.shapes):
             values = self.tensors[name]
             for block in blocks(name, values.size):
@@ -194,9 +192,8 @@ def deltas(
 
     The reader owns a base buffer and one delta buffer per finetuned
     archive, each the size of the largest block and allocated here; every
-    pass reads into them.
-    An item's arrays are the caller's to overwrite until it asks for the
-    next item."""
+    pass reads into them. An item's arrays are the caller's to overwrite
+    until it asks for the next item."""
     for ft in finetuned:
         require_matching(base.shapes, ft.shapes)
         for name in byte_sorted(base.entries):
@@ -329,13 +326,12 @@ class Norms:
 
 @dataclass(frozen=True)
 class Cut:
-    """The exact k-th largest magnitude of a vector, k, how many entries lie
-    strictly above it and how many equal it."""
+    """The exact k-th largest magnitude of a vector, k, and how many entries
+    lie strictly above it."""
 
     threshold: float
     k: int
     count_above: int
-    ties: int
 
 
 # Non-negative doubles order like their bit patterns read as integers, so the
@@ -427,8 +423,7 @@ class RadixSelect:
     digits), so a bucket of ties is never gathered. One last pass gathers
     each remaining bucket, which is then sorted. Memory is the counters, one
     block's temporaries and the gathered buckets, none larger than the
-    largest block. A settled bucket's size is the number of entries equal
-    to its cut.
+    largest block.
     """
 
     def __init__(
@@ -490,10 +485,8 @@ class RadixSelect:
             elif key in gathered:
                 values = gathered[key]
                 bits = int(values[values.size - bucket.rank])
-                below = int(np.searchsorted(values, bits, side="left"))
-                not_above = int(np.searchsorted(values, bits, side="right"))
-                ties, above = not_above - below, values.size - not_above
-                self._buckets[i] = _Bucket(0, bits, ties, 0, bucket.above + above)
+                above = values.size - int(np.searchsorted(values, bits, side="right"))
+                self._buckets[i] = _Bucket(0, bits, 0, 0, bucket.above + above)
         unsettled = [b for b in self._buckets if b.shift > 0]
         large = {(b.shift, b.prefix) for b in unsettled if b.size > self.largest}
         self._counting = {key: self._counters() for key in large}
@@ -501,7 +494,7 @@ class RadixSelect:
 
     def cuts(self) -> list[Cut]:
         return [
-            Cut(float(np.int64(bucket.prefix).view(np.float64)), k, bucket.above, bucket.size)
+            Cut(float(np.int64(bucket.prefix).view(np.float64)), k, bucket.above)
             for k, bucket in zip(self.ranks, self._buckets)
         ]
 
@@ -544,43 +537,13 @@ def quantile_threshold(source: VectorSource, retentions: Sequence[float]) -> lis
 class KeepMasks:
     """The one tie rule, fed one block at a time in name order: a cut keeps
     |v| > threshold, then the first k - count_above ties |v| == threshold in
-    (name, flat index) order, so exactly k entries. It masks each block's
-    kept entries (`__call__`) or counts them at given positions (`count`).
-
-    While a cut has as many ties left to keep as ties still to come, which
-    is where most cuts start, it keeps every tie without counting them, and
-    once it has none left it keeps none."""
+    (name, flat index) order, so exactly k entries."""
 
     def __init__(self, cuts: Sequence[Cut], scratch: Scratch):
         self.cuts = list(cuts)
         self.ties_left = [cut.k - cut.count_above for cut in cuts]
-        self.ties_unseen = [cut.ties for cut in cuts]
         self.scratch = scratch
         self.masks = np.empty((len(self.cuts), scratch.floats.size), dtype=bool)
-
-    def _tie_limits(self, values: np.ndarray, magnitude: np.ndarray | None) -> list[int]:
-        """Per cut, how far into the block `values` it keeps ties: those at a
-        flat index below the limit. Moves the rule past the block. The
-        block's magnitudes go to scratch unless given."""
-        limits = []
-        for i, cut in enumerate(self.cuts):
-            left = self.ties_left[i]
-            if left in (0, self.ties_unseen[i]):
-                limits.append(values.size if left else 0)
-                continue
-            if magnitude is None:
-                magnitude = np.abs(values, out=self.scratch.floats[: values.size])
-            ties = np.equal(magnitude, cut.threshold, out=self.scratch.flags[0, : values.size])
-            count = int(np.count_nonzero(ties))
-            if count <= left:
-                self.ties_left[i] -= count
-                self.ties_unseen[i] -= count
-                limits.append(values.size)
-            else:
-                # The ties run out inside this block.
-                self.ties_left[i] = 0
-                limits.append(int(np.flatnonzero(ties)[left - 1]) + 1)
-        return limits
 
     def __call__(self, values: np.ndarray) -> list[np.ndarray]:
         """One keep mask per cut for the next block's values, valid until
@@ -588,32 +551,20 @@ class KeepMasks:
         n = values.size
         magnitude = np.abs(values, out=self.scratch.floats[:n])
         masks = []
-        for i, (cut, limit) in enumerate(zip(self.cuts, self._tie_limits(values, magnitude))):
-            mask = self.masks[i, :n]
-            if limit == n:
-                np.greater_equal(magnitude, cut.threshold, out=mask)
-            else:
-                np.greater(magnitude, cut.threshold, out=mask)
-                ties = np.equal(magnitude[:limit], cut.threshold, out=self.scratch.flags[0, :limit])
-                mask[:limit] |= ties
+        for i, cut in enumerate(self.cuts):
+            mask = np.greater(magnitude, cut.threshold, out=self.masks[i, :n])
+            if self.ties_left[i]:
+                ties = np.equal(magnitude, cut.threshold, out=self.scratch.flags[0, :n])
+                count = int(np.count_nonzero(ties))
+                if count <= self.ties_left[i]:
+                    mask |= ties
+                    self.ties_left[i] -= count
+                else:
+                    # The ties run out inside this block.
+                    mask[np.flatnonzero(ties)[: self.ties_left[i]]] = True
+                    self.ties_left[i] = 0
             masks.append(mask)
         return masks
-
-    def count(self, values: np.ndarray, positions: np.ndarray) -> list[int]:
-        """Per cut, how many of the ascending flat `positions` of the next
-        block's values it keeps, as its mask would count there."""
-        picked = np.abs(values[positions])
-        counts = []
-        for cut, limit in zip(self.cuts, self._tie_limits(values, None)):
-            if limit == values.size:
-                counts.append(int(np.count_nonzero(picked >= cut.threshold)))
-                continue
-            kept = int(np.count_nonzero(picked > cut.threshold))
-            if limit:
-                tied = picked[: np.searchsorted(positions, limit)] == cut.threshold
-                kept += int(np.count_nonzero(tied))
-            counts.append(kept)
-        return counts
 
 
 def keep_masks(source: VectorSource, cuts: Sequence[Cut], scratch: Scratch):
@@ -622,16 +573,6 @@ def keep_masks(source: VectorSource, cuts: Sequence[Cut], scratch: Scratch):
     keep = KeepMasks(cuts, scratch)
     for block, (values,) in lockstep(source)():
         yield block, values, keep(values)
-
-
-def keep_counts(source: VectorSource, cuts: Sequence[Cut], scratch: Scratch):
-    """Per block in name order: (block, values, count), where
-    `count(positions)` gives per cut how many of the block's ascending flat
-    `positions` it keeps. Call `count` once per block, before the next: it
-    moves the tie rule past the block."""
-    keep = KeepMasks(cuts, scratch)
-    for block, (values,) in lockstep(source)():
-        yield block, values, functools.partial(keep.count, values)
 
 
 def rescale_gamma(original_norm: float, sparse_norm: float, epsilon: float) -> float:
@@ -751,8 +692,8 @@ def merge(
     Reads the base and every vector in one lockstep pass, one block at a
     time, into one accumulator and one term buffer the size of the largest
     block, freed when the call ends, so with stored vectors it holds a few
-    blocks' worth;
-    an `out_dtype` of None keeps each base tensor's own storage dtype.
+    blocks' worth; an `out_dtype` of None keeps each base tensor's own
+    storage dtype.
     """
     for source, _ in terms:
         require_matching(base.shapes, source.shapes)
@@ -814,7 +755,7 @@ def vector_metadata(
 def write_vector(
     path: str | Path,
     shapes: dict[str, tuple[int, ...]],
-    vector: Iterable[tuple[str, list[np.ndarray]]],
+    vector: Iterable[tuple[Block, list[np.ndarray]]],
     metadata: dict[str, str],
     dtype: str = "F32",
 ) -> None:

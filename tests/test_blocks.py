@@ -165,7 +165,7 @@ def test_sweep_counts_ties_that_run_out_inside_a_block_and_at_its_edge():
     cuts = tvec.quantile_threshold(tv_a, retentions)
     assert [cut.threshold for cut in cuts[1:3]] == [1.0, 1.0]
     assert cuts[1].k - cuts[1].count_above == ties_before_edge
-    assert cuts[1].ties > ties_before_edge + 10_000
+    assert np.count_nonzero(np.abs(a) == 1.0) > ties_before_edge + 10_000
     kept = np.flatnonzero(np.abs(a) == 1.0)[cuts[1].k - cuts[1].count_above - 1]
     assert kept < BLOCK <= np.flatnonzero(np.abs(a) == 1.0)[cuts[1].k - cuts[1].count_above]
     for retention_b in (1.0, 0.5, 0.1):

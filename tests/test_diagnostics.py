@@ -263,27 +263,27 @@ EXACTNESS_CASES = {
         {"t0": [1.0, -1.0, 1.0], "t1": [-1.0, -1.0, 1.0, 1.0], "t2": [1.0, 1.0, -1.0, -1.0]},
         {"t0": [3.0, 1.0, -1.0], "t1": [1.0, -1.0, 1.0, -1.0], "t2": [-1.0, 1.0, 0.5, 2.0]},
         0.6,
-        Cut(1.0, 7, 2, 8),
+        Cut(1.0, 7, 2),
     ),
     "signed-zeros": (
         {"t0": [-0.0, 0.0, 1.0, -1.0, -0.0], "t1": [0.0, -2.0, 0.0, 3.0]},
         {"t0": [0.0, -0.0, -0.0, 0.0, 1.0], "t1": [-0.0, 2.0, -1.0, -0.0]},
         0.3,
-        Cut(1.0, 3, 1, 2),
+        Cut(1.0, 3, 1),
     ),
     # b's cut at 0 keeps two of its zeros as ties, neither of them support.
     "signed-zeros-kept-as-ties": (
         {"t0": [-0.0, 0.0, 1.0, -1.0, -0.0], "t1": [0.0, -2.0, 0.0, 3.0]},
         {"t0": [0.0, -0.0, -0.0, 0.0, 1.0], "t1": [-0.0, 2.0, -1.0, -0.0]},
         0.5,
-        Cut(0.0, 5, 3, 6),
+        Cut(0.0, 5, 3),
     ),
     # A cut at 0 keeps every entry of b, and its zeros are not its support.
     "full-retention-of-b": (
         {"t0": [-1.0, 2.0, 0.0, -0.0], "t1": [1.0, -0.5, 4.0]},
         {"t0": [1.0, -0.0, 0.0, -3.0], "t1": [0.0, 0.5, -2.0]},
         1.0,
-        Cut(0.0, 7, 4, 3),
+        Cut(0.0, 7, 4),
     ),
 }
 

@@ -244,19 +244,3 @@ def test_bf16_fast_path_matches_oracle_near_float32_patterns(scale):
     with np.errstate(invalid="ignore"):  # casting a signalling NaN quiets it
         values = np.concatenate([strided, midpoints]).view(np.float32).astype(np.float64)
     assert_bf16_matches_oracle(values * scale)
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-def test_stored_non_finite_finds_an_all_ones_exponent(dtype):
-    # Every class of stored value: only inf and NaN have an all-ones exponent.
-    raw = stored_patterns(dtype, 4000)
-    with np.errstate(invalid="ignore"):
-        values = widen(raw, dtype)
-    finite = np.isfinite(values)
-    assert not finite.all() and finite.any()
-    width = 4 if dtype == "F32" else 2
-    for i in range(values.size):
-        one = raw[i * width : (i + 1) * width]
-        assert tvfuse.floats.stored_non_finite(one, dtype) == (not finite[i])
-    assert tvfuse.floats.stored_non_finite(raw, dtype)
-    assert not tvfuse.floats.stored_non_finite(b"", dtype)

